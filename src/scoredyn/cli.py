@@ -59,14 +59,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _corpus_config(args, games):
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    if getattr(args, "sport", None):
-        return builtin_config(args.sport)
+def _load_corpus(args):
+    """Parse `--in` and resolve its config from --config, --sport or the corpus tags.
+
+    A --config sport id also resolves that tag while parsing, so corpora
+    under a non-built-in tag (such as `synth` output) load.
+    """
+    if args.config:
+        config = load_config(args.config)
+        games = parse_event_file(args.infile, args.format, configs={config.sport_id: config})
+        return games, config
+    games = parse_event_file(args.infile, args.format)
+    if args.sport:
+        return games, builtin_config(args.sport)
     from .core import config_for_games
 
-    return config_for_games(games)
+    return games, config_for_games(games)
 
 
 def _cmd_validate(args) -> int:
@@ -84,8 +92,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    games = parse_event_file(args.infile, args.format)
-    config = _corpus_config(args, games)
+    games, config = _load_corpus(args)
     tempo = fit_tempo(games, config)
     balance = fit_balance(games, config, min_samples=args.min_samples)
     save_model(args.out, config, tempo, balance)
@@ -134,8 +141,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    games = parse_event_file(args.infile, args.format)
-    config = _corpus_config(args, games)
+    games, config = _load_corpus(args)
     curve = evaluate_predictability(
         games,
         config,
@@ -198,8 +204,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    games = parse_event_file(args.infile, args.format)
-    config = _corpus_config(args, games)
+    games, config = _load_corpus(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -72,10 +72,15 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
         raise ValueError("point_values must be non-empty")
     cleaned: dict[int, float] = {}
     for value, prob in point_values.items():
-        v = int(value)
+        try:
+            v = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"point value {value!r} is not a positive integer") from None
         if v != value or v < 1:
             raise ValueError(f"point value {value!r} is not a positive integer")
         p = float(prob)
+        if not np.isfinite(p):
+            raise ValueError(f"point value {v} has non-finite probability {p}")
         if p < 0.0:
             raise ValueError(f"point value {v} has negative probability {p}")
         cleaned[v] = p

@@ -14,10 +14,15 @@ clock second t is the sum of the per-second tempo profile over [t, T].
 
 Prediction quality is evaluated out of sample: on each random split the
 model is refitted on 3/4 of the games, and on the held-out quarter the
-winner is predicted after every scoring event. The mean fraction of
-correct predictions per cumulative event index (the AUC in the sense
-used throughout this package, 0.5 = chance) is compared against the
-leader-wins heuristic.
+winner is predicted after every scoring event. Every such forecast reads
+the same n-step absorption probabilities, so each split builds one
+outcome table by backward induction, win[0] = 1{lead > 0} and
+win[n] = P @ win[n-1] (likewise for b's win from 1{lead < 0}, or the
+exact mirror win[:, ::-1] for an antisymmetric chain), and scores every
+held-out event with an array lookup at (rounded remaining events, lead).
+The mean fraction of correct predictions per cumulative event index
+(the AUC in the sense used throughout this package, 0.5 = chance) is
+compared against the leader-wins heuristic.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .core import (
     TEAM_R,
     GameLog,
     SportConfig,
+    _validated_point_values,
     config_for_games,
 )
 from .estimate import (
@@ -95,18 +101,6 @@ class OutcomeForecast:
         return OutcomeForecast(self.p_win_b, self.p_tie, self.p_win_r)
 
 
-def _validated_pmf(point_values: Mapping[int, float]) -> list[tuple[int, float]]:
-    items = sorted((int(v), float(p)) for v, p in point_values.items())
-    if not items or any(v < 1 for v, _ in items):
-        raise ValueError("point values must be positive integers")
-    if any(p < 0 for _, p in items):
-        raise ValueError("point value probabilities must be nonnegative")
-    total = sum(p for _, p in items)
-    if abs(total - 1.0) > PMF_TOLERANCE:
-        raise ValueError(f"point value probabilities sum to {total}, expected 1")
-    return items
-
-
 def build_chain(
     phi: np.ndarray | Sequence[float],
     point_values: Mapping[int, float],
@@ -122,9 +116,10 @@ def build_chain(
     phi = np.asarray(phi, dtype=float)
     if len(phi) != 2 * cap + 1:
         raise ValueError(f"phi must have {2 * cap + 1} entries for cap {cap}")
-    if np.any(phi < 0) or np.any(phi > 1):
-        raise ValueError("phi entries must be probabilities")
-    items = _validated_pmf(point_values)
+    if not np.all((phi >= 0) & (phi <= 1)):
+        raise ValueError("phi entries must be finite probabilities")
+    pmf = _validated_point_values(point_values)
+    items = list(pmf.items())
     max_value = items[-1][0]
     if cap < max_value:
         raise ValueError(f"cap {cap} is below the maximum point value {max_value}")
@@ -153,7 +148,7 @@ def build_chain(
         cap=cap,
         transition=P,
         phi=phi,
-        point_values=dict(items),
+        point_values=dict(pmf),
         antisymmetric=antisymmetric,
     )
 
@@ -229,19 +224,28 @@ class PredictabilityCurve:
     n_games_scored: np.ndarray
 
 
-def _chain_score(p_win_r: float, p_win_b: float, winner_sign: int) -> float:
-    # Exactly tied win probabilities carry no information; credit 1/2,
-    # mirroring the baseline's abstain rule.
-    if p_win_r == p_win_b:
-        return 0.5
-    predicted = 1 if p_win_r > p_win_b else -1
-    return 1.0 if predicted == winner_sign else 0.0
+def outcome_table(chain: LeadChain, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Win probabilities of r and of b for every step count and start lead.
 
-
-def _leader_score(lead: int, winner_sign: int) -> float:
-    if lead == 0:
-        return 0.5
-    return 1.0 if (1 if lead > 0 else -1) == winner_sign else 0.0
+    Returns `(win, lose)`, each of shape (max_steps + 1, 2 * cap + 1):
+    `win[n, L + cap]` is the probability that r leads after n chain
+    steps from lead L, and `lose[n, L + cap]` that b leads. Built by
+    backward induction, win[n] = P @ win[n-1] from win[0] = 1{lead > 0}.
+    For an antisymmetric chain `lose` is the exact mirror win[:, ::-1],
+    so the two are equal bit for bit at lead 0; otherwise it follows the
+    same recursion from 1{lead < 0}.
+    """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    states = chain.states
+    targets = [states > 0] if chain.antisymmetric else [states > 0, states < 0]
+    table = np.empty((max_steps + 1, len(states), len(targets)))
+    table[0] = np.stack(targets, axis=1)
+    for n in range(1, max_steps + 1):
+        table[n] = chain.transition @ table[n - 1]
+    win = table[:, :, 0]
+    lose = win[:, ::-1] if chain.antisymmetric else table[:, :, 1]
+    return win, lose
 
 
 def evaluate_predictability(
@@ -258,8 +262,12 @@ def evaluate_predictability(
     For each split, phi, the point-value pmf, and the tempo profile are
     fitted on a random `train_fraction` of games and every held-out game
     is forecast at the clock time and lead immediately after each of its
-    events. Chain and leader-wins scores are averaged per event index
-    over the split's games, then averaged across splits.
+    events, with leads clipped to the chain's +-cap. Forecasts are read
+    from the split's `outcome_table` at round(remaining events) steps.
+    Exactly tied win probabilities, like the leader-wins baseline's
+    abstention at a tied lead, score 1/2. Chain and leader-wins scores
+    are averaged per event index over the split's games, then averaged
+    across splits.
 
     `tie_mode` controls regulation ties in the test set: "exclude" drops
     them from scoring (default) and "half" keeps them, crediting every
@@ -277,7 +285,18 @@ def evaluate_predictability(
     n_train = int(round(train_fraction * len(games)))
     n_train = min(max(n_train, 1), len(games) - 1)
 
-    max_events = max(g.n_events for g in games)
+    # Every event of the corpus, flattened: its game, index within the
+    # game, clock second and the lead right after it.
+    n_events = np.array([g.n_events for g in games], dtype=np.int64)
+    max_events = int(n_events.max())
+    event_game = np.repeat(np.arange(len(games)), n_events)
+    event_index = np.arange(len(event_game)) - np.repeat(np.cumsum(n_events) - n_events, n_events)
+    event_time = np.concatenate([g.times for g in games])
+    event_lead = np.concatenate([np.cumsum(g.signed_points) for g in games])
+    winner_sign = np.sign([g.final_lead() for g in games])
+    scorable = (n_events > 0) & ((winner_sign != 0) | (tie_mode == "half"))
+    event_col = np.clip(event_lead, -cap, cap) + cap
+
     chain_sums = np.zeros((n_splits, max_events))
     leader_sums = np.zeros((n_splits, max_events))
     counts = np.zeros((n_splits, max_events), dtype=np.int64)
@@ -285,42 +304,36 @@ def evaluate_predictability(
     for split in range(n_splits):
         order = rng.permutation(len(games))
         train = [games[i] for i in order[:n_train]]
-        test = [games[i] for i in order[n_train:]]
+        in_test = np.zeros(len(games), dtype=bool)
+        in_test[order[n_train:]] = True
 
         scoring = lead_scoring_function(train, cap, min_fit_samples)
         pmf = point_value_distribution(train)
         profile = tempo_profile(train, cfg)
         suffix = np.concatenate((np.cumsum(profile[::-1])[::-1], [0.0]))
+        # np.rint rounds half to even, as round() does in forecast_after_events.
+        steps_of_t = np.rint(suffix).astype(np.int64)
         chain = build_chain(scoring.phi, pmf, cap)
-        cache: dict[tuple[int, int], tuple[float, float]] = {}
+        win, lose = outcome_table(chain, int(steps_of_t.max()))
 
-        scored_any = False
-        for game in test:
-            if game.n_events == 0:
-                continue
-            winner_sign = np.sign(game.final_lead())
-            if winner_sign == 0 and tie_mode == "exclude":
-                continue
-            scored_any = True
-            leads = np.cumsum(game.signed_points)
-            for ell in range(game.n_events):
-                counts[split, ell] += 1
-                if winner_sign == 0:  # tie_mode == "half"
-                    chain_sums[split, ell] += 0.5
-                    leader_sums[split, ell] += 0.5
-                    continue
-                lead = int(np.clip(leads[ell], -cap, cap))
-                t = int(game.times[ell])
-                steps = int(round(suffix[t]))
-                key = (lead, steps)
-                if key not in cache:
-                    f = forecast_after_events(chain, lead, steps)
-                    cache[key] = (f.p_win_r, f.p_win_b)
-                p_r, p_b = cache[key]
-                chain_sums[split, ell] += _chain_score(p_r, p_b, winner_sign)
-                leader_sums[split, ell] += _leader_score(int(leads[ell]), winner_sign)
-        if not scored_any:
+        scored_games = in_test & scorable
+        if not np.any(scored_games):
             raise ValueError(f"split {split}: every test game tied at regulation")
+        scored = scored_games[event_game]
+        index = event_index[scored]
+        sign = winner_sign[event_game[scored]]
+        steps = steps_of_t[event_time[scored]]
+        col = event_col[scored]
+        p_r = win[steps, col]
+        p_b = lose[steps, col]
+        lead_sign = np.sign(event_lead[scored])
+        chain_score = np.where(
+            (sign == 0) | (p_r == p_b), 0.5, np.where(p_r > p_b, 1, -1) == sign
+        )
+        leader_score = np.where((sign == 0) | (lead_sign == 0), 0.5, lead_sign == sign)
+        counts[split] = np.bincount(index, minlength=max_events)
+        chain_sums[split] = np.bincount(index, weights=chain_score, minlength=max_events)
+        leader_sums[split] = np.bincount(index, weights=leader_score, minlength=max_events)
 
     any_scores = counts.sum(axis=0) > 0
     last = int(np.nonzero(any_scores)[0][-1]) + 1

@@ -106,6 +106,27 @@ class TestSynthAndEval:
         assert len(sidecar["skills"]) == 6
         assert sidecar["seed"] == 2
 
+    def test_synth_output_fits_and_evals_with_config(self, tmp_path, capsys):
+        corpus = tmp_path / "league.csv"
+        code, _, _ = run(capsys, "synth", "--kind", "league", "--n-teams", "6",
+                         "--n-games", "120", "--rate", "0.005", "--regulation", "1200",
+                         "--seed", "5", "--out", str(corpus))
+        assert code == 0
+        config = tmp_path / "custom.json"
+        sd.save_config(sd.SportConfig(
+            "custom", 1200, (1200,), dict(sd.builtin_config("nfl").point_values), 100), config)
+        model = tmp_path / "model.json"
+        code, text, err = run(capsys, "fit", "--in", str(corpus), "--config", str(config),
+                              "--out", str(model), "--min-samples", "10")
+        assert code == 0, err
+        assert "fit ok sport=custom games=120" in text
+        assert json.loads(model.read_text())["sport"]["sport_id"] == "custom"
+        out = tmp_path / "eval.csv"
+        code, text, err = run(capsys, "eval", "--in", str(corpus), "--config", str(config),
+                              "--splits", "2", "--out", str(out))
+        assert code == 0, err
+        assert "eval ok games=120" in text
+
     def test_eval_writes_auc_csv(self, tmp_path, capsys):
         spec = sd.default_league(n_teams=8, n_games=300, regulation_length=1200,
                                  rate=0.006, seed=33)

@@ -60,6 +60,10 @@ class TestSportConfigValidation:
         with pytest.raises(ValueError, match="positive integer"):
             sd.SportConfig("custom", 100, (100,), {0: 1.0}, 10)
 
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sd.SportConfig("custom", 100, (100,), {1: float("nan")}, 5)
+
     def test_truncation_covers_max_value(self):
         with pytest.raises(ValueError, match="lead_truncation"):
             sd.SportConfig("custom", 100, (100,), {7: 1.0}, 5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scoredyn as sd
+from scoredyn.predict import outcome_table
 
 NBA_PMF = {1: 0.0941, 2: 0.7373, 3: 0.1647, 4: 0.0029, 5: 0.0009, 6: 0.0001}
 
@@ -77,6 +78,19 @@ class TestBuildChain:
     def test_cap_below_max_point_value_rejected(self):
         with pytest.raises(ValueError, match="below the maximum point value"):
             sd.build_chain(fair_phi(5), {7: 1.0}, 5)
+
+    @pytest.mark.parametrize(
+        "phi, pmf, match",
+        [
+            (np.full(11, 0.5), {2.5: 1.0}, "positive integer"),
+            (np.full(11, 0.5), {math.inf: 1.0}, "positive integer"),
+            (np.full(11, 0.5), {1: float("nan")}, "non-finite"),
+            (np.where(np.arange(11) == 3, np.nan, 0.5), {1: 1.0}, "finite probabilities"),
+        ],
+    )
+    def test_invalid_phi_or_point_values_rejected(self, phi, pmf, match):
+        with pytest.raises(ValueError, match=match):
+            sd.build_chain(phi, pmf, 5)
 
     def test_reflection_consistency_for_antisymmetric_phi(self):
         cap = 8
@@ -297,6 +311,22 @@ class TestEvaluatePredictability:
         assert np.all(curve.auc_chain == 0.5)
         assert np.all(curve.auc_leader == 0.5)
 
+    def test_remaining_events_round_to_nearest_step(self):
+        # The leader never wins the next point, so phi(+-1) pulls every
+        # lead back to 0. Tied games (kind C) have no event at second 300,
+        # so after the third event about 0.8 events remain: round() gives
+        # one step, which returns the lead to 0 and ties the forecast.
+        # Truncating to zero steps would predict the leader instead.
+        cfg = sd.SportConfig("custom", 600, (600,), {1: 1.0}, 5)
+        kinds = [[1, -1, 1]] * 8 + [[-1, 1, -1]] * 8 + [[1, -1]] * 4
+        games = [
+            fixed_time_game(f"g{i}", signs, [100, 200, 300][: len(signs)])
+            for i, signs in enumerate(kinds)
+        ]
+        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=2, min_fit_samples=1)
+        assert np.array_equal(curve.auc_chain, [0.5, 0.5, 0.5])
+        assert np.array_equal(curve.auc_leader, [1.0, 0.5, 1.0])
+
     def test_chain_dominates_leader_on_skill_league(self):
         spec = sd.default_league(n_teams=10, n_games=600, regulation_length=1200,
                                  rate=0.006, skill_sigma=1.2, seed=31)
@@ -305,3 +335,120 @@ class TestEvaluatePredictability:
         curve = sd.evaluate_predictability(games, cfg, n_splits=5, seed=7)
         assert np.all(curve.auc_chain >= curve.auc_leader - 1e-12)
         assert curve.auc_chain[-1] >= 0.9
+
+
+def reference_evaluate(games, cfg, n_splits, seed, min_fit_samples=50, tie_mode="exclude"):
+    """Per-event evaluation loop: one forward forecast per (lead, steps).
+
+    Oracle for `evaluate_predictability`, which reads the same forecasts
+    from a per-split outcome table.
+    """
+    cap = cfg.lead_truncation
+    rng = np.random.default_rng(seed)
+    n_train = min(max(int(round(0.75 * len(games))), 1), len(games) - 1)
+    max_events = max(g.n_events for g in games)
+    chain_sums = np.zeros((n_splits, max_events))
+    leader_sums = np.zeros((n_splits, max_events))
+    counts = np.zeros((n_splits, max_events), dtype=np.int64)
+    for split in range(n_splits):
+        order = rng.permutation(len(games))
+        train = [games[i] for i in order[:n_train]]
+        test = [games[i] for i in order[n_train:]]
+        scoring = sd.lead_scoring_function(train, cap, min_fit_samples)
+        profile = sd.tempo_profile(train, cfg)
+        suffix = np.concatenate((np.cumsum(profile[::-1])[::-1], [0.0]))
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(train), cap)
+        cache = {}
+        for game in test:
+            winner_sign = np.sign(game.final_lead())
+            if game.n_events == 0 or (winner_sign == 0 and tie_mode == "exclude"):
+                continue
+            leads = np.cumsum(game.signed_points)
+            for ell in range(game.n_events):
+                counts[split, ell] += 1
+                if winner_sign == 0:
+                    chain_sums[split, ell] += 0.5
+                    leader_sums[split, ell] += 0.5
+                    continue
+                lead = int(np.clip(leads[ell], -cap, cap))
+                key = (lead, int(round(suffix[int(game.times[ell])])))
+                if key not in cache:
+                    f = sd.forecast_after_events(chain, *key)
+                    cache[key] = (f.p_win_r, f.p_win_b)
+                p_r, p_b = cache[key]
+                if p_r == p_b:
+                    chain_sums[split, ell] += 0.5
+                else:
+                    chain_sums[split, ell] += float((1 if p_r > p_b else -1) == winner_sign)
+                if leads[ell] == 0:
+                    leader_sums[split, ell] += 0.5
+                else:
+                    leader_sums[split, ell] += float(np.sign(leads[ell]) == winner_sign)
+    last = int(np.nonzero(counts.sum(axis=0))[0][-1]) + 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        chain = np.where(counts > 0, chain_sums / np.maximum(counts, 1), np.nan)
+        leader = np.where(counts > 0, leader_sums / np.maximum(counts, 1), np.nan)
+    return (
+        np.nanmean(chain[:, :last], axis=0),
+        np.nanmean(leader[:, :last], axis=0),
+        counts.sum(axis=0)[:last],
+    )
+
+
+def antisymmetric_phi(cap):
+    upper = 0.5 + 0.4 * np.tanh(np.arange(cap + 1) / 5.0)
+    return np.concatenate([1.0 - upper[:0:-1], upper])
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("antisymmetric", [True, False])
+    def test_entries_match_forward_forecasts(self, antisymmetric):
+        cap, max_steps = 12, 40
+        if antisymmetric:
+            phi = antisymmetric_phi(cap)
+        else:
+            phi = np.random.default_rng(4).uniform(0.2, 0.8, 2 * cap + 1)
+        chain = sd.build_chain(phi, {1: 0.5, 2: 0.3, 3: 0.2}, cap)
+        assert chain.antisymmetric == antisymmetric
+        win, lose = outcome_table(chain, max_steps)
+        assert win.shape == lose.shape == (max_steps + 1, 2 * cap + 1)
+        for lead in range(-cap, cap + 1):
+            for n in range(max_steps + 1):
+                f = sd.forecast_after_events(chain, lead, n)
+                assert abs(win[n, lead + cap] - f.p_win_r) <= 1e-12, (lead, n)
+                assert abs(lose[n, lead + cap] - f.p_win_b) <= 1e-12, (lead, n)
+
+    def test_lose_is_exact_mirror_for_antisymmetric_chain(self):
+        cap = 20
+        chain = sd.build_chain(antisymmetric_phi(cap), NBA_PMF, cap)
+        win, lose = outcome_table(chain, 60)
+        assert np.array_equal(lose, win[:, ::-1])
+        assert np.array_equal(win[:, cap], lose[:, cap])
+
+
+class TestEvaluateMatchesPerEventReference:
+    @staticmethod
+    def nba_like_games(n_games, seed):
+        spec = sd.default_league(n_teams=12, n_games=n_games, regulation_length=1440,
+                                 rate=0.0437, point_values=NBA_PMF, skill_sigma=0.6,
+                                 seed=seed)
+        return sd.generate_league(spec)
+
+    @pytest.mark.parametrize("tie_mode", ["exclude", "half"])
+    @pytest.mark.parametrize("cap", [100, 6])
+    def test_array_equal_to_reference(self, tie_mode, cap):
+        games = self.nba_like_games(48, seed=19)
+        cfg = sd.SportConfig("custom", 1440, (360, 720, 1080, 1440), NBA_PMF, cap)
+        if cap == 6:  # the small cap must actually clip leads
+            assert max(np.abs(np.cumsum(g.signed_points)).max() for g in games) > cap
+        if tie_mode == "half":
+            assert any(g.final_lead() == 0 for g in games)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=2, seed=3, min_fit_samples=20,
+                                           tie_mode=tie_mode)
+        auc_chain, auc_leader, n_scored = reference_evaluate(
+            games, cfg, n_splits=2, seed=3, min_fit_samples=20, tie_mode=tie_mode
+        )
+        assert np.array_equal(curve.auc_chain, auc_chain, equal_nan=True)
+        assert np.array_equal(curve.auc_leader, auc_leader, equal_nan=True)
+        assert np.array_equal(curve.n_games_scored, n_scored)
+        assert np.array_equal(curve.event_index, np.arange(1, len(auc_chain) + 1))
