@@ -46,11 +46,21 @@ from .synth import (
 )
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+def _write_csv(path: Path, **columns) -> None:
+    """Write equal-length columns as CSV, headed by their keyword names in order."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_curve(path: Path, curve) -> None:
+    _write_csv(
+        path,
+        event_index=curve.event_index,
+        auc_chain=curve.auc_chain,
+        auc_leader=curve.auc_leader,
+        n_games_scored=curve.n_games_scored,
+    )
 
 
 def _cell(value) -> str:
@@ -149,16 +159,7 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         tie_mode=args.tie_mode,
     )
-    _write_csv(
-        Path(args.out),
-        ["event_index", "auc_chain", "auc_leader", "n_games_scored"],
-        zip(
-            curve.event_index.tolist(),
-            curve.auc_chain.tolist(),
-            curve.auc_leader.tolist(),
-            curve.n_games_scored.tolist(),
-        ),
-    )
+    _write_curve(Path(args.out), curve)
     print(
         f"eval ok games={len(games)} splits={args.splits} "
         f"auc_chain_final={curve.auc_chain[-1]:.4f} out={args.out}"
@@ -215,28 +216,23 @@ def _cmd_report(args) -> int:
     counts = events_per_game_distribution(games, config)
     _write_csv(
         outdir / "events_per_game.csv",
-        ["events", "empirical_pmf", "poisson_pmf"],
-        zip(counts.counts.tolist(), counts.empirical_pmf.tolist(), counts.reference_pmf.tolist()),
+        events=counts.counts,
+        empirical_pmf=counts.empirical_pmf,
+        poisson_pmf=counts.reference_pmf,
     )
 
     gaps = interarrival_distribution(games, config)
     _write_csv(
         outdir / "interarrival.csv",
-        ["gap_seconds", "empirical_ccdf", "geometric_ccdf"],
-        zip(gaps.gaps.tolist(), gaps.empirical_ccdf.tolist(), gaps.reference_ccdf.tolist()),
+        gap_seconds=gaps.gaps,
+        empirical_ccdf=gaps.empirical_ccdf,
+        geometric_ccdf=gaps.reference_ccdf,
     )
 
     corr = correlation_function(games, args.correlation_lags)
+    _write_csv(outdir / "gap_correlation.csv", lag=range(1, len(corr) + 1), correlation=corr)
     _write_csv(
-        outdir / "gap_correlation.csv",
-        ["lag", "correlation"],
-        zip(range(1, len(corr) + 1), corr.tolist()),
-    )
-
-    _write_csv(
-        outdir / "tempo_profile.csv",
-        ["t", "event_probability"],
-        zip(range(len(tempo.profile)), tempo.profile.tolist()),
+        outdir / "tempo_profile.csv", t=range(len(tempo.profile)), event_probability=tempo.profile
     )
 
     c_hat = balance_fractions(games)
@@ -244,18 +240,17 @@ def _cmd_report(args) -> int:
     bins = np.linspace(0.0, 1.0, args.balance_bins + 1)
     emp_hist, _ = np.histogram(c_hat, bins=bins, density=True)
     null_hist, _ = np.histogram(null, bins=bins, density=True)
-    centers = (bins[:-1] + bins[1:]) / 2
+    mids = (bins[:-1] + bins[1:]) / 2
     _write_csv(
-        outdir / "balance.csv",
-        ["c_hat_bin", "empirical_density", "null_density"],
-        zip(centers.tolist(), emp_hist.tolist(), null_hist.tolist()),
+        outdir / "balance.csv", c_hat_bin=mids, empirical_density=emp_hist, null_density=null_hist
     )
 
     scoring = balance.scoring
     _write_csv(
         outdir / "lead_scoring.csv",
-        ["lead", "phi", "n_observations"],
-        zip(scoring.leads.tolist(), scoring.phi.tolist(), scoring.counts.tolist()),
+        lead=scoring.leads,
+        phi=scoring.phi,
+        n_observations=scoring.counts,
     )
 
     grid_cols: dict[str, np.ndarray] = {}
@@ -278,32 +273,13 @@ def _cmd_report(args) -> int:
     from .simulate import lead_dispersion
 
     _, sd_emp, _ = lead_dispersion(games, config.regulation_length, args.sample_every)
-    _write_csv(
-        outdir / "lead_variance.csv",
-        ["t", "sd_empirical", "sd_bb", "sd_bm", "sd_mb", "sd_mm"],
-        zip(
-            times.tolist(),
-            sd_emp.tolist(),
-            grid_cols["sd_bb"].tolist(),
-            grid_cols["sd_bm"].tolist(),
-            grid_cols["sd_mb"].tolist(),
-            grid_cols["sd_mm"].tolist(),
-        ),
-    )
+    # columns sd_bb, sd_bm, sd_mb, sd_mm, in the loop's order
+    _write_csv(outdir / "lead_variance.csv", t=times, sd_empirical=sd_emp, **grid_cols)
 
     curve = evaluate_predictability(
         games, config, n_splits=args.splits, seed=args.seed, tie_mode=args.tie_mode
     )
-    _write_csv(
-        outdir / "predictability.csv",
-        ["event_index", "auc_chain", "auc_leader", "n_games_scored"],
-        zip(
-            curve.event_index.tolist(),
-            curve.auc_chain.tolist(),
-            curve.auc_leader.tolist(),
-            curve.n_games_scored.tolist(),
-        ),
-    )
+    _write_curve(outdir / "predictability.csv", curve)
     print(f"report ok games={len(games)} sport={config.sport_id} out_dir={outdir}")
     return 0
 

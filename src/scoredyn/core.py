@@ -137,14 +137,6 @@ class SportConfig:
             )
         object.__setattr__(self, "lead_truncation", cap)
 
-    @property
-    def point_support(self) -> np.ndarray:
-        return np.array(sorted(self.point_values), dtype=np.int64)
-
-    @property
-    def point_probs(self) -> np.ndarray:
-        return np.array([self.point_values[v] for v in sorted(self.point_values)])
-
 
 def _as_readonly(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype).copy()
@@ -174,6 +166,40 @@ class ScoringEvent:
         return team_sign(self.team)
 
 
+def check_events(times, teams, points, offsets: np.ndarray | None = None) -> None:
+    """Raise unless the columns hold valid games (game g holds events
+    offsets[g]:offsets[g + 1]; without offsets, one game)."""
+    if not (len(times) == len(teams) == len(points)):
+        raise ValueError("times, teams, and points must have equal length")
+    if (times < 0).any():
+        raise ValueError("event times must be nonnegative")
+    backwards = times[1:] <= times[:-1]
+    if offsets is not None:  # skip pairs that straddle games (the first non-empty one starts at 0)
+        backwards[offsets[:-1][offsets[1:] > offsets[:-1]][1:] - 1] = False
+    if backwards.any():
+        raise ValueError("event times must be strictly increasing (merge same-second events)")
+    if (np.abs(teams) != 1).any():
+        raise ValueError("teams must be encoded as +1 (r) or -1 (b)")
+    if (points < 1).any():
+        raise ValueError("points must be positive integers")
+
+
+def _event_columns(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, times, signed points) of games laid end to end; game g
+    holds events offsets[g]:offsets[g + 1]."""
+    empty = [np.empty(0, dtype=np.int64)]
+    times = np.concatenate(empty + [g.times for g in games])
+    teams = np.concatenate(empty + [g.teams for g in games])  # promoted to int64
+    signed = teams * np.concatenate(empty + [g.points for g in games])
+    return np.cumsum([0] + [g.n_events for g in games]), times, signed
+
+
+def _event_leads(offsets: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """Lead after each event: the running sum, restarted at every game."""
+    cum = np.cumsum(signed)
+    return cum - np.repeat(np.concatenate(([0], cum))[offsets[:-1]], np.diff(offsets))
+
+
 @dataclass(frozen=True, eq=False)
 class GameLog:
     """One game's time-ordered, same-second-merged regulation scoring events.
@@ -194,19 +220,18 @@ class GameLog:
         times = _as_readonly(self.times, np.int64)
         teams = _as_readonly(self.teams, np.int8)
         points = _as_readonly(self.points, np.int64)
-        if not (len(times) == len(teams) == len(points)):
-            raise ValueError("times, teams, and points must have equal length")
-        if len(times) and times[0] < 0:
-            raise ValueError("event times must be nonnegative")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("event times must be strictly increasing (merge same-second events)")
-        if np.any(np.abs(teams) != 1):
-            raise ValueError("teams must be encoded as +1 (r) or -1 (b)")
-        if np.any(points < 1):
-            raise ValueError("points must be positive integers")
+        check_events(times, teams, points)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "teams", teams)
         object.__setattr__(self, "points", points)
+
+    @classmethod
+    def _unchecked(cls, game_id, sport_id, times, teams, points) -> GameLog:
+        """Wrap read-only int64/int8/int64 arrays that `check_events` passed."""
+        game = object.__new__(cls)
+        vars(game).update(game_id=game_id, sport_id=sport_id, times=times)
+        vars(game).update(teams=teams, points=points)
+        return game
 
     @classmethod
     def from_events(cls, game_id: str, sport_id: str, events: Iterable[ScoringEvent]) -> GameLog:
@@ -365,12 +390,8 @@ def lead_trajectory(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     grid = np.arange(0, config_T + 1, sample_every, dtype=np.int64)
-    if game.n_events == 0:
-        return LeadTrajectory(times=grid, leads=np.zeros(len(grid), dtype=np.int64))
-    cum = np.cumsum(game.signed_points)
-    idx = np.searchsorted(game.times, grid, side="right")
-    leads = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0)
-    return LeadTrajectory(times=grid, leads=leads)
+    leads = np.concatenate(([0], np.cumsum(game.signed_points)))
+    return LeadTrajectory(times=grid, leads=leads[np.searchsorted(game.times, grid, "right")])
 
 
 # --------------------------------------------------------------------------

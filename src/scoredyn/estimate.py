@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     PMF_TOLERANCE,
     GameLog,
     SportConfig,
+    _event_columns,
+    _event_leads,
+    _validated_point_values,
     atomic_write_text,
     config_for_games,
     config_from_dict,
@@ -71,17 +73,19 @@ class TempoModel:
         profile = np.asarray(self.profile, dtype=float).copy()
         gaps = np.asarray(self.interarrival_gaps, dtype=np.int64).copy()
         probs = np.asarray(self.interarrival_probs, dtype=float).copy()
-        if self.lambda_hat <= 0:
-            raise ValueError("lambda_hat must be positive (degenerate corpus?)")
+        if not (np.isfinite(self.lambda_hat) and self.lambda_hat > 0):
+            raise ValueError("lambda_hat must be positive and finite (degenerate corpus?)")
         if len(profile) != self.regulation_length + 1:
             raise ValueError("profile must have regulation_length + 1 entries")
-        if np.any(profile < 0) or np.any(profile > 1):
+        if not np.all((profile >= 0) & (profile <= 1)):
             raise ValueError("profile entries must be probabilities")
         if len(gaps) != len(probs):
             raise ValueError("interarrival support and probabilities differ in length")
         if len(gaps):
             if np.any(gaps < 1) or np.any(np.diff(gaps) <= 0):
                 raise ValueError("interarrival gaps must be ascending positive integers")
+            if not np.all(probs >= 0):
+                raise ValueError("interarrival probabilities must be nonnegative")
             if abs(probs.sum() - 1.0) > PMF_TOLERANCE:
                 raise ValueError("interarrival probabilities must sum to 1")
         for name, arr in (("profile", profile), ("interarrival_gaps", gaps),
@@ -148,10 +152,11 @@ class BalanceModel:
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.c_hat_samples, dtype=float).copy()
-        if len(samples) and (samples.min() < 0 or samples.max() > 1):
+        if not np.all((samples >= 0) & (samples <= 1)):
             raise ValueError("balance fractions must lie in [0, 1]")
         samples.flags.writeable = False
         object.__setattr__(self, "c_hat_samples", samples)
+        object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
         phi = self.scoring.phi
         if phi[len(phi) // 2] != 0.5:
             raise ValueError("phi(0) must equal 1/2 exactly")
@@ -200,17 +205,25 @@ class EventCountDistribution:
 def events_per_game_distribution(
     games: Sequence[GameLog], config: SportConfig | None = None
 ) -> EventCountDistribution:
-    """Aligned empirical and Poisson(lambda*T) pmfs over event counts."""
+    """Aligned empirical and Poisson(lambda*T) pmfs over event counts, by
+    `scipy.stats.poisson`'s formulas from the cheaper-to-import `scipy.special`."""
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
     cfg = config_for_games(games, config)
     if not games:
         raise ValueError("need at least one game")
     observed = np.array([g.n_events for g in games])
     lam = fit_poisson_rate(games, cfg)
     mean = lam * cfg.regulation_length
-    hi = int(max(observed.max(), stats.poisson.ppf(1 - 1e-6, mean) if mean > 0 else 0))
+    quantile = 0
+    if mean > 0:
+        above = np.ceil(pdtrik(1 - 1e-6, mean))
+        below = np.maximum(above - 1, 0)
+        quantile = below if pdtr(below, mean) >= 1 - 1e-6 else above
+    hi = int(max(observed.max(), quantile))
     counts = np.arange(hi + 1)
     empirical = np.bincount(observed, minlength=hi + 1)[: hi + 1] / len(games)
-    reference = stats.poisson.pmf(counts, mean)
+    reference = np.clip(np.exp(xlogy(counts, mean) - gammaln(counts + 1) - mean), 0.0, 1.0)
     return EventCountDistribution(
         counts=counts, empirical_pmf=empirical, reference_pmf=reference, reference_mean=mean
     )
@@ -239,11 +252,14 @@ class InterarrivalDistribution:
         return float(np.dot(self.gaps, self.empirical_pmf))
 
 
-def _pooled_gaps(games: Sequence[GameLog]) -> np.ndarray:
+def _gap_pmf(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled inter-arrival gaps: (support 1..max gap, relative frequency)."""
     diffs = [np.diff(g.times) for g in games if g.n_events >= 2]
     if not diffs:
         raise ValueError("no inter-arrival gaps: need a game with at least two events")
-    return np.concatenate(diffs)
+    pooled = np.concatenate(diffs)
+    hi = int(pooled.max())
+    return np.arange(1, hi + 1), np.bincount(pooled, minlength=hi + 1)[1:] / len(pooled)
 
 
 def interarrival_distribution(
@@ -251,13 +267,10 @@ def interarrival_distribution(
 ) -> InterarrivalDistribution:
     """Empirical inter-arrival law with its geometric(lambda) reference."""
     cfg = config_for_games(games, config)
-    all_gaps = _pooled_gaps(games)
+    gaps, empirical = _gap_pmf(games)
     p = fit_poisson_rate(games, cfg)
     if not 0.0 < p < 1.0:
         raise ValueError(f"rate {p} is outside (0, 1); geometric reference undefined")
-    hi = int(all_gaps.max())
-    gaps = np.arange(1, hi + 1)
-    empirical = np.bincount(all_gaps, minlength=hi + 1)[1:] / len(all_gaps)
     empirical_ccdf = 1.0 - np.cumsum(empirical)
     reference = p * (1 - p) ** (gaps - 1.0)
     reference_ccdf = (1 - p) ** gaps.astype(float)
@@ -340,11 +353,8 @@ def tempo_profile(
     if not games:
         raise ValueError("need at least one game")
     T = cfg.regulation_length
-    counts = np.zeros(T + 1)
-    for game in games:
-        inside = game.times[game.times <= T]
-        counts[inside] += 1.0
-    profile = counts / len(games)
+    times = _event_columns(games)[1]
+    profile = np.bincount(times[times <= T], minlength=T + 1) / len(games)
     if smooth_window > 1:
         if smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd")
@@ -361,10 +371,7 @@ def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> Te
     lam = fit_poisson_rate(games, cfg)
     profile = tempo_profile(games, cfg)
     try:
-        pooled = _pooled_gaps(games)
-        hi = int(pooled.max())
-        support = np.arange(1, hi + 1)
-        probs = np.bincount(pooled, minlength=hi + 1)[1:] / len(pooled)
+        support, probs = _gap_pmf(games)
         keep = probs > 0
         support, probs = support[keep], probs[keep]
     except ValueError:
@@ -418,26 +425,6 @@ def balance_null_distribution(
     return wins[keep] / counts[keep]
 
 
-def _transition_counts(games: Sequence[GameLog], cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lead-state counts of (transitions, transitions won by r).
-
-    The lead is sampled immediately before each event; the first event
-    of a game is conditioned on L = 0. Leads beyond +-cap pool into the
-    boundary states.
-    """
-    totals = np.zeros(2 * cap + 1, dtype=np.int64)
-    wins = np.zeros(2 * cap + 1, dtype=np.int64)
-    for game in games:
-        if game.n_events == 0:
-            continue
-        cum = np.cumsum(game.signed_points)
-        before = np.concatenate(([0], cum[:-1]))
-        idx = np.clip(before, -cap, cap) + cap
-        np.add.at(totals, idx, 1)
-        np.add.at(wins, idx, (game.teams > 0).astype(np.int64))
-    return totals, wins
-
-
 def lead_scoring_function(
     games: Sequence[GameLog],
     cap: int,
@@ -454,21 +441,19 @@ def lead_scoring_function(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    totals, wins = _transition_counts(games, cap)
+    # A transition sits at the lead just before its event (0 for a game's
+    # first event); leads beyond +-cap pool into the boundary states.
+    offsets, _, signed = _event_columns(games)
+    before = np.clip(_event_leads(offsets, signed) - signed, -cap, cap) + cap
+    totals = np.bincount(before, minlength=2 * cap + 1)
+    wins = np.bincount(before[signed > 0], minlength=2 * cap + 1)
     if totals.sum() == 0:
         raise ValueError("no event transitions observed")
 
     leads = np.arange(-cap, cap + 1)
-    pooled_totals = np.zeros(cap + 1, dtype=np.int64)
-    pooled_wins = np.zeros(cap + 1, dtype=np.int64)
-    for L in range(cap + 1):
-        plus, minus = totals[cap + L], totals[cap - L]
-        if L == 0:
-            pooled_totals[0] = 2 * plus
-            pooled_wins[0] = plus
-        else:
-            pooled_totals[L] = plus + minus
-            pooled_wins[L] = wins[cap + L] + (minus - wins[cap - L])
+    # pooled state L >= 0: transitions at +L, plus those at -L complemented
+    pooled_totals = totals[cap:] + totals[cap::-1]
+    pooled_wins = wins[cap:] + (totals[cap::-1] - wins[cap::-1])
 
     observed = np.nonzero(pooled_totals)[0]
     est = pooled_wins[observed] / pooled_totals[observed]
@@ -479,10 +464,8 @@ def lead_scoring_function(
     phi[cap:] = upper
     phi[:cap] = 1.0 - upper[:0:-1]
 
-    pooled_counts = np.empty(2 * cap + 1, dtype=np.int64)
-    pooled_counts[cap] = pooled_totals[0] // 2
-    pooled_counts[cap + 1 :] = pooled_totals[1:]
-    pooled_counts[:cap] = pooled_totals[:0:-1]
+    pooled_counts = np.concatenate((pooled_totals[:0:-1], pooled_totals))
+    pooled_counts[cap] = totals[cap]
 
     fit = _fit_line(leads, phi, pooled_counts, min_samples)
     return LeadScoring(leads=leads, phi=phi, counts=pooled_counts, fit=fit)
@@ -530,18 +513,16 @@ def points_fraction_distribution(
     Returns (points_fraction, events_fraction), aligned game-for-game
     over games with at least one event.
     """
-    points_frac = []
-    events_frac = []
-    for game in games:
-        if game.n_events == 0:
-            continue
-        total = float(game.points.sum())
-        r_points = float(game.points[game.teams > 0].sum())
-        points_frac.append(r_points / total)
-        events_frac.append(balance_fraction(game))
-    if not points_frac:
+    offsets, _, signed = _event_columns(games)
+    n_events = np.diff(offsets)
+    if not np.any(n_events):
         raise ValueError("no games with events")
-    return np.array(points_frac), np.array(events_frac)
+    game = np.repeat(np.arange(len(games)), n_events)
+    r_points, total, r_events = (
+        np.bincount(game, w, len(games))[n_events > 0]
+        for w in (np.maximum(signed, 0), np.abs(signed), signed > 0)
+    )
+    return r_points / total, r_events / n_events[n_events > 0]
 
 
 def fit_balance(

@@ -176,8 +176,11 @@ def parse_event_file(
 
     by_game: dict[str, list[RawEventRecord]] = {}
     sport_of: dict[str, tuple[str, SportConfig]] = {}
+    resolved: dict[str, SportConfig] = {}
     for rec in records:
-        cfg = _resolve_sport(rec.sport, rec.line, configs)
+        cfg = resolved.get(rec.sport)
+        if cfg is None:
+            cfg = resolved[rec.sport] = _resolve_sport(rec.sport, rec.line, configs)
         if rec.game_id in sport_of and sport_of[rec.game_id][0] != rec.sport:
             raise _fail(
                 rec.line,
@@ -205,37 +208,27 @@ def parse_event_file(
     return games
 
 
-def _records_of(game: GameLog) -> Iterator[tuple[str, str, str, int, int]]:
-    for t, sign, points in zip(game.times, game.teams, game.points):
-        yield (
-            game.sport_id.lower(),
-            game.game_id,
-            TEAM_R if sign > 0 else TEAM_B,
-            int(t),
-            int(points),
-        )
-
-
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     """Render games in the canonical interchange form (stable byte-for-byte)."""
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for game in games:
-            for sport, gid, team, t, points in _records_of(game):
-                lines.append(f"{sport},{gid},{team},{t},{points}")
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        lines = []
-        for game in games:
-            for sport, gid, team, t, points in _records_of(game):
-                lines.append(
-                    json.dumps(
-                        {"sport": sport, "game_id": gid, "team": team, "t": t, "points": points},
-                        separators=(",", ":"),
-                    )
+    if fmt not in ("csv", "jsonl"):
+        raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
+    lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
+    for game in games:
+        sport, gid = game.sport_id.lower(), game.game_id
+        tags = [TEAM_R if sign > 0 else TEAM_B for sign in game.teams.tolist()]
+        records = zip(tags, game.times.tolist(), game.points.tolist())
+        if fmt == "csv":
+            prefix = f"{sport},{gid},"
+            lines.extend(f"{prefix}{team},{t},{p}" for team, t, p in records)
+        else:
+            lines.extend(
+                json.dumps(
+                    {"sport": sport, "game_id": gid, "team": team, "t": t, "points": p},
+                    separators=(",", ":"),
                 )
-        return "\n".join(lines) + "\n"
-    raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
+                for team, t, p in records
+            )
+    return "\n".join(lines) + "\n"
 
 
 def write_event_file(

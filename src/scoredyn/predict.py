@@ -38,6 +38,8 @@ from .core import (
     TEAM_R,
     GameLog,
     SportConfig,
+    _event_columns,
+    _event_leads,
     _validated_point_values,
     config_for_games,
 )
@@ -287,12 +289,12 @@ def evaluate_predictability(
 
     # Every event of the corpus, flattened: its game, index within the
     # game, clock second and the lead right after it.
-    n_events = np.array([g.n_events for g in games], dtype=np.int64)
+    offsets, event_time, signed = _event_columns(games)
+    n_events = np.diff(offsets)
     max_events = int(n_events.max())
     event_game = np.repeat(np.arange(len(games)), n_events)
-    event_index = np.arange(len(event_game)) - np.repeat(np.cumsum(n_events) - n_events, n_events)
-    event_time = np.concatenate([g.times for g in games])
-    event_lead = np.concatenate([np.cumsum(g.signed_points) for g in games])
+    event_index = np.arange(len(event_game)) - offsets[event_game]
+    event_lead = _event_leads(offsets, signed)
     winner_sign = np.sign([g.final_lead() for g in games])
     scorable = (n_events > 0) & ((winner_sign != 0) | (tie_mode == "half"))
     event_col = np.clip(event_lead, -cap, cap) + cap

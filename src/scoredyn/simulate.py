@@ -16,21 +16,33 @@ Balance variants:
     range).
 
 Event point values are always drawn iid from the fitted distribution.
-Games are generated on independent Philox substreams keyed by
-(seed, game index), so corpora are bit-reproducible.
+
+Game i draws only from its own Philox substream keyed by (seed, i), so
+corpora are bit-reproducible. Its draws, in this order, are the
+reproducibility contract: the event times (`random(T + 1) < profile`,
+or markov gap chunks of `random(size)`, refilled while the last time is
+within regulation), `random(n)` for the n point values,
+`choice(c_hat_samples)` (bernoulli balance only) and `random(n)` for
+the winners. Only these draws run per game; the rest runs on batches of
+games: gaps and point values come from one `searchsorted` in a CDF
+built once per model (the lookup `Generator.choice(p=...)` makes), and
+lead-dependent winners decide event k of every game in lockstep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GameLog, SportConfig
+from .core import GameLog, SportConfig, _event_columns, _event_leads, check_events
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
 from .rng import substream
+
+_CHUNK_GAMES = 1024  # games per batch: bounds working memory, amortises numpy calls
 
 
 class TempoKind(str, Enum):
@@ -44,8 +56,22 @@ class BalanceKind(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
+class _Law:
+    """A generative law: one bias per game (drawn from `c_samples` or fixed
+    per game index in `c_fixed`) or `phi` over every reachable lead."""
+
+    seed: int
+    event_times: Callable[[np.random.Generator], np.ndarray]
+    values: np.ndarray
+    value_cdf: np.ndarray
+    c_samples: np.ndarray | None = None
+    c_fixed: np.ndarray | None = None
+    phi: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """One cell of the tempo x balance model grid, plus its random seed."""
+    """One cell of the tempo x balance model grid, its seed and its sampling tables."""
 
     tempo_kind: TempoKind
     balance_kind: BalanceKind
@@ -53,105 +79,135 @@ class ModelSpec:
     balance: BalanceModel
     config: SportConfig
     seed: int
+    _law: _Law = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tempo_kind", TempoKind(self.tempo_kind))
         object.__setattr__(self, "balance_kind", BalanceKind(self.balance_kind))
-        if self.tempo.regulation_length != self.config.regulation_length:
+        tempo, balance = self.tempo, self.balance
+        if tempo.regulation_length != self.config.regulation_length:
             raise ValueError("tempo model and sport config disagree on regulation length")
-        if len(self.balance.phi) != 2 * self.config.lead_truncation + 1:
+        if len(balance.phi) != 2 * self.config.lead_truncation + 1:
             raise ValueError("balance model and sport config disagree on lead truncation")
-        if self.tempo_kind is TempoKind.MARKOV and not len(self.tempo.interarrival_gaps):
+        if self.tempo_kind is TempoKind.MARKOV and not len(tempo.interarrival_gaps):
             raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
-        if self.balance_kind is BalanceKind.BERNOULLI and not len(self.balance.c_hat_samples):
+        if self.balance_kind is BalanceKind.BERNOULLI and not len(balance.c_hat_samples):
             raise ValueError("bernoulli balance needs at least one fitted balance fraction")
+        if self.tempo_kind is TempoKind.BERNOULLI:
+            times = functools.partial(_bernoulli_times, tempo.profile)
+        else:
+            gaps = (tempo.interarrival_gaps, _cdf(tempo.interarrival_probs), tempo.mean_gap)
+            times = functools.partial(_gap_times, *gaps, tempo.regulation_length)
+        if self.balance_kind is BalanceKind.BERNOULLI:
+            rule = {"c_samples": balance.c_hat_samples}
+        else:
+            cap = self.config.lead_truncation
+            leads = _reachable_leads(tempo.regulation_length, balance.point_values)
+            rule = {"phi": balance.phi[np.clip(leads, -cap, cap) + cap]}
+        law = _Law(self.seed, times, *_point_table(balance.point_values), **rule)
+        object.__setattr__(self, "_law", law)
 
 
-def bernoulli_event_times(rng: np.random.Generator, profile: np.ndarray) -> np.ndarray:
+def _reachable_leads(regulation_length: int, point_values: Mapping[int, float]) -> np.ndarray:
+    """Every lead a game can reach: at most one event per second of [0, T],
+    each worth at most the largest point value."""
+    reach = (regulation_length + 1) * max(point_values)
+    return np.arange(-reach, reach + 1)
+
+
+def _cdf(probs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The table `Generator.choice(p=probs)` searches with one uniform per draw."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _point_table(point_values: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    values = np.array(sorted(point_values), dtype=np.int64)
+    return values, _cdf([point_values[int(v)] for v in values])
+
+
+def _bernoulli_times(profile: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Event seconds under per-second independent scoring probabilities."""
-    return np.nonzero(rng.random(len(profile)) < profile)[0].astype(np.int64)
+    return (rng.random(len(profile)) < profile).nonzero()[0]
 
 
-def resampled_gap_times(
-    rng: np.random.Generator,
-    gaps: np.ndarray,
-    probs: np.ndarray,
-    horizon: int,
-) -> np.ndarray:
-    """Event seconds from iid resampled gaps, first gap anchored at t = 0.
-
-    Times exceeding `horizon` are discarded (the overshooting event is
-    dropped, not clipped). Gaps are >= 1, so times are strictly
-    increasing.
-    """
-    mean_gap = float(np.dot(gaps, probs))
-    times: list[np.ndarray] = []
+def _gap_times(gaps, cdf, mean_gap: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
+    """Event seconds from iid resampled gaps, the first anchored at t = 0; the event
+    past `horizon` is dropped, not clipped. Gaps are >= 1, so times increase."""
+    parts = []
     t = 0
     while True:
         size = max(16, int((horizon - t) / mean_gap * 1.25) + 8)
-        cs = t + np.cumsum(rng.choice(gaps, size=size, p=probs))
-        cut = int(np.searchsorted(cs, horizon, side="right"))
-        times.append(cs[:cut])
+        cs = t + gaps[cdf.searchsorted(rng.random(size), "right")].cumsum()
+        cut = int(cs.searchsorted(horizon, "right"))
+        parts.append(cs[:cut])
         if cut < size:
-            return np.concatenate(times).astype(np.int64)
+            return np.concatenate(parts)
         t = int(cs[-1])
 
 
-def _draw_points(rng: np.random.Generator, point_values, n: int) -> np.ndarray:
-    support = np.array(sorted(point_values), dtype=np.int64)
-    probs = np.array([point_values[int(v)] for v in support])
-    return rng.choice(support, size=n, p=probs)
+def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
+    """Winners when r takes each event with probability phi(lead before it),
+    phi covering every reachable lead. Step k decides event k of every game
+    that has one (lockstep): the loop is as long as the longest game."""
+    counts = np.diff(offsets)
+    order = np.argsort(-counts, kind="stable")
+    starts = offsets[:-1][order]
+    # active[k] games have more than k events; they come first in `order`
+    active = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)), side="left")
+    teams = np.empty(len(u), dtype=np.int8)
+    row = np.full(len(starts), len(phi) // 2, dtype=np.int64)  # phi's row for the lead
+    for k, m in enumerate(active.tolist()):
+        idx = starts[:m] + k
+        rows = row[:m]
+        team = np.where(u[idx] < phi[rows], 1, -1)
+        teams[idx] = team
+        rows += team * points[idx]
+    return teams
 
 
-def _markov_winners(
-    rng: np.random.Generator, phi: np.ndarray, cap: int, points: np.ndarray
-) -> np.ndarray:
-    u = rng.random(len(points))
-    signs = np.empty(len(points), dtype=np.int8)
-    lead = 0
-    for i in range(len(points)):
-        clamped = min(max(lead, -cap), cap)
-        s = 1 if u[i] < phi[clamped + cap] else -1
-        signs[i] = s
-        lead += s * int(points[i])
-    return signs
+def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> list[GameLog]:
+    """Games start..stop-1 of `law`, as read-only views on batch columns."""
+    games = []
+    for lo in range(start, stop, _CHUNK_GAMES):
+        n_games = min(_CHUNK_GAMES, stop - lo)
+        c = np.empty(n_games) if law.c_fixed is None else law.c_fixed[lo : lo + n_games]
+        times, u_values, u_winners = [], [], []
+        for g in range(n_games):  # the per-game draws, in contract order
+            rng = substream(law.seed, lo + g)
+            t = law.event_times(rng)
+            times.append(t)
+            u_values.append(rng.random(len(t)))
+            if law.c_samples is not None:
+                c[g] = rng.choice(law.c_samples)
+            u_winners.append(rng.random(len(t)))
+        offsets = np.cumsum([0] + [len(t) for t in times])
+        times = np.concatenate(times).astype(np.int64, copy=False)
+        points = law.values[law.value_cdf.searchsorted(np.concatenate(u_values), "right")]
+        u = np.concatenate(u_winners)
+        if law.phi is None:
+            teams = np.where(u < c.repeat(offsets[1:] - offsets[:-1]), 1, -1).astype(np.int8)
+        else:
+            teams = _lead_dependent_teams(law.phi, offsets, points, u)
+        check_events(times, teams, points, offsets)
+        for column in (times, teams, points):
+            column.flags.writeable = False
+        bounds = offsets.tolist()
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=lo):
+            columns = times[a:b], teams[a:b], points[a:b]
+            games.append(GameLog._unchecked(f"{prefix}-{g:06d}", sport_id, *columns))
+    return games
 
 
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
-    """Generate one game on substream (spec.seed, game_index).
-
-    Draw order is fixed (times, then point values, then winners) so
-    corpora are reproducible across model kinds.
-    """
-    rng = substream(spec.seed, game_index)
-    if spec.tempo_kind is TempoKind.BERNOULLI:
-        times = bernoulli_event_times(rng, spec.tempo.profile)
-    else:
-        times = resampled_gap_times(
-            rng,
-            spec.tempo.interarrival_gaps,
-            spec.tempo.interarrival_probs,
-            spec.config.regulation_length,
-        )
-    n = len(times)
-    points = _draw_points(rng, spec.balance.point_values, n)
-    if spec.balance_kind is BalanceKind.BERNOULLI:
-        c = float(rng.choice(spec.balance.c_hat_samples))
-        signs = np.where(rng.random(n) < c, 1, -1).astype(np.int8)
-    else:
-        signs = _markov_winners(rng, spec.balance.phi, spec.config.lead_truncation, points)
-    return GameLog(
-        game_id=f"sim-{game_index:06d}",
-        sport_id=spec.config.sport_id,
-        times=times,
-        teams=signs,
-        points=points,
-    )
+    """Generate one game on substream (spec.seed, game_index)."""
+    return _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)[0]
 
 
 def simulate_corpus(spec: ModelSpec, n_games: int) -> list[GameLog]:
     """Generate `n_games` independent games (substreams 0..n_games-1)."""
-    return [simulate_game(spec, i) for i in range(n_games)]
+    return _games(spec._law, 0, n_games, "sim", spec.config.sport_id)
 
 
 def flat_profile(regulation_length: int, rate: float) -> np.ndarray:
@@ -230,27 +286,36 @@ class LeadDispersionCurve:
     mean_abs_empirical: np.ndarray | None = None
 
 
+def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
+    """Sums over games of lead, lead^2 and |lead| at each grid second (3 rows),
+    from a difference array over the grid slots each lead holds: O(events +
+    grid) memory. Leads are integers, so the float sums are exact."""
+    lead = _event_leads(offsets, signed)
+    counts = np.diff(offsets)
+    start = np.searchsorted(grid, times)
+    end = np.append(start[1:], len(grid))
+    end[offsets[1:][counts > 0] - 1] = len(grid)  # a game's last lead holds to the end
+    size = len(grid) + 1
+    weights = (lead, lead * lead, abs(lead))
+    diffs = [np.bincount(start, w, size) - np.bincount(end, w, size) for w in weights]
+    return np.cumsum(diffs, axis=1)[:, :-1]
+
+
 def lead_dispersion(
     games: Sequence[GameLog], regulation_length: int, sample_every: int = 60
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, sd of lead, mean |lead|) sampled on a regular grid."""
+    """(times, sd of lead, mean |lead|) sampled on a regular grid; a game
+    without events counts, at lead 0 throughout."""
+    if not games:
+        raise ValueError("lead dispersion needs at least one game")
     grid = np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
-    total = np.zeros(len(grid))
-    total_sq = np.zeros(len(grid))
-    total_abs = np.zeros(len(grid))
-    for game in games:
-        if game.n_events == 0:
-            continue  # lead is 0 throughout; still counts in the denominator
-        cum = np.cumsum(game.signed_points)
-        idx = np.searchsorted(game.times, grid, side="right")
-        leads = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0).astype(float)
-        total += leads
-        total_sq += leads**2
-        total_abs += np.abs(leads)
+    sums = np.zeros((3, len(grid)))
+    for lo in range(0, len(games), _CHUNK_GAMES):
+        sums += _lead_sums(*_event_columns(games[lo : lo + _CHUNK_GAMES]), grid)
     n = len(games)
-    mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0)
-    return grid, np.sqrt(var), total_abs / n
+    mean = sums[0] / n
+    var = np.maximum(sums[1] / n - mean**2, 0.0)
+    return grid, np.sqrt(var), sums[2] / n
 
 
 def lead_variance_curve(

@@ -13,14 +13,14 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import PMF_TOLERANCE, GameLog, SportConfig
-from .rng import substream
-from .simulate import bernoulli_event_times, flat_profile
+from .core import GameLog, SportConfig, _validated_point_values
+from .simulate import _bernoulli_times, _games, _Law, _point_table, _reachable_leads, flat_profile
 
 PROB_CLAMP = 1e-6
 
@@ -60,11 +60,9 @@ class LeagueSpec:
             raise ValueError("regulation_length must be positive")
         object.__setattr__(self, "regulation_length", T)
         profile = self.profile
-        if len(profile) != T + 1 or np.any(profile < 0) or np.any(profile > 1):
+        if len(profile) != T + 1 or not np.all((profile >= 0) & (profile <= 1)):
             raise ValueError("tempo must be a probability, or a profile of length T + 1")
-        total = sum(self.point_values.values())
-        if abs(total - 1.0) > PMF_TOLERANCE:
-            raise ValueError(f"point value probabilities sum to {total}, expected 1")
+        object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
 
     @property
     def n_teams(self) -> int:
@@ -77,33 +75,16 @@ class LeagueSpec:
         return np.asarray(self.tempo, dtype=float)
 
 
-def _draw_points(rng: np.random.Generator, point_values: Mapping[int, float], n: int):
-    support = np.array(sorted(point_values), dtype=np.int64)
-    probs = np.array([point_values[int(v)] for v in support])
-    return rng.choice(support, size=n, p=probs)
+def _league_law(spec: LeagueSpec, **balance) -> _Law:
+    times = functools.partial(_bernoulli_times, spec.profile)
+    return _Law(spec.seed, times, *_point_table(spec.point_values), **balance)
 
 
 def generate_league(spec: LeagueSpec, prefix: str = "league") -> list[GameLog]:
     """Generate one game per scheduled matchup under the skill rule."""
-    profile = spec.profile
-    games = []
-    for g, (i, j) in enumerate(spec.schedule):
-        rng = substream(spec.seed, g)
-        times = bernoulli_event_times(rng, profile)
-        n = len(times)
-        points = _draw_points(rng, spec.point_values, n)
-        p_r = spec.skills[i] / (spec.skills[i] + spec.skills[j])
-        signs = np.where(rng.random(n) < p_r, 1, -1).astype(np.int8)
-        games.append(
-            GameLog(
-                game_id=f"{prefix}-{g:06d}",
-                sport_id="custom",
-                times=times,
-                teams=signs,
-                points=points,
-            )
-        )
-    return games
+    r, b = np.array(spec.schedule).T
+    p_r = spec.skills[r] / (spec.skills[r] + spec.skills[b])
+    return _games(_league_law(spec, c_fixed=p_r), 0, len(p_r), prefix, "custom")
 
 
 def generate_restoring_league(
@@ -119,31 +100,9 @@ def generate_restoring_league(
     """
     if abs(restoring_slope) >= 0.5:
         raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")
-    profile = spec.profile
-    games = []
-    for g in range(len(spec.schedule)):
-        rng = substream(spec.seed, g)
-        times = bernoulli_event_times(rng, profile)
-        n = len(times)
-        points = _draw_points(rng, spec.point_values, n)
-        u = rng.random(n)
-        signs = np.empty(n, dtype=np.int8)
-        lead = 0
-        for k in range(n):
-            p = min(max(0.5 + restoring_slope * lead, PROB_CLAMP), 1.0 - PROB_CLAMP)
-            s = 1 if u[k] < p else -1
-            signs[k] = s
-            lead += s * int(points[k])
-        games.append(
-            GameLog(
-                game_id=f"{prefix}-{g:06d}",
-                sport_id="custom",
-                times=times,
-                teams=signs,
-                points=points,
-            )
-        )
-    return games
+    leads = _reachable_leads(spec.regulation_length, spec.point_values)
+    phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return _games(_league_law(spec, phi=phi), 0, len(spec.schedule), prefix, "custom")
 
 
 def default_league(

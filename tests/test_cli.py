@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, artifacts, summary lines, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,3 +179,11 @@ class TestReport:
             assert code == 0
         for name in ("model.json", "lead_variance.csv", "predictability.csv", "balance.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; no command needs it
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, scoredyn.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

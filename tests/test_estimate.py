@@ -80,6 +80,17 @@ class TestEventsPerGame:
         tv = 0.5 * (np.abs(dist.empirical_pmf - dist.reference_pmf).sum() + tail)
         assert tv < 0.01
 
+    @pytest.mark.parametrize("rate", [0.0005, 0.002, 0.04, 0.3])
+    def test_reference_is_scipy_stats_poisson_bit_for_bit(self, rate):
+        from scipy import stats
+
+        games = sd.ideal_corpus(TINY, rate, 200, seed=21)
+        dist = sd.events_per_game_distribution(games, TINY)
+        mean = dist.reference_mean
+        most = max(g.n_events for g in games)
+        assert dist.counts[-1] == max(most, int(stats.poisson.ppf(1 - 1e-6, mean)))
+        np.testing.assert_array_equal(dist.reference_pmf, stats.poisson.pmf(dist.counts, mean))
+
 
 class TestInterarrival:
     def test_reference_mean_exactly_inverse_rate(self):
@@ -332,6 +343,55 @@ class TestPointsFraction:
         points_frac, events_frac = sd.points_fraction_distribution(games)
         assert np.corrcoef(points_frac, events_frac)[0, 1] > 0.9
         assert np.median(np.abs(points_frac - events_frac)) < 0.1
+
+
+class TestModelValidation:
+    """Inputs the simulator's per-draw checks used to catch are rejected up front."""
+
+    @staticmethod
+    def tempo(**changes):
+        fields = dict(
+            lambda_hat=0.01,
+            regulation_length=600,
+            profile=np.full(601, 0.01),
+            interarrival_gaps=[1, 2],
+            interarrival_probs=[0.5, 0.5],
+        )
+        return sd.TempoModel(**{**fields, **changes})
+
+    @staticmethod
+    def balance(**changes):
+        scoring = sd.lead_scoring_function([unit_game("g", [1, -1, 1])], cap=2, min_samples=1)
+        fields = dict(c_hat_samples=[0.4, 0.6], scoring=scoring, point_values={1: 0.5, 2: 0.5})
+        return sd.BalanceModel(**{**fields, **changes})
+
+    def test_valid_models_construct(self):
+        assert self.tempo().mean_gap == 1.5
+        assert dict(self.balance().point_values) == {1: 0.5, 2: 0.5}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"interarrival_probs": [-0.5, 1.5]}, "nonnegative"),
+            ({"lambda_hat": float("nan")}, "lambda_hat"),
+            ({"profile": np.append(np.full(600, 0.01), np.nan)}, "profile"),
+        ],
+    )
+    def test_tempo_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.tempo(**changes)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"c_hat_samples": [0.5, float("nan")]}, "balance fractions"),
+            ({"point_values": {2.5: -1.0, 3: 2.0}}, "positive integer"),
+            ({"point_values": {2: -1.0, 3: 2.0}}, "negative probability"),
+        ],
+    )
+    def test_balance_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.balance(**changes)
 
 
 class TestModelArtifact:

@@ -99,6 +99,11 @@ class TestParseErrors:
         with pytest.raises(IngestError, match="unknown sport tag"):
             sd.parse_event_file(path)
 
+    def test_unknown_sport_tag_names_first_offending_line(self, tmp_path):
+        rows = ["nhl,g1,r,10,1", "curling,g2,r,10,1", "curling,g2,b,20,1"]
+        with pytest.raises(IngestError, match="line 3: field 'sport'"):
+            sd.parse_event_file(write_csv(tmp_path, rows))
+
     def test_negative_points(self, tmp_path):
         path = write_csv(tmp_path, ["nfl,g1,r,10,-3"])
         with pytest.raises(IngestError, match="points must be positive"):

@@ -213,3 +213,231 @@ class TestInterchange:
         sd.write_event_file(games, path)
         parsed = sd.parse_event_file(path)
         assert parsed == games
+
+
+# --------------------------------------------------------------------------
+# Oracle: the sequential per-game generator that the batched one replaced.
+# The batched generator must reproduce it bit for bit.
+# --------------------------------------------------------------------------
+
+def ref_points(rng, point_values, n):
+    support = np.array(sorted(point_values), dtype=np.int64)
+    probs = np.array([point_values[int(v)] for v in support])
+    return rng.choice(support, size=n, p=probs)
+
+
+def ref_gap_times(rng, gaps, probs, horizon):
+    mean_gap = float(np.dot(gaps, probs))
+    times = []
+    t = 0
+    while True:
+        size = max(16, int((horizon - t) / mean_gap * 1.25) + 8)
+        cs = t + np.cumsum(rng.choice(gaps, size=size, p=probs))
+        cut = int(np.searchsorted(cs, horizon, side="right"))
+        times.append(cs[:cut])
+        if cut < size:
+            return np.concatenate(times).astype(np.int64)
+        t = int(cs[-1])
+
+
+def ref_lead_winners(rng, points, p_of_lead):
+    u = rng.random(len(points))
+    signs = np.empty(len(points), dtype=np.int8)
+    lead = 0
+    for i in range(len(points)):
+        s = 1 if u[i] < p_of_lead(lead) else -1
+        signs[i] = s
+        lead += s * int(points[i])
+    return signs
+
+
+def ref_game(spec, game_index):
+    rng = sd.substream(spec.seed, game_index)
+    if spec.tempo_kind is sd.TempoKind.BERNOULLI:
+        profile = spec.tempo.profile
+        times = np.nonzero(rng.random(len(profile)) < profile)[0].astype(np.int64)
+    else:
+        times = ref_gap_times(
+            rng,
+            spec.tempo.interarrival_gaps,
+            spec.tempo.interarrival_probs,
+            spec.config.regulation_length,
+        )
+    n = len(times)
+    points = ref_points(rng, spec.balance.point_values, n)
+    if spec.balance_kind is sd.BalanceKind.BERNOULLI:
+        c = float(rng.choice(spec.balance.c_hat_samples))
+        signs = np.where(rng.random(n) < c, 1, -1).astype(np.int8)
+    else:
+        phi, cap = spec.balance.phi, spec.config.lead_truncation
+        signs = ref_lead_winners(rng, points, lambda lead: phi[min(max(lead, -cap), cap) + cap])
+    return sd.GameLog(f"sim-{game_index:06d}", spec.config.sport_id, times, signs, points)
+
+
+def ref_league(spec, restoring_slope=None):
+    games = []
+    for g, (i, j) in enumerate(spec.schedule):
+        rng = sd.substream(spec.seed, g)
+        times = np.nonzero(rng.random(len(spec.profile)) < spec.profile)[0].astype(np.int64)
+        n = len(times)
+        points = ref_points(rng, spec.point_values, n)
+        if restoring_slope is None:
+            p_r = spec.skills[i] / (spec.skills[i] + spec.skills[j])
+            signs = np.where(rng.random(n) < p_r, 1, -1).astype(np.int8)
+            prefix = "league"
+        else:
+            clamp = sd.synth.PROB_CLAMP
+            signs = ref_lead_winners(
+                rng,
+                points,
+                lambda lead: min(max(0.5 + restoring_slope * lead, clamp), 1.0 - clamp),
+            )
+            prefix = "restoring"
+        games.append(sd.GameLog(f"{prefix}-{g:06d}", "custom", times, signs, points))
+    return games
+
+
+def ref_dispersion(games, regulation_length, sample_every):
+    grid = np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
+    total = np.zeros(len(grid))
+    total_sq = np.zeros(len(grid))
+    total_abs = np.zeros(len(grid))
+    for game in games:
+        if game.n_events == 0:
+            continue
+        cum = np.cumsum(game.signed_points)
+        idx = np.searchsorted(game.times, grid, side="right")
+        leads = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0).astype(float)
+        total += leads
+        total_sq += leads**2
+        total_abs += np.abs(leads)
+    n = len(games)
+    mean = total / n
+    var = np.maximum(total_sq / n - mean**2, 0.0)
+    return grid, np.sqrt(var), total_abs / n
+
+
+def assert_same_corpus(games, reference):
+    assert len(games) == len(reference)
+    for game, ref in zip(games, reference):
+        assert game == ref, game.game_id
+        assert game.times.dtype == np.int64 and game.points.dtype == np.int64
+        assert game.teams.dtype == np.int8
+        assert not (game.times.flags.writeable or game.teams.flags.writeable)
+
+
+def fitted_league(sport, rate, n_games, seed, lead_truncation=None):
+    """Tempo and balance fitted to a synthetic league in a built-in sport."""
+    config = sd.builtin_config(sport)
+    if lead_truncation is not None:
+        config = dataclasses.replace(config, lead_truncation=lead_truncation)
+    league = sd.default_league(
+        n_teams=32,
+        n_games=n_games,
+        regulation_length=config.regulation_length,
+        rate=rate,
+        point_values=config.point_values,
+        seed=seed,
+    )
+    games = sd.generate_league(league)
+    return config, sd.fit_tempo(games, config), sd.fit_balance(games, config, min_samples=20)
+
+
+@pytest.fixture(scope="module")
+def nfl_like():
+    return fitted_league("nfl", 0.00204, 400, seed=31)
+
+
+@pytest.fixture(scope="module")
+def nba_like():
+    return fitted_league("nba", 0.0437, 60, seed=32)
+
+
+CELLS = [(t, b) for t in ("bernoulli", "markov") for b in ("bernoulli", "markov")]
+
+
+def cell_spec(fitted, tempo_kind, balance_kind, seed=41):
+    config, tempo, balance = fitted
+    return sd.ModelSpec(tempo_kind, balance_kind, tempo, balance, config, seed)
+
+
+class TestBatchedGeneratorOracle:
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_nfl_like_cells(self, nfl_like, tempo_kind, balance_kind):
+        spec = cell_spec(nfl_like, tempo_kind, balance_kind)
+        games = sd.simulate_corpus(spec, 1500)  # more than one batch
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(1500)])
+        assert games[1234] == sd.simulate_game(spec, 1234)
+
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_nba_like_cells(self, nba_like, tempo_kind, balance_kind):
+        spec = cell_spec(nba_like, tempo_kind, balance_kind)
+        assert_same_corpus(sd.simulate_corpus(spec, 150), [ref_game(spec, i) for i in range(150)])
+
+    @pytest.mark.parametrize("tempo_kind", ["bernoulli", "markov"])
+    def test_clamped_leads(self, tempo_kind):
+        fitted = fitted_league("nfl", 0.004, 300, seed=33, lead_truncation=8)
+        spec = cell_spec(fitted, tempo_kind, "markov")
+        games = sd.simulate_corpus(spec, 400)
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(400)])
+        peak = max(np.abs(np.cumsum(g.signed_points)).max(initial=0) for g in games)
+        assert peak > 8  # the lead left phi's grid, so the clamp was exercised
+
+    @pytest.mark.parametrize("balance_kind", ["bernoulli", "markov"])
+    def test_zero_profile_gives_empty_games(self, nfl_like, balance_kind):
+        config, tempo, balance = nfl_like
+        silent = dataclasses.replace(tempo, profile=np.zeros_like(tempo.profile))
+        spec = sd.ModelSpec("bernoulli", balance_kind, silent, balance, config, seed=5)
+        games = sd.simulate_corpus(spec, 50)
+        assert all(g.n_events == 0 for g in games)
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(50)])
+
+    @pytest.mark.parametrize("balance_kind", ["bernoulli", "markov"])
+    def test_markov_tempo_chunk_refill(self, balance_kind):
+        # mostly unit gaps with a rare long one: the first chunk of gaps
+        # often ends within regulation and a second chunk is drawn
+        spec = flat_spec(0.01, seed=43, balance_kind=balance_kind)
+        tempo = dataclasses.replace(
+            spec.tempo,
+            interarrival_gaps=np.array([1, 1000]),
+            interarrival_probs=np.array([0.99, 0.01]),
+        )
+        spec = dataclasses.replace(spec, tempo=tempo, tempo_kind="markov")
+        games = sd.simulate_corpus(spec, 300)
+        size = max(16, int(600 / spec.tempo.mean_gap * 1.25) + 8)
+        assert sum(g.n_events > size for g in games) > 50
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(300)])
+
+    def test_generate_league(self):
+        spec = sd.default_league(
+            n_teams=10, n_games=1100, rate=0.003, point_values={2: 0.3, 3: 0.7}, seed=44
+        )
+        assert_same_corpus(sd.generate_league(spec), ref_league(spec))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.002, -0.49, 0.49])
+    def test_generate_restoring_league(self, slope):
+        spec = sd.default_league(
+            n_teams=2,
+            n_games=300,
+            rate=0.004,
+            point_values=sd.builtin_config("nfl").point_values,
+            seed=45,
+        )
+        games = sd.generate_restoring_league(spec, slope)
+        assert_same_corpus(games, ref_league(spec, restoring_slope=slope))
+
+    def test_lead_dispersion_matches_per_game_loop(self, nfl_like, nba_like):
+        for fitted, every in ((nfl_like, 60), (nba_like, 7)):
+            config = fitted[0]
+            spec = cell_spec(fitted, "bernoulli", "markov")
+            games = sd.simulate_corpus(spec, 1100)
+            games[3:3] = [sd.GameLog("empty", config.sport_id, [], [], [])]
+            T = config.regulation_length
+            for got, want in zip(
+                sd.lead_dispersion(games, T, every), ref_dispersion(games, T, every)
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_lead_dispersion_rejects_empty_corpus(self):
+        with pytest.raises(ValueError, match="at least one game"):
+            sd.lead_dispersion([], 600)

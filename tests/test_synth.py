@@ -29,6 +29,18 @@ class TestLeagueSpec:
         with pytest.raises(ValueError, match="positive"):
             sd.LeagueSpec(np.array([1.0, -2.0]), ((0, 1),), 100, 0.01, {1: 1.0}, 0)
 
+    @pytest.mark.parametrize(
+        "tempo, points, message",
+        [
+            (0.01, {2.5: -1.0, 3: 2.0}, "positive integer"),
+            (0.01, {2: -1.0, 3: 2.0}, "negative probability"),
+            (np.full(101, np.nan), {1: 1.0}, "profile"),
+        ],
+    )
+    def test_rejects_what_the_draws_would_reject(self, tempo, points, message):
+        with pytest.raises(ValueError, match=message):
+            sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 1),), 100, tempo, points, 0)
+
     def test_requires_nonempty_schedule(self):
         with pytest.raises(ValueError, match="non-empty"):
             sd.LeagueSpec(np.array([1.0, 2.0]), (), 100, 0.01, {1: 1.0}, 0)
