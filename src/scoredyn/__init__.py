@@ -74,6 +74,7 @@ from .simulate import (
     LeadDispersionCurve,
     ModelSpec,
     TempoKind,
+    exact_lead_sd,
     ideal_corpus,
     ideal_game,
     ideal_model,

@@ -25,11 +25,12 @@ from . import (
     correlation_function,
     evaluate_predictability,
     events_per_game_distribution,
+    exact_lead_sd,
     fit_balance,
     fit_tempo,
     forecast,
     interarrival_distribution,
-    lead_variance_curve,
+    lead_variance_curve,  # noqa: F401  (kept as a module attribute for tracing hooks)
     load_config,
     load_model,
     parse_event_file,
@@ -254,7 +255,6 @@ def _cmd_report(args) -> int:
     )
 
     grid_cols: dict[str, np.ndarray] = {}
-    times = None
     for tempo_kind in ("bernoulli", "markov"):
         for balance_kind in ("bernoulli", "markov"):
             spec = ModelSpec(
@@ -265,11 +265,8 @@ def _cmd_report(args) -> int:
                 config=config,
                 seed=args.seed,
             )
-            curve = lead_variance_curve(
-                spec, n_games=args.sim_games, sample_every=args.sample_every
-            )
-            grid_cols[f"sd_{tempo_kind[0]}{balance_kind[0]}"] = curve.sd
-            times = curve.times
+            times, sd = exact_lead_sd(spec, sample_every=args.sample_every)
+            grid_cols[f"sd_{tempo_kind[0]}{balance_kind[0]}"] = sd
     from .simulate import lead_dispersion
 
     _, sd_emp, _ = lead_dispersion(games, config.regulation_length, args.sample_every)
@@ -355,7 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", type=int, default=20)
-    p.add_argument("--sim-games", type=int, default=100_000)
+    p.add_argument(
+        "--sim-games",
+        type=int,
+        default=100_000,
+        help="deprecated, no effect: the lead-variance curves are computed exactly",
+    )
     p.add_argument("--sample-every", type=int, default=60)
     p.add_argument("--null-sims", type=int, default=100_000)
     p.add_argument("--balance-bins", type=int, default=51)

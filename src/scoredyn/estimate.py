@@ -24,6 +24,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -115,6 +116,12 @@ class LinearFit:
     slope_stderr: float | None
     n_states: int
 
+    def __post_init__(self) -> None:
+        for name in ("slope", "intercept", "slope_stderr"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"phi fit {name} must be a finite number or None, got {value!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class LeadScoring:
@@ -136,6 +143,8 @@ class LeadScoring:
             arr = np.asarray(getattr(self, name)).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if np.any(self.counts < 0):
+            raise ValueError("phi transition counts must be nonnegative")
 
     @property
     def cap(self) -> int:

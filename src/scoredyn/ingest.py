@@ -278,13 +278,18 @@ def validate_corpus(
     per_sport_games: dict[str, int] = defaultdict(int)
     per_sport_events: dict[str, int] = defaultdict(int)
     total_events = 0
+    resolved: dict[str, SportConfig | None] = {}  # per sport tag; None if unknown
     for game in games:
         per_sport_games[game.sport_id] += 1
         per_sport_events[game.sport_id] += game.n_events
         total_events += game.n_events
-        try:
-            cfg = _resolve_sport(game.sport_id, 0, configs)
-        except IngestError:
+        if game.sport_id not in resolved:
+            try:
+                resolved[game.sport_id] = _resolve_sport(game.sport_id, 0, configs)
+            except IngestError:
+                resolved[game.sport_id] = None
+        cfg = resolved[game.sport_id]
+        if cfg is None:
             failures.append(f"game {game.game_id}: unknown sport {game.sport_id!r}")
             continue
         if game.n_events and int(game.times[-1]) > cfg.regulation_length:

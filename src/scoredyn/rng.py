@@ -12,7 +12,25 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _key(seed: int, index: int) -> np.ndarray:
+    return np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Return the Philox generator for substream `index` of master `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def rekey(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Reset the Philox generator `rng` to the start of substream `index` of
+    `seed`, the state `substream(seed, index)` starts in: counter 0 and an
+    empty output buffer. Cheaper than a new generator, which first seeds
+    and then discards a `SeedSequence` from OS entropy."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, index)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

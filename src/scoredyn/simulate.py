@@ -18,7 +18,8 @@ Balance variants:
 Event point values are always drawn iid from the fitted distribution.
 
 Game i draws only from its own Philox substream keyed by (seed, i), so
-corpora are bit-reproducible. Its draws, in this order, are the
+corpora are bit-reproducible (one bit generator per batch of games is
+re-keyed to each game's substream). Its draws, in this order, are the
 reproducibility contract: the event times (`random(T + 1) < profile`,
 or markov gap chunks of `random(size)`, refilled while the last time is
 within regulation), `random(n)` for the n point values,
@@ -40,7 +41,7 @@ import numpy as np
 
 from .core import GameLog, SportConfig, _event_columns, _event_leads, check_events
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
-from .rng import substream
+from .rng import rekey, substream
 
 _CHUNK_GAMES = 1024  # games per batch: bounds working memory, amortises numpy calls
 
@@ -174,8 +175,9 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> list
         n_games = min(_CHUNK_GAMES, stop - lo)
         c = np.empty(n_games) if law.c_fixed is None else law.c_fixed[lo : lo + n_games]
         times, u_values, u_winners = [], [], []
+        rng = substream(law.seed, lo)  # one bit generator per batch, re-keyed per game
         for g in range(n_games):  # the per-game draws, in contract order
-            rng = substream(law.seed, lo + g)
+            rekey(rng, law.seed, lo + g)
             t = law.event_times(rng)
             times.append(t)
             u_values.append(rng.random(len(t)))
@@ -316,6 +318,120 @@ def lead_dispersion(
     mean = sums[0] / n
     var = np.maximum(sums[1] / n - mean**2, 0.0)
     return grid, np.sqrt(var), sums[2] / n
+
+
+# exact_lead_sd drops the event counts n >= n_cut, n_cut the first n
+# with P(N(T) >= n) below this.
+_TAIL_MASS = 1e-15
+# Tail entries below this are dropped from the per-second count DP; over
+# T + 1 seconds they carry less than (T + 1) * 1e-30 probability in all.
+_NEGLIGIBLE = 1e-30
+
+
+def _bernoulli_count_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """P(N(s) = n) for s on `grid` (rows) and n < n_cut (columns), N(s) the
+    number of events in seconds 0..s: a DP over the seconds of `profile`."""
+    dist = np.zeros(len(profile) + 1)
+    dist[0] = 1.0
+    hi = 1  # dist[hi:] is zero
+    stops = set(grid.tolist())
+    rows = []
+    for t, p in enumerate(profile.tolist()):
+        if p:
+            step = np.convolve(dist[:hi], (1.0 - p, p))  # times (1 - p + p z)
+            if step[-1] < _NEGLIGIBLE:
+                step[-1] = 0.0
+            else:
+                hi += 1
+            dist[: len(step)] = step
+        if t in stops:
+            rows.append(dist[:hi].copy())
+    at_least = np.append(np.cumsum(dist[::-1])[::-1], 0.0)  # P(N(T) >= n)
+    law = np.zeros((len(rows), int(np.argmax(at_least < _TAIL_MASS))))
+    for row, counts in zip(law, rows):
+        row[: len(counts)] = counts[: len(row)]
+    return law
+
+
+def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
+    """P(N(s) = n) for s on `grid` and n < n_cut under iid gaps, the first
+    anchored at t = 0: P(N(s) >= n) = P(S_n <= s), with S_n's pmf the
+    n-fold convolution of the gap pmf (one FFT product per n)."""
+    T = tempo.regulation_length
+    size = 1 << (2 * T + 1).bit_length()  # >= 2 (T + 1): no wrap-around
+    gap_pmf = np.zeros(T + 1)
+    keep = tempo.interarrival_gaps <= T
+    gap_pmf[tempo.interarrival_gaps[keep]] = np.diff(
+        _cdf(tempo.interarrival_probs), prepend=0.0
+    )[keep]
+    spectrum = np.fft.rfft(gap_pmf, size)
+    at_least = [np.ones(len(grid))]  # P(N(s) >= 0)
+    pmf, n = gap_pmf, 1
+    while True:
+        cdf = np.cumsum(pmf)
+        at_least.append(cdf[grid])
+        if cdf[-1] < _TAIL_MASS:
+            break
+        pmf = np.fft.irfft(np.fft.rfft(pmf, size) * spectrum, size)[: T + 1]
+        n += 1
+        pmf[:n] = 0.0  # S_n >= n, as gaps are >= 1; the rest is FFT round-off
+        np.maximum(pmf, 0.0, out=pmf)
+    at_least = np.column_stack(at_least)
+    return at_least[:, :-1] - at_least[:, 1:]
+
+
+def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[L | n events] and E[L^2 | n] for n < n_cut when one bias c per game
+    is drawn from `c_samples`: each event adds +-v with mean (2c - 1) E v."""
+    b = 2.0 * np.asarray(c_samples) - 1.0
+    mu, v2 = float(values @ probs), float(values**2 @ probs)
+    n = np.arange(n_cut, dtype=float)
+    return n * mu * b.mean(), n * v2 + n * (n - 1) * mu**2 * np.mean(b * b)
+
+
+def _markov_moments(phi, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[L | n events] and E[L^2 | n] for n < n_cut from the lead law pi_0 P^n,
+    `phi` laid out over leads -R..R with R = len(phi) // 2 >= (n_cut - 1) max(values)."""
+    reach = (n_cut - 1) * int(values.max())
+    mid = len(phi) // 2
+    phi = phi[mid - reach : mid + reach + 1]
+    leads = np.arange(-reach, reach + 1, dtype=float)
+    pi = (leads == 0).astype(float)
+    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
+    for k in range(1, n_cut):
+        up, down = pi * phi, pi * (1.0 - phi)
+        pi = np.zeros_like(pi)
+        for v, p in zip(values.tolist(), probs.tolist()):
+            pi[v:] += p * up[:-v]
+            pi[:-v] += p * down[v:]
+        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
+    return m1, m2
+
+
+def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """(times, sd of lead) across games of `spec`, computed exactly on the
+    grid of `lead_dispersion`: an event at second g counts at grid time g,
+    and a game without events counts at lead 0.
+
+    The event-count law P(N(s) = n) (a DP over the tempo profile, or the
+    renewal law of the gap distribution) is mixed with the lead moments
+    after n events (closed form for bernoulli balance; pi_0 P^n with phi
+    laid out as the simulator lays it out for markov balance). Event
+    counts whose mass at T is below 1e-15 are dropped.
+    """
+    T = spec.config.regulation_length
+    grid = np.arange(0, T + 1, sample_every, dtype=np.int64)
+    if spec.tempo_kind is TempoKind.BERNOULLI:
+        law = _bernoulli_count_law(spec.tempo.profile, grid)
+    else:
+        law = _renewal_count_law(spec.tempo, grid)
+    values, probs = spec._law.values, np.diff(spec._law.value_cdf, prepend=0.0)
+    if spec.balance_kind is BalanceKind.BERNOULLI:
+        m1, m2 = _bernoulli_moments(spec._law.c_samples, values, probs, law.shape[1])
+    else:
+        m1, m2 = _markov_moments(spec._law.phi, values, probs, law.shape[1])
+    mean = law @ m1
+    return grid, np.sqrt(np.maximum(law @ m2 - mean * mean, 0.0))
 
 
 def lead_variance_curve(

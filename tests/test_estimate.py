@@ -8,6 +8,7 @@ Oracles used here:
     the lead-scoring slope.
 """
 
+import json
 import math
 
 import numpy as np
@@ -394,6 +395,14 @@ class TestModelValidation:
             self.balance(**changes)
 
 
+def fitted_model_dict():
+    cfg = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 20)
+    games = sd.ideal_corpus(cfg, 0.01, n_games=400, seed=12)
+    tempo = sd.fit_tempo(games, cfg)
+    balance = sd.fit_balance(games, cfg, min_samples=10)
+    return sd.estimate.model_to_dict(cfg, tempo, balance)
+
+
 class TestModelArtifact:
     def test_round_trip(self, tmp_path):
         cfg = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 20)
@@ -420,4 +429,40 @@ class TestModelArtifact:
         text = path.read_text(encoding="utf-8").replace('"schema_version": "1.0"', '"schema_version": "9.0"', 1)
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported schema"):
+            sd.load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("slope", float("nan"), "slope must be a finite number"),
+            ("intercept", float("inf"), "intercept must be a finite number"),
+            ("slope_stderr", float("-inf"), "slope_stderr must be a finite number"),
+            ("slope", "0.1", "slope must be a finite number"),
+        ],
+    )
+    def test_non_finite_phi_fit_rejected(self, field, value, message):
+        data = fitted_model_dict()
+        assert data["balance"]["phi_fit"]["slope_stderr"] is not None
+        data["balance"]["phi_fit"][field] = value
+        with pytest.raises(ValueError, match=message):
+            sd.estimate.model_from_dict(data)
+
+    def test_phi_fit_none_allowed(self):
+        data = fitted_model_dict()
+        data["balance"]["phi_fit"].update(slope=None, intercept=None, slope_stderr=None)
+        assert sd.estimate.model_from_dict(data).balance.scoring.fit.slope is None
+
+    def test_negative_phi_count_rejected(self):
+        data = fitted_model_dict()
+        data["balance"]["phi_counts"][0] = -3
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            sd.estimate.model_from_dict(data)
+
+    def test_non_finite_values_survive_json_and_are_rejected(self, tmp_path):
+        # json.dump writes NaN, and json.load reads it back
+        data = fitted_model_dict()
+        data["balance"]["phi_fit"]["slope"] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="slope"):
             sd.load_model(path)

@@ -190,6 +190,16 @@ class TestValidateCorpus:
         report = sd.validate_corpus(games)
         assert any("outside configured support" in f for f in report.failures)
 
+    def test_unknown_sport_reported_per_game(self):
+        games = [
+            sd.GameLog("g1", "XFL", [10], [1], [7]),
+            sd.GameLog("g2", "NFL", [15], [1], [7]),
+            sd.GameLog("g3", "XFL", [], [], []),
+        ]
+        report = sd.validate_corpus(games)
+        assert list(report.failures) == ["game g1: unknown sport 'XFL'", "game g3: unknown sport 'XFL'"]
+        assert report.per_sport["XFL"].n_games == 2
+
     def test_synthetic_corpus_mean_events(self):
         # Monte Carlo oracle: flat tempo at rate 0.002 over seconds
         # 1..3600 gives mean events per game 0.002 * 3600 = 7.2.

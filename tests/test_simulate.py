@@ -441,3 +441,132 @@ class TestBatchedGeneratorOracle:
     def test_lead_dispersion_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one game"):
             sd.lead_dispersion([], 600)
+
+
+class TestRekeyedSubstreams:
+    @pytest.mark.parametrize(
+        "seed, index", [(0, 0), (41, 1234), (-1, 2**64 - 1), (-(2**40), 7), (2**64 + 5, 3)]
+    )
+    def test_rekey_matches_fresh_substream(self, seed, index):
+        rng = sd.substream(9, 9)
+        rng.random(3)
+        rng.integers(0, 10, 5)  # leaves a buffered 32-bit half behind
+        sd.rng.rekey(rng, seed, index)
+        fresh = sd.substream(seed, index)
+        np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+        np.testing.assert_array_equal(rng.integers(0, 1000, 9), fresh.integers(0, 1000, 9))
+        samples = np.array([0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(rng.choice(samples, 5), fresh.choice(samples, 5))
+
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_extreme_keys_match_per_game_generators(self, nfl_like, tempo_kind, balance_kind):
+        spec = cell_spec(nfl_like, tempo_kind, balance_kind, seed=-5)
+        last = 2**64 - 1
+        assert_same_corpus(
+            [sd.simulate_game(spec, i) for i in (0, 3, last)],
+            [ref_game(spec, i) for i in (0, 3, last)],
+        )
+
+
+def one_event_spec(g, tempo_kind="bernoulli", balance_kind="bernoulli"):
+    """One unit event at second g of TINY, won by either side with probability 1/2."""
+    spec = flat_spec(0.01, balance_kind=balance_kind)
+    profile = np.zeros(601)
+    profile[g] = 1.0
+    tempo = dataclasses.replace(
+        spec.tempo,
+        profile=profile,
+        interarrival_gaps=np.array([g]),
+        interarrival_probs=np.array([1.0]),
+    )
+    balance = dataclasses.replace(spec.balance, c_hat_samples=np.array([0.0, 1.0]))
+    return dataclasses.replace(spec, tempo=tempo, balance=balance, tempo_kind=tempo_kind)
+
+
+class TestGridConvention:
+    """An event at second g counts at grid time g; the last lead holds to T."""
+
+    G = 120  # a grid second for sample_every=60
+
+    def expected(self, times):
+        return np.where(times >= self.G, 1.0, 0.0)
+
+    def test_lead_dispersion(self):
+        games = [sd.GameLog(f"g{s}", "custom", [self.G], [s], [1]) for s in (1, -1)]
+        times, sd_lead, mean_abs = sd.lead_dispersion(games, 600, 60)
+        np.testing.assert_array_equal(sd_lead, self.expected(times))
+        np.testing.assert_array_equal(mean_abs, self.expected(times))
+
+    @pytest.mark.parametrize("balance_kind", ["bernoulli", "markov"])
+    def test_exact_lead_sd(self, balance_kind):
+        times, sd_lead = sd.exact_lead_sd(one_event_spec(self.G, balance_kind=balance_kind))
+        np.testing.assert_array_equal(sd_lead, self.expected(times))
+
+    def test_exact_lead_sd_markov_tempo(self):
+        # gaps of exactly 360: one event at 360, the next (720) is past T;
+        # the renewal law carries FFT round-off, hence the tolerance
+        spec = one_event_spec(360, tempo_kind="markov")
+        times, sd_lead = sd.exact_lead_sd(spec)
+        assert sd_lead[0] == 0.0
+        np.testing.assert_allclose(sd_lead, np.where(times >= 360, 1.0, 0.0), atol=1e-12)
+
+
+class TestExactLeadSd:
+    def test_fair_unit_walk_flat_profile(self):
+        # Var(L_t) = E[N_t] = p t for fair unit steps, profile p on seconds 1..t
+        p = 0.01
+        for balance_kind in ("bernoulli", "markov"):
+            times, sd_lead = sd.exact_lead_sd(flat_spec(p, balance_kind=balance_kind), 50)
+            np.testing.assert_allclose(sd_lead, np.sqrt(p * times), rtol=1e-12)
+
+    def test_deterministic_gaps(self):
+        # gaps of 7: N(t) = floor(t / 7) events, and Var(L_t) = N(t)
+        base = flat_spec(0.01, balance_kind="markov")
+        tempo = dataclasses.replace(
+            base.tempo, interarrival_gaps=np.array([7]), interarrival_probs=np.array([1.0])
+        )
+        spec = dataclasses.replace(base, tempo=tempo, tempo_kind="markov")
+        times, sd_lead = sd.exact_lead_sd(spec, 10)
+        np.testing.assert_allclose(sd_lead, np.sqrt(times // 7), rtol=1e-12)
+
+    def test_zero_profile_gives_zero_sd(self, nfl_like):
+        config, tempo, balance = nfl_like
+        silent = dataclasses.replace(tempo, profile=np.zeros_like(tempo.profile))
+        for balance_kind in ("bernoulli", "markov"):
+            spec = sd.ModelSpec("bernoulli", balance_kind, silent, balance, config, seed=5)
+            times, sd_lead = sd.exact_lead_sd(spec)
+            assert np.array_equal(sd_lead, np.zeros(len(times)))
+
+    @pytest.mark.parametrize("fitted_name", ["nfl_like", "nba_like"])
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_matches_monte_carlo(
+        self, request, monkeypatch, fitted_name, tempo_kind, balance_kind
+    ):
+        # Monte Carlo oracle: the variance of the lead over 20k simulated
+        # games, with sigma from those games' own per-game L and L^2
+        spec = cell_spec(request.getfixturevalue(fitted_name), tempo_kind, balance_kind)
+        simulated = []
+        simulate_corpus = sd.simulate.simulate_corpus
+
+        def keep(spec, n_games):
+            simulated.extend(simulate_corpus(spec, n_games))
+            return simulated
+
+        n_games = 20_000
+        monkeypatch.setattr(sd.simulate, "simulate_corpus", keep)
+        curve = sd.lead_variance_curve(spec, n_games=n_games)
+        times, sd_exact = sd.exact_lead_sd(spec)
+        np.testing.assert_array_equal(times, curve.times)
+        assert sd_exact[0] == 0.0 and np.all(np.isfinite(sd_exact))
+
+        offsets, event_times, signed = sd.core._event_columns(simulated)
+        game = np.repeat(np.arange(n_games), np.diff(offsets))
+        T = spec.config.regulation_length
+        for t in (T // 4, T // 2, 3 * T // 4, T):
+            i = int(np.searchsorted(times, t))
+            assert times[i] == t
+            lead = np.bincount(game, signed * (event_times <= t), minlength=n_games)
+            sigma = np.std((lead - lead.mean()) ** 2) / math.sqrt(n_games)
+            assert curve.sd[i] ** 2 == pytest.approx(lead.var(), rel=1e-9)
+            z = (sd_exact[i] ** 2 - curve.sd[i] ** 2) / sigma
+            assert abs(z) < 3, f"t={t}: z={z:.2f}"
