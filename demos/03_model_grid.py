@@ -1,10 +1,11 @@
 """The 2x2 generative model grid and lead-size dispersion over the clock.
 
-Fits tempo and balance to a reference corpus, then simulates large
-corpora under every combination of {bernoulli, markov} tempo and
-{bernoulli, markov} balance and compares the lead-size standard
-deviation curves against the reference corpus. The markov balance model
-(lead-conditioned event winners) is the one that tracks the reference.
+Fits tempo and balance to a reference corpus, then computes the exact
+lead-size standard deviation curve of every combination of {bernoulli,
+markov} tempo and {bernoulli, markov} balance (`exact_lead_sd`, no
+simulation) and compares it against the reference corpus. The markov
+balance model (lead-conditioned event winners) is the one that tracks
+the reference.
 
 Writes demos_out/lead_variance_grid.csv with columns
 t, sd_reference, sd_bb, sd_bm, sd_mb, sd_mm.
@@ -34,16 +35,13 @@ tempo = sd.fit_tempo(reference, config)
 balance = sd.fit_balance(reference, config)
 
 curves = {}
-times = None
 for tempo_kind in ("bernoulli", "markov"):
     for balance_kind in ("bernoulli", "markov"):
         spec = sd.ModelSpec(
             tempo_kind=tempo_kind, balance_kind=balance_kind,
             tempo=tempo, balance=balance, config=config, seed=11,
         )
-        curve = sd.lead_variance_curve(spec, n_games=20_000, sample_every=120)
-        curves[(tempo_kind, balance_kind)] = curve.sd
-        times = curve.times
+        times, curves[(tempo_kind, balance_kind)] = sd.exact_lead_sd(spec, sample_every=120)
 
 _, sd_ref, _ = sd.lead_dispersion(reference, config.regulation_length, sample_every=120)
 

@@ -51,7 +51,6 @@ from .estimate import (
 from .ingest import (
     CorpusReport,
     IngestError,
-    RawEventRecord,
     parse_event_file,
     render_event_file,
     validate_corpus,

@@ -345,10 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("report", help="regenerate every fitted curve from a corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    p.add_argument("--sport", default=None)
-    p.add_argument("--config", default=None)
+    add_io(p, needs_out=False)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", type=int, default=20)

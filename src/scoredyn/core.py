@@ -226,14 +226,6 @@ class GameLog:
         object.__setattr__(self, "points", points)
 
     @classmethod
-    def _unchecked(cls, game_id, sport_id, times, teams, points) -> GameLog:
-        """Wrap read-only int64/int8/int64 arrays that `check_events` passed."""
-        game = object.__new__(cls)
-        vars(game).update(game_id=game_id, sport_id=sport_id, times=times)
-        vars(game).update(teams=teams, points=points)
-        return game
-
-    @classmethod
     def from_events(cls, game_id: str, sport_id: str, events: Iterable[ScoringEvent]) -> GameLog:
         evs = list(events)
         return cls(
@@ -243,6 +235,23 @@ class GameLog:
             teams=[e.sign for e in evs],
             points=[e.points for e in evs],
         )
+
+    @classmethod
+    def _views(cls, game_ids, sport_ids, offsets, times, teams, points) -> list[GameLog]:
+        """Check int64/int8/int64 columns of games laid end to end once (game g
+        holds events offsets[g]:offsets[g + 1]) and hand each game out as
+        read-only views on them."""
+        check_events(times, teams, points, offsets)
+        for column in (times, teams, points):
+            column.flags.writeable = False
+        games = []
+        bounds = offsets.tolist()
+        for game_id, sport_id, a, b in zip(game_ids, sport_ids, bounds[:-1], bounds[1:]):
+            game = object.__new__(cls)  # skips __post_init__'s per-game copy and check
+            vars(game).update(game_id=game_id, sport_id=sport_id, times=times[a:b])
+            vars(game).update(teams=teams[a:b], points=points[a:b])
+            games.append(game)
+        return games
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameLog):

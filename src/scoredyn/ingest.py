@@ -1,15 +1,22 @@
 """Event-log ingestion: CSV/JSONL parsing, preprocessing, corpus validation.
 
-Preprocessing applied to every file:
-  * overtime filter: records with t beyond regulation are dropped,
-  * same-second merge: records at one second are summed per team, and if
-    both teams scored at that second the sums are netted into a single
-    signed record (a net of zero drops the second entirely).
-
 The canonical interchange format is CSV with header
 ``sport,game_id,team,t,points`` (UTF-8, LF line endings), or JSONL with
 one object per record using the same field names. Team tags ``home`` and
-``away`` map to ``r`` and ``b``.
+``away`` map to ``r`` and ``b``. Each row is validated on its own, and an
+error names the row's physical line (blank lines count) and the field:
+``line N: field 'x': ...``. CSV fields are read by position. ``t`` and
+``points`` must be integers: decimal strings in CSV; JSON integers or
+integer strings in JSONL (floats and booleans are rejected). ``points``
+must lie in [1, 2**31 - 1], so per-second sums stay exact in int64.
+
+Preprocessing:
+  * overtime filter: records with t beyond regulation are dropped as they
+    are read; the rest go to flat columns (game index, t, signed points),
+  * same-second merge, over the whole file at once: records of one game
+    at one second are summed into one signed net (`np.lexsort` +
+    `np.add.reduceat`); a net of zero drops the second entirely.
+Games come out in order of first occurrence, as views on those columns.
 """
 
 from __future__ import annotations
@@ -36,73 +43,69 @@ from .core import (
 
 CSV_COLUMNS = ("sport", "game_id", "team", "t", "points")
 
-_TEAM_ALIASES = {"r": TEAM_R, "b": TEAM_B, "home": TEAM_R, "away": TEAM_B}
+_TEAM_SIGNS = {"r": 1, "b": -1, "home": 1, "away": -1}
+
+_MAX_POINTS = 2**31 - 1  # sums of up to 2**32 records stay exact in int64
 
 
 class IngestError(ValueError):
     """Malformed or inconsistent event-log input."""
 
 
-@dataclass(frozen=True)
-class RawEventRecord:
-    """One unvalidated input row, with its source line for error messages."""
-
-    sport: str
-    game_id: str
-    team: str
-    t: int
-    points: int
-    line: int
-
-
 def _fail(line: int, field: str, message: str) -> IngestError:
     return IngestError(f"line {line}: field '{field}': {message}")
 
 
-def _coerce_record(raw: Mapping, line: int) -> RawEventRecord:
-    for field in CSV_COLUMNS:
-        if field not in raw or raw[field] in (None, ""):
+def _integer(value, line: int, field: str, what: str) -> int:
+    """An integer from a string or a JSON integer; floats and bools are rejected."""
+    if type(value) in (str, int):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise _fail(line, field, f"{what}: {value!r}")
+
+
+def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
+    """(sport, game id, team sign, t, points) of one row, in CSV_COLUMNS order."""
+    for field, value in zip(CSV_COLUMNS, row):
+        if value is None or value == "":
             raise _fail(line, field, "missing value")
-    team_tag = str(raw["team"]).strip().lower()
-    if team_tag not in _TEAM_ALIASES:
-        raise _fail(line, "team", f"unknown team tag {raw['team']!r} (expected r/b or home/away)")
-    try:
-        t = int(raw["t"])
-    except (TypeError, ValueError):
-        raise _fail(line, "t", f"not an integer second: {raw['t']!r}") from None
+    sport, game_id, team, t, points = row
+    sign = _TEAM_SIGNS.get(str(team).strip().lower())
+    if sign is None:
+        raise _fail(line, "team", f"unknown team tag {team!r} (expected r/b or home/away)")
+    t = _integer(t, line, "t", "not an integer second")
     if t < 0:
         raise _fail(line, "t", f"negative time {t}")
-    try:
-        points = int(raw["points"])
-    except (TypeError, ValueError):
-        raise _fail(line, "points", f"not an integer: {raw['points']!r}") from None
+    points = _integer(points, line, "points", "not an integer")
     if points <= 0:
         raise _fail(line, "points", f"points must be positive, got {points}")
-    return RawEventRecord(
-        sport=str(raw["sport"]).strip(),
-        game_id=str(raw["game_id"]).strip(),
-        team=_TEAM_ALIASES[team_tag],
-        t=t,
-        points=points,
-        line=line,
-    )
+    if points > _MAX_POINTS:
+        raise _fail(line, "points", f"points above {_MAX_POINTS}: {points}")
+    return str(sport).strip(), str(game_id).strip(), sign, t, points
 
 
-def _iter_csv(text: str) -> Iterator[RawEventRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(CSV_COLUMNS):
-        raise IngestError(
-            f"line 1: field 'header': expected columns {','.join(CSV_COLUMNS)}, "
-            f"got {reader.fieldnames}"
-        )
-    for line, row in enumerate(reader, start=2):
-        if None in row or any(v is None for v in row.values()):
-            raise _fail(line, "row", f"wrong number of fields: {row}")
-        yield _coerce_record(row, line)
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != list(CSV_COLUMNS):
+            raise IngestError(
+                f"line 1: field 'header': expected columns {','.join(CSV_COLUMNS)}, got {header}"
+            )
+        for row in reader:
+            if not row:  # blank line
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise _fail(reader.line_num, "row", f"expected 5 fields, got {len(row)}: {row}")
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise _fail(reader.line_num, "csv", str(exc)) from None
 
 
-def _iter_jsonl(text: str) -> Iterator[RawEventRecord]:
-    for line, raw_line in enumerate(text.splitlines(), start=1):
+def _jsonl_rows(text: str) -> Iterator[tuple[int, list]]:
+    for line, raw_line in enumerate(text.split("\n"), start=1):
         if not raw_line.strip():
             continue
         try:
@@ -111,7 +114,7 @@ def _iter_jsonl(text: str) -> Iterator[RawEventRecord]:
             raise _fail(line, "json", str(exc)) from None
         if not isinstance(obj, dict):
             raise _fail(line, "json", "record must be an object")
-        yield _coerce_record(obj, line)
+        yield line, [obj.get(field) for field in CSV_COLUMNS]
 
 
 def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
@@ -137,27 +140,6 @@ def _resolve_sport(tag: str, line: int, configs: Mapping[str, SportConfig] | Non
     raise _fail(line, "sport", f"unknown sport tag {tag!r}")
 
 
-def _merge_same_second(records: Sequence[RawEventRecord]) -> list[tuple[int, int, int]]:
-    """Collapse records into at most one signed event per second.
-
-    Returns (t, sign, points) triples sorted by t. At each second,
-    points are summed per team; if both teams scored, the sums are
-    netted and the sign follows the larger total. A net of zero yields
-    no event for that second.
-    """
-    per_second: dict[int, dict[str, int]] = defaultdict(lambda: {TEAM_R: 0, TEAM_B: 0})
-    for rec in records:
-        per_second[rec.t][rec.team] += rec.points
-    merged = []
-    for t in sorted(per_second):
-        net = per_second[t][TEAM_R] - per_second[t][TEAM_B]
-        if net > 0:
-            merged.append((t, 1, net))
-        elif net < 0:
-            merged.append((t, -1, -net))
-    return merged
-
-
 def parse_event_file(
     path: str | os.PathLike,
     fmt: str | None = None,
@@ -172,40 +154,37 @@ def parse_event_file(
     fmt = _infer_format(path, fmt)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    records = _iter_csv(text) if fmt == "csv" else _iter_jsonl(text)
-
-    by_game: dict[str, list[RawEventRecord]] = {}
-    sport_of: dict[str, tuple[str, SportConfig]] = {}
-    resolved: dict[str, SportConfig] = {}
-    for rec in records:
-        cfg = resolved.get(rec.sport)
+    resolved: dict[str, SportConfig] = {}  # per sport tag
+    games: dict[str, tuple[int, str, SportConfig]] = {}  # game id -> (index, sport tag, config)
+    game_of, times, nets = [], [], []  # per regulation row: game index, t, signed points
+    for line, row in _csv_rows(text) if fmt == "csv" else _jsonl_rows(text):
+        sport, game_id, sign, t, points = _record(line, row)
+        cfg = resolved.get(sport)
         if cfg is None:
-            cfg = resolved[rec.sport] = _resolve_sport(rec.sport, rec.line, configs)
-        if rec.game_id in sport_of and sport_of[rec.game_id][0] != rec.sport:
+            cfg = resolved[sport] = _resolve_sport(sport, line, configs)
+        index, first_sport, _ = games.setdefault(game_id, (len(games), sport, cfg))
+        if first_sport != sport:
             raise _fail(
-                rec.line,
-                "sport",
-                f"game {rec.game_id!r} listed under both "
-                f"{sport_of[rec.game_id][0]!r} and {rec.sport!r}",
+                line, "sport", f"game {game_id!r} listed under both {first_sport!r} and {sport!r}"
             )
-        sport_of.setdefault(rec.game_id, (rec.sport, cfg))
-        by_game.setdefault(rec.game_id, []).append(rec)
+        if t <= cfg.regulation_length:  # overtime rows drop here: their t may not fit int64
+            game_of.append(index)
+            times.append(t)
+            nets.append(sign * points)
 
-    games = []
-    for game_id, recs in by_game.items():
-        cfg = sport_of[game_id][1]
-        regulation = [r for r in recs if r.t <= cfg.regulation_length]
-        merged = _merge_same_second(regulation)
-        games.append(
-            GameLog(
-                game_id=game_id,
-                sport_id=cfg.sport_id,
-                times=[m[0] for m in merged],
-                teams=[m[1] for m in merged],
-                points=[m[2] for m in merged],
-            )
-        )
-    return games
+    game, t, net = (np.array(column, dtype=np.int64) for column in (game_of, times, nets))
+    order = np.lexsort((t, game))
+    game, t, net = game[order], t[order], net[order]
+    first = np.ones(len(t), dtype=bool)  # first record of its game and second
+    first[1:] = (game[1:] != game[:-1]) | (t[1:] != t[:-1])
+    starts = np.flatnonzero(first)
+    net = np.add.reduceat(net, starts)
+    keep = net != 0
+    game, t, net = game[starts][keep], t[starts][keep], net[keep]
+    offsets = np.searchsorted(game, np.arange(len(games) + 1))
+    sport_ids = [cfg.sport_id for _, _, cfg in games.values()]
+    teams = np.sign(net).astype(np.int8)
+    return GameLog._views(list(games), sport_ids, offsets, t, teams, np.abs(net))
 
 
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:

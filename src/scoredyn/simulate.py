@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GameLog, SportConfig, _event_columns, _event_leads, check_events
+from .core import GameLog, SportConfig, _event_columns, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
 from .rng import rekey, substream
 
@@ -192,13 +192,8 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> list
             teams = np.where(u < c.repeat(offsets[1:] - offsets[:-1]), 1, -1).astype(np.int8)
         else:
             teams = _lead_dependent_teams(law.phi, offsets, points, u)
-        check_events(times, teams, points, offsets)
-        for column in (times, teams, points):
-            column.flags.writeable = False
-        bounds = offsets.tolist()
-        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=lo):
-            columns = times[a:b], teams[a:b], points[a:b]
-            games.append(GameLog._unchecked(f"{prefix}-{g:06d}", sport_id, *columns))
+        ids = [f"{prefix}-{g:06d}" for g in range(lo, lo + n_games)]
+        games += GameLog._views(ids, [sport_id] * n_games, offsets, times, teams, points)
     return games
 
 

@@ -1,9 +1,12 @@
 """Parsing, preprocessing (overtime filter, same-second merge), round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 import scoredyn as sd
+from scoredyn.cli import main
 from scoredyn.ingest import IngestError, render_event_file
 
 HEADER = "sport,game_id,team,t,points\n"
@@ -123,6 +126,74 @@ class TestParseErrors:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(IngestError, match="expected columns"):
+            sd.parse_event_file(path)
+
+
+class TestDiagnostics:
+    """Errors name the physical line; numbers are never truncated or wrapped."""
+
+    def write_jsonl(self, tmp_path, *objs):
+        path = tmp_path / "games.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        return path
+
+    def test_csv_line_counts_blank_lines(self, tmp_path):
+        path = write_csv(tmp_path, ["nfl,g1,r,10,7", "", "", "nfl,g1,r,abc,7"])
+        with pytest.raises(IngestError, match=r"^line 5: field 't'"):
+            sd.parse_event_file(path)
+
+    def test_csv_wrong_field_count_names_physical_line(self, tmp_path):
+        path = write_csv(tmp_path, ["nfl,g1,r,10,7", "", "nfl,g1,r,10"])
+        with pytest.raises(IngestError, match=r"^line 4: field 'row'"):
+            sd.parse_event_file(path)
+
+    def test_csv_padded_header_reads_fields_by_position(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("sport, game_id, team, t, points\nnfl,g1,r,10,7\n", encoding="utf-8")
+        (game,) = sd.parse_event_file(path)
+        assert (game.game_id, list(game.times), list(game.points)) == ("g1", [10], [7])
+
+    def test_csv_oversized_field_is_a_diagnostic(self, tmp_path):
+        path = write_csv(tmp_path, ["nfl,g1,r,10,7", "nfl,g1,r,10," + "7" * 200_000])
+        with pytest.raises(IngestError, match=r"^line 3: field 'csv'"):
+            sd.parse_event_file(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", 10.7), ("t", 10.0), ("t", True), ("points", 2.5), ("points", False),
+         ("points", 7.0)],
+    )
+    def test_jsonl_rejects_floats_and_bools(self, tmp_path, field, value):
+        obj = {"sport": "nfl", "game_id": "g1", "team": "r", "t": 10, "points": 7}
+        path = self.write_jsonl(tmp_path, obj, {**obj, field: value})
+        with pytest.raises(IngestError, match=rf"^line 2: field '{field}'"):
+            sd.parse_event_file(path)
+
+    def test_jsonl_accepts_integer_strings(self, tmp_path):
+        obj = {"sport": "nfl", "game_id": "g1", "team": "r", "t": " 10", "points": "7"}
+        (game,) = sd.parse_event_file(self.write_jsonl(tmp_path, obj))
+        assert (list(game.times), list(game.points)) == ([10], [7])
+
+    def test_jsonl_line_separator_inside_a_string_is_not_a_line_break(self, tmp_path):
+        path = tmp_path / "games.jsonl"
+        record = '{"sport": "nfl", "game_id": "a\u2028b", "team": "r", "t": %s, "points": 7}\n'
+        path.write_text(record % 10 + record % '"x"', encoding="utf-8")
+        with pytest.raises(IngestError, match=r"^line 2: field 't'"):
+            sd.parse_event_file(path)
+
+    def test_huge_points_rejected(self, tmp_path, capsys):
+        path = write_csv(tmp_path, ["nfl,g1,r,10,100000000000000000000"])
+        with pytest.raises(IngestError, match=r"^line 2: field 'points'"):
+            sd.parse_event_file(path)
+        assert main(["fit", "--in", str(path), "--out", str(tmp_path / "m.json")]) == 1
+        assert "line 2: field 'points'" in capsys.readouterr().err
+
+    def test_same_second_sum_stays_exact(self, tmp_path):
+        top = 2**31 - 1
+        (game,) = sd.parse_event_file(write_csv(tmp_path, [f"nfl,g1,r,10,{top}"] * 2))
+        assert list(game.points) == [2 * top]
+        path = write_csv(tmp_path, [f"nfl,g1,r,10,{top}", f"nfl,g1,r,10,{2**62}"])
+        with pytest.raises(IngestError, match=r"^line 3: field 'points'"):
             sd.parse_event_file(path)
 
 
