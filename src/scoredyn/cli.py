@@ -89,8 +89,12 @@ def _load_corpus(args):
 
 
 def _cmd_validate(args) -> int:
-    games = parse_event_file(args.infile, args.format)
-    report = validate_corpus(games)
+    configs = None
+    if args.config:
+        config = load_config(args.config)
+        configs = {config.sport_id: config}
+    games = parse_event_file(args.infile, args.format, configs=configs)
+    report = validate_corpus(games, configs)
     for sport, summary in report.per_sport.items():
         print(
             f"sport={sport} games={summary.n_games} events={summary.n_events} "
@@ -206,6 +210,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.balance_bins < 1:
+        raise ValueError("--balance-bins must be >= 1")
     games, config = _load_corpus(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -299,6 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse a corpus and report counts and failures")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    p.add_argument("--config", default=None, help="path to a sport config JSON")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("fit", help="fit tempo and balance models to a corpus")

@@ -15,8 +15,10 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
+from numbers import Real
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -387,6 +389,13 @@ def lead_at(game: GameLog, t: int, regulation_length: int | None = None) -> int:
     return int(game.signed_points[:idx].sum())
 
 
+def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
+    """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length."""
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    return np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
+
+
 def lead_trajectory(
     game: GameLog,
     regulation_length: int | None = None,
@@ -396,9 +405,7 @@ def lead_trajectory(
     config_T = regulation_length
     if config_T is None:
         config_T = config_for_games([game]).regulation_length
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    grid = np.arange(0, config_T + 1, sample_every, dtype=np.int64)
+    grid = _clock_grid(config_T, sample_every)
     leads = np.concatenate(([0], np.cumsum(game.signed_points)))
     return LeadTrajectory(times=grid, leads=leads[np.searchsorted(game.times, grid, "right")])
 
@@ -418,14 +425,75 @@ def config_to_dict(config: SportConfig) -> dict:
     }
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if _number(value) != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _array(convert: Callable, dtype) -> Callable:
+    """Converter of a JSON list, entry by entry through `convert`, to a 1-D array."""
+
+    def to_array(value) -> np.ndarray:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return np.array([convert(v) for v in value], dtype=dtype)
+
+    return to_array
+
+
+def _point_values(value) -> dict[int, float]:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return {int(v): _number(p) for v, p in value.items()}
+
+
+def _field(context: str, data: Mapping, path: str, convert: Callable | None = None):
+    """data[k1][k2]... along the dotted `path`, passed through `convert`; a
+    missing, mistyped or unconvertible field raises ValueError naming it."""
+    value = data
+    try:
+        for key in path.split("."):
+            if not isinstance(value, Mapping):
+                raise TypeError(f"expected an object, got {type(value).__name__}")
+            value = value[key]
+        return value if convert is None else convert(value)
+    except KeyError as exc:
+        raise ValueError(f"{context}: field {path!r}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{context}: field {path!r}: {exc}") from None
+
+
+def _artifact_fields(data, version: str, context: str) -> Callable:
+    """Check that `data` is an object of a known schema major; return its `_field` reader."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{context}: expected a JSON object, got {type(data).__name__}")
+    require_schema_major(data.get("schema_version", "0"), version, context)
+    return partial(_field, context, data)
+
+
+def _load_json(path: str | os.PathLike, context: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{context}: JSON nested too deeply") from None
+
+
 def config_from_dict(data: Mapping) -> SportConfig:
-    require_schema_major(data.get("schema_version", "0"), CONFIG_SCHEMA_VERSION, "sport config")
+    field = _artifact_fields(data, CONFIG_SCHEMA_VERSION, "sport config")
     return SportConfig(
-        sport_id=data["sport_id"],
-        regulation_length=data["regulation_length_seconds"],
-        period_ends=tuple(data["period_ends"]),
-        point_values={int(v): float(p) for v, p in data["point_values"].items()},
-        lead_truncation=data["lead_truncation"],
+        sport_id=field("sport_id"),
+        regulation_length=field("regulation_length_seconds", _integer),
+        period_ends=tuple(field("period_ends", _array(_integer, np.int64))),
+        point_values=field("point_values", _point_values),
+        lead_truncation=field("lead_truncation", _integer),
     )
 
 
@@ -434,5 +502,4 @@ def save_config(config: SportConfig, path: str | os.PathLike) -> None:
 
 
 def load_config(path: str | os.PathLike) -> SportConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(_load_json(path, "sport config"))

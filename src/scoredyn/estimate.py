@@ -33,14 +33,19 @@ from .core import (
     PMF_TOLERANCE,
     GameLog,
     SportConfig,
+    _array,
+    _artifact_fields,
     _event_columns,
     _event_leads,
+    _integer,
+    _load_json,
+    _number,
+    _point_values,
     _validated_point_values,
     atomic_write_text,
     config_for_games,
     config_from_dict,
     config_to_dict,
-    require_schema_major,
 )
 
 MODEL_SCHEMA_VERSION = "1.0"
@@ -143,6 +148,8 @@ class LeadScoring:
             arr = np.asarray(getattr(self, name)).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if not len(self.leads) == len(self.phi) == len(self.counts) > 0:
+            raise ValueError("leads, phi and counts must share one nonzero length")
         if np.any(self.counts < 0):
             raise ValueError("phi transition counts must be nonnegative")
 
@@ -195,8 +202,6 @@ def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int
 def fit_poisson_rate(games: Sequence[GameLog], config: SportConfig | None = None) -> float:
     """Maximum-likelihood events-per-second rate for a corpus."""
     cfg = config_for_games(games, config)
-    if not games:
-        raise ValueError("need at least one game")
     total = sum(g.n_events for g in games)
     return poisson_rate_from_counts(total, len(games), cfg.regulation_length)
 
@@ -219,8 +224,6 @@ def events_per_game_distribution(
     from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
     cfg = config_for_games(games, config)
-    if not games:
-        raise ValueError("need at least one game")
     observed = np.array([g.n_events for g in games])
     lam = fit_poisson_rate(games, cfg)
     mean = lam * cfg.regulation_length
@@ -261,14 +264,21 @@ class InterarrivalDistribution:
         return float(np.dot(self.gaps, self.empirical_pmf))
 
 
+def _gaps(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
+    """(game index, length) of every gap between two consecutive events of one game."""
+    offsets, times, _ = _event_columns(games)
+    game = np.repeat(np.arange(len(games)), np.diff(offsets))
+    within = game[1:] == game[:-1]
+    return game[1:][within], np.diff(times)[within]
+
+
 def _gap_pmf(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
     """Pooled inter-arrival gaps: (support 1..max gap, relative frequency)."""
-    diffs = [np.diff(g.times) for g in games if g.n_events >= 2]
-    if not diffs:
+    gaps = _gaps(games)[1]
+    if not len(gaps):
         raise ValueError("no inter-arrival gaps: need a game with at least two events")
-    pooled = np.concatenate(diffs)
-    hi = int(pooled.max())
-    return np.arange(1, hi + 1), np.bincount(pooled, minlength=hi + 1)[1:] / len(pooled)
+    hi = int(gaps.max())
+    return np.arange(1, hi + 1), np.bincount(gaps, minlength=hi + 1)[1:] / len(gaps)
 
 
 def interarrival_distribution(
@@ -294,6 +304,30 @@ def interarrival_distribution(
     )
 
 
+def _correlation(group: np.ndarray, x: np.ndarray, n_max: int) -> tuple[np.ndarray, int]:
+    """Pooled C(1..n_max) of the sequences laid end to end in x, x[k] in sequence
+    group[k] (nondecreasing), as `correlation_function` pools games; returns
+    (C, number of non-constant sequences)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    size = np.diff(np.append(starts, len(x)))
+    d = x - np.repeat(np.add.reduceat(x, starts) / size, size)
+    denom = np.add.reduceat(d * d, starts)
+    used = denom != 0
+    d, size, denom = d[np.repeat(used, size)], size[used], denom[used]
+    starts = np.cumsum(size) - size
+    left = np.repeat(starts + size, size) - np.arange(len(d))  # d[k : k + left[k]] is k's sequence
+    out = np.full(n_max, np.nan)
+    for n in range(1, min(n_max, size.max(initial=0) - 1) + 1):
+        products = d[:-n] * d[n:]
+        products[left[:-n] <= n] = 0.0  # the pair straddles two sequences
+        sums = np.add.reduceat(products, starts[starts < len(products)])
+        pairs = np.maximum(size[: len(sums)] - n, 0)
+        out[n - 1] = pairs @ (sums / denom[: len(sums)]) / pairs.sum()
+    return out, len(size)
+
+
 def gap_correlation(gaps: Sequence[int] | np.ndarray, n_max: int) -> np.ndarray:
     """Two-point correlation of one gap sequence, for lags 1..n_max.
 
@@ -301,17 +335,11 @@ def gap_correlation(gaps: Sequence[int] | np.ndarray, n_max: int) -> np.ndarray:
     sequence mean. Values lie in [-1, 1]; lags with no usable pair are
     NaN. A constant sequence has no defined correlation and raises.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     x = np.asarray(gaps, dtype=float)
-    d = x - x.mean()
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
+    corr, used = _correlation(np.zeros(len(x), dtype=np.int64), x, n_max)
+    if not used:
         raise ValueError("constant gap sequence: correlation undefined")
-    out = np.full(n_max, np.nan)
-    for n in range(1, min(n_max, len(x) - 1) + 1):
-        out[n - 1] = float(np.dot(d[:-n], d[n:])) / denom
-    return out
+    return corr
 
 
 def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
@@ -323,28 +351,10 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
     game boundaries. Games with constant gaps are excluded; if every
     game is excluded this raises.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    num = np.zeros(n_max)
-    weight = np.zeros(n_max)
-    usable = 0
-    for game in games:
-        if game.n_events < 2:
-            continue
-        x = np.diff(game.times).astype(float)
-        d = x - x.mean()
-        denom = float(np.dot(d, d))
-        if denom == 0.0:
-            continue
-        usable += 1
-        for n in range(1, min(n_max, len(x) - 1) + 1):
-            pairs = len(x) - n
-            num[n - 1] += pairs * (float(np.dot(d[:-n], d[n:])) / denom)
-            weight[n - 1] += pairs
-    if usable == 0:
+    corr, used = _correlation(*_gaps(games), n_max)
+    if not used:
         raise ValueError("no usable games: all gap sequences constant or too short")
-    with np.errstate(invalid="ignore"):
-        return np.where(weight > 0, num / np.where(weight > 0, weight, 1.0), np.nan)
+    return corr
 
 
 def tempo_profile(
@@ -377,20 +387,13 @@ def tempo_profile(
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
     cfg = config_for_games(games, config)
-    lam = fit_poisson_rate(games, cfg)
-    profile = tempo_profile(games, cfg)
-    try:
-        support, probs = _gap_pmf(games)
-        keep = probs > 0
-        support, probs = support[keep], probs[keep]
-    except ValueError:
-        support, probs = np.array([], dtype=np.int64), np.array([])
+    support, counts = np.unique(_gaps(games)[1], return_counts=True)
     return TempoModel(
-        lambda_hat=lam,
+        lambda_hat=fit_poisson_rate(games, cfg),
         regulation_length=cfg.regulation_length,
-        profile=profile,
+        profile=tempo_profile(games, cfg),
         interarrival_gaps=support,
-        interarrival_probs=probs,
+        interarrival_probs=counts / counts.sum(),
     )
 
 
@@ -407,7 +410,11 @@ def balance_fraction(game: GameLog) -> float:
 
 def balance_fractions(games: Sequence[GameLog]) -> np.ndarray:
     """Per-game balance fractions; games without events are excluded."""
-    return np.array([balance_fraction(g) for g in games if g.n_events > 0])
+    offsets, _, signed = _event_columns(games)
+    n_events = np.diff(offsets)
+    game = np.repeat(np.arange(len(games)), n_events)
+    wins = np.bincount(game[signed > 0], minlength=len(games))
+    return wins[n_events > 0] / n_events[n_events > 0]
 
 
 def balance_null_distribution(
@@ -506,12 +513,11 @@ def _fit_line(
 
 def point_value_distribution(games: Sequence[GameLog]) -> dict[int, float]:
     """Relative frequency of each event point value across a corpus."""
-    all_points = np.concatenate([g.points for g in games if g.n_events]) if games else np.array([])
-    if not len(all_points):
+    points = np.abs(_event_columns(games)[2])
+    if not len(points):
         raise ValueError("no events: point value distribution undefined")
-    values, counts = np.unique(all_points, return_counts=True)
-    total = counts.sum()
-    return {int(v): float(c / total) for v, c in zip(values, counts)}
+    values, counts = np.unique(points, return_counts=True)
+    return {int(v): float(c / len(points)) for v, c in zip(values, counts)}
 
 
 def points_fraction_distribution(
@@ -590,35 +596,32 @@ def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel)
 
 
 def model_from_dict(data: Mapping) -> ModelArtifact:
-    require_schema_major(data.get("schema_version", "0"), MODEL_SCHEMA_VERSION, "model artifact")
-    config = config_from_dict(data["sport"])
-    t = data["tempo"]
+    field = _artifact_fields(data, MODEL_SCHEMA_VERSION, "model artifact")
+    config = config_from_dict(field("sport"))
     tempo = TempoModel(
-        lambda_hat=float(t["lambda_hat"]),
-        regulation_length=int(t["regulation_length_seconds"]),
-        profile=t["profile"],
-        interarrival_gaps=t["interarrival"]["gaps"],
-        interarrival_probs=t["interarrival"]["probs"],
+        lambda_hat=field("tempo.lambda_hat", _number),
+        regulation_length=field("tempo.regulation_length_seconds", _integer),
+        profile=field("tempo.profile", _array(_number, float)),
+        interarrival_gaps=field("tempo.interarrival.gaps", _array(_integer, np.int64)),
+        interarrival_probs=field("tempo.interarrival.probs", _array(_number, float)),
     )
-    b = data["balance"]
-    phi = np.asarray(b["phi"], dtype=float)
+    phi = field("balance.phi", _array(_number, float))
     cap = (len(phi) - 1) // 2
-    fit_d = b["phi_fit"]
     scoring = LeadScoring(
         leads=np.arange(-cap, cap + 1),
         phi=phi,
-        counts=np.asarray(b["phi_counts"], dtype=np.int64),
+        counts=field("balance.phi_counts", _array(_integer, np.int64)),
         fit=LinearFit(
-            slope=fit_d["slope"],
-            intercept=fit_d["intercept"],
-            slope_stderr=fit_d["slope_stderr"],
-            n_states=int(fit_d["n_states"]),
+            slope=field("balance.phi_fit.slope"),
+            intercept=field("balance.phi_fit.intercept"),
+            slope_stderr=field("balance.phi_fit.slope_stderr"),
+            n_states=field("balance.phi_fit.n_states", _integer),
         ),
     )
     balance = BalanceModel(
-        c_hat_samples=b["c_hat_samples"],
+        c_hat_samples=field("balance.c_hat_samples", _array(_number, float)),
         scoring=scoring,
-        point_values={int(v): float(p) for v, p in b["point_values"].items()},
+        point_values=field("balance.point_values", _point_values),
     )
     return ModelArtifact(config=config, tempo=tempo, balance=balance)
 
@@ -632,5 +635,4 @@ def save_model(
 
 
 def load_model(path: str | os.PathLike) -> ModelArtifact:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(_load_json(path, "model artifact"))

@@ -112,6 +112,8 @@ def _jsonl_rows(text: str) -> Iterator[tuple[int, list]]:
             obj = json.loads(raw_line)
         except json.JSONDecodeError as exc:
             raise _fail(line, "json", str(exc)) from None
+        except RecursionError:
+            raise _fail(line, "json", "nested too deeply") from None
         if not isinstance(obj, dict):
             raise _fail(line, "json", "record must be an object")
         yield line, [obj.get(field) for field in CSV_COLUMNS]

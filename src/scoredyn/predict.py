@@ -279,6 +279,8 @@ def evaluate_predictability(
         raise ValueError("tie_mode must be 'exclude' or 'half'")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
+    if n_splits < 1:
+        raise ValueError("n_splits must be >= 1")
     cfg = config_for_games(games, config)
     if len(games) < 2:
         raise ValueError("need at least two games to split")
@@ -295,7 +297,7 @@ def evaluate_predictability(
     event_game = np.repeat(np.arange(len(games)), n_events)
     event_index = np.arange(len(event_game)) - offsets[event_game]
     event_lead = _event_leads(offsets, signed)
-    winner_sign = np.sign([g.final_lead() for g in games])
+    winner_sign = np.sign(np.bincount(event_game, signed, len(games)))
     scorable = (n_events > 0) & ((winner_sign != 0) | (tie_mode == "half"))
     event_col = np.clip(event_lead, -cap, cap) + cap
 

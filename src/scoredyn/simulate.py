@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GameLog, SportConfig, _event_columns, _event_leads
+from .core import GameLog, SportConfig, _clock_grid, _event_columns, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
 from .rng import rekey, substream
 
@@ -305,7 +305,7 @@ def lead_dispersion(
     without events counts, at lead 0 throughout."""
     if not games:
         raise ValueError("lead dispersion needs at least one game")
-    grid = np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
+    grid = _clock_grid(regulation_length, sample_every)
     sums = np.zeros((3, len(grid)))
     for lo in range(0, len(games), _CHUNK_GAMES):
         sums += _lead_sums(*_event_columns(games[lo : lo + _CHUNK_GAMES]), grid)
@@ -415,7 +415,7 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     counts whose mass at T is below 1e-15 are dropped.
     """
     T = spec.config.regulation_length
-    grid = np.arange(0, T + 1, sample_every, dtype=np.int64)
+    grid = _clock_grid(T, sample_every)
     if spec.tempo_kind is TempoKind.BERNOULLI:
         law = _bernoulli_count_law(spec.tempo.profile, grid)
     else:

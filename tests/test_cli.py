@@ -47,6 +47,35 @@ class TestValidate:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    def test_synth_output_validates_with_config(self, tmp_path, capsys):
+        corpus = tmp_path / "restoring.csv"
+        code, _, _ = run(capsys, "synth", "--kind", "restoring", "--n-games", "30",
+                         "--regulation", "1200", "--rate", "0.005", "--seed", "3",
+                         "--out", str(corpus))
+        assert code == 0
+        code, _, err = run(capsys, "validate", "--in", str(corpus))
+        assert code == 1 and "unknown sport tag 'custom'" in err
+        config = tmp_path / "custom.json"
+        sd.save_config(sd.SportConfig(
+            "custom", 1200, (1200,), dict(sd.builtin_config("nfl").point_values), 100), config)
+        code, out, err = run(capsys, "validate", "--in", str(corpus), "--config", str(config))
+        assert code == 0, err
+        assert "sport=custom games=30" in out and "failures=0" in out
+
+    def test_mixed_sports_validate_with_and_without_config(self, tmp_path, capsys):
+        nhl = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 20, seed=1)
+        nba = sd.ideal_corpus(sd.builtin_config("nba"), 0.03, 10, seed=2)
+        nba = [sd.GameLog(f"b{i}", g.sport_id, g.times, g.teams, g.points)
+               for i, g in enumerate(nba)]
+        corpus = tmp_path / "mixed.csv"
+        sd.write_event_file(nhl + nba, corpus)
+        config = tmp_path / "custom.json"
+        sd.save_config(sd.SportConfig("custom", 600, (600,), {1: 1.0}, 20), config)
+        for extra in ([], ["--config", str(config)]):
+            code, out, err = run(capsys, "validate", "--in", str(corpus), *extra)
+            assert code == 0, err
+            assert "sport=NHL games=20" in out and "sport=NBA games=10" in out
+
 
 class TestFitPredictSimulate:
     def test_fit_writes_versioned_model(self, corpus, tmp_path, capsys):
@@ -179,6 +208,36 @@ class TestReport:
             assert code == 0
         for name in ("model.json", "lead_variance.csv", "predictability.csv", "balance.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+class TestOutOfRangeArguments:
+    @pytest.fixture()
+    def nhl_corpus(self, tmp_path):
+        games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 60, seed=62)
+        path = tmp_path / "games.csv"
+        sd.write_event_file(games, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sample-every", "0"], "sample_every must be >= 1"),
+            (["--sample-every", "-5"], "sample_every must be >= 1"),
+            (["--splits", "0"], "n_splits must be >= 1"),
+            (["--balance-bins", "0"], "--balance-bins must be >= 1"),
+        ],
+    )
+    def test_report_rejects(self, nhl_corpus, tmp_path, capsys, flags, message):
+        code, out, err = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
+                             "--out-dir", str(tmp_path / "report"), "--null-sims", "100",
+                             "--min-samples", "10", *flags)
+        assert code == 1 and "report ok" not in out
+        assert f"error: {message}" in err
+
+    def test_eval_rejects_zero_splits(self, nhl_corpus, tmp_path, capsys):
+        code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
+                           "--splits", "0", "--out", str(tmp_path / "eval.csv"))
+        assert code == 1 and "error: n_splits must be >= 1" in err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

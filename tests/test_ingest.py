@@ -188,6 +188,17 @@ class TestDiagnostics:
         assert main(["fit", "--in", str(path), "--out", str(tmp_path / "m.json")]) == 1
         assert "line 2: field 'points'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nesting", ["[" * 100_000, '{"t": ' * 100_000 + "1" + "}" * 100_000])
+    def test_jsonl_deep_nesting_is_a_diagnostic(self, tmp_path, capsys, nesting):
+        obj = {"sport": "nba", "game_id": "g1", "team": "r", "t": 10, "points": 2}
+        path = tmp_path / "deep.jsonl"
+        path.write_text(json.dumps(obj) + "\n" + nesting + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"^line 2: field 'json': nested too deeply"):
+            sd.parse_event_file(path)
+        args = ["fit", "--in", str(path), "--sport", "nba", "--out", str(tmp_path / "m.json")]
+        assert main(args) == 1
+        assert "line 2: field 'json'" in capsys.readouterr().err
+
     def test_same_second_sum_stays_exact(self, tmp_path):
         top = 2**31 - 1
         (game,) = sd.parse_event_file(write_csv(tmp_path, [f"nfl,g1,r,10,{top}"] * 2))

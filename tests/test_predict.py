@@ -452,3 +452,32 @@ class TestEvaluateMatchesPerEventReference:
         assert np.array_equal(curve.auc_leader, auc_leader, equal_nan=True)
         assert np.array_equal(curve.n_games_scored, n_scored)
         assert np.array_equal(curve.event_index, np.arange(1, len(auc_chain) + 1))
+
+    @pytest.mark.parametrize("tie_mode", ["exclude", "half"])
+    def test_array_equal_with_empty_single_event_and_tied_games_interleaved(self, tie_mode):
+        # the winner of every game, read from its net score over the event
+        # columns, must match GameLog.final_lead() game for game
+        extra = [
+            sd.GameLog("empty", "custom", [], [], []),
+            sd.GameLog("one", "custom", [700], [-1], [2]),
+            sd.GameLog("tie", "custom", [100, 900, 1300], [1, -1, 1], [3, 5, 2]),
+        ]
+        games = []
+        for i, game in enumerate(self.nba_like_games(36, seed=23)):
+            games += [game, extra[i % 3]]
+        cfg = sd.SportConfig("custom", 1440, (360, 720, 1080, 1440), NBA_PMF, 100)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=5, min_fit_samples=20,
+                                           tie_mode=tie_mode)
+        auc_chain, auc_leader, n_scored = reference_evaluate(
+            games, cfg, n_splits=3, seed=5, min_fit_samples=20, tie_mode=tie_mode
+        )
+        assert np.array_equal(curve.auc_chain, auc_chain, equal_nan=True)
+        assert np.array_equal(curve.auc_leader, auc_leader, equal_nan=True)
+        assert np.array_equal(curve.n_games_scored, n_scored)
+
+    @pytest.mark.parametrize("n_splits", [0, -2])
+    def test_splits_below_one_rejected(self, n_splits):
+        games = self.nba_like_games(10, seed=1)
+        cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
+        with pytest.raises(ValueError, match="n_splits must be >= 1"):
+            sd.evaluate_predictability(games, cfg, n_splits=n_splits)

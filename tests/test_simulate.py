@@ -111,10 +111,9 @@ class TestSimulateGame:
         )
         spec = dataclasses.replace(flat_spec(0.01, config=cfg, seed=105), tempo=tempo)
         n_games = 100_000
-        hits = np.zeros(T + 1)
-        for i in range(n_games):
-            hits[sd.simulate_game(spec, i).times] += 1
-        freq = hits / n_games
+        # simulate_corpus draws game i exactly as simulate_game(spec, i) does
+        times = np.concatenate([g.times for g in sd.simulate_corpus(spec, n_games)])
+        freq = np.bincount(times, minlength=T + 1) / n_games
         sigma = np.sqrt(profile * (1 - profile) / n_games)
         live = profile > 0
         assert freq[0] == 0.0
@@ -437,6 +436,16 @@ class TestBatchedGeneratorOracle:
                 sd.lead_dispersion(games, T, every), ref_dispersion(games, T, every)
             ):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sample_every", [0, -5])
+    def test_sample_every_below_one_rejected(self, nfl_like, sample_every):
+        games = sd.simulate_corpus(flat_spec(0.01), 5)
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            sd.lead_dispersion(games, 600, sample_every)
+        for tempo_kind, balance_kind in CELLS:
+            spec = cell_spec(nfl_like, tempo_kind, balance_kind)
+            with pytest.raises(ValueError, match="sample_every must be >= 1"):
+                sd.exact_lead_sd(spec, sample_every)
 
     def test_lead_dispersion_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one game"):
