@@ -210,55 +210,23 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # Every table is computed before --out-dir is created, so a rejected
+    # option leaves no partial report behind.
     if args.balance_bins < 1:
         raise ValueError("--balance-bins must be >= 1")
     games, config = _load_corpus(args)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     tempo = fit_tempo(games, config)
     balance = fit_balance(games, config, min_samples=args.min_samples)
-    save_model(outdir / "model.json", config, tempo, balance)
 
     counts = events_per_game_distribution(games, config)
-    _write_csv(
-        outdir / "events_per_game.csv",
-        events=counts.counts,
-        empirical_pmf=counts.empirical_pmf,
-        poisson_pmf=counts.reference_pmf,
-    )
-
     gaps = interarrival_distribution(games, config)
-    _write_csv(
-        outdir / "interarrival.csv",
-        gap_seconds=gaps.gaps,
-        empirical_ccdf=gaps.empirical_ccdf,
-        geometric_ccdf=gaps.reference_ccdf,
-    )
-
     corr = correlation_function(games, args.correlation_lags)
-    _write_csv(outdir / "gap_correlation.csv", lag=range(1, len(corr) + 1), correlation=corr)
-    _write_csv(
-        outdir / "tempo_profile.csv", t=range(len(tempo.profile)), event_probability=tempo.profile
-    )
 
     c_hat = balance_fractions(games)
     null = balance_null_distribution(games, n_sims=args.null_sims, seed=args.seed)
     bins = np.linspace(0.0, 1.0, args.balance_bins + 1)
     emp_hist, _ = np.histogram(c_hat, bins=bins, density=True)
     null_hist, _ = np.histogram(null, bins=bins, density=True)
-    mids = (bins[:-1] + bins[1:]) / 2
-    _write_csv(
-        outdir / "balance.csv", c_hat_bin=mids, empirical_density=emp_hist, null_density=null_hist
-    )
-
-    scoring = balance.scoring
-    _write_csv(
-        outdir / "lead_scoring.csv",
-        lead=scoring.leads,
-        phi=scoring.phi,
-        n_observations=scoring.counts,
-    )
 
     grid_cols: dict[str, np.ndarray] = {}
     for tempo_kind in ("bernoulli", "markov"):
@@ -276,12 +244,43 @@ def _cmd_report(args) -> int:
     from .simulate import lead_dispersion
 
     _, sd_emp, _ = lead_dispersion(games, config.regulation_length, args.sample_every)
-    # columns sd_bb, sd_bm, sd_mb, sd_mm, in the loop's order
-    _write_csv(outdir / "lead_variance.csv", t=times, sd_empirical=sd_emp, **grid_cols)
 
     curve = evaluate_predictability(
         games, config, n_splits=args.splits, seed=args.seed, tie_mode=args.tie_mode
     )
+
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_model(outdir / "model.json", config, tempo, balance)
+    _write_csv(
+        outdir / "events_per_game.csv",
+        events=counts.counts,
+        empirical_pmf=counts.empirical_pmf,
+        poisson_pmf=counts.reference_pmf,
+    )
+    _write_csv(
+        outdir / "interarrival.csv",
+        gap_seconds=gaps.gaps,
+        empirical_ccdf=gaps.empirical_ccdf,
+        geometric_ccdf=gaps.reference_ccdf,
+    )
+    _write_csv(outdir / "gap_correlation.csv", lag=range(1, len(corr) + 1), correlation=corr)
+    _write_csv(
+        outdir / "tempo_profile.csv", t=range(len(tempo.profile)), event_probability=tempo.profile
+    )
+    mids = (bins[:-1] + bins[1:]) / 2
+    _write_csv(
+        outdir / "balance.csv", c_hat_bin=mids, empirical_density=emp_hist, null_density=null_hist
+    )
+    scoring = balance.scoring
+    _write_csv(
+        outdir / "lead_scoring.csv",
+        lead=scoring.leads,
+        phi=scoring.phi,
+        n_observations=scoring.counts,
+    )
+    # columns sd_bb, sd_bm, sd_mb, sd_mm, in the loop's order
+    _write_csv(outdir / "lead_variance.csv", t=times, sd_empirical=sd_emp, **grid_cols)
     _write_curve(outdir / "predictability.csv", curve)
     print(f"report ok games={len(games)} sport={config.sport_id} out_dir={outdir}")
     return 0

@@ -120,18 +120,19 @@ class SportConfig:
     def __post_init__(self) -> None:
         if self.sport_id not in SPORT_IDS:
             raise ValueError(f"sport_id must be one of {SPORT_IDS}, got {self.sport_id!r}")
-        T = int(self.regulation_length)
+        field = partial(_field, "sport config", vars(self))
+        T = field("regulation_length", _integer)
         if T <= 0:
             raise ValueError("regulation_length must be positive")
         object.__setattr__(self, "regulation_length", T)
-        ends = tuple(int(e) for e in self.period_ends)
+        ends = field("period_ends", lambda values: tuple(_integer(v) for v in values))
         if not ends or any(b <= a for a, b in zip((0,) + ends, ends)):
             raise ValueError("period_ends must be strictly ascending and positive")
         if ends[-1] != T:
             raise ValueError("last period end must equal regulation_length")
         object.__setattr__(self, "period_ends", ends)
         object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
-        cap = int(self.lead_truncation)
+        cap = field("lead_truncation", _integer)
         if cap < max(self.point_values):
             raise ValueError(
                 f"lead_truncation {cap} is below the maximum point value "
@@ -482,6 +483,8 @@ def _load_json(path: str | os.PathLike, context: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{context}: not UTF-8: {exc}") from None
         except RecursionError:
             raise ValueError(f"{context}: JSON nested too deeply") from None
 

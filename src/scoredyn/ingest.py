@@ -5,7 +5,8 @@ The canonical interchange format is CSV with header
 one object per record using the same field names. Team tags ``home`` and
 ``away`` map to ``r`` and ``b``. Each row is validated on its own, and an
 error names the row's physical line (blank lines count) and the field:
-``line N: field 'x': ...``. CSV fields are read by position. ``t`` and
+``line N: field 'x': ...``; a byte that is not UTF-8 fails as field
+``encoding`` on its line. CSV fields are read by position. ``t`` and
 ``points`` must be integers: decimal strings in CSV; JSON integers or
 integer strings in JSONL (floats and booleans are rejected). ``points``
 must lie in [1, 2**31 - 1], so per-second sums stay exact in int64.
@@ -54,6 +55,18 @@ class IngestError(ValueError):
 
 def _fail(line: int, field: str, message: str) -> IngestError:
     return IngestError(f"line {line}: field '{field}': {message}")
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    """The file's UTF-8 text with line ends as in text mode ("\r\n" and "\r" read as "\n")."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise _fail(before.count(b"\n") + 1, "encoding", f"not UTF-8: {exc.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _integer(value, line: int, field: str, what: str) -> int:
@@ -110,7 +123,7 @@ def _jsonl_rows(text: str) -> Iterator[tuple[int, list]]:
             continue
         try:
             obj = json.loads(raw_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise _fail(line, "json", str(exc)) from None
         except RecursionError:
             raise _fail(line, "json", "nested too deeply") from None
@@ -154,8 +167,7 @@ def parse_event_file(
     appear in order of first occurrence in the file.
     """
     fmt = _infer_format(path, fmt)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     resolved: dict[str, SportConfig] = {}  # per sport tag
     games: dict[str, tuple[int, str, SportConfig]] = {}  # game id -> (index, sport tag, config)
     game_of, times, nets = [], [], []  # per regulation row: game index, t, signed points

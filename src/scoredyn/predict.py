@@ -7,19 +7,19 @@ and to L - k otherwise, so with winner and value independent,
     P[L, L+k] = phi(L) * Pr(value = k)
     P[L, L-k] = (1 - phi(L)) * Pr(value = k),
 
-with transitions past the boundary depositing at +-cap. Forecasts
-propagate an indicator vector at the current lead through P once per
-expected remaining event, where the expected remaining events from
-clock second t is the sum of the per-second tempo profile over [t, T].
+with transitions past the boundary depositing at +-cap. A forecast from
+clock second t runs the chain for the expected number of remaining
+events, the sum of the per-second tempo profile over [t, T]
+(`_remaining_events`), rounded half to even. Every forecast reads the n-step
+absorption probabilities from one outcome table built by backward
+induction, win[0] = 1{lead > 0} and win[n] = P @ win[n-1] (likewise for
+b's win from 1{lead < 0}, or the exact mirror win[:, ::-1] for an
+antisymmetric chain).
 
 Prediction quality is evaluated out of sample: on each random split the
 model is refitted on 3/4 of the games, and on the held-out quarter the
-winner is predicted after every scoring event. Every such forecast reads
-the same n-step absorption probabilities, so each split builds one
-outcome table by backward induction, win[0] = 1{lead > 0} and
-win[n] = P @ win[n-1] (likewise for b's win from 1{lead < 0}, or the
-exact mirror win[:, ::-1] for an antisymmetric chain), and scores every
-held-out event with an array lookup at (rounded remaining events, lead).
+winner is predicted after every scoring event, each forecast an array
+lookup in the split's outcome table at (remaining events, lead).
 The mean fraction of correct predictions per cumulative event index
 (the AUC in the sense used throughout this package, 0.5 = chance) is
 compared against the leader-wins heuristic.
@@ -48,6 +48,9 @@ from .estimate import (
     point_value_distribution,
     tempo_profile,
 )
+
+# Share of each split's games that the model is refitted on.
+TRAIN_FRACTION = 0.75
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +98,6 @@ class OutcomeForecast:
             raise ValueError("forecast probabilities must be nonnegative")
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise ValueError(f"forecast probabilities sum to {total}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_win_r, self.p_tie, self.p_win_b])
-
-    def swapped(self) -> OutcomeForecast:
-        return OutcomeForecast(self.p_win_b, self.p_tie, self.p_win_r)
 
 
 def build_chain(
@@ -155,45 +152,35 @@ def build_chain(
     )
 
 
+def _remaining_events(profile: np.ndarray) -> np.ndarray:
+    """Expected scoring events from each second t through T, t included."""
+    return np.cumsum(np.asarray(profile, dtype=float)[::-1])[::-1]
+
+
 def expected_remaining_events(profile: np.ndarray, t: int) -> float:
     """Expected number of scoring events from second t through T."""
-    profile = np.asarray(profile, dtype=float)
     T = len(profile) - 1
     if not 0 <= t <= T:
         raise ValueError(f"time {t} outside [0, {T}]")
-    return float(profile[int(t) :].sum())
+    return float(_remaining_events(profile)[int(t)])
 
 
 def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> OutcomeForecast:
     """Win/tie/loss probabilities after round(n_events) chain steps.
 
     The number of transitions is real-valued (an expected event count)
-    and is rounded to the nearest integer number of applications of P.
+    and is rounded half to even to a whole number of steps. The answer
+    is the last row of `outcome_table(chain, steps)`, which holds
+    steps + 1 rows of 2 * cap + 1 floats.
     """
     if not np.isfinite(n_events) or n_events < 0:
         raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
-    steps = int(round(float(n_events)))
-    if chain.antisymmetric and lead < 0:
-        # Mirror-symmetric chain: forecast from |lead| and swap outcomes,
-        # which keeps the mirror identity exact in floating point.
-        return forecast_after_events(chain, -lead, n_events).swapped()
     idx = chain.state_index(lead)
-    v = np.zeros(2 * chain.cap + 1)
-    v[idx] = 1.0
-    for _ in range(steps):
-        v = v @ chain.transition
-    cap = chain.cap
-    p_tie = float(v[cap])
-    if chain.antisymmetric and lead == 0:
-        # Win probabilities are equal by symmetry; evaluate them as such
-        # so the equality survives floating point.
-        half = (1.0 - p_tie) / 2.0
-        return OutcomeForecast(p_win_r=half, p_tie=p_tie, p_win_b=half)
-    return OutcomeForecast(
-        p_win_r=float(v[cap + 1 :].sum()),
-        p_tie=float(v[cap]),
-        p_win_b=float(v[:cap].sum()),
-    )
+    win, lose = outcome_table(chain, round(float(n_events)))
+    p_win_r, p_win_b = float(win[-1, idx]), float(lose[-1, idx])
+    # the complement can fall a few ulp below 0 when a tie is impossible
+    p_tie = max(0.0, 1.0 - (p_win_r + p_win_b))
+    return OutcomeForecast(p_win_r=p_win_r, p_tie=p_tie, p_win_b=p_win_b)
 
 
 def forecast(
@@ -254,7 +241,6 @@ def evaluate_predictability(
     games: Sequence[GameLog],
     config: SportConfig | None = None,
     n_splits: int = 20,
-    train_fraction: float = 0.75,
     seed: int = 0,
     min_fit_samples: int = 50,
     tie_mode: str = "exclude",
@@ -262,10 +248,10 @@ def evaluate_predictability(
     """Out-of-sample winner-prediction accuracy per cumulative event index.
 
     For each split, phi, the point-value pmf, and the tempo profile are
-    fitted on a random `train_fraction` of games and every held-out game
+    fitted on a random `TRAIN_FRACTION` of games and every held-out game
     is forecast at the clock time and lead immediately after each of its
     events, with leads clipped to the chain's +-cap. Forecasts are read
-    from the split's `outcome_table` at round(remaining events) steps.
+    from the split's `outcome_table` at the steps that `forecast` takes.
     Exactly tied win probabilities, like the leader-wins baseline's
     abstention at a tied lead, score 1/2. Chain and leader-wins scores
     are averaged per event index over the split's games, then averaged
@@ -277,8 +263,6 @@ def evaluate_predictability(
     """
     if tie_mode not in ("exclude", "half"):
         raise ValueError("tie_mode must be 'exclude' or 'half'")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
     cfg = config_for_games(games, config)
@@ -286,7 +270,7 @@ def evaluate_predictability(
         raise ValueError("need at least two games to split")
     cap = cfg.lead_truncation
     rng = np.random.default_rng(seed)
-    n_train = int(round(train_fraction * len(games)))
+    n_train = int(round(TRAIN_FRACTION * len(games)))
     n_train = min(max(n_train, 1), len(games) - 1)
 
     # Every event of the corpus, flattened: its game, index within the
@@ -314,9 +298,8 @@ def evaluate_predictability(
         scoring = lead_scoring_function(train, cap, min_fit_samples)
         pmf = point_value_distribution(train)
         profile = tempo_profile(train, cfg)
-        suffix = np.concatenate((np.cumsum(profile[::-1])[::-1], [0.0]))
         # np.rint rounds half to even, as round() does in forecast_after_events.
-        steps_of_t = np.rint(suffix).astype(np.int64)
+        steps_of_t = np.rint(np.append(_remaining_events(profile), 0.0)).astype(np.int64)
         chain = build_chain(scoring.phi, pmf, cap)
         win, lose = outcome_table(chain, int(steps_of_t.max()))
 

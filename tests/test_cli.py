@@ -234,6 +234,15 @@ class TestOutOfRangeArguments:
         assert code == 1 and "report ok" not in out
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("flags", [["--splits", "0"], ["--sample-every", "0"]])
+    def test_rejected_report_writes_nothing(self, nhl_corpus, tmp_path, capsys, flags):
+        outdir = tmp_path / "report"
+        code, _, _ = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
+                         "--out-dir", str(outdir), "--null-sims", "100",
+                         "--min-samples", "10", *flags)
+        assert code == 1
+        assert not outdir.exists()
+
     def test_eval_rejects_zero_splits(self, nhl_corpus, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))

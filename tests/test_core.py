@@ -68,6 +68,34 @@ class TestSportConfigValidation:
         with pytest.raises(ValueError, match="lead_truncation"):
             sd.SportConfig("custom", 100, (100,), {7: 1.0}, 5)
 
+    @pytest.mark.parametrize("value", [3600.7, True, float("inf"), "3600"])
+    def test_non_integer_regulation_length_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^sport config: field 'regulation_length': "):
+            sd.SportConfig("custom", value, (3600,), {1: 1.0}, 15)
+
+    @pytest.mark.parametrize("ends", [(1800.5, 3600), (True, 3600), (1800, "3600")])
+    def test_non_integer_period_end_rejected(self, ends):
+        with pytest.raises(ValueError, match=r"^sport config: field 'period_ends': "):
+            sd.SportConfig("custom", 3600, ends, {1: 1.0}, 15)
+
+    @pytest.mark.parametrize("cap", [15.9, True, float("nan")])
+    def test_non_integer_lead_truncation_rejected(self, cap):
+        with pytest.raises(ValueError, match=r"^sport config: field 'lead_truncation': "):
+            sd.SportConfig("custom", 3600, (3600,), {1: 1.0}, cap)
+
+    def test_integral_floats_and_numpy_integers_load(self):
+        cfg = sd.SportConfig(
+            "custom", 3600.0, (np.int64(1800), 3600.0), {1: 1.0}, np.int32(15)
+        )
+        assert (cfg.regulation_length, cfg.period_ends, cfg.lead_truncation) == (
+            3600,
+            (1800, 3600),
+            15,
+        )
+        assert all(
+            type(v) is int for v in (cfg.regulation_length, *cfg.period_ends, cfg.lead_truncation)
+        )
+
 
 class TestGameLog:
     def test_times_strictly_increasing(self):

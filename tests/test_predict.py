@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scoredyn as sd
-from scoredyn.predict import outcome_table
+from scoredyn.predict import OutcomeForecast, outcome_table
 
 NBA_PMF = {1: 0.0941, 2: 0.7373, 3: 0.1647, 4: 0.0029, 5: 0.0009, 6: 0.0001}
 
@@ -35,6 +35,31 @@ def enumerate_unit_walk(start: int, n_steps: int, cap: int):
         else:
             loss += weight
     return win, tie, loss
+
+
+def forward_forecast(chain, lead: int, n_events: float) -> OutcomeForecast:
+    """Forward propagation of an indicator vector at `lead` through P.
+
+    Independent oracle for `forecast_after_events`, which reads the
+    backward-induction `outcome_table` instead: round(n_events) steps of
+    v @ P, with the mirror and lead-0 symmetries of an antisymmetric
+    chain applied explicitly.
+    """
+    if chain.antisymmetric and lead < 0:
+        f = forward_forecast(chain, -lead, n_events)
+        return OutcomeForecast(f.p_win_b, f.p_tie, f.p_win_r)
+    cap = chain.cap
+    v = np.zeros(2 * cap + 1)
+    v[chain.state_index(lead)] = 1.0
+    for _ in range(int(round(float(n_events)))):
+        v = v @ chain.transition
+    p_tie = float(v[cap])
+    if chain.antisymmetric and lead == 0:
+        half = (1.0 - p_tie) / 2.0
+        return OutcomeForecast(p_win_r=half, p_tie=p_tie, p_win_b=half)
+    return OutcomeForecast(
+        p_win_r=float(v[cap + 1 :].sum()), p_tie=p_tie, p_win_b=float(v[:cap].sum())
+    )
 
 
 class TestBuildChain:
@@ -373,7 +398,7 @@ def reference_evaluate(games, cfg, n_splits, seed, min_fit_samples=50, tie_mode=
                 lead = int(np.clip(leads[ell], -cap, cap))
                 key = (lead, int(round(suffix[int(game.times[ell])])))
                 if key not in cache:
-                    f = sd.forecast_after_events(chain, *key)
+                    f = forward_forecast(chain, *key)
                     cache[key] = (f.p_win_r, f.p_win_b)
                 p_r, p_b = cache[key]
                 if p_r == p_b:
@@ -414,7 +439,7 @@ class TestOutcomeTable:
         assert win.shape == lose.shape == (max_steps + 1, 2 * cap + 1)
         for lead in range(-cap, cap + 1):
             for n in range(max_steps + 1):
-                f = sd.forecast_after_events(chain, lead, n)
+                f = forward_forecast(chain, lead, n)
                 assert abs(win[n, lead + cap] - f.p_win_r) <= 1e-12, (lead, n)
                 assert abs(lose[n, lead + cap] - f.p_win_b) <= 1e-12, (lead, n)
 
@@ -424,6 +449,23 @@ class TestOutcomeTable:
         win, lose = outcome_table(chain, 60)
         assert np.array_equal(lose, win[:, ::-1])
         assert np.array_equal(win[:, cap], lose[:, cap])
+
+    @pytest.mark.parametrize("antisymmetric", [True, False])
+    def test_forecast_after_events_matches_forward_oracle(self, antisymmetric):
+        cap = 6
+        if antisymmetric:
+            phi = antisymmetric_phi(cap)
+        else:
+            phi = np.random.default_rng(9).uniform(0.2, 0.8, 2 * cap + 1)
+        chain = sd.build_chain(phi, {1: 0.5, 2: 0.3, 3: 0.2}, cap)
+        assert chain.antisymmetric == antisymmetric
+        for lead in range(-cap, cap + 1):
+            for n in range(201):
+                f = sd.forecast_after_events(chain, lead, n)
+                ref = forward_forecast(chain, lead, n)
+                assert abs(f.p_win_r - ref.p_win_r) <= 1e-12, (lead, n)
+                assert abs(f.p_tie - ref.p_tie) <= 1e-12, (lead, n)
+                assert abs(f.p_win_b - ref.p_win_b) <= 1e-12, (lead, n)
 
 
 class TestEvaluateMatchesPerEventReference:
@@ -481,3 +523,39 @@ class TestEvaluateMatchesPerEventReference:
         cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
         with pytest.raises(ValueError, match="n_splits must be >= 1"):
             sd.evaluate_predictability(games, cfg, n_splits=n_splits)
+
+
+class TestForecastReadsEvalTable:
+    def test_forecast_equals_eval_lookup_at_every_second(self):
+        # Profiles fitted on n games are multiples of 1/n, so some seconds
+        # have (nearly) half-integer remaining events. There a sum over
+        # profile[t:] and the reverse cumsum that eval reads can round to
+        # different step counts; forecast must take eval's.
+        games = TestEvaluateMatchesPerEventReference.nba_like_games(48, seed=19)
+        cap = 20
+        cfg = sd.SportConfig("custom", 1440, (360, 720, 1080, 1440), NBA_PMF, cap)
+        profile = sd.tempo_profile(games, cfg)
+        scoring = sd.lead_scoring_function(games, cap, 20)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
+        suffix = np.cumsum(profile[::-1])[::-1]
+        assert np.any(np.abs(suffix - np.floor(suffix) - 0.5) < 1e-9)
+        steps = np.rint(suffix).astype(int)
+        win, lose = outcome_table(chain, int(steps.max()))
+        for t in range(len(profile)):
+            for lead in (-9, -1, 0, 2, 5, cap):
+                f = sd.forecast(chain, lead, t, profile)
+                assert f.p_win_r == win[steps[t], lead + cap], (t, lead)
+                assert f.p_win_b == lose[steps[t], lead + cap], (t, lead)
+
+    def test_impossible_tie_reads_zero_not_negative(self):
+        # Fitted pmfs leave rows of P a few ulp off 1, so win + lose can
+        # exceed 1; the tie probability is then 0, never -0.000000 in print.
+        games = TestEvaluateMatchesPerEventReference.nba_like_games(48, seed=19)
+        cap = 100
+        scoring = sd.lead_scoring_function(games, cap, 20)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
+        win, lose = outcome_table(chain, 4)
+        assert np.any(win + lose > 1.0)
+        for lead in range(-cap, cap + 1):
+            for n in range(5):
+                assert sd.forecast_after_events(chain, lead, n).p_tie >= 0.0, (lead, n)
