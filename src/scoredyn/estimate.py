@@ -216,28 +216,82 @@ class EventCountDistribution:
     reference_mean: float
 
 
+# Cephes `lgam` (the routine behind `scipy.special.gammaln`) at integer
+# arguments: its Stirling-series coefficients and log(sqrt(2 pi)).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+# The Poisson reference runs out to its (1 - this) quantile.
+_POISSON_TAIL = 1e-6
+
+
+def _log_factorial(k: int) -> float:
+    """log(k!) as cephes `lgam(k + 1)` computes it, operation for operation,
+    with libm's log (`math.log`; numpy's SIMD log can differ in the last bit)."""
+    x = k + 1
+    if x < 13:  # cephes multiplies out the same exact integers
+        return math.log(float(math.factorial(k)))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
+def _poisson_pmf(mean: float, n: int) -> np.ndarray:
+    """Poisson(mean) pmf at 0..n-1 by `scipy.stats.poisson.pmf`'s formula,
+    exp(xlogy(k, mean) - gammaln(k + 1) - mean), clipped to [0, 1]."""
+    if mean == 0:
+        return (np.arange(n) == 0).astype(float)
+    log_mean = math.log(mean)
+    xlogy = np.array([k * log_mean if k else 0.0 for k in range(n)])
+    logfact = np.array([_log_factorial(k) for k in range(n)])
+    return np.clip(np.exp(xlogy - logfact - mean), 0.0, 1.0)
+
+
+def _poisson_quantile(mean: float) -> int:
+    """Smallest k with P(N <= k) >= 1 - 1e-6 for N ~ Poisson(mean), the cdf
+    summed from the pmf; `stats.poisson.ppf(1 - 1e-6, mean)` is its oracle."""
+    if mean == 0:
+        return 0
+    # past mean + 8 sqrt(mean) + 30 the tail is far below 1e-6
+    cdf = np.cumsum(_poisson_pmf(mean, int(mean + 8.0 * math.sqrt(mean)) + 31))
+    return int(np.searchsorted(cdf, 1.0 - _POISSON_TAIL))
+
+
 def events_per_game_distribution(
     games: Sequence[GameLog], config: SportConfig | None = None
 ) -> EventCountDistribution:
-    """Aligned empirical and Poisson(lambda*T) pmfs over event counts, by
-    `scipy.stats.poisson`'s formulas from the cheaper-to-import `scipy.special`."""
-    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+    """Aligned empirical and Poisson(lambda*T) pmfs over event counts.
 
+    The reference is `scipy.stats.poisson.pmf` bit for bit without scipy:
+    log(k!) is a port of cephes `lgam`, and `test_estimate.py::TestPoissonReference`
+    holds it, the pmf and the 1 - 1e-6 quantile to scipy as the oracle."""
     cfg = config_for_games(games, config)
     observed = np.array([g.n_events for g in games])
-    lam = fit_poisson_rate(games, cfg)
-    mean = lam * cfg.regulation_length
-    quantile = 0
-    if mean > 0:
-        above = np.ceil(pdtrik(1 - 1e-6, mean))
-        below = np.maximum(above - 1, 0)
-        quantile = below if pdtr(below, mean) >= 1 - 1e-6 else above
-    hi = int(max(observed.max(), quantile))
+    mean = fit_poisson_rate(games, cfg) * cfg.regulation_length
+    hi = int(max(observed.max(), _poisson_quantile(mean)))
     counts = np.arange(hi + 1)
     empirical = np.bincount(observed, minlength=hi + 1)[: hi + 1] / len(games)
-    reference = np.clip(np.exp(xlogy(counts, mean) - gammaln(counts + 1) - mean), 0.0, 1.0)
     return EventCountDistribution(
-        counts=counts, empirical_pmf=empirical, reference_pmf=reference, reference_mean=mean
+        counts=counts,
+        empirical_pmf=empirical,
+        reference_pmf=_poisson_pmf(mean, hi + 1),
+        reference_mean=mean,
     )
 
 

@@ -40,6 +40,7 @@ from .core import (
     atomic_write_text,
     builtin_config,
     _BUILTIN_SPECS,
+    _event_columns,
 )
 
 CSV_COLUMNS = ("sport", "game_id", "team", "t", "points")
@@ -201,26 +202,50 @@ def parse_event_file(
     return GameLog._views(list(games), sport_ids, offsets, t, teams, np.abs(net))
 
 
+def _pair_order(times: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """An order that groups equal (signed, t) pairs: an argsort of one int64
+    key when the ranges' product fits in int64, else a lexsort (points reach
+    2**31 - 1 and t is unbounded, so the key can overflow)."""
+    if not len(times):
+        return np.empty(0, dtype=np.intp)
+    lo_t, lo_s = int(times.min()), int(signed.min())
+    span_s = int(signed.max()) - lo_s + 1
+    if (int(times.max()) - lo_t + 1) * span_s > np.iinfo(np.int64).max:
+        return np.lexsort((times, signed))
+    return np.argsort((times - lo_t) * span_s + (signed - lo_s))
+
+
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
-    """Render games in the canonical interchange form (stable byte-for-byte)."""
+    """Render games in the canonical interchange form (stable byte-for-byte).
+
+    Each record is a per-game prefix followed by a tail that depends only
+    on (signed points, t); every distinct tail is formatted once."""
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
+    games = list(games)
+    offsets, times, signed = _event_columns(games)
+    order = _pair_order(times, signed)
+    by_signed, by_time = signed[order], times[order]
+    first = np.ones(len(order), dtype=bool)  # first event of its (signed, t) pair
+    first[1:] = (by_signed[1:] != by_signed[:-1]) | (by_time[1:] != by_time[:-1])
+    pair = np.empty(len(order), dtype=np.intp)
+    pair[order] = np.cumsum(first) - 1
+    pairs = zip(by_signed[first].tolist(), by_time[first].tolist())
+    if fmt == "csv":
+        tails = [f"{TEAM_R if v > 0 else TEAM_B},{t},{abs(v)}" for v, t in pairs]
+    else:
+        tails = [f'{TEAM_R if v > 0 else TEAM_B}","t":{t},"points":{abs(v)}}}' for v, t in pairs]
+    per_event = np.array(tails, dtype=object)[pair].tolist()
     lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
-    for game in games:
+    for game, a, b in zip(games, offsets[:-1].tolist(), offsets[1:].tolist()):
+        if a == b:
+            continue
         sport, gid = game.sport_id.lower(), game.game_id
-        tags = [TEAM_R if sign > 0 else TEAM_B for sign in game.teams.tolist()]
-        records = zip(tags, game.times.tolist(), game.points.tolist())
         if fmt == "csv":
             prefix = f"{sport},{gid},"
-            lines.extend(f"{prefix}{team},{t},{p}" for team, t, p in records)
         else:
-            lines.extend(
-                json.dumps(
-                    {"sport": sport, "game_id": gid, "team": team, "t": t, "points": p},
-                    separators=(",", ":"),
-                )
-                for team, t, p in records
-            )
+            prefix = f'{{"sport":{json.dumps(sport)},"game_id":{json.dumps(gid)},"team":"'
+        lines.append(prefix + ("\n" + prefix).join(per_event[a:b]))
     return "\n".join(lines) + "\n"
 
 

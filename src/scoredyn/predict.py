@@ -177,8 +177,9 @@ def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> Outco
         raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
     idx = chain.state_index(lead)
     win, lose = outcome_table(chain, round(float(n_events)))
-    p_win_r, p_win_b = float(win[-1, idx]), float(lose[-1, idx])
-    # the complement can fall a few ulp below 0 when a tie is impossible
+    # rows of P can sum a few ulp over 1, so a win can read a few ulp over 1
+    # and the tie's complement a few ulp below 0
+    p_win_r, p_win_b = min(1.0, float(win[-1, idx])), min(1.0, float(lose[-1, idx]))
     p_tie = max(0.0, 1.0 - (p_win_r + p_win_b))
     return OutcomeForecast(p_win_r=p_win_r, p_tie=p_tie, p_win_b=p_win_b)
 

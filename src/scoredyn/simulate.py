@@ -348,6 +348,16 @@ def _bernoulli_count_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return law
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_bernoulli_count_law(profile: bytes, grid: bytes) -> np.ndarray:
+    """`_bernoulli_count_law` of a float64 profile and an int64 grid, given
+    as bytes and remembered for one call: both bernoulli-tempo cells of a
+    report share one DP. The law is read-only."""
+    law = _bernoulli_count_law(np.frombuffer(profile), np.frombuffer(grid, dtype=np.int64))
+    law.flags.writeable = False
+    return law
+
+
 def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
     """P(N(s) = n) for s on `grid` and n < n_cut under iid gaps, the first
     anchored at t = 0: P(N(s) >= n) = P(S_n <= s), with S_n's pmf the
@@ -417,7 +427,7 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     T = spec.config.regulation_length
     grid = _clock_grid(T, sample_every)
     if spec.tempo_kind is TempoKind.BERNOULLI:
-        law = _bernoulli_count_law(spec.tempo.profile, grid)
+        law = _shared_bernoulli_count_law(spec.tempo.profile.tobytes(), grid.tobytes())
     else:
         law = _renewal_count_law(spec.tempo, grid)
     values, probs = spec._law.values, np.diff(spec._law.value_cdf, prepend=0.0)

@@ -177,6 +177,30 @@ class TestSynthAndEval:
 
 
 class TestReport:
+    def test_one_count_law_dp_for_both_bernoulli_tempo_cells(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from scoredyn import simulate
+
+        runs = []
+        dp = simulate._bernoulli_count_law
+
+        def spy(profile, grid):
+            runs.append(len(grid))
+            return dp(profile, grid)
+
+        simulate._shared_bernoulli_count_law.cache_clear()
+        monkeypatch.setattr(simulate, "_bernoulli_count_law", spy)
+        games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
+        corpus = tmp_path / "games.csv"
+        sd.write_event_file(games, corpus)
+        code, _, err = run(capsys, "report", "--in", str(corpus), "--sport", "nhl",
+                           "--out-dir", str(tmp_path / "report"), "--splits", "1",
+                           "--null-sims", "100", "--min-samples", "10")
+        assert code == 0, err
+        assert runs == [61]  # one DP, on the 60 s grid of a 3600 s game
+        header = (tmp_path / "report" / "lead_variance.csv").read_text().splitlines()[0]
+        assert header == "t,sd_empirical,sd_bb,sd_bm,sd_mb,sd_mm"
+
     def test_report_regenerates_every_curve(self, tmp_path, capsys):
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 300, seed=60)
         corpus = tmp_path / "games.csv"
@@ -247,6 +271,36 @@ class TestOutOfRangeArguments:
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))
         assert code == 1 and "error: n_splits must be >= 1" in err
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only; every command runs with it blocked
+    sd.write_event_file(sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 60, seed=62),
+                        tmp_path / "games.csv")
+    script = """
+import sys
+sys.modules["scipy"] = None
+from scoredyn.cli import main
+commands = [
+    "validate --in games.csv",
+    "fit --in games.csv --sport nhl --out model.json --min-samples 10",
+    "simulate --model model.json --n-games 20 --seed 3 --out sim.jsonl",
+    "predict --model model.json --lead 2 --t 1800",
+    "eval --in games.csv --sport nhl --splits 2 --out eval.csv",
+    "synth --kind league --n-teams 4 --n-games 10 --rate 0.005 --regulation 1200 --out l.csv",
+    "report --in games.csv --sport nhl --out-dir report --null-sims 100 --min-samples 10",
+]
+for command in commands:
+    assert main(command.split()) == 0, command
+assert "scipy.special" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(" ok ") == 7
+    assert (tmp_path / "report" / "events_per_game.csv").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import scoredyn as sd
+from scoredyn.estimate import _log_factorial, _poisson_pmf, _poisson_quantile
 
 
 def unit_game(game_id, signs, start=1, step=1):
@@ -91,6 +92,41 @@ class TestEventsPerGame:
         most = max(g.n_events for g in games)
         assert dist.counts[-1] == max(most, int(stats.poisson.ppf(1 - 1e-6, mean)))
         np.testing.assert_array_equal(dist.reference_pmf, stats.poisson.pmf(dist.counts, mean))
+
+    def test_zero_event_corpus_gives_pmf_one_at_zero(self):
+        games = [unit_game(f"g{i}", []) for i in range(3)]
+        with pytest.warns(UserWarning, match="zero events"):
+            dist = sd.events_per_game_distribution(games, TINY)
+        assert dist.reference_mean == 0.0
+        np.testing.assert_array_equal(dist.counts, [0])
+        np.testing.assert_array_equal(dist.reference_pmf, [1.0])
+        np.testing.assert_array_equal(dist.empirical_pmf, [1.0])
+
+
+class TestPoissonReference:
+    """The scipy-free Poisson reference against scipy as its oracle."""
+
+    def test_log_factorial_is_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        ks = np.arange(200_000)
+        ours = np.array([_log_factorial(k) for k in ks.tolist()])
+        np.testing.assert_array_equal(ours, gammaln(ks + 1))
+
+    def test_quantile_is_scipy_poisson_ppf(self):
+        from scipy import stats
+
+        means = np.random.default_rng(20240017).uniform(0.01, 300.0, 5_000)
+        expected = stats.poisson.ppf(1 - 1e-6, means).astype(int).tolist()
+        assert [_poisson_quantile(m) for m in means.tolist()] == expected
+        assert _poisson_quantile(0.0) == int(stats.poisson.ppf(1 - 1e-6, 0.0)) == 0
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-9, 0.37, 7.2, 126.0, 299.9])
+    def test_pmf_is_scipy_poisson_pmf(self, mean):
+        from scipy import stats
+
+        n = _poisson_quantile(mean) + 5
+        np.testing.assert_array_equal(_poisson_pmf(mean, n), stats.poisson.pmf(np.arange(n), mean))
 
 
 class TestInterarrival:

@@ -559,3 +559,19 @@ class TestForecastReadsEvalTable:
         for lead in range(-cap, cap + 1):
             for n in range(5):
                 assert sd.forecast_after_events(chain, lead, n).p_tie >= 0.0, (lead, n)
+
+    def test_win_probabilities_never_exceed_one(self):
+        # The same fit: win[1] reads 1 + 2**-52 at leads 20, 28, 40, 62, 63
+        # and 98; the forecast clamps it, and the table keeps it.
+        games = TestEvaluateMatchesPerEventReference.nba_like_games(48, seed=19)
+        cap = 100
+        scoring = sd.lead_scoring_function(games, cap, 20)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
+        win, lose = outcome_table(chain, 4)
+        assert win.max() > 1.0 and lose.max() > 1.0
+        for lead in range(-cap, cap + 1):
+            for n in range(5):
+                f = sd.forecast_after_events(chain, lead, n)
+                assert f.p_win_r <= 1.0 and f.p_win_b <= 1.0, (lead, n)
+                assert f.p_win_r == min(1.0, win[n, lead + cap]), (lead, n)
+                assert f.p_win_b == min(1.0, lose[n, lead + cap]), (lead, n)

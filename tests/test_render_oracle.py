@@ -1,0 +1,102 @@
+"""The column renderer against a per-event reference renderer.
+
+`reference_render` is the renderer that `render_event_file` replaced: it
+formats every record of every game on its own, CSV with an f-string and
+JSONL with `json.dumps` of the whole record. The column renderer formats
+each distinct (signed points, t) tail once and must give the same bytes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scoredyn as sd
+from scoredyn.ingest import CSV_COLUMNS, render_event_file
+
+INT64_MAX = 2**63 - 1
+
+
+def reference_render(games, fmt="csv"):
+    lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
+    for game in games:
+        sport, gid = game.sport_id.lower(), game.game_id
+        tags = ["r" if sign > 0 else "b" for sign in game.teams.tolist()]
+        records = zip(tags, game.times.tolist(), game.points.tolist())
+        if fmt == "csv":
+            prefix = f"{sport},{gid},"
+            lines.extend(f"{prefix}{team},{t},{p}" for team, t, p in records)
+        else:
+            lines.extend(
+                json.dumps(
+                    {"sport": sport, "game_id": gid, "team": team, "t": t, "points": p},
+                    separators=(",", ":"),
+                )
+                for team, t, p in records
+            )
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def games_lists(draw):
+    """Games with shared and distinct ids and sports, empty games, ids with
+    quotes, backslashes and non-ASCII text, points up to 2**31 - 1 (or, in
+    some lists, up to the int64 limit) and t up to the int64 limit."""
+    max_points = draw(st.sampled_from([3, 2**31 - 1, INT64_MAX]))
+    max_t = draw(st.sampled_from([60, 3600, INT64_MAX]))
+    games = []
+    for _ in range(draw(st.integers(0, 6))):
+        times = sorted(draw(st.sets(st.integers(0, max_t), max_size=12)))
+        n = len(times)
+        teams = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        points = draw(
+            st.lists(
+                st.one_of(st.integers(1, 3), st.integers(1, max_points), st.just(max_points)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        game_id = draw(st.one_of(st.sampled_from(["g1", 'q"x', "a\\b", "é☃", "𝄞 id"]), st.text(max_size=6)))
+        sport = draw(st.sampled_from(["NBA", "nfl", "Tiny", "ü"]))
+        games.append(
+            sd.GameLog(
+                game_id,
+                sport,
+                np.array(times, dtype=np.int64),
+                np.array(teams, dtype=np.int8),
+                np.array(points, dtype=np.int64),
+            )
+        )
+    return games
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@settings(max_examples=150, deadline=None)
+@given(games=games_lists())
+def test_column_renderer_matches_reference(fmt, games):
+    assert render_event_file(games, fmt) == reference_render(games, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulated_corpus_renders_identically(fmt):
+    games = sd.ideal_corpus(sd.builtin_config("nba"), 0.0437, 200, seed=8)
+    assert render_event_file(iter(games), fmt) == reference_render(games, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_empty_games_and_escaped_ids(fmt):
+    def game(gid, times, teams, points):
+        return sd.GameLog(gid, "nba", np.array(times, np.int64), np.array(teams), np.array(points))
+
+    games = [
+        game("empty", [], [], []),
+        game('q"é\\☃', [0, 7, INT64_MAX], [1, -1, 1], [2**31 - 1, 3, 1]),
+        game("empty", [], [], []),
+        game("g2", [7], [-1], [3]),
+    ]
+    text = render_event_file(games, fmt)
+    assert text == reference_render(games, fmt)
+    if fmt == "jsonl":
+        assert '"game_id":"q\\"\\u00e9\\\\\\u2603"' in text
+    assert render_event_file(games[:1], fmt) == reference_render(games[:1], fmt)
