@@ -3,21 +3,34 @@
 The canonical interchange format is CSV with header
 ``sport,game_id,team,t,points`` (UTF-8, LF line endings), or JSONL with
 one object per record using the same field names. Team tags ``home`` and
-``away`` map to ``r`` and ``b``. Each row is validated on its own, and an
-error names the row's physical line (blank lines count) and the field:
-``line N: field 'x': ...``; a byte that is not UTF-8 fails as field
-``encoding`` on its line. CSV fields are read by position. ``t`` and
+``away`` map to ``r`` and ``b``. CSV fields are read by position. ``t`` and
 ``points`` must be integers: decimal strings in CSV; JSON integers or
 integer strings in JSONL (floats and booleans are rejected). ``points``
 must lie in [1, 2**31 - 1], so per-second sums stay exact in int64.
 
+CSV is tokenized by csv.reader and checked in blocks of 512 rows. Each
+check (missing values, team tags, integer ``t`` and ``points`` and their
+ranges, sport tags, one sport per game) runs once per block over whole
+columns, or once per distinct tag or id. JSONL is checked one line at a
+time, as ``json.loads`` reads it.
+
+The first bad row in file order fails, naming its physical line (blank
+lines count) and the field: ``line N: field 'x': ...``; a byte that is not
+UTF-8 fails as field ``encoding`` on its line. When a CSV block fails a
+column check, the rows are walked again from the top, each checked on its
+own, and the first bad one raises; where the blocks fall never shows.
+
 Preprocessing:
-  * overtime filter: records with t beyond regulation are dropped as they
-    are read; the rest go to flat columns (game index, t, signed points),
+  * overtime filter: records with t beyond regulation are dropped before
+    any int64 conversion (their t may not fit); the rest go to flat
+    columns (game index, t, signed points),
   * same-second merge, over the whole file at once: records of one game
-    at one second are summed into one signed net (`np.lexsort` +
+    at one second are summed into one signed net (one sort +
     `np.add.reduceat`); a net of zero drops the second entirely.
 Games come out in order of first occurrence, as views on those columns.
+
+The writer quotes a CSV game id that holds a comma, a quote or a line end,
+and rejects an id that would not read back as itself.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -49,9 +63,18 @@ _TEAM_SIGNS = {"r": 1, "b": -1, "home": 1, "away": -1}
 
 _MAX_POINTS = 2**31 - 1  # sums of up to 2**32 records stay exact in int64
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+_BLOCK_ROWS = 512  # CSV rows per column block
+_NO_ROWS = (np.empty(0, dtype=np.int64),) * 3  # (game index, t, signed points) of no rows
+
 
 class IngestError(ValueError):
     """Malformed or inconsistent event-log input."""
+
+
+class _Irregular(Exception):
+    """A column check failed somewhere in a block; the row walk names the first error."""
 
 
 def _fail(line: int, field: str, message: str) -> IngestError:
@@ -100,11 +123,15 @@ def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
     return str(sport).strip(), str(game_id).strip(), sign, t, points
 
 
+def _is_header(fields: Sequence[str] | None) -> bool:
+    return fields is not None and [f.strip() for f in fields] == list(CSV_COLUMNS)
+
+
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
-        if header is None or [f.strip() for f in header] != list(CSV_COLUMNS):
+        if not _is_header(header):
             raise IngestError(
                 f"line 1: field 'header': expected columns {','.join(CSV_COLUMNS)}, got {header}"
             )
@@ -131,6 +158,97 @@ def _jsonl_rows(text: str) -> Iterator[tuple[int, list]]:
         if not isinstance(obj, dict):
             raise _fail(line, "json", "record must be an object")
         yield line, [obj.get(field) for field in CSV_COLUMNS]
+
+
+def _csv_blocks(text: str) -> Iterator[Sequence[Sequence[str]]]:
+    """The rows after the header, as five field columns per block of
+    _BLOCK_ROWS rows, tokenized by csv.reader as `_csv_rows` tokenizes
+    them. A wrong header, a ragged row or a csv error (a field over csv's
+    size limit among them) raises _Irregular."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        if not _is_header(next(reader, None)):
+            raise _Irregular
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            rows = list(filter(None, rows))  # blank lines hold no row
+            if not rows:
+                continue
+            if {*map(len, rows)} != {len(CSV_COLUMNS)}:
+                raise _Irregular
+            yield list(zip(*rows))
+    except csv.Error:
+        raise _Irregular from None
+
+
+def _block_columns(
+    columns: Sequence[Sequence[str]],
+    configs: Mapping[str, SportConfig] | None,
+    resolved: dict[str, SportConfig],
+    games: dict[str, tuple[int, str, SportConfig]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(game index, t, signed points) int64 columns of one block's regulation rows.
+
+    Each check of `_record` and of the sport tags runs once over the
+    block's columns, or once per distinct tag or id; any failure raises
+    _Irregular. `resolved` (sport tag -> config) and `games` (game id ->
+    (index, sport tag, config)) carry over from block to block."""
+    sports, game_ids, teams, times, points = columns
+    if not all(map(all, columns)):  # a missing value
+        raise _Irregular
+    sign_of = {tag: _TEAM_SIGNS.get(tag.strip().lower()) for tag in set(teams)}
+    if None in sign_of.values():
+        raise _Irregular
+    tag_of = {tag: tag.strip() for tag in set(sports)}
+    try:  # int() accepts what `_integer` accepts; an unknown sport is an IngestError
+        times = list(map(int, times))
+        points = list(map(int, points))
+        for tag in set(tag_of.values()).difference(resolved):
+            resolved[tag] = _resolve_sport(tag, 0, configs)
+    except ValueError:
+        raise _Irregular from None
+    if min(times) < 0 or min(points) <= 0 or max(points) > _MAX_POINTS:
+        raise _Irregular
+    index_of = {}  # game id as written -> game index
+    for game_id, sport in dict.fromkeys(zip(game_ids, sports)):  # in order of first occurrence
+        sport = tag_of[sport]
+        index, first_sport, _ = games.setdefault(
+            game_id.strip(), (len(games), sport, resolved[sport])
+        )
+        if first_sport != sport:
+            raise _Irregular
+        index_of[game_id] = index
+    regulation_of = {tag: resolved[tag_of[tag]].regulation_length for tag in tag_of}
+    if max(times) > _INT64_MAX:  # overtime beyond int64: any t above every regulation drops alike
+        cap = max(regulation_of.values()) + 1
+        times = [min(t, cap) for t in times]
+    n = len(times)
+    t = np.array(times, dtype=np.int64)
+    keep = t <= np.fromiter(map(regulation_of.__getitem__, sports), np.int64, n)
+    game = np.fromiter(map(index_of.__getitem__, game_ids), np.int64, n)
+    net = np.fromiter(map(sign_of.__getitem__, teams), np.int64, n)
+    net *= np.array(points, dtype=np.int64)
+    return game[keep], t[keep], net[keep]
+
+
+def _row_records(
+    rows: Iterable[tuple[int, Sequence]],
+    configs: Mapping[str, SportConfig] | None,
+    games: dict[str, tuple[int, str, SportConfig]],
+) -> Iterator[tuple[int, int, int, int]]:
+    """(game index, t, signed points, regulation length) of each row, each
+    row checked on its own in file order, so the first bad row raises."""
+    resolved: dict[str, SportConfig] = {}  # per sport tag
+    for line, row in rows:
+        sport, game_id, sign, t, points = _record(line, row)
+        cfg = resolved.get(sport)
+        if cfg is None:
+            cfg = resolved[sport] = _resolve_sport(sport, line, configs)
+        index, first_sport, _ = games.setdefault(game_id, (len(games), sport, cfg))
+        if first_sport != sport:
+            raise _fail(
+                line, "sport", f"game {game_id!r} listed under both {first_sport!r} and {sport!r}"
+            )
+        yield index, t, sign * points, cfg.regulation_length
 
 
 def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
@@ -169,26 +287,22 @@ def parse_event_file(
     """
     fmt = _infer_format(path, fmt)
     text = _read_text(path)
-    resolved: dict[str, SportConfig] = {}  # per sport tag
     games: dict[str, tuple[int, str, SportConfig]] = {}  # game id -> (index, sport tag, config)
-    game_of, times, nets = [], [], []  # per regulation row: game index, t, signed points
-    for line, row in _csv_rows(text) if fmt == "csv" else _jsonl_rows(text):
-        sport, game_id, sign, t, points = _record(line, row)
-        cfg = resolved.get(sport)
-        if cfg is None:
-            cfg = resolved[sport] = _resolve_sport(sport, line, configs)
-        index, first_sport, _ = games.setdefault(game_id, (len(games), sport, cfg))
-        if first_sport != sport:
-            raise _fail(
-                line, "sport", f"game {game_id!r} listed under both {first_sport!r} and {sport!r}"
-            )
-        if t <= cfg.regulation_length:  # overtime rows drop here: their t may not fit int64
-            game_of.append(index)
-            times.append(t)
-            nets.append(sign * points)
+    if fmt == "jsonl":  # json.loads reads one line at a time, so JSONL is checked row by row
+        records = _row_records(_jsonl_rows(text), configs, games)
+        kept = [(index, t, net) for index, t, net, regulation in records if t <= regulation]
+        game, t, net = np.array(kept, dtype=np.int64).reshape(-1, 3).T
+    else:
+        resolved: dict[str, SportConfig] = {}  # per sport tag
+        try:
+            blocks = [_block_columns(b, configs, resolved, games) for b in _csv_blocks(text)]
+        except _Irregular:
+            for _ in _row_records(_csv_rows(text), configs, {}):
+                pass  # raises at the first bad row
+            raise AssertionError("a column check failed where every row check passes") from None
+        game, t, net = (np.concatenate(column) for column in zip(_NO_ROWS, *blocks))
 
-    game, t, net = (np.array(column, dtype=np.int64) for column in (game_of, times, nets))
-    order = np.lexsort((t, game))
+    order = _sort_order(game, t)
     game, t, net = game[order], t[order], net[order]
     first = np.ones(len(t), dtype=bool)  # first record of its game and second
     first[1:] = (game[1:] != game[:-1]) | (t[1:] != t[:-1])
@@ -202,29 +316,53 @@ def parse_event_file(
     return GameLog._views(list(games), sport_ids, offsets, t, teams, np.abs(net))
 
 
-def _pair_order(times: np.ndarray, signed: np.ndarray) -> np.ndarray:
-    """An order that groups equal (signed, t) pairs: an argsort of one int64
-    key when the ranges' product fits in int64, else a lexsort (points reach
-    2**31 - 1 and t is unbounded, so the key can overflow)."""
-    if not len(times):
+def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """An order that sorts int64 pairs (major, minor): an argsort of one
+    int64 key when the ranges' product fits in int64, else a lexsort (t
+    is unbounded and points reach 2**31 - 1, so the key can overflow)."""
+    if not len(major):
         return np.empty(0, dtype=np.intp)
-    lo_t, lo_s = int(times.min()), int(signed.min())
-    span_s = int(signed.max()) - lo_s + 1
-    if (int(times.max()) - lo_t + 1) * span_s > np.iinfo(np.int64).max:
-        return np.lexsort((times, signed))
-    return np.argsort((times - lo_t) * span_s + (signed - lo_s))
+    lo_major, lo_minor = int(major.min()), int(minor.min())
+    span = int(minor.max()) - lo_minor + 1
+    if (int(major.max()) - lo_major + 1) * span > _INT64_MAX:
+        return np.lexsort((minor, major))
+    return np.argsort((major - lo_major) * span + (minor - lo_minor))
+
+
+def _written_id(game_id: str, fmt: str) -> str:
+    """A game id as `fmt` writes it: JSON text in JSONL; in CSV as is, or
+    quoted the way csv's QUOTE_MINIMAL does (with '"' doubled) when it holds
+    a comma, a quote or a line end. An id that would not read back as
+    itself raises ValueError, on every supported Python: csv.reader before
+    3.11 rejects NUL, so CSV refuses NUL too."""
+    if not game_id or game_id != game_id.strip():
+        raise ValueError(
+            f"game {game_id!r}: an empty or whitespace-padded id does not read back "
+            "as itself (ingest strips ids)"
+        )
+    if fmt == "jsonl":
+        return json.dumps(game_id)
+    if "\r" in game_id:
+        raise ValueError(f"game {game_id!r}: CSV ingest reads a carriage return as a line end")
+    if "\0" in game_id:
+        raise ValueError(f"game {game_id!r}: CSV ingest before Python 3.11 rejects NUL")
+    if "," in game_id or '"' in game_id or "\n" in game_id:
+        return '"' + game_id.replace('"', '""') + '"'
+    return game_id
 
 
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     """Render games in the canonical interchange form (stable byte-for-byte).
 
-    Each record is a per-game prefix followed by a tail that depends only
-    on (signed points, t); every distinct tail is formatted once."""
+    A game with no events writes no line; the id of every other game must
+    read back as itself (see `_written_id`). Each record is a per-game
+    prefix followed by a tail that depends only on (signed points, t);
+    every distinct tail is formatted once."""
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
     games = list(games)
     offsets, times, signed = _event_columns(games)
-    order = _pair_order(times, signed)
+    order = _sort_order(times, signed)  # groups equal (signed, t) pairs
     by_signed, by_time = signed[order], times[order]
     first = np.ones(len(order), dtype=bool)  # first event of its (signed, t) pair
     first[1:] = (by_signed[1:] != by_signed[:-1]) | (by_time[1:] != by_time[:-1])
@@ -240,11 +378,11 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     for game, a, b in zip(games, offsets[:-1].tolist(), offsets[1:].tolist()):
         if a == b:
             continue
-        sport, gid = game.sport_id.lower(), game.game_id
+        sport, gid = game.sport_id.lower(), _written_id(game.game_id, fmt)
         if fmt == "csv":
             prefix = f"{sport},{gid},"
         else:
-            prefix = f'{{"sport":{json.dumps(sport)},"game_id":{json.dumps(gid)},"team":"'
+            prefix = f'{{"sport":{json.dumps(sport)},"game_id":{gid},"team":"'
         lines.append(prefix + ("\n" + prefix).join(per_event[a:b]))
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scoredyn as sd
 from scoredyn.cli import main
@@ -236,6 +237,31 @@ class TestRoundTrip:
         out = tmp_path / "out.jsonl"
         sd.write_event_file(games, out)
         assert sd.parse_event_file(out) == games
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @given(
+        game_ids=st.lists(
+            st.one_of(
+                st.text(max_size=8), st.sampled_from(["a,b", 'q"x', "n\nl", "x\x00", "c\rr"])
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_id_reads_back_or_is_rejected_by_name(self, tmp_path_factory, fmt, game_ids):
+        games = [sd.GameLog(gid, "NBA", [i], [1], [2]) for i, gid in enumerate(game_ids)]
+        path = tmp_path_factory.mktemp("ids") / f"games.{fmt}"
+        try:
+            sd.write_event_file(games, path)
+        except ValueError as exc:
+            (gid,) = [g for g in game_ids if str(exc).startswith(f"game {g!r}: ")]
+            csv_only = fmt == "csv" and ("\r" in gid or "\0" in gid)  # a line end; NUL before 3.11
+            assert gid != gid.strip() or not gid or csv_only
+            assert not path.exists()
+        else:
+            assert sd.parse_event_file(path) == games
 
     def test_output_events_never_exceed_input_records(self, tmp_path):
         rows = ["nfl,g1,r,10,7", "nfl,g1,r,10,3", "nfl,g1,b,20,2", "nfl,g1,r,9999,7"]

@@ -2,11 +2,17 @@
 
 `reference_render` is the renderer that `render_event_file` replaced: it
 formats every record of every game on its own, CSV with an f-string and
-JSONL with `json.dumps` of the whole record. The column renderer formats
-each distinct (signed points, t) tail once and must give the same bytes.
+JSONL with `json.dumps` of the whole record. CSV game ids go through
+`csv.writer`, which quotes an id holding a comma, a quote or a line end.
+The column renderer formats each distinct (signed points, t) tail once
+and must give the same bytes, or reject a game whose id would not read
+back as itself.
 """
 
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +24,20 @@ from scoredyn.ingest import CSV_COLUMNS, render_event_file
 INT64_MAX = 2**63 - 1
 
 
+def csv_field(value):
+    out = io.StringIO()
+    csv.writer(out).writerow([value])
+    return out.getvalue().removesuffix("\r\n")
+
+
+def reads_back(game_id, fmt):
+    """Ingest strips ids; CSV ingest reads a carriage return as a line end,
+    and before Python 3.11 rejects NUL."""
+    if not game_id or game_id != game_id.strip():
+        return False
+    return fmt == "jsonl" or not ("\r" in game_id or "\0" in game_id)
+
+
 def reference_render(games, fmt="csv"):
     lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
     for game in games:
@@ -25,7 +45,7 @@ def reference_render(games, fmt="csv"):
         tags = ["r" if sign > 0 else "b" for sign in game.teams.tolist()]
         records = zip(tags, game.times.tolist(), game.points.tolist())
         if fmt == "csv":
-            prefix = f"{sport},{gid},"
+            prefix = f"{sport},{csv_field(gid)},"
             lines.extend(f"{prefix}{team},{t},{p}" for team, t, p in records)
         else:
             lines.extend(
@@ -41,8 +61,9 @@ def reference_render(games, fmt="csv"):
 @st.composite
 def games_lists(draw):
     """Games with shared and distinct ids and sports, empty games, ids with
-    quotes, backslashes and non-ASCII text, points up to 2**31 - 1 (or, in
-    some lists, up to the int64 limit) and t up to the int64 limit."""
+    quotes, commas, line ends, padding, backslashes and non-ASCII text,
+    points up to 2**31 - 1 (or, in some lists, up to the int64 limit) and
+    t up to the int64 limit."""
     max_points = draw(st.sampled_from([3, 2**31 - 1, INT64_MAX]))
     max_t = draw(st.sampled_from([60, 3600, INT64_MAX]))
     games = []
@@ -57,7 +78,14 @@ def games_lists(draw):
                 max_size=n,
             )
         )
-        game_id = draw(st.one_of(st.sampled_from(["g1", 'q"x', "a\\b", "é☃", "𝄞 id"]), st.text(max_size=6)))
+        game_id = draw(
+            st.one_of(
+                st.sampled_from(
+                    ["g1", 'q"x', "a\\b", "é☃", "𝄞 id", "a,b", "n\nl", " pad", "c\rr", "x\x00"]
+                ),
+                st.text(max_size=6),
+            )
+        )
         sport = draw(st.sampled_from(["NBA", "nfl", "Tiny", "ü"]))
         games.append(
             sd.GameLog(
@@ -75,6 +103,11 @@ def games_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(games=games_lists())
 def test_column_renderer_matches_reference(fmt, games):
+    unreadable = [g.game_id for g in games if g.n_events and not reads_back(g.game_id, fmt)]
+    if unreadable:
+        with pytest.raises(ValueError, match=re.escape(f"game {unreadable[0]!r}: ")):
+            render_event_file(games, fmt)
+        games = [g for g in games if reads_back(g.game_id, fmt) or not g.n_events]
     assert render_event_file(games, fmt) == reference_render(games, fmt)
 
 
@@ -99,4 +132,6 @@ def test_empty_games_and_escaped_ids(fmt):
     assert text == reference_render(games, fmt)
     if fmt == "jsonl":
         assert '"game_id":"q\\"\\u00e9\\\\\\u2603"' in text
+    else:
+        assert '\nnba,"q""é\\☃",r,0,' in text
     assert render_event_file(games[:1], fmt) == reference_render(games[:1], fmt)
