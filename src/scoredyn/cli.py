@@ -38,7 +38,7 @@ from . import (
     validate_corpus,
     write_event_file,
 )
-from .core import atomic_write_text
+from .core import atomic_write_text, config_for_games
 from .synth import (
     default_league,
     generate_league,
@@ -74,18 +74,22 @@ def _load_corpus(args):
     """Parse `--in` and resolve its config from --config, --sport or the corpus tags.
 
     A --config sport id also resolves that tag while parsing, so corpora
-    under a non-built-in tag (such as `synth` output) load.
+    under a non-built-in tag (such as `synth` output) load. A game tagged
+    with another sport than the resolved config's is rejected.
     """
     if args.config:
         config = load_config(args.config)
         games = parse_event_file(args.infile, args.format, configs={config.sport_id: config})
-        return games, config
-    games = parse_event_file(args.infile, args.format)
-    if args.sport:
-        return games, builtin_config(args.sport)
-    from .core import config_for_games
-
-    return games, config_for_games(games)
+    else:
+        games = parse_event_file(args.infile, args.format)
+        config = builtin_config(args.sport) if args.sport else config_for_games(games)
+    for game in games:
+        if game.sport_id != config.sport_id:
+            raise ValueError(
+                f"game {game.game_id!r} is tagged {game.sport_id}, "
+                f"but the chosen config is {config.sport_id}"
+            )
+    return games, config
 
 
 def _cmd_validate(args) -> int:

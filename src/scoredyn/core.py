@@ -187,14 +187,18 @@ def check_events(times, teams, points, offsets: np.ndarray | None = None) -> Non
         raise ValueError("points must be positive integers")
 
 
-def _event_columns(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, times, signed points) of games laid end to end; game g
-    holds events offsets[g]:offsets[g + 1]."""
+def _event_columns(
+    games: Sequence[GameLog],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, game, times, signed points) of games laid end to end; game g
+    holds events offsets[g]:offsets[g + 1], and game[k] is event k's game."""
     empty = [np.empty(0, dtype=np.int64)]
     times = np.concatenate(empty + [g.times for g in games])
     teams = np.concatenate(empty + [g.teams for g in games])  # promoted to int64
     signed = teams * np.concatenate(empty + [g.points for g in games])
-    return np.cumsum([0] + [g.n_events for g in games]), times, signed
+    n_events = [g.n_events for g in games]
+    game = np.repeat(np.arange(len(games)), n_events)
+    return np.cumsum([0] + n_events), game, times, signed
 
 
 def _event_leads(offsets: np.ndarray, signed: np.ndarray) -> np.ndarray:

@@ -320,19 +320,15 @@ class InterarrivalDistribution:
 
 def _gaps(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
     """(game index, length) of every gap between two consecutive events of one game."""
-    offsets, times, _ = _event_columns(games)
-    game = np.repeat(np.arange(len(games)), np.diff(offsets))
+    _, game, times, _ = _event_columns(games)
     within = game[1:] == game[:-1]
     return game[1:][within], np.diff(times)[within]
 
 
-def _gap_pmf(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled inter-arrival gaps: (support 1..max gap, relative frequency)."""
-    gaps = _gaps(games)[1]
-    if not len(gaps):
-        raise ValueError("no inter-arrival gaps: need a game with at least two events")
-    hi = int(gaps.max())
-    return np.arange(1, hi + 1), np.bincount(gaps, minlength=hi + 1)[1:] / len(gaps)
+def _gap_law(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled inter-arrival gaps: (distinct gaps ascending, relative frequency)."""
+    support, counts = np.unique(_gaps(games)[1], return_counts=True)
+    return support, counts / counts.sum()
 
 
 def interarrival_distribution(
@@ -340,7 +336,11 @@ def interarrival_distribution(
 ) -> InterarrivalDistribution:
     """Empirical inter-arrival law with its geometric(lambda) reference."""
     cfg = config_for_games(games, config)
-    gaps, empirical = _gap_pmf(games)
+    support, probs = _gap_law(games)
+    if not len(support):
+        raise ValueError("no inter-arrival gaps: need a game with at least two events")
+    empirical = np.bincount(support - 1, probs)  # dense over gaps 1..max gap
+    gaps = np.arange(1, len(empirical) + 1)
     p = fit_poisson_rate(games, cfg)
     if not 0.0 < p < 1.0:
         raise ValueError(f"rate {p} is outside (0, 1); geometric reference undefined")
@@ -411,43 +411,29 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
     return corr
 
 
-def tempo_profile(
-    games: Sequence[GameLog],
-    config: SportConfig | None = None,
-    smooth_window: int = 1,
-) -> np.ndarray:
-    """Fraction of games with a scoring event at each second t in [0, T].
+def _profile(times: np.ndarray, n_games: int, T: int) -> np.ndarray:
+    """Share of n_games games scoring at each second of [0, T], from their event times."""
+    return np.bincount(times[times <= T], minlength=T + 1) / n_games
 
-    `smooth_window` applies a centered moving average of that odd width
-    (1 means no smoothing); edge seconds average over the available
-    in-range neighbors only.
-    """
+
+def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -> np.ndarray:
+    """Fraction of games with a scoring event at each second t in [0, T]."""
     cfg = config_for_games(games, config)
     if not games:
         raise ValueError("need at least one game")
-    T = cfg.regulation_length
-    times = _event_columns(games)[1]
-    profile = np.bincount(times[times <= T], minlength=T + 1) / len(games)
-    if smooth_window > 1:
-        if smooth_window % 2 == 0:
-            raise ValueError("smooth_window must be odd")
-        kernel = np.ones(smooth_window)
-        profile = np.convolve(profile, kernel, mode="same") / np.convolve(
-            np.ones_like(profile), kernel, mode="same"
-        )
-    return profile
+    return _profile(_event_columns(games)[2], len(games), cfg.regulation_length)
 
 
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
     cfg = config_for_games(games, config)
-    support, counts = np.unique(_gaps(games)[1], return_counts=True)
+    support, probs = _gap_law(games)
     return TempoModel(
         lambda_hat=fit_poisson_rate(games, cfg),
         regulation_length=cfg.regulation_length,
         profile=tempo_profile(games, cfg),
         interarrival_gaps=support,
-        interarrival_probs=counts / counts.sum(),
+        interarrival_probs=probs,
     )
 
 
@@ -464,9 +450,8 @@ def balance_fraction(game: GameLog) -> float:
 
 def balance_fractions(games: Sequence[GameLog]) -> np.ndarray:
     """Per-game balance fractions; games without events are excluded."""
-    offsets, _, signed = _event_columns(games)
+    offsets, game, _, signed = _event_columns(games)
     n_events = np.diff(offsets)
-    game = np.repeat(np.arange(len(games)), n_events)
     wins = np.bincount(game[signed > 0], minlength=len(games))
     return wins[n_events > 0] / n_events[n_events > 0]
 
@@ -495,32 +480,16 @@ def balance_null_distribution(
     return wins[keep] / counts[keep]
 
 
-def lead_scoring_function(
-    games: Sequence[GameLog],
-    cap: int,
-    min_samples: int = 50,
-) -> LeadScoring:
-    """Estimate phi(L), the chance r wins the next event from lead L.
-
-    Observations at L and -L are pooled through the antisymmetry
-    phi(-L) = 1 - phi(L): a transition observed at -L contributes its
-    complement at +L. Estimates are made for L >= 0 and reflected, so
-    phi(0) = 1/2 holds exactly. A line is fitted by ordinary least
-    squares over the states with at least `min_samples` pooled
-    observations; with fewer than two such states the slope is None.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    # A transition sits at the lead just before its event (0 for a game's
-    # first event); leads beyond +-cap pool into the boundary states.
-    offsets, _, signed = _event_columns(games)
-    before = np.clip(_event_leads(offsets, signed) - signed, -cap, cap) + cap
+def _phi(before: np.ndarray, signed: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi on -cap..cap, pooled transition counts) from each event's signed
+    points and the lead just before it, as `lead_scoring_function` defines them."""
+    # leads beyond +-cap pool into the boundary states
+    before = np.clip(before, -cap, cap) + cap
     totals = np.bincount(before, minlength=2 * cap + 1)
     wins = np.bincount(before[signed > 0], minlength=2 * cap + 1)
     if totals.sum() == 0:
         raise ValueError("no event transitions observed")
 
-    leads = np.arange(-cap, cap + 1)
     # pooled state L >= 0: transitions at +L, plus those at -L complemented
     pooled_totals = totals[cap:] + totals[cap::-1]
     pooled_wins = wins[cap:] + (totals[cap::-1] - wins[cap::-1])
@@ -536,9 +505,31 @@ def lead_scoring_function(
 
     pooled_counts = np.concatenate((pooled_totals[:0:-1], pooled_totals))
     pooled_counts[cap] = totals[cap]
+    return phi, pooled_counts
 
-    fit = _fit_line(leads, phi, pooled_counts, min_samples)
-    return LeadScoring(leads=leads, phi=phi, counts=pooled_counts, fit=fit)
+
+def lead_scoring_function(
+    games: Sequence[GameLog],
+    cap: int,
+    min_samples: int = 50,
+) -> LeadScoring:
+    """Estimate phi(L), the chance r wins the next event from lead L.
+
+    A transition sits at the lead just before its event (0 for a game's
+    first event). Observations at L and -L are pooled through the
+    antisymmetry phi(-L) = 1 - phi(L): a transition observed at -L
+    contributes its complement at +L. Estimates are made for L >= 0 and
+    reflected, so phi(0) = 1/2 holds exactly. A line is fitted by
+    ordinary least squares over the states with at least `min_samples`
+    pooled observations; with fewer than two such states the slope is None.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    offsets, _, _, signed = _event_columns(games)
+    phi, counts = _phi(_event_leads(offsets, signed) - signed, signed, cap)
+    leads = np.arange(-cap, cap + 1)
+    fit = _fit_line(leads, phi, counts, min_samples)
+    return LeadScoring(leads=leads, phi=phi, counts=counts, fit=fit)
 
 
 def _fit_line(
@@ -565,13 +556,18 @@ def _fit_line(
     return LinearFit(slope=slope, intercept=intercept, slope_stderr=stderr, n_states=n)
 
 
-def point_value_distribution(games: Sequence[GameLog]) -> dict[int, float]:
-    """Relative frequency of each event point value across a corpus."""
-    points = np.abs(_event_columns(games)[2])
+def _value_pmf(signed: np.ndarray) -> dict[int, float]:
+    """Relative frequency of each point value among events of these signed points."""
+    points = np.abs(signed)
     if not len(points):
         raise ValueError("no events: point value distribution undefined")
     values, counts = np.unique(points, return_counts=True)
     return {int(v): float(c / len(points)) for v, c in zip(values, counts)}
+
+
+def point_value_distribution(games: Sequence[GameLog]) -> dict[int, float]:
+    """Relative frequency of each event point value across a corpus."""
+    return _value_pmf(_event_columns(games)[3])
 
 
 def points_fraction_distribution(
@@ -582,11 +578,10 @@ def points_fraction_distribution(
     Returns (points_fraction, events_fraction), aligned game-for-game
     over games with at least one event.
     """
-    offsets, _, signed = _event_columns(games)
+    offsets, game, _, signed = _event_columns(games)
     n_events = np.diff(offsets)
     if not np.any(n_events):
         raise ValueError("no games with events")
-    game = np.repeat(np.arange(len(games)), n_events)
     r_points, total, r_events = (
         np.bincount(game, w, len(games))[n_events > 0]
         for w in (np.maximum(signed, 0), np.abs(signed), signed > 0)

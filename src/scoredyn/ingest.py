@@ -3,7 +3,9 @@
 The canonical interchange format is CSV with header
 ``sport,game_id,team,t,points`` (UTF-8, LF line endings), or JSONL with
 one object per record using the same field names. Team tags ``home`` and
-``away`` map to ``r`` and ``b``. CSV fields are read by position. ``t`` and
+``away`` map to ``r`` and ``b``. CSV fields are read by position.
+``sport``, ``game_id`` and ``team`` must be strings: JSONL rejects any
+other JSON type, so ``5`` and ``"5"`` never read as one game id. ``t`` and
 ``points`` must be integers: decimal strings in CSV; JSON integers or
 integer strings in JSONL (floats and booleans are rejected). ``points``
 must lie in [1, 2**31 - 1], so per-second sums stay exact in int64.
@@ -108,8 +110,11 @@ def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
     for field, value in zip(CSV_COLUMNS, row):
         if value is None or value == "":
             raise _fail(line, field, "missing value")
+    for field, value in zip(CSV_COLUMNS[:3], row):  # JSONL values may be of any type
+        if not isinstance(value, str):
+            raise _fail(line, field, f"expected a string, got {type(value).__name__}")
     sport, game_id, team, t, points = row
-    sign = _TEAM_SIGNS.get(str(team).strip().lower())
+    sign = _TEAM_SIGNS.get(team.strip().lower())
     if sign is None:
         raise _fail(line, "team", f"unknown team tag {team!r} (expected r/b or home/away)")
     t = _integer(t, line, "t", "not an integer second")
@@ -120,7 +125,7 @@ def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
         raise _fail(line, "points", f"points must be positive, got {points}")
     if points > _MAX_POINTS:
         raise _fail(line, "points", f"points above {_MAX_POINTS}: {points}")
-    return str(sport).strip(), str(game_id).strip(), sign, t, points
+    return sport.strip(), game_id.strip(), sign, t, points
 
 
 def _is_header(fields: Sequence[str] | None) -> bool:
@@ -361,7 +366,8 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
     games = list(games)
-    offsets, times, signed = _event_columns(games)
+    offsets, game_index, times, signed = _event_columns(games)
+    del game_index  # unused: freed now, it would add 8 bytes per event to the peak
     order = _sort_order(times, signed)  # groups equal (signed, t) pairs
     by_signed, by_time = signed[order], times[order]
     first = np.ones(len(order), dtype=bool)  # first event of its (signed, t) pair

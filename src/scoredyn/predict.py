@@ -43,7 +43,8 @@ from .core import (
     _validated_point_values,
     config_for_games,
 )
-from .estimate import (
+from .estimate import _phi, _profile, _value_pmf
+from .estimate import (  # noqa: F401  (kept as module attributes for tracing hooks)
     lead_scoring_function,
     point_value_distribution,
     tempo_profile,
@@ -118,31 +119,23 @@ def build_chain(
     if not np.all((phi >= 0) & (phi <= 1)):
         raise ValueError("phi entries must be finite probabilities")
     pmf = _validated_point_values(point_values)
-    items = list(pmf.items())
-    max_value = items[-1][0]
+    max_value = max(pmf)
     if cap < max_value:
         raise ValueError(f"cap {cap} is below the maximum point value {max_value}")
 
     m = 2 * cap + 1
     P = np.zeros((m, m))
-
-    def fill_row(lead: int) -> None:
-        row = lead + cap
-        up = phi[row]
-        down = 1.0 - up
-        for value, q in items:
-            P[row, min(lead + value, cap) + cap] += up * q
-            P[row, max(lead - value, -cap) + cap] += down * q
-
     antisymmetric = bool(np.all(phi + phi[::-1] == 1.0))
+    # an antisymmetric chain fills the rows of leads 0..cap and mirrors the rest
+    leads = np.arange(0 if antisymmetric else -cap, cap + 1)
+    rows = leads + cap
+    up = phi[rows]
+    down = 1.0 - up
+    for value, q in pmf.items():
+        np.add.at(P, (rows, np.minimum(leads + value, cap) + cap), up * q)
+        np.add.at(P, (rows, np.maximum(leads - value, -cap) + cap), down * q)
     if antisymmetric:
-        for lead in range(0, cap + 1):
-            fill_row(lead)
-        for lead in range(1, cap + 1):
-            P[cap - lead, :] = P[cap + lead, ::-1]
-    else:
-        for lead in range(-cap, cap + 1):
-            fill_row(lead)
+        P[:cap] = P[:cap:-1, ::-1]
     return LeadChain(
         cap=cap,
         transition=P,
@@ -243,15 +236,16 @@ def evaluate_predictability(
     config: SportConfig | None = None,
     n_splits: int = 20,
     seed: int = 0,
-    min_fit_samples: int = 50,
     tie_mode: str = "exclude",
 ) -> PredictabilityCurve:
     """Out-of-sample winner-prediction accuracy per cumulative event index.
 
     For each split, phi, the point-value pmf, and the tempo profile are
-    fitted on a random `TRAIN_FRACTION` of games and every held-out game
-    is forecast at the clock time and lead immediately after each of its
-    events, with leads clipped to the chain's +-cap. Forecasts are read
+    refitted from the events of a random `TRAIN_FRACTION` of games, masked
+    out of the corpus's one event layout. Every held-out game is forecast
+    at the clock time and lead immediately after each of its events, with
+    leads clipped to the chain's +-cap; an event past the config's
+    regulation length raises ValueError. Forecasts are read
     from the split's `outcome_table` at the steps that `forecast` takes.
     Exactly tied win probabilities, like the leader-wins baseline's
     abstention at a tied lead, score 1/2. Chain and leader-wins scores
@@ -269,19 +263,25 @@ def evaluate_predictability(
     cfg = config_for_games(games, config)
     if len(games) < 2:
         raise ValueError("need at least two games to split")
-    cap = cfg.lead_truncation
+    cap, T = cfg.lead_truncation, cfg.regulation_length
     rng = np.random.default_rng(seed)
     n_train = int(round(TRAIN_FRACTION * len(games)))
     n_train = min(max(n_train, 1), len(games) - 1)
 
     # Every event of the corpus, flattened: its game, index within the
     # game, clock second and the lead right after it.
-    offsets, event_time, signed = _event_columns(games)
+    offsets, event_game, event_time, signed = _event_columns(games)
+    if len(event_time) and event_time.max() > T:
+        k = int(np.argmax(event_time))
+        raise ValueError(
+            f"game {games[event_game[k]].game_id!r} has an event at second {event_time[k]}, "
+            f"past the config's regulation length {T}"
+        )
     n_events = np.diff(offsets)
     max_events = int(n_events.max())
-    event_game = np.repeat(np.arange(len(games)), n_events)
     event_index = np.arange(len(event_game)) - offsets[event_game]
     event_lead = _event_leads(offsets, signed)
+    lead_before = event_lead - signed
     winner_sign = np.sign(np.bincount(event_game, signed, len(games)))
     scorable = (n_events > 0) & ((winner_sign != 0) | (tie_mode == "half"))
     event_col = np.clip(event_lead, -cap, cap) + cap
@@ -292,16 +292,16 @@ def evaluate_predictability(
 
     for split in range(n_splits):
         order = rng.permutation(len(games))
-        train = [games[i] for i in order[:n_train]]
         in_test = np.zeros(len(games), dtype=bool)
         in_test[order[n_train:]] = True
 
-        scoring = lead_scoring_function(train, cap, min_fit_samples)
-        pmf = point_value_distribution(train)
-        profile = tempo_profile(train, cfg)
+        train = ~in_test[event_game]  # the training games' events
+        phi = _phi(lead_before[train], signed[train], cap)[0]
+        pmf = _value_pmf(signed[train])
+        profile = _profile(event_time[train], n_train, T)
         # np.rint rounds half to even, as round() does in forecast_after_events.
         steps_of_t = np.rint(np.append(_remaining_events(profile), 0.0)).astype(np.int64)
-        chain = build_chain(scoring.phi, pmf, cap)
+        chain = build_chain(phi, pmf, cap)
         win, lose = outcome_table(chain, int(steps_of_t.max()))
 
         scored_games = in_test & scorable

@@ -204,6 +204,8 @@ def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
 
 def simulate_corpus(spec: ModelSpec, n_games: int) -> list[GameLog]:
     """Generate `n_games` independent games (substreams 0..n_games-1)."""
+    if n_games < 0:
+        raise ValueError(f"n_games must be nonnegative, got {n_games}")
     return _games(spec._law, 0, n_games, "sim", spec.config.sport_id)
 
 
@@ -308,7 +310,8 @@ def lead_dispersion(
     grid = _clock_grid(regulation_length, sample_every)
     sums = np.zeros((3, len(grid)))
     for lo in range(0, len(games), _CHUNK_GAMES):
-        sums += _lead_sums(*_event_columns(games[lo : lo + _CHUNK_GAMES]), grid)
+        offsets, _, times, signed = _event_columns(games[lo : lo + _CHUNK_GAMES])
+        sums += _lead_sums(offsets, times, signed, grid)
     n = len(games)
     mean = sums[0] / n
     var = np.maximum(sums[1] / n - mean**2, 0.0)

@@ -122,6 +122,50 @@ class TestFitPredictSimulate:
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_simulate_rejects_negative_game_count(self, corpus, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        run(capsys, "fit", "--in", str(corpus), "--sport", "nhl",
+            "--out", str(model), "--min-samples", "10")
+        out_path = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", "--model", str(model), "--n-games", "-5",
+                             "--out", str(out_path))
+        assert code == 1 and "simulate ok" not in out
+        assert "error: n_games must be nonnegative, got -5" in err
+        assert not out_path.exists()
+
+
+class TestSportTagCheck:
+    """A --sport or --config whose sport differs from the corpus tags exits 1."""
+
+    @pytest.fixture()
+    def nfl_corpus(self, tmp_path):
+        games = sd.ideal_corpus(sd.builtin_config("nfl"), 0.004, 40, seed=64)
+        assert max(g.times.max() for g in games if g.n_events) > 2880  # past NBA's clock
+        path = tmp_path / "nfl.csv"
+        sd.write_event_file(games, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "command, out_flag",
+        [("fit", ["--out", "model.json"]), ("eval", ["--out", "eval.csv"]),
+         ("report", ["--out-dir", "report"])],
+    )
+    def test_other_sport_rejected(self, nfl_corpus, tmp_path, capsys, command, out_flag):
+        out_path = tmp_path / out_flag[1]
+        code, out, err = run(capsys, command, "--in", str(nfl_corpus), "--sport", "nba",
+                             out_flag[0], str(out_path))
+        assert code == 1 and " ok " not in out
+        assert "is tagged NFL, but the chosen config is NBA" in err
+        assert not out_path.exists()
+
+    def test_config_of_other_sport_rejected(self, corpus, tmp_path, capsys):
+        config = tmp_path / "custom.json"
+        sd.save_config(sd.SportConfig("custom", 3600, (3600,), {1: 1.0}, 15), config)
+        code, _, err = run(capsys, "fit", "--in", str(corpus), "--config", str(config),
+                           "--out", str(tmp_path / "model.json"))
+        assert code == 1
+        assert "is tagged NHL, but the chosen config is custom" in err
+
 
 class TestSynthAndEval:
     def test_synth_league_with_truth(self, tmp_path, capsys):

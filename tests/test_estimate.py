@@ -215,13 +215,6 @@ class TestTempoProfile:
         se = math.sqrt(lam / (2000 * 600))
         assert abs(profile[1:].mean() - lam) < 3 * se
 
-    def test_smoothing_window(self):
-        games = [sd.GameLog("g", "custom", [100], [1], [1])]
-        smooth = sd.tempo_profile(games, TINY, smooth_window=3)
-        assert smooth[99] == smooth[100] == smooth[101] == pytest.approx(1 / 3)
-        with pytest.raises(ValueError, match="odd"):
-            sd.tempo_profile(games, TINY, smooth_window=4)
-
 
 class TestBalanceFraction:
     def test_all_events_won_by_r(self):

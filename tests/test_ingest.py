@@ -175,6 +175,24 @@ class TestDiagnostics:
         (game,) = sd.parse_event_file(self.write_jsonl(tmp_path, obj))
         assert (list(game.times), list(game.points)) == ([10], [7])
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("game_id", 5, "int"), ("game_id", [1, 2], "list"), ("sport", 7, "int"),
+         ("team", 1, "int"), ("game_id", False, "bool"), ("sport", {"id": "nfl"}, "dict")],
+    )
+    def test_jsonl_rejects_non_string_tags_and_ids(self, tmp_path, field, value, kind):
+        # 5 and "5" would otherwise read back as one game '5'
+        obj = {"sport": "nfl", "game_id": "5", "team": "r", "t": 10, "points": 7}
+        path = self.write_jsonl(tmp_path, obj, {**obj, field: value})
+        with pytest.raises(IngestError) as exc:
+            sd.parse_event_file(path)
+        assert str(exc.value) == f"line 2: field '{field}': expected a string, got {kind}"
+
+    def test_jsonl_missing_value_is_named_before_a_non_string(self, tmp_path):
+        obj = {"sport": 5, "game_id": "", "team": 1, "t": 10, "points": 7}
+        with pytest.raises(IngestError, match=r"^line 1: field 'game_id': missing value$"):
+            sd.parse_event_file(self.write_jsonl(tmp_path, obj))
+
     def test_jsonl_line_separator_inside_a_string_is_not_a_line_break(self, tmp_path):
         path = tmp_path / "games.jsonl"
         record = '{"sport": "nfl", "game_id": "a\u2028b", "team": "r", "t": %s, "points": 7}\n'

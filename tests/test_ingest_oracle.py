@@ -49,7 +49,10 @@ def _coerce(raw, line):
     for field in CSV_COLUMNS:
         if field not in raw or raw[field] in (None, ""):
             raise _fail(line, field, "missing value")
-    team_tag = str(raw["team"]).strip().lower()
+    for field in ("sport", "game_id", "team"):
+        if not isinstance(raw[field], str):
+            raise _fail(line, field, f"expected a string, got {type(raw[field]).__name__}")
+    team_tag = raw["team"].strip().lower()
     if team_tag not in _ALIASES:
         raise _fail(line, "team", f"unknown team tag {raw['team']!r} (expected r/b or home/away)")
     try:
@@ -64,7 +67,7 @@ def _coerce(raw, line):
         raise _fail(line, "points", f"not an integer: {raw['points']!r}") from None
     if points <= 0:
         raise _fail(line, "points", f"points must be positive, got {points}")
-    sport, game_id = str(raw["sport"]).strip(), str(raw["game_id"]).strip()
+    sport, game_id = raw["sport"].strip(), raw["game_id"].strip()
     return _Record(sport, game_id, _ALIASES[team_tag], t, points, line)
 
 
@@ -225,6 +228,18 @@ def test_reference_agrees_on_fixed_cases(tmp_path, fmt):
     assert list(games[1].teams) == [-1] and list(games[1].points) == [2]
     path.write_text(RENDER[fmt]([]), encoding="utf-8")  # header only (CSV) or empty (JSONL)
     assert sd.parse_event_file(path) == reference_parse(path, fmt) == []
+
+
+@pytest.mark.parametrize("field", ["sport", "game_id", "team"])
+@pytest.mark.parametrize("value", [5, [1, 2], True])
+def test_reference_agrees_on_non_string_jsonl_fields(tmp_path, field, value):
+    records = [dict(zip(CSV_COLUMNS, r)) for r in [("nfl", "5", "r", 10, 7)] * 2]
+    records[1][field] = value
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    got = outcome(sd.parse_event_file, path, "jsonl")
+    assert got == outcome(reference_parse, path, "jsonl")
+    assert got.startswith(f"line 2: field '{field}': ")
 
 
 # --------------------------------------------------------------------------

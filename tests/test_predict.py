@@ -139,6 +139,49 @@ class TestBuildChain:
             assert chain.transition[row, row + 1] == phi[row]
         assert np.allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("antisymmetric", [True, False])
+    def test_transition_matrix_equals_row_loop(self, antisymmetric):
+        rng = np.random.default_rng(17 + antisymmetric)
+        for _ in range(150):
+            cap = int(rng.integers(1, 25))
+            values = rng.choice(np.arange(1, cap + 1), int(rng.integers(1, min(cap, 6) + 1)),
+                                replace=False)
+            probs = rng.random(len(values))
+            pmf = dict(zip(values.tolist(), (probs / probs.sum()).tolist()))
+            if antisymmetric:  # dyadic phi, so 1 - phi(L) + phi(L) == 1 exactly
+                upper = np.append(0.5, rng.integers(0, 1025, cap) / 1024)
+                phi = np.concatenate((1.0 - upper[:0:-1], upper))
+            else:
+                phi = rng.random(2 * cap + 1)
+            chain = sd.build_chain(phi, pmf, cap)
+            assert chain.antisymmetric == antisymmetric
+            assert np.array_equal(chain.transition, row_loop_transition(phi, pmf, cap))
+
+
+def row_loop_transition(phi, point_values, cap):
+    """The transition matrix filled one row at a time, one value at a time
+    (oracle for `build_chain`); antisymmetric rows below lead 0 are mirrored."""
+    P = np.zeros((2 * cap + 1, 2 * cap + 1))
+    items = sorted(point_values.items())
+
+    def fill_row(lead):
+        row = lead + cap
+        up = phi[row]
+        down = 1.0 - up
+        for value, q in items:
+            P[row, min(lead + value, cap) + cap] += up * q
+            P[row, max(lead - value, -cap) + cap] += down * q
+
+    if np.all(phi + phi[::-1] == 1.0):
+        for lead in range(0, cap + 1):
+            fill_row(lead)
+        for lead in range(1, cap + 1):
+            P[cap - lead, :] = P[cap + lead, ::-1]
+    else:
+        for lead in range(-cap, cap + 1):
+            fill_row(lead)
+    return P
+
 
 class TestExpectedRemainingEvents:
     def test_final_second_only(self):
@@ -296,7 +339,7 @@ class TestEvaluatePredictability:
         for i in range(100):
             sign = 1 if i % 2 == 0 else -1
             games.append(fixed_time_game(f"g{i}", [sign] * 3, [50, 150, 250]))
-        curve = sd.evaluate_predictability(games, cfg, n_splits=4, seed=3, min_fit_samples=1)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=4, seed=3)
         assert curve.auc_chain[0] == 1.0
         assert curve.auc_leader[0] == 1.0
 
@@ -316,7 +359,7 @@ class TestEvaluatePredictability:
             )
             for i in range(800)
         ]
-        curve = sd.evaluate_predictability(games, cfg, n_splits=4, seed=5, min_fit_samples=20)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=4, seed=5)
         n_scored = curve.n_games_scored[0]
         se = math.sqrt(expected * (1 - expected) / n_scored)
         assert abs(curve.auc_chain[0] - expected) < 3 * se
@@ -325,13 +368,13 @@ class TestEvaluatePredictability:
         cfg = sd.SportConfig("custom", 600, (600,), {1: 1.0}, 10)
         games = [fixed_time_game(f"g{i}", [1, -1], [100, 200]) for i in range(40)]
         with pytest.raises(ValueError, match="tied"):
-            sd.evaluate_predictability(games, cfg, n_splits=2, seed=1, min_fit_samples=1)
+            sd.evaluate_predictability(games, cfg, n_splits=2, seed=1)
 
     def test_half_credit_mode_keeps_ties(self):
         cfg = sd.SportConfig("custom", 600, (600,), {1: 1.0}, 10)
         games = [fixed_time_game(f"g{i}", [1, -1], [100, 200]) for i in range(40)]
         curve = sd.evaluate_predictability(
-            games, cfg, n_splits=2, seed=1, min_fit_samples=1, tie_mode="half"
+            games, cfg, n_splits=2, seed=1, tie_mode="half"
         )
         assert np.all(curve.auc_chain == 0.5)
         assert np.all(curve.auc_leader == 0.5)
@@ -348,7 +391,7 @@ class TestEvaluatePredictability:
             fixed_time_game(f"g{i}", signs, [100, 200, 300][: len(signs)])
             for i, signs in enumerate(kinds)
         ]
-        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=2, min_fit_samples=1)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=2)
         assert np.array_equal(curve.auc_chain, [0.5, 0.5, 0.5])
         assert np.array_equal(curve.auc_leader, [1.0, 0.5, 1.0])
 
@@ -362,7 +405,7 @@ class TestEvaluatePredictability:
         assert curve.auc_chain[-1] >= 0.9
 
 
-def reference_evaluate(games, cfg, n_splits, seed, min_fit_samples=50, tie_mode="exclude"):
+def reference_evaluate(games, cfg, n_splits, seed, tie_mode="exclude"):
     """Per-event evaluation loop: one forward forecast per (lead, steps).
 
     Oracle for `evaluate_predictability`, which reads the same forecasts
@@ -379,7 +422,7 @@ def reference_evaluate(games, cfg, n_splits, seed, min_fit_samples=50, tie_mode=
         order = rng.permutation(len(games))
         train = [games[i] for i in order[:n_train]]
         test = [games[i] for i in order[n_train:]]
-        scoring = sd.lead_scoring_function(train, cap, min_fit_samples)
+        scoring = sd.lead_scoring_function(train, cap)
         profile = sd.tempo_profile(train, cfg)
         suffix = np.concatenate((np.cumsum(profile[::-1])[::-1], [0.0]))
         chain = sd.build_chain(scoring.phi, sd.point_value_distribution(train), cap)
@@ -485,10 +528,9 @@ class TestEvaluateMatchesPerEventReference:
             assert max(np.abs(np.cumsum(g.signed_points)).max() for g in games) > cap
         if tie_mode == "half":
             assert any(g.final_lead() == 0 for g in games)
-        curve = sd.evaluate_predictability(games, cfg, n_splits=2, seed=3, min_fit_samples=20,
-                                           tie_mode=tie_mode)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=2, seed=3, tie_mode=tie_mode)
         auc_chain, auc_leader, n_scored = reference_evaluate(
-            games, cfg, n_splits=2, seed=3, min_fit_samples=20, tie_mode=tie_mode
+            games, cfg, n_splits=2, seed=3, tie_mode=tie_mode
         )
         assert np.array_equal(curve.auc_chain, auc_chain, equal_nan=True)
         assert np.array_equal(curve.auc_leader, auc_leader, equal_nan=True)
@@ -508,14 +550,41 @@ class TestEvaluateMatchesPerEventReference:
         for i, game in enumerate(self.nba_like_games(36, seed=23)):
             games += [game, extra[i % 3]]
         cfg = sd.SportConfig("custom", 1440, (360, 720, 1080, 1440), NBA_PMF, 100)
-        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=5, min_fit_samples=20,
-                                           tie_mode=tie_mode)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=3, seed=5, tie_mode=tie_mode)
         auc_chain, auc_leader, n_scored = reference_evaluate(
-            games, cfg, n_splits=3, seed=5, min_fit_samples=20, tie_mode=tie_mode
+            games, cfg, n_splits=3, seed=5, tie_mode=tie_mode
         )
         assert np.array_equal(curve.auc_chain, auc_chain, equal_nan=True)
         assert np.array_equal(curve.auc_leader, auc_leader, equal_nan=True)
         assert np.array_equal(curve.n_games_scored, n_scored)
+
+    @pytest.mark.parametrize("n_splits", [1, 5])
+    def test_corpus_laid_out_once_for_every_split(self, monkeypatch, n_splits):
+        # each split refits from a mask over the one event layout, never
+        # from a per-split list of games laid out again
+        calls = []
+        layout = sd.core._event_columns
+
+        def spy(games):
+            calls.append(len(games))
+            return layout(games)
+
+        for module in (sd.core, sd.estimate, sd.predict):
+            monkeypatch.setattr(module, "_event_columns", spy)
+        games = self.nba_like_games(24, seed=2)
+        cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
+        sd.evaluate_predictability(games, cfg, n_splits=n_splits, seed=1)
+        assert calls == [len(games)]
+
+    def test_event_past_regulation_rejected(self):
+        # a config shorter than the corpus's clock (say NBA's on NFL games)
+        games = self.nba_like_games(10, seed=1)
+        late = max(games, key=lambda g: g.times[-1] if g.n_events else -1)
+        cfg = sd.SportConfig("custom", 1000, (1000,), NBA_PMF, 100)
+        assert late.times[-1] > 1000
+        with pytest.raises(ValueError, match=rf"game '{late.game_id}' has an event at second "
+                                             rf"{late.times[-1]}, past .* length 1000"):
+            sd.evaluate_predictability(games, cfg, n_splits=2)
 
     @pytest.mark.parametrize("n_splits", [0, -2])
     def test_splits_below_one_rejected(self, n_splits):

@@ -149,6 +149,11 @@ class TestReproducibility:
         b = sd.simulate_corpus(flat_spec(0.01, seed=2), 5)
         assert a != b
 
+    def test_negative_game_count_rejected(self):
+        with pytest.raises(ValueError, match="n_games must be nonnegative, got -5"):
+            sd.simulate_corpus(flat_spec(0.01), -5)
+        assert sd.simulate_corpus(flat_spec(0.01), 0) == []
+
     def test_substreams_are_order_independent(self):
         spec = flat_spec(0.01, seed=7)
         corpus = sd.simulate_corpus(spec, 10)
@@ -568,8 +573,7 @@ class TestExactLeadSd:
         np.testing.assert_array_equal(times, curve.times)
         assert sd_exact[0] == 0.0 and np.all(np.isfinite(sd_exact))
 
-        offsets, event_times, signed = sd.core._event_columns(simulated)
-        game = np.repeat(np.arange(n_games), np.diff(offsets))
+        _, game, event_times, signed = sd.core._event_columns(simulated)
         T = spec.config.regulation_length
         for t in (T // 4, T // 2, 3 * T // 4, T):
             i = int(np.searchsorted(times, t))
