@@ -379,6 +379,21 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
     return builtin_config(sport_id)
 
 
+def _check_regulation(games: Sequence[GameLog], regulation_length: int) -> None:
+    """Raise ValueError when an event of `games` is past `regulation_length`
+    (a config shorter than the corpus's clock), naming the game with the
+    latest event and that second: profiles, gap laws and forecast tables
+    stop at regulation, so such an event would be counted in some
+    estimates and silently dropped from others."""
+    latest = max([g.times[-1] for g in games if len(g.times)], default=-1)
+    if latest > regulation_length:
+        game = next(g for g in games if len(g.times) and g.times[-1] == latest)
+        raise ValueError(
+            f"game {game.game_id!r} has an event at second {latest}, "
+            f"past the config's regulation length {regulation_length}"
+        )
+
+
 def lead_at(game: GameLog, t: int, regulation_length: int | None = None) -> int:
     """Lead of team r at second `t`, counting all events with time <= t.
 

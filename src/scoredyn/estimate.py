@@ -35,6 +35,7 @@ from .core import (
     SportConfig,
     _array,
     _artifact_fields,
+    _check_regulation,
     _event_columns,
     _event_leads,
     _integer,
@@ -202,8 +203,13 @@ def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int
 def fit_poisson_rate(games: Sequence[GameLog], config: SportConfig | None = None) -> float:
     """Maximum-likelihood events-per-second rate for a corpus."""
     cfg = config_for_games(games, config)
-    total = sum(g.n_events for g in games)
-    return poisson_rate_from_counts(total, len(games), cfg.regulation_length)
+    _check_regulation(games, cfg.regulation_length)
+    return _rate(games, cfg.regulation_length)
+
+
+def _rate(games: Sequence[GameLog], T: int) -> float:
+    """`fit_poisson_rate` for fits that have checked the corpus themselves."""
+    return poisson_rate_from_counts(sum(g.n_events for g in games), len(games), T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +288,9 @@ def events_per_game_distribution(
     log(k!) is a port of cephes `lgam`, and `test_estimate.py::TestPoissonReference`
     holds it, the pmf and the 1 - 1e-6 quantile to scipy as the oracle."""
     cfg = config_for_games(games, config)
+    _check_regulation(games, cfg.regulation_length)
     observed = np.array([g.n_events for g in games])
-    mean = fit_poisson_rate(games, cfg) * cfg.regulation_length
+    mean = _rate(games, cfg.regulation_length) * cfg.regulation_length
     hi = int(max(observed.max(), _poisson_quantile(mean)))
     counts = np.arange(hi + 1)
     empirical = np.bincount(observed, minlength=hi + 1)[: hi + 1] / len(games)
@@ -318,16 +325,16 @@ class InterarrivalDistribution:
         return float(np.dot(self.gaps, self.empirical_pmf))
 
 
-def _gaps(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
-    """(game index, length) of every gap between two consecutive events of one game."""
-    _, game, times, _ = _event_columns(games)
+def _gaps(game: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(game index, length) of every gap between two consecutive events of one
+    game, from the `game` and `times` event columns."""
     within = game[1:] == game[:-1]
     return game[1:][within], np.diff(times)[within]
 
 
-def _gap_law(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
+def _gap_law(game: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled inter-arrival gaps: (distinct gaps ascending, relative frequency)."""
-    support, counts = np.unique(_gaps(games)[1], return_counts=True)
+    support, counts = np.unique(_gaps(game, times)[1], return_counts=True)
     return support, counts / counts.sum()
 
 
@@ -336,12 +343,13 @@ def interarrival_distribution(
 ) -> InterarrivalDistribution:
     """Empirical inter-arrival law with its geometric(lambda) reference."""
     cfg = config_for_games(games, config)
-    support, probs = _gap_law(games)
+    _check_regulation(games, cfg.regulation_length)
+    support, probs = _gap_law(*_event_columns(games)[1:3])
     if not len(support):
         raise ValueError("no inter-arrival gaps: need a game with at least two events")
     empirical = np.bincount(support - 1, probs)  # dense over gaps 1..max gap
     gaps = np.arange(1, len(empirical) + 1)
-    p = fit_poisson_rate(games, cfg)
+    p = _rate(games, cfg.regulation_length)
     if not 0.0 < p < 1.0:
         raise ValueError(f"rate {p} is outside (0, 1); geometric reference undefined")
     empirical_ccdf = 1.0 - np.cumsum(empirical)
@@ -405,15 +413,16 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
     game boundaries. Games with constant gaps are excluded; if every
     game is excluded this raises.
     """
-    corr, used = _correlation(*_gaps(games), n_max)
+    corr, used = _correlation(*_gaps(*_event_columns(games)[1:3]), n_max)
     if not used:
         raise ValueError("no usable games: all gap sequences constant or too short")
     return corr
 
 
 def _profile(times: np.ndarray, n_games: int, T: int) -> np.ndarray:
-    """Share of n_games games scoring at each second of [0, T], from their event times."""
-    return np.bincount(times[times <= T], minlength=T + 1) / n_games
+    """Share of n_games games scoring at each second of [0, T], from their event
+    times (all within T: see `_check_regulation`)."""
+    return np.bincount(times, minlength=T + 1) / n_games
 
 
 def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -> np.ndarray:
@@ -421,17 +430,21 @@ def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -
     cfg = config_for_games(games, config)
     if not games:
         raise ValueError("need at least one game")
+    _check_regulation(games, cfg.regulation_length)
     return _profile(_event_columns(games)[2], len(games), cfg.regulation_length)
 
 
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
     cfg = config_for_games(games, config)
-    support, probs = _gap_law(games)
+    _check_regulation(games, cfg.regulation_length)
+    _, game, times, _ = _event_columns(games)
+    support, probs = _gap_law(game, times)
+    T = cfg.regulation_length
     return TempoModel(
-        lambda_hat=fit_poisson_rate(games, cfg),
-        regulation_length=cfg.regulation_length,
-        profile=tempo_profile(games, cfg),
+        lambda_hat=_rate(games, T),
+        regulation_length=T,
+        profile=_profile(times, len(games), T),
         interarrival_gaps=support,
         interarrival_probs=probs,
     )
@@ -596,6 +609,7 @@ def fit_balance(
 ) -> BalanceModel:
     """Fit per-game biases, the lead-scoring function, and point values."""
     cfg = config_for_games(games, config)
+    _check_regulation(games, cfg.regulation_length)
     scoring = lead_scoring_function(games, cfg.lead_truncation, min_samples)
     return BalanceModel(
         c_hat_samples=balance_fractions(games),

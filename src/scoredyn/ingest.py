@@ -68,6 +68,7 @@ _MAX_POINTS = 2**31 - 1  # sums of up to 2**32 records stay exact in int64
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 _BLOCK_ROWS = 512  # CSV rows per column block
+_KEYS_PER_EVENT = 4  # render keys (signed points, t) densely while the key range is this small
 _NO_ROWS = (np.empty(0, dtype=np.int64),) * 3  # (game index, t, signed points) of no rows
 
 
@@ -356,30 +357,56 @@ def _written_id(game_id: str, fmt: str) -> str:
     return game_id
 
 
+def _distinct_pairs(
+    major: np.ndarray, minor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """(slot of each int64 pair (major, minor), the slots in use, and the
+    distinct pairs they hold in pair order, as a list of majors and a list
+    of minors). Slots are dense keys over the pairs' ranges while there
+    are at most `_KEYS_PER_EVENT` per pair; past that (t is unbounded and
+    points reach 2**31 - 1) they are ranks in `_sort_order`."""
+    if len(major):
+        lo_major, lo_minor = int(major.min()), int(minor.min())
+        span = int(minor.max()) - lo_minor + 1
+        n_keys = (int(major.max()) - lo_major + 1) * span
+        if n_keys <= _KEYS_PER_EVENT * len(major):
+            slot = (major - lo_major) * span + (minor - lo_minor)
+            present = np.zeros(n_keys, dtype=bool)
+            present[slot] = True
+            used = np.flatnonzero(present)
+            return slot, used, (used // span + lo_major).tolist(), (used % span + lo_minor).tolist()
+    order = _sort_order(major, minor)
+    by_major, by_minor = major[order], minor[order]
+    first = np.ones(len(order), dtype=bool)  # first of its pair
+    first[1:] = (by_major[1:] != by_major[:-1]) | (by_minor[1:] != by_minor[:-1])
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    used = np.arange(np.count_nonzero(first))
+    return slot, used, by_major[first].tolist(), by_minor[first].tolist()
+
+
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     """Render games in the canonical interchange form (stable byte-for-byte).
 
     A game with no events writes no line; the id of every other game must
     read back as itself (see `_written_id`). Each record is a per-game
     prefix followed by a tail that depends only on (signed points, t);
-    every distinct tail is formatted once."""
+    every distinct tail is formatted once, into a table indexed by the
+    pair's slot (see `_distinct_pairs`)."""
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
     games = list(games)
     offsets, game_index, times, signed = _event_columns(games)
     del game_index  # unused: freed now, it would add 8 bytes per event to the peak
-    order = _sort_order(times, signed)  # groups equal (signed, t) pairs
-    by_signed, by_time = signed[order], times[order]
-    first = np.ones(len(order), dtype=bool)  # first event of its (signed, t) pair
-    first[1:] = (by_signed[1:] != by_signed[:-1]) | (by_time[1:] != by_time[:-1])
-    pair = np.empty(len(order), dtype=np.intp)
-    pair[order] = np.cumsum(first) - 1
-    pairs = zip(by_signed[first].tolist(), by_time[first].tolist())
+    slot, used, by_signed, by_time = _distinct_pairs(signed, times)
+    pairs = zip(by_signed, by_time)
     if fmt == "csv":
         tails = [f"{TEAM_R if v > 0 else TEAM_B},{t},{abs(v)}" for v, t in pairs]
     else:
         tails = [f'{TEAM_R if v > 0 else TEAM_B}","t":{t},"points":{abs(v)}}}' for v, t in pairs]
-    per_event = np.array(tails, dtype=object)[pair].tolist()
+    table = np.empty(used[-1] + 1 if len(used) else 0, dtype=object)
+    table[used] = tails
+    per_event = table[slot].tolist()
     lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
     for game, a, b in zip(games, offsets[:-1].tolist(), offsets[1:].tolist()):
         if a == b:

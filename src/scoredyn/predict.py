@@ -38,6 +38,7 @@ from .core import (
     TEAM_R,
     GameLog,
     SportConfig,
+    _check_regulation,
     _event_columns,
     _event_leads,
     _validated_point_values,
@@ -268,15 +269,10 @@ def evaluate_predictability(
     n_train = int(round(TRAIN_FRACTION * len(games)))
     n_train = min(max(n_train, 1), len(games) - 1)
 
+    _check_regulation(games, T)
     # Every event of the corpus, flattened: its game, index within the
     # game, clock second and the lead right after it.
     offsets, event_game, event_time, signed = _event_columns(games)
-    if len(event_time) and event_time.max() > T:
-        k = int(np.argmax(event_time))
-        raise ValueError(
-            f"game {games[event_game[k]].game_id!r} has an event at second {event_time[k]}, "
-            f"past the config's regulation length {T}"
-        )
     n_events = np.diff(offsets)
     max_events = int(n_events.max())
     event_index = np.arange(len(event_game)) - offsets[event_game]

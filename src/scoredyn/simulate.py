@@ -24,10 +24,24 @@ reproducibility contract: the event times (`random(T + 1) < profile`,
 or markov gap chunks of `random(size)`, refilled while the last time is
 within regulation), `random(n)` for the n point values,
 `choice(c_hat_samples)` (bernoulli balance only) and `random(n)` for
-the winners. Only these draws run per game; the rest runs on batches of
-games: gaps and point values come from one `searchsorted` in a CDF
-built once per model (the lookup `Generator.choice(p=...)` makes), and
-lead-dependent winners decide event k of every game in lockstep.
+the winners.
+
+Philox is counter-based, so a game's k-th double does not depend on how
+its draws are cut into calls. Each game therefore makes one draw of
+first + 2q doubles (first + q under bernoulli balance) into a batch
+buffer: `first` is the first time draw (the T + 1 tempo uniforms or the
+first gap chunk), then the point values and winners of q events. q is
+the event count a gap chunk is sized for (1.25 times the expected count,
+plus 8; for markov tempo one less than the first chunk), at most
+_MAX_EVENTS. Times, point values and winners are cut from the buffer by
+segment arithmetic over the whole batch. Under bernoulli balance the
+generator is re-keyed to just after the game's point values for numpy's
+own `choice`, then draws the winners. A game with more than q events is
+re-keyed and replayed call by call in contract order; every game whose
+first gap chunk ends within regulation is one. Gaps and point values
+come from a CDF built once per model (the lookup `Generator.choice(p=...)`
+makes, read from a guide table), and lead-dependent winners decide event
+k of every game in lockstep.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +58,12 @@ from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
 from .rng import rekey, substream
 
 _CHUNK_GAMES = 1024  # games per batch: bounds working memory, amortises numpy calls
+_BATCH_DOUBLES = 1 << 20  # bound on a batch's draw buffer (8 MB): T + 1 doubles per game
+# Most events whose point values and winners a game's one draw covers:
+# above a high quantile of NBA-like event counts (markov tempo from a
+# 300-game fit replays 3 games in 3,000 at q = 165).
+_MAX_EVENTS = 176
+_GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
 
 
 class TempoKind(str, Enum):
@@ -56,15 +76,105 @@ class BalanceKind(str, Enum):
     MARKOV = "markov"
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Per bucket [b, b + 1) / 2**_GUIDE_BITS of [0, 1): `cdf.searchsorted(u,
+    "right")` where it is the same for every u in the bucket, else -1."""
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    low = cdf.searchsorted(edges[:-1], "right")
+    high = cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
+    return np.where(low == high, low, -1)
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`cdf.searchsorted(u, "right")` for u in [0, 1) (any shape), read from
+    `_guide(cdf)` and searched only where the bucket is ambiguous."""
+    index = guide[(u * (1 << _GUIDE_BITS)).astype(np.intp)]  # exact: a power-of-two scale
+    ambiguous = index < 0
+    index[ambiguous] = cdf.searchsorted(u[ambiguous], "right")
+    return index
+
+
+class _Pmf:
+    """Draws from a finite pmf the way `Generator.choice(support, p=probs)`
+    does, with one uniform each: a search of the normalised CDF. (Plain
+    classes here, not dataclasses: every CLI run imports this module, and
+    building a frozen dataclass took about 0.9 ms on a 2-vCPU Xeon VM.)"""
+
+    def __init__(self, support, probs) -> None:
+        self.support = np.asarray(support)
+        self.cdf = _cdf(probs)
+
+    @functools.cached_property
+    def guide(self) -> np.ndarray:
+        """`_guide(cdf)`, built at the first draw: `exact_lead_sd` reads only the CDF."""
+        return _guide(self.cdf)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.support[_guided_search(self.cdf, self.guide, u)]
+
+
+def _chunk_size(expected: float) -> int:
+    """Gaps drawn at once when `expected` events remain: 1.25 times as many, plus slack."""
+    return max(16, int(expected * 1.25) + 8)
+
+
+class _ProfileTempo:
+    """Event seconds under per-second independent scoring probabilities. The
+    first draw is all T + 1 uniforms, so there is never a refill; it covers
+    the point values and winners of as many events as a gap chunk would
+    hold for the expected count."""
+
+    def __init__(self, profile: np.ndarray) -> None:
+        self.profile = profile
+        self.first = len(profile)
+        self.cover = _chunk_size(float(profile.sum()))
+
+    def first_times(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(second of each uniform, whether it is an event) for rows of games."""
+        return np.broadcast_to(np.arange(self.first), u.shape), u < self.profile
+
+    def replay(self, rng: np.random.Generator) -> np.ndarray:
+        return (rng.random(self.first) < self.profile).nonzero()[0]
+
+
+class _GapTempo:
+    """Event seconds from iid resampled gaps, the first anchored at t = 0; the
+    event past `horizon` is dropped, not clipped. Gaps are >= 1, so times
+    increase, and a chunk of gaps whose every time is within `horizon` is
+    followed by another: the first chunk covers one event fewer than it
+    holds."""
+
+    def __init__(self, gaps: _Pmf, mean_gap: float, horizon: int) -> None:
+        self.gaps, self.mean_gap, self.horizon = gaps, mean_gap, horizon
+        self.first = _chunk_size(horizon / mean_gap)
+        self.cover = self.first - 1
+
+    def first_times(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(time, whether it is within regulation) of each first-chunk gap, for rows of games."""
+        times = self.gaps(u).cumsum(axis=1)
+        return times, times <= self.horizon
+
+    def replay(self, rng: np.random.Generator) -> np.ndarray:
+        parts = []
+        t = 0
+        while True:
+            size = _chunk_size((self.horizon - t) / self.mean_gap)
+            cs = t + self.gaps(rng.random(size)).cumsum()
+            cut = int(cs.searchsorted(self.horizon, "right"))
+            parts.append(cs[:cut])
+            if cut < size:
+                return np.concatenate(parts)
+            t = int(cs[-1])
+
+
 @dataclass(frozen=True, eq=False)
 class _Law:
     """A generative law: one bias per game (drawn from `c_samples` or fixed
     per game index in `c_fixed`) or `phi` over every reachable lead."""
 
     seed: int
-    event_times: Callable[[np.random.Generator], np.ndarray]
-    values: np.ndarray
-    value_cdf: np.ndarray
+    tempo: _ProfileTempo | _GapTempo
+    points: _Pmf
     c_samples: np.ndarray | None = None
     c_fixed: np.ndarray | None = None
     phi: np.ndarray | None = None
@@ -95,17 +205,17 @@ class ModelSpec:
         if self.balance_kind is BalanceKind.BERNOULLI and not len(balance.c_hat_samples):
             raise ValueError("bernoulli balance needs at least one fitted balance fraction")
         if self.tempo_kind is TempoKind.BERNOULLI:
-            times = functools.partial(_bernoulli_times, tempo.profile)
+            times = _ProfileTempo(tempo.profile)
         else:
-            gaps = (tempo.interarrival_gaps, _cdf(tempo.interarrival_probs), tempo.mean_gap)
-            times = functools.partial(_gap_times, *gaps, tempo.regulation_length)
+            gaps = _Pmf(tempo.interarrival_gaps, tempo.interarrival_probs)
+            times = _GapTempo(gaps, tempo.mean_gap, tempo.regulation_length)
         if self.balance_kind is BalanceKind.BERNOULLI:
             rule = {"c_samples": balance.c_hat_samples}
         else:
             cap = self.config.lead_truncation
             leads = _reachable_leads(tempo.regulation_length, balance.point_values)
             rule = {"phi": balance.phi[np.clip(leads, -cap, cap) + cap]}
-        law = _Law(self.seed, times, *_point_table(balance.point_values), **rule)
+        law = _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
         object.__setattr__(self, "_law", law)
 
 
@@ -123,29 +233,9 @@ def _cdf(probs: Sequence[float] | np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _point_table(point_values: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+def _point_pmf(point_values: Mapping[int, float]) -> _Pmf:
     values = np.array(sorted(point_values), dtype=np.int64)
-    return values, _cdf([point_values[int(v)] for v in values])
-
-
-def _bernoulli_times(profile: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Event seconds under per-second independent scoring probabilities."""
-    return (rng.random(len(profile)) < profile).nonzero()[0]
-
-
-def _gap_times(gaps, cdf, mean_gap: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Event seconds from iid resampled gaps, the first anchored at t = 0; the event
-    past `horizon` is dropped, not clipped. Gaps are >= 1, so times increase."""
-    parts = []
-    t = 0
-    while True:
-        size = max(16, int((horizon - t) / mean_gap * 1.25) + 8)
-        cs = t + gaps[cdf.searchsorted(rng.random(size), "right")].cumsum()
-        cut = int(cs.searchsorted(horizon, "right"))
-        parts.append(cs[:cut])
-        if cut < size:
-            return np.concatenate(parts)
-        t = int(cs[-1])
+    return _Pmf(values, [point_values[int(v)] for v in values])
 
 
 def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
@@ -168,32 +258,84 @@ def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
     return teams
 
 
+def _replay(law: _Law, rng: np.random.Generator, index: int):
+    """Game `index`'s (times, point uniforms, bias, winner uniforms), drawn
+    call by call in contract order."""
+    rekey(rng, law.seed, index)
+    times = law.tempo.replay(rng)
+    u_points = rng.random(len(times))
+    c = None if law.c_samples is None else rng.choice(law.c_samples)
+    return times, u_points, c, rng.random(len(times))
+
+
+def _splice(column: np.ndarray, replayed, at: np.ndarray) -> np.ndarray:
+    """`column` with the concatenated `replayed` segments placed where `at` is set."""
+    out = np.empty(len(at), dtype=column.dtype)
+    out[~at] = column
+    out[at] = np.concatenate(replayed)
+    return out
+
+
+def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
+    """(event counts, times, point uniforms, per-game bias, winner uniforms)
+    of games `index`, laid end to end: one draw per game into its row of
+    `u`, cut by segment arithmetic; games with more than q events replay."""
+    rng = substream(law.seed, index.start)  # one bit generator per batch, re-keyed per game
+    for i, row in zip(index, u):
+        rekey(rng, law.seed, i)
+        rng.random(out=row)
+    times, hit = law.tempo.first_times(u[:, :first])
+    n = hit.sum(axis=1)
+    replay = n > q
+    n[replay] = 0
+    hit[replay] = False
+    times = times[hit].astype(np.int64, copy=False)
+    rest, k = u[:, first:], np.arange(u.shape[1] - first)  # the draws after the times' uniforms
+    u_points = rest[k < n[:, None]]
+    c = None if law.c_fixed is None else law.c_fixed[index.start : index.stop]
+    if law.c_samples is None:
+        u_winners = rest[(k >= n[:, None]) & (k < 2 * n[:, None])]
+    else:  # numpy's own choice, right after the game's point values, then the winners
+        c, ends = np.empty(len(index)), np.cumsum(n).tolist()
+        u_winners = np.empty(ends[-1])
+        for g, (i, n_g, b, skip) in enumerate(zip(index, n.tolist(), ends, replay.tolist())):
+            if not skip:
+                rekey(rng, law.seed, i, first + n_g)
+                c[g] = rng.choice(law.c_samples)
+                rng.random(out=u_winners[b - n_g : b])
+    replayed = np.flatnonzero(replay)
+    if len(replayed):
+        draws = zip(*(_replay(law, rng, index[g]) for g in replayed.tolist()))
+        times_r, u_points_r, c_r, u_winners_r = draws
+        n[replayed] = [len(t) for t in times_r]
+        at = np.repeat(replay, n)
+        times = _splice(times, times_r, at)
+        u_points = _splice(u_points, u_points_r, at)
+        u_winners = _splice(u_winners, u_winners_r, at)
+        if law.c_samples is not None:
+            c[replayed] = c_r
+    return n, times, u_points, c, u_winners
+
+
 def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> list[GameLog]:
     """Games start..stop-1 of `law`, as read-only views on batch columns."""
+    first = law.tempo.first
+    q = min(_MAX_EVENTS, law.tempo.cover)
+    width = first + (q if law.c_samples is not None else 2 * q)
+    per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // width, stop - start))
+    buffer = np.empty((per_batch, width))  # one for every batch: its pages are touched once
     games = []
-    for lo in range(start, stop, _CHUNK_GAMES):
-        n_games = min(_CHUNK_GAMES, stop - lo)
-        c = np.empty(n_games) if law.c_fixed is None else law.c_fixed[lo : lo + n_games]
-        times, u_values, u_winners = [], [], []
-        rng = substream(law.seed, lo)  # one bit generator per batch, re-keyed per game
-        for g in range(n_games):  # the per-game draws, in contract order
-            rekey(rng, law.seed, lo + g)
-            t = law.event_times(rng)
-            times.append(t)
-            u_values.append(rng.random(len(t)))
-            if law.c_samples is not None:
-                c[g] = rng.choice(law.c_samples)
-            u_winners.append(rng.random(len(t)))
-        offsets = np.cumsum([0] + [len(t) for t in times])
-        times = np.concatenate(times).astype(np.int64, copy=False)
-        points = law.values[law.value_cdf.searchsorted(np.concatenate(u_values), "right")]
-        u = np.concatenate(u_winners)
+    for lo in range(start, stop, per_batch):
+        index = range(lo, min(lo + per_batch, stop))
+        n, times, u_points, c, u_winners = _batch(law, index, first, q, buffer[: len(index)])
+        offsets = np.concatenate(([0], np.cumsum(n)))
+        points = law.points(u_points)
         if law.phi is None:
-            teams = np.where(u < c.repeat(offsets[1:] - offsets[:-1]), 1, -1).astype(np.int8)
+            teams = np.where(u_winners < c.repeat(n), 1, -1).astype(np.int8)
         else:
-            teams = _lead_dependent_teams(law.phi, offsets, points, u)
-        ids = [f"{prefix}-{g:06d}" for g in range(lo, lo + n_games)]
-        games += GameLog._views(ids, [sport_id] * n_games, offsets, times, teams, points)
+            teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
+        ids = [f"{prefix}-{g:06d}" for g in index]
+        games += GameLog._views(ids, [sport_id] * len(index), offsets, times, teams, points)
     return games
 
 
@@ -433,7 +575,7 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
         law = _shared_bernoulli_count_law(spec.tempo.profile.tobytes(), grid.tobytes())
     else:
         law = _renewal_count_law(spec.tempo, grid)
-    values, probs = spec._law.values, np.diff(spec._law.value_cdf, prepend=0.0)
+    values, probs = spec._law.points.support, np.diff(spec._law.points.cdf, prepend=0.0)
     if spec.balance_kind is BalanceKind.BERNOULLI:
         m1, m2 = _bernoulli_moments(spec._law.c_samples, values, probs, law.shape[1])
     else:

@@ -13,14 +13,13 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import GameLog, SportConfig, _validated_point_values
-from .simulate import _bernoulli_times, _games, _Law, _point_table, _reachable_leads, flat_profile
+from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reachable_leads, flat_profile
 
 PROB_CLAMP = 1e-6
 
@@ -76,8 +75,7 @@ class LeagueSpec:
 
 
 def _league_law(spec: LeagueSpec, **balance) -> _Law:
-    times = functools.partial(_bernoulli_times, spec.profile)
-    return _Law(spec.seed, times, *_point_table(spec.point_values), **balance)
+    return _Law(spec.seed, _ProfileTempo(spec.profile), _point_pmf(spec.point_values), **balance)
 
 
 def generate_league(spec: LeagueSpec, prefix: str = "league") -> list[GameLog]:

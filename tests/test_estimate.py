@@ -8,6 +8,7 @@ Oracles used here:
     the lead-scoring slope.
 """
 
+import dataclasses
 import json
 import math
 
@@ -214,6 +215,46 @@ class TestTempoProfile:
         assert profile[0] == 0.0  # opening tick hosts no events
         se = math.sqrt(lam / (2000 * 600))
         assert abs(profile[1:].mean() - lam) < 3 * se
+
+
+class TestEventsPastRegulation:
+    """A config shorter than the corpus's clock (NBA's on NFL-like games) is
+    rejected by every fit rather than counted by some and dropped by others."""
+
+    @pytest.fixture(scope="class")
+    def nfl_like(self):
+        nfl = sd.builtin_config("nfl")
+        spec = sd.default_league(
+            n_teams=8, n_games=200, rate=0.00204, point_values=nfl.point_values, seed=3
+        )
+        return sd.generate_league(spec)
+
+    FITS = [
+        sd.fit_poisson_rate,
+        sd.events_per_game_distribution,
+        sd.interarrival_distribution,
+        sd.tempo_profile,
+        sd.fit_tempo,
+        sd.fit_balance,
+    ]
+
+    @pytest.mark.parametrize("fit", FITS, ids=lambda f: f.__name__)
+    def test_rejected_with_game_and_second(self, nfl_like, fit):
+        late = max(nfl_like, key=lambda g: g.times[-1] if g.n_events else -1)
+        nba = dataclasses.replace(sd.builtin_config("nba"), sport_id="custom")
+        assert late.times[-1] > nba.regulation_length
+        with pytest.raises(
+            ValueError,
+            match=rf"game '{late.game_id}' has an event at second {late.times[-1]}, "
+            rf"past the config's regulation length {nba.regulation_length}",
+        ):
+            fit(nfl_like, nba)
+
+    @pytest.mark.parametrize("fit", FITS, ids=lambda f: f.__name__)
+    def test_an_event_at_regulation_is_kept(self, nfl_like, fit):
+        last = max(int(g.times[-1]) for g in nfl_like if g.n_events)
+        config = sd.SportConfig("custom", last, (last,), sd.builtin_config("nfl").point_values, 20)
+        fit(nfl_like, config)
 
 
 class TestBalanceFraction:

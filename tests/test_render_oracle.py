@@ -4,9 +4,10 @@
 formats every record of every game on its own, CSV with an f-string and
 JSONL with `json.dumps` of the whole record. CSV game ids go through
 `csv.writer`, which quotes an id holding a comma, a quote or a line end.
-The column renderer formats each distinct (signed points, t) tail once
-and must give the same bytes, or reject a game whose id would not read
-back as itself.
+The column renderer formats each distinct (signed points, t) tail once,
+keyed densely over the pairs' ranges or, past `_KEYS_PER_EVENT` keys per
+event, by a sort. It must give the same bytes on both paths, or reject a
+game whose id would not read back as itself.
 """
 
 import csv
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scoredyn as sd
+from scoredyn import ingest
 from scoredyn.ingest import CSV_COLUMNS, render_event_file
 
 INT64_MAX = 2**63 - 1
@@ -135,3 +137,52 @@ def test_empty_games_and_escaped_ids(fmt):
     else:
         assert '\nnba,"q""é\\☃",r,0,' in text
     assert render_event_file(games[:1], fmt) == reference_render(games[:1], fmt)
+
+
+def sort_calls(monkeypatch):
+    """The lengths `render_event_file` passes to `_sort_order`, call by call."""
+    calls = []
+    sort_order = ingest._sort_order
+
+    def spy(major, minor):
+        calls.append(len(major))
+        return sort_order(major, minor)
+
+    monkeypatch.setattr(ingest, "_sort_order", spy)
+    return calls
+
+
+def bound_games(t_span):
+    """30 events of signed points -2 or 3 (6 values) over seconds 0..t_span - 1."""
+    rng = np.random.default_rng(5)
+    games = []
+    for g in range(3):
+        inner = rng.choice(np.arange(1, t_span - 1), 8, replace=False)
+        times = np.concatenate(([0], np.sort(inner), [t_span - 1]))
+        teams = np.array([1, -1] * 5, dtype=np.int8)
+        games.append(sd.GameLog(f"g{g}", "nba", times, teams, np.where(teams > 0, 3, 2)))
+    return games
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("t_span, dense", [(20, True), (21, False)])
+def test_both_sides_of_the_dense_key_bound(monkeypatch, fmt, t_span, dense):
+    games = bound_games(t_span)
+    assert 6 * 20 == ingest._KEYS_PER_EVENT * 30  # t_span 20 is the last dense one
+    calls = sort_calls(monkeypatch)
+    assert render_event_file(games, fmt) == reference_render(games, fmt)
+    assert calls == ([] if dense else [30])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_huge_points_and_times_take_the_sort(monkeypatch, fmt):
+    def game(gid, times, teams, points):
+        return sd.GameLog(gid, "nba", np.array(times, np.int64), np.array(teams), np.array(points))
+
+    games = [
+        game("big", [0, 5, 2**40, INT64_MAX], [1, -1, -1, 1], [2**31 - 1, 2**31 - 2, 1, 7]),
+        game("g2", [3, 2**40], [-1, 1], [2**31 - 1, 2**31 - 1]),
+    ]
+    calls = sort_calls(monkeypatch)
+    assert render_event_file(games, fmt) == reference_render(games, fmt)
+    assert calls == [6]

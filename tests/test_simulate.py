@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import scoredyn as sd
@@ -365,18 +366,90 @@ def cell_spec(fitted, tempo_kind, balance_kind, seed=41):
     return sd.ModelSpec(tempo_kind, balance_kind, tempo, balance, config, seed)
 
 
+def corpus_and_batch_starts(monkeypatch, spec, n_games):
+    """simulate_corpus(spec, n_games) and the first game of every batch it drew
+    (each batch opens one substream)."""
+    starts = []
+
+    def spy(seed, index):
+        starts.append(index)
+        return sd.rng.substream(seed, index)
+
+    monkeypatch.setattr(sd.simulate, "substream", spy)
+    games = sd.simulate_corpus(spec, n_games)
+    monkeypatch.undo()
+    return games, starts
+
+
+def check_cell(monkeypatch, fitted, tempo_kind, balance_kind):
+    spec = cell_spec(fitted, tempo_kind, balance_kind)
+    games, starts = corpus_and_batch_starts(monkeypatch, spec, 2100)
+    assert_same_corpus(games, [ref_game(spec, i) for i in range(2100)])
+    assert len(starts) >= 3 and starts[0] == 0
+    for edge in starts[1:]:  # game i does not depend on where its batch starts
+        assert sd.simulate_game(spec, edge - 1) == games[edge - 1]
+        assert sd.simulate_game(spec, edge) == games[edge]
+    if tempo_kind == "bernoulli":  # T + 1 uniforms per game: the buffer bound cuts batches
+        per_batch = starts[1] - starts[0]
+        assert per_batch < sd.simulate._CHUNK_GAMES
+        assert per_batch * (spec.config.regulation_length + 1) <= sd.simulate._BATCH_DOUBLES
+
+
 class TestBatchedGeneratorOracle:
     @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
-    def test_nfl_like_cells(self, nfl_like, tempo_kind, balance_kind):
-        spec = cell_spec(nfl_like, tempo_kind, balance_kind)
-        games = sd.simulate_corpus(spec, 1500)  # more than one batch
-        assert_same_corpus(games, [ref_game(spec, i) for i in range(1500)])
-        assert games[1234] == sd.simulate_game(spec, 1234)
+    def test_nfl_like_cells(self, nfl_like, monkeypatch, tempo_kind, balance_kind):
+        check_cell(monkeypatch, nfl_like, tempo_kind, balance_kind)
 
     @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
-    def test_nba_like_cells(self, nba_like, tempo_kind, balance_kind):
-        spec = cell_spec(nba_like, tempo_kind, balance_kind)
-        assert_same_corpus(sd.simulate_corpus(spec, 150), [ref_game(spec, i) for i in range(150)])
+    def test_nba_like_cells(self, nba_like, monkeypatch, tempo_kind, balance_kind):
+        check_cell(monkeypatch, nba_like, tempo_kind, balance_kind)
+
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_forced_replays(self, nfl_like, monkeypatch, tempo_kind, balance_kind):
+        # with q = 4 most games have more events than their one draw covers
+        spec = cell_spec(nfl_like, tempo_kind, balance_kind)
+        replayed = []
+        replay = sd.simulate._replay
+
+        def spy(law, rng, index):
+            replayed.append(index)
+            return replay(law, rng, index)
+
+        monkeypatch.setattr(sd.simulate, "_MAX_EVENTS", 4)
+        monkeypatch.setattr(sd.simulate, "_replay", spy)
+        games = sd.simulate_corpus(spec, 1100)
+        assert len(replayed) > 550
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(1100)])
+        assert sd.simulate_game(spec, replayed[-1]) == games[replayed[-1]]
+
+    def test_bernoulli_balance_choice_rejections(self):
+        # choice over 999,999 samples draws a bounded 32-bit integer and
+        # rejects a draw with probability 2**32 % 999_999 / 2**32 (about
+        # 2e-4). Gaps of exactly 5 s give every game 120 events, so each
+        # choice starts at the same position: after the first chunk of
+        # gaps and the 120 point values.
+        spec = flat_spec(0.01, seed=46)
+        tempo = dataclasses.replace(
+            spec.tempo, interarrival_gaps=np.array([5]), interarrival_probs=np.array([1.0])
+        )
+        samples = np.linspace(0.05, 0.95, 999_999)
+        balance = dataclasses.replace(spec.balance, c_hat_samples=samples)
+        spec = dataclasses.replace(spec, tempo=tempo, tempo_kind="markov", balance=balance)
+        position = max(16, int(600 / 5 * 1.25) + 8) + 120
+        rng = sd.substream(0, 0)
+        rejected = []
+        for i in range(30_000):
+            sd.rng.rekey(rng, spec.seed, i, position)
+            rng.choice(samples)
+            if not rng.bit_generator.state["has_uint32"]:  # an even count of 32-bit draws
+                rejected.append(i)
+        assert len(rejected) >= 2
+        n_games = rejected[1] + 1
+        games = sd.simulate_corpus(spec, n_games)
+        assert all(g.n_events == 120 for g in games)
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(n_games)])
+        for i in rejected:
+            assert sd.simulate_game(spec, i) == ref_game(spec, i)
 
     @pytest.mark.parametrize("tempo_kind", ["bernoulli", "markov"])
     def test_clamped_leads(self, tempo_kind):
@@ -414,7 +487,7 @@ class TestBatchedGeneratorOracle:
 
     def test_generate_league(self):
         spec = sd.default_league(
-            n_teams=10, n_games=1100, rate=0.003, point_values={2: 0.3, 3: 0.7}, seed=44
+            n_teams=10, n_games=2200, rate=0.003, point_values={2: 0.3, 3: 0.7}, seed=44
         )
         assert_same_corpus(sd.generate_league(spec), ref_league(spec))
 
@@ -422,7 +495,7 @@ class TestBatchedGeneratorOracle:
     def test_generate_restoring_league(self, slope):
         spec = sd.default_league(
             n_teams=2,
-            n_games=300,
+            n_games=2100,
             rate=0.004,
             point_values=sd.builtin_config("nfl").point_values,
             seed=45,
@@ -457,6 +530,42 @@ class TestBatchedGeneratorOracle:
             sd.lead_dispersion([], 600)
 
 
+GUIDE_BUCKETS = 1 << sd.simulate._GUIDE_BITS
+BUCKET_EDGES = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+
+
+@st.composite
+def cdfs(draw):
+    """Nondecreasing CDFs with repeated entries, runs of entries inside one
+    guide bucket, and a last entry of 1.0 (as `_cdf` makes) or below it."""
+    bucket = draw(st.integers(0, GUIDE_BUCKETS - 1))
+    inside = st.floats(0, 1, exclude_max=True).map(lambda f: (bucket + f) / GUIDE_BUCKETS)
+    entries = draw(st.lists(st.one_of(st.floats(0, 1), inside), min_size=1, max_size=40))
+    entries += entries[: draw(st.integers(0, len(entries)))]  # repeated entries
+    if draw(st.booleans()):
+        entries.append(1.0)
+    return np.sort(np.array(entries, dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdf=cdfs(), extra=st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_guided_search_matches_searchsorted(cdf, extra):
+    u = np.concatenate(
+        [
+            BUCKET_EDGES[:-1],
+            np.nextafter(BUCKET_EDGES[1:], 0.0),  # the last double of every bucket
+            cdf[cdf < 1.0],
+            np.nextafter(cdf[(cdf > 0.0) & (cdf < 1.0)], 0.0),
+            extra,
+        ]
+    )
+    guide = sd.simulate._guide(cdf)
+    expected = cdf.searchsorted(u, "right")
+    np.testing.assert_array_equal(sd.simulate._guided_search(cdf, guide, u), expected)
+    rows = sd.simulate._guided_search(cdf, guide, np.stack([u, u[::-1]]))  # rows of games
+    np.testing.assert_array_equal(rows, np.stack([expected, expected[::-1]]))
+
+
 class TestRekeyedSubstreams:
     @pytest.mark.parametrize(
         "seed, index", [(0, 0), (41, 1234), (-1, 2**64 - 1), (-(2**40), 7), (2**64 + 5, 3)]
@@ -471,6 +580,14 @@ class TestRekeyedSubstreams:
         np.testing.assert_array_equal(rng.integers(0, 1000, 9), fresh.integers(0, 1000, 9))
         samples = np.array([0.1, 0.5, 0.9])
         np.testing.assert_array_equal(rng.choice(samples, 5), fresh.choice(samples, 5))
+
+    @pytest.mark.parametrize("position", [0, 1, 3, 4, 5, 166, 2883])
+    def test_rekey_to_a_position(self, position):
+        rng = sd.substream(9, 9)
+        rng.integers(0, 10)  # leaves a buffered 32-bit half behind
+        sd.rng.rekey(rng, 41, 1234, position)
+        expected = sd.substream(41, 1234).random(position + 9)[position:]
+        np.testing.assert_array_equal(rng.random(9), expected)
 
     @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
     def test_extreme_keys_match_per_game_generators(self, nfl_like, tempo_kind, balance_kind):
