@@ -11,14 +11,11 @@ from .core import (
     BUILTIN_SPORTS,
     TEAM_B,
     TEAM_R,
+    Corpus,
     GameLog,
-    LeadTrajectory,
-    ScoringEvent,
     SportConfig,
     builtin_config,
     config_for_games,
-    lead_at,
-    lead_trajectory,
     load_config,
     save_config,
 )
@@ -30,7 +27,6 @@ from .estimate import (
     LinearFit,
     ModelArtifact,
     TempoModel,
-    balance_fraction,
     balance_fractions,
     balance_null_distribution,
     correlation_function,

@@ -83,12 +83,12 @@ def _load_corpus(args):
     else:
         games = parse_event_file(args.infile, args.format)
         config = builtin_config(args.sport) if args.sport else config_for_games(games)
-    for game in games:
-        if game.sport_id != config.sport_id:
-            raise ValueError(
-                f"game {game.game_id!r} is tagged {game.sport_id}, "
-                f"but the chosen config is {config.sport_id}"
-            )
+    if set(games.sport_ids) - {config.sport_id}:
+        g = next(g for g, sport in enumerate(games.sport_ids) if sport != config.sport_id)
+        raise ValueError(
+            f"game {games.game_ids[g]!r} is tagged {games.sport_ids[g]}, "
+            f"but the chosen config is {config.sport_id}"
+        )
     return games, config
 
 
@@ -138,10 +138,9 @@ def _cmd_simulate(args) -> int:
 
     games = simulate_corpus(spec, args.n_games)
     write_event_file(games, args.out, args.format)
-    n_events = sum(g.n_events for g in games)
     print(
         f"simulate ok tempo={args.tempo} balance={args.balance} games={args.n_games} "
-        f"events={n_events} seed={args.seed} out={args.out}"
+        f"events={len(games.times)} seed={args.seed} out={args.out}"
     )
     return 0
 
@@ -205,9 +204,8 @@ def _cmd_synth(args) -> int:
         if args.kind == "restoring":
             truth["restoring_slope"] = args.slope
         atomic_write_text(args.truth, json.dumps(truth, sort_keys=True) + "\n")
-    n_events = sum(g.n_events for g in games)
     print(
-        f"synth ok kind={args.kind} games={args.n_games} events={n_events} "
+        f"synth ok kind={args.kind} games={args.n_games} events={len(games.times)} "
         f"seed={args.seed} out={args.out}"
     )
     return 0

@@ -1,9 +1,18 @@
-"""Core domain types: sport configuration, scoring events, game logs.
+"""Core domain types: sport configuration, game logs and the corpus.
 
 A game is reduced to its ordered scoring events during regulation time.
-Each event carries a game-clock second, the winning team tag ("r" or
-"b"), and a positive integer point value. The lead is always measured
+Each event carries a game-clock second, the winning team (+1 for r, -1
+for b), and a positive integer point value. The lead is always measured
 relative to team r, so a negative lead means b is ahead.
+
+A `Corpus` holds many games as one flat event layout: int64 `times`,
+int8 `teams` and int64 `points` of every game laid end to end, game g
+holding events offsets[g]:offsets[g + 1]. Parsing, simulation and the
+synthetic leagues build one directly; every estimator, the evaluation,
+the lead-dispersion curves and the writer read its columns. A game of a
+corpus is a `GameLog` of read-only views on those columns, built only
+when it is asked for. `Corpus.of` lays a hand-built list of games out
+once, so every `(games, ...)` entry point takes either.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -14,18 +23,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from numbers import Real
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 TEAM_R = "r"
 TEAM_B = "b"
-
-_TEAM_SIGNS = {TEAM_R: 1, TEAM_B: -1}
 
 #: Probability mass of a pmf may deviate from 1 by at most this much.
 PMF_TOLERANCE = 1e-9
@@ -33,14 +41,6 @@ PMF_TOLERANCE = 1e-9
 CONFIG_SCHEMA_VERSION = "1.0"
 
 SPORT_IDS = ("CFB", "NFL", "NHL", "NBA", "custom")
-
-
-def team_sign(team: str) -> int:
-    """Map a team tag to its lead contribution (+1 for r, -1 for b)."""
-    try:
-        return _TEAM_SIGNS[team]
-    except KeyError:
-        raise ValueError(f"unknown team tag {team!r}, expected 'r' or 'b'") from None
 
 
 def require_schema_major(version: str, expected: str, context: str) -> None:
@@ -147,28 +147,6 @@ def _as_readonly(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ScoringEvent:
-    """One scoring event: game-clock second, winning team tag, point value."""
-
-    t: int
-    team: str
-    points: int
-
-    def __post_init__(self) -> None:
-        if int(self.t) != self.t or self.t < 0:
-            raise ValueError(f"event time must be a nonnegative integer second, got {self.t!r}")
-        team_sign(self.team)
-        if int(self.points) != self.points or self.points < 1:
-            raise ValueError(f"points must be a positive integer, got {self.points!r}")
-        object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(self, "points", int(self.points))
-
-    @property
-    def sign(self) -> int:
-        return team_sign(self.team)
-
-
 def check_events(times, teams, points, offsets: np.ndarray | None = None) -> None:
     """Raise unless the columns hold valid games (game g holds events
     offsets[g]:offsets[g + 1]; without offsets, one game)."""
@@ -185,20 +163,6 @@ def check_events(times, teams, points, offsets: np.ndarray | None = None) -> Non
         raise ValueError("teams must be encoded as +1 (r) or -1 (b)")
     if (points < 1).any():
         raise ValueError("points must be positive integers")
-
-
-def _event_columns(
-    games: Sequence[GameLog],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, game, times, signed points) of games laid end to end; game g
-    holds events offsets[g]:offsets[g + 1], and game[k] is event k's game."""
-    empty = [np.empty(0, dtype=np.int64)]
-    times = np.concatenate(empty + [g.times for g in games])
-    teams = np.concatenate(empty + [g.teams for g in games])  # promoted to int64
-    signed = teams * np.concatenate(empty + [g.points for g in games])
-    n_events = [g.n_events for g in games]
-    game = np.repeat(np.arange(len(games)), n_events)
-    return np.cumsum([0] + n_events), game, times, signed
 
 
 def _event_leads(offsets: np.ndarray, signed: np.ndarray) -> np.ndarray:
@@ -232,34 +196,6 @@ class GameLog:
         object.__setattr__(self, "teams", teams)
         object.__setattr__(self, "points", points)
 
-    @classmethod
-    def from_events(cls, game_id: str, sport_id: str, events: Iterable[ScoringEvent]) -> GameLog:
-        evs = list(events)
-        return cls(
-            game_id=game_id,
-            sport_id=sport_id,
-            times=[e.t for e in evs],
-            teams=[e.sign for e in evs],
-            points=[e.points for e in evs],
-        )
-
-    @classmethod
-    def _views(cls, game_ids, sport_ids, offsets, times, teams, points) -> list[GameLog]:
-        """Check int64/int8/int64 columns of games laid end to end once (game g
-        holds events offsets[g]:offsets[g + 1]) and hand each game out as
-        read-only views on them."""
-        check_events(times, teams, points, offsets)
-        for column in (times, teams, points):
-            column.flags.writeable = False
-        games = []
-        bounds = offsets.tolist()
-        for game_id, sport_id, a, b in zip(game_ids, sport_ids, bounds[:-1], bounds[1:]):
-            game = object.__new__(cls)  # skips __post_init__'s per-game copy and check
-            vars(game).update(game_id=game_id, sport_id=sport_id, times=times[a:b])
-            vars(game).update(teams=teams[a:b], points=points[a:b])
-            games.append(game)
-        return games
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameLog):
             return NotImplemented
@@ -283,10 +219,6 @@ class GameLog:
         """Lead increments per event: +points for r, -points for b."""
         return self.teams.astype(np.int64) * self.points
 
-    def events(self) -> Iterator[ScoringEvent]:
-        for t, s, p in zip(self.times, self.teams, self.points):
-            yield ScoringEvent(int(t), TEAM_R if s > 0 else TEAM_B, int(p))
-
     def final_lead(self) -> int:
         return int(self.signed_points.sum())
 
@@ -299,27 +231,109 @@ class GameLog:
             return TEAM_B
         return None
 
-    def swap_teams(self) -> GameLog:
-        """Relabel r as b and vice versa; negates the lead everywhere."""
-        return GameLog(self.game_id, self.sport_id, self.times, -self.teams, self.points)
 
+class Corpus(Sequence):
+    """Games laid end to end in one event layout, as a read-only `Sequence[GameLog]`.
 
-@dataclass(frozen=True, eq=False)
-class LeadTrajectory:
-    """Lead size sampled on a regular clock grid.
-
-    The lead starts at 0, changes only at event seconds, and each jump
-    equals the event's signed point value.
+    Game g is `game_ids[g]`, tagged `sport_ids[g]`, and holds events
+    offsets[g]:offsets[g + 1] of the int64 `times`, int8 `teams` and int64
+    `points` columns. The columns are checked once, when the corpus is
+    built, and made read-only. `corpus[g]` is a `GameLog` of views on them,
+    and a contiguous slice is a `Corpus` of views. (A plain class, not a
+    dataclass: every CLI run imports this module, and building a frozen
+    dataclass took about 1 ms.)
     """
 
-    times: np.ndarray
-    leads: np.ndarray
+    def __init__(self, game_ids, sport_ids, offsets, times, teams, points) -> None:
+        game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
+        offsets, times = np.asarray(offsets, np.int64), np.asarray(times, np.int64)
+        teams, points = np.asarray(teams, np.int8), np.asarray(points, np.int64)
+        if not (
+            len(game_ids) == len(sport_ids) == len(offsets) - 1
+            and offsets[0] == 0
+            and offsets[-1] == len(times)
+            and (offsets[1:] >= offsets[:-1]).all()
+        ):
+            raise ValueError("offsets must run from 0 to the event count, one entry per game")
+        check_events(times, teams, points, offsets)
+        for column in (offsets, times, teams, points):
+            column.flags.writeable = False
+        self.game_ids, self.sport_ids, self.offsets = game_ids, sport_ids, offsets
+        self.times, self.teams, self.points = times, teams, points
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _as_readonly(self.times, np.int64))
-        object.__setattr__(self, "leads", _as_readonly(self.leads, np.int64))
-        if len(self.times) != len(self.leads):
-            raise ValueError("times and leads must have equal length")
+    @classmethod
+    def of(cls, games: Iterable[GameLog]) -> Corpus:
+        """`games` as a corpus: a corpus as it is, other games laid end to end
+        (the one place that lays a list of games out)."""
+        if isinstance(games, Corpus):
+            return games
+        games = list(games)
+        columns = [
+            np.concatenate([np.empty(0, dtype)] + [getattr(g, name) for g in games])
+            for name, dtype in (("times", np.int64), ("teams", np.int8), ("points", np.int64))
+        ]
+        offsets = np.cumsum([0] + [len(g.times) for g in games])
+        return cls([g.game_id for g in games], [g.sport_id for g in games], offsets, *columns)
+
+    @cached_property
+    def signed(self) -> np.ndarray:
+        """Lead increment of each event: +points for r, -points for b."""
+        signed = self.teams * self.points
+        signed.flags.writeable = False
+        return signed
+
+    @cached_property
+    def game(self) -> np.ndarray:
+        """Index of each event's game."""
+        game = np.repeat(np.arange(len(self)), self.event_counts)
+        game.flags.writeable = False
+        return game
+
+    @property
+    def event_counts(self) -> np.ndarray:
+        """Number of events of each game."""
+        return np.diff(self.offsets)
+
+    def _view(self, g: int, a: int, b: int) -> GameLog:
+        game = object.__new__(GameLog)  # skips __post_init__'s per-game copy and check
+        vars(game).update(game_id=self.game_ids[g], sport_id=self.sport_ids[g])
+        vars(game).update(times=self.times[a:b], teams=self.teams[a:b], points=self.points[a:b])
+        return game
+
+    def __len__(self) -> int:
+        return len(self.game_ids)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            g = range(len(self))[key]
+            return self._view(g, int(self.offsets[g]), int(self.offsets[g + 1]))
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            return [self[g] for g in range(start, stop, step)]
+        stop = max(start, stop)
+        a, b = int(self.offsets[start]), int(self.offsets[stop])
+        part = object.__new__(Corpus)  # views on checked columns: no second check
+        offsets = self.offsets[start : stop + 1] - a
+        offsets.flags.writeable = False
+        vars(part).update(
+            game_ids=self.game_ids[start:stop], sport_ids=self.sport_ids[start:stop],
+            offsets=offsets, times=self.times[a:b], teams=self.teams[a:b], points=self.points[a:b],
+        )
+        return part
+
+    def __iter__(self) -> Iterator[GameLog]:
+        bounds = self.offsets.tolist()
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            yield self._view(g, a, b)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to a corpus, list or tuple of equal games, in order."""
+        if not isinstance(other, (Corpus, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Corpus({len(self)} games, {len(self.times)} events)"
 
 
 _BUILTIN_SPECS: dict[str, dict] = {
@@ -368,9 +382,10 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
     """
     if config is not None:
         return config
-    if not games:
+    corpus = Corpus.of(games)
+    if not len(corpus):
         raise ValueError("empty corpus and no explicit SportConfig given")
-    sport_ids = {g.sport_id for g in games}
+    sport_ids = set(corpus.sport_ids)
     if len(sport_ids) != 1:
         raise ValueError(f"corpus mixes sports {sorted(sport_ids)}; pass an explicit config")
     (sport_id,) = sport_ids
@@ -379,34 +394,22 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
     return builtin_config(sport_id)
 
 
-def _check_regulation(games: Sequence[GameLog], regulation_length: int) -> None:
-    """Raise ValueError when an event of `games` is past `regulation_length`
-    (a config shorter than the corpus's clock), naming the game with the
-    latest event and that second: profiles, gap laws and forecast tables
+def _check_regulation(corpus: Corpus, regulation_length: int) -> None:
+    """Raise ValueError when an event of `corpus` is past `regulation_length`
+    (a config shorter than the corpus's clock), naming the first game with
+    the latest event and that second: profiles, gap laws and forecast tables
     stop at regulation, so such an event would be counted in some
     estimates and silently dropped from others."""
-    latest = max([g.times[-1] for g in games if len(g.times)], default=-1)
+    if not len(corpus.times):
+        return
+    k = int(np.argmax(corpus.times))  # the first latest event ends its game
+    latest = int(corpus.times[k])
     if latest > regulation_length:
-        game = next(g for g in games if len(g.times) and g.times[-1] == latest)
+        game_id = corpus.game_ids[int(np.searchsorted(corpus.offsets, k, "right")) - 1]
         raise ValueError(
-            f"game {game.game_id!r} has an event at second {latest}, "
+            f"game {game_id!r} has an event at second {latest}, "
             f"past the config's regulation length {regulation_length}"
         )
-
-
-def lead_at(game: GameLog, t: int, regulation_length: int | None = None) -> int:
-    """Lead of team r at second `t`, counting all events with time <= t.
-
-    This is a right-continuous step function of t. The upper bound is
-    checked against `regulation_length` when given, or against the
-    built-in config when the game's sport id has one.
-    """
-    if regulation_length is None and game.sport_id.upper() in _BUILTIN_SPECS:
-        regulation_length = _BUILTIN_SPECS[game.sport_id.upper()]["regulation_length"]
-    if t < 0 or (regulation_length is not None and t > regulation_length):
-        raise ValueError(f"time {t} outside regulation [0, {regulation_length}]")
-    idx = int(np.searchsorted(game.times, t, side="right"))
-    return int(game.signed_points[:idx].sum())
 
 
 def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
@@ -414,20 +417,6 @@ def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     return np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
-
-
-def lead_trajectory(
-    game: GameLog,
-    regulation_length: int | None = None,
-    sample_every: int = 1,
-) -> LeadTrajectory:
-    """Sample the lead on a regular grid 0, step, 2*step, ..., T."""
-    config_T = regulation_length
-    if config_T is None:
-        config_T = config_for_games([game]).regulation_length
-    grid = _clock_grid(config_T, sample_every)
-    leads = np.concatenate(([0], np.cumsum(game.signed_points)))
-    return LeadTrajectory(times=grid, leads=leads[np.searchsorted(game.times, grid, "right")])
 
 
 # --------------------------------------------------------------------------

@@ -31,12 +31,12 @@ import numpy as np
 
 from .core import (
     PMF_TOLERANCE,
+    Corpus,
     GameLog,
     SportConfig,
     _array,
     _artifact_fields,
     _check_regulation,
-    _event_columns,
     _event_leads,
     _integer,
     _load_json,
@@ -202,14 +202,15 @@ def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int
 
 def fit_poisson_rate(games: Sequence[GameLog], config: SportConfig | None = None) -> float:
     """Maximum-likelihood events-per-second rate for a corpus."""
-    cfg = config_for_games(games, config)
-    _check_regulation(games, cfg.regulation_length)
-    return _rate(games, cfg.regulation_length)
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    _check_regulation(corpus, cfg.regulation_length)
+    return _rate(corpus, cfg.regulation_length)
 
 
-def _rate(games: Sequence[GameLog], T: int) -> float:
+def _rate(corpus: Corpus, T: int) -> float:
     """`fit_poisson_rate` for fits that have checked the corpus themselves."""
-    return poisson_rate_from_counts(sum(g.n_events for g in games), len(games), T)
+    return poisson_rate_from_counts(len(corpus.times), len(corpus), T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,13 +288,14 @@ def events_per_game_distribution(
     The reference is `scipy.stats.poisson.pmf` bit for bit without scipy:
     log(k!) is a port of cephes `lgam`, and `test_estimate.py::TestPoissonReference`
     holds it, the pmf and the 1 - 1e-6 quantile to scipy as the oracle."""
-    cfg = config_for_games(games, config)
-    _check_regulation(games, cfg.regulation_length)
-    observed = np.array([g.n_events for g in games])
-    mean = _rate(games, cfg.regulation_length) * cfg.regulation_length
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    _check_regulation(corpus, cfg.regulation_length)
+    observed = corpus.event_counts
+    mean = _rate(corpus, cfg.regulation_length) * cfg.regulation_length
     hi = int(max(observed.max(), _poisson_quantile(mean)))
     counts = np.arange(hi + 1)
-    empirical = np.bincount(observed, minlength=hi + 1)[: hi + 1] / len(games)
+    empirical = np.bincount(observed, minlength=hi + 1)[: hi + 1] / len(corpus)
     return EventCountDistribution(
         counts=counts,
         empirical_pmf=empirical,
@@ -342,14 +344,15 @@ def interarrival_distribution(
     games: Sequence[GameLog], config: SportConfig | None = None
 ) -> InterarrivalDistribution:
     """Empirical inter-arrival law with its geometric(lambda) reference."""
-    cfg = config_for_games(games, config)
-    _check_regulation(games, cfg.regulation_length)
-    support, probs = _gap_law(*_event_columns(games)[1:3])
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    _check_regulation(corpus, cfg.regulation_length)
+    support, probs = _gap_law(corpus.game, corpus.times)
     if not len(support):
         raise ValueError("no inter-arrival gaps: need a game with at least two events")
     empirical = np.bincount(support - 1, probs)  # dense over gaps 1..max gap
     gaps = np.arange(1, len(empirical) + 1)
-    p = _rate(games, cfg.regulation_length)
+    p = _rate(corpus, cfg.regulation_length)
     if not 0.0 < p < 1.0:
         raise ValueError(f"rate {p} is outside (0, 1); geometric reference undefined")
     empirical_ccdf = 1.0 - np.cumsum(empirical)
@@ -413,7 +416,8 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
     game boundaries. Games with constant gaps are excluded; if every
     game is excluded this raises.
     """
-    corr, used = _correlation(*_gaps(*_event_columns(games)[1:3]), n_max)
+    corpus = Corpus.of(games)
+    corr, used = _correlation(*_gaps(corpus.game, corpus.times), n_max)
     if not used:
         raise ValueError("no usable games: all gap sequences constant or too short")
     return corr
@@ -427,24 +431,25 @@ def _profile(times: np.ndarray, n_games: int, T: int) -> np.ndarray:
 
 def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -> np.ndarray:
     """Fraction of games with a scoring event at each second t in [0, T]."""
-    cfg = config_for_games(games, config)
-    if not games:
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    if not len(corpus):
         raise ValueError("need at least one game")
-    _check_regulation(games, cfg.regulation_length)
-    return _profile(_event_columns(games)[2], len(games), cfg.regulation_length)
+    _check_regulation(corpus, cfg.regulation_length)
+    return _profile(corpus.times, len(corpus), cfg.regulation_length)
 
 
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
-    cfg = config_for_games(games, config)
-    _check_regulation(games, cfg.regulation_length)
-    _, game, times, _ = _event_columns(games)
-    support, probs = _gap_law(game, times)
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    _check_regulation(corpus, cfg.regulation_length)
+    support, probs = _gap_law(corpus.game, corpus.times)
     T = cfg.regulation_length
     return TempoModel(
-        lambda_hat=_rate(games, T),
+        lambda_hat=_rate(corpus, T),
         regulation_length=T,
-        profile=_profile(times, len(games), T),
+        profile=_profile(corpus.times, len(corpus), T),
         interarrival_gaps=support,
         interarrival_probs=probs,
     )
@@ -454,18 +459,11 @@ def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> Te
 # Balance
 # --------------------------------------------------------------------------
 
-def balance_fraction(game: GameLog) -> float:
-    """Fraction of the game's scoring events won by team r."""
-    if game.n_events == 0:
-        raise ValueError("balance fraction undefined for a game with no events")
-    return float(np.count_nonzero(game.teams > 0) / game.n_events)
-
-
 def balance_fractions(games: Sequence[GameLog]) -> np.ndarray:
     """Per-game balance fractions; games without events are excluded."""
-    offsets, game, _, signed = _event_columns(games)
-    n_events = np.diff(offsets)
-    wins = np.bincount(game[signed > 0], minlength=len(games))
+    corpus = Corpus.of(games)
+    n_events = corpus.event_counts
+    wins = np.bincount(corpus.game[corpus.teams > 0], minlength=len(corpus))
     return wins[n_events > 0] / n_events[n_events > 0]
 
 
@@ -483,7 +481,7 @@ def balance_null_distribution(
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    observed = np.array([g.n_events for g in games])
+    observed = Corpus.of(games).event_counts
     if not len(observed):
         raise ValueError("need at least one game")
     rng = np.random.default_rng(seed)
@@ -538,8 +536,9 @@ def lead_scoring_function(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    offsets, _, _, signed = _event_columns(games)
-    phi, counts = _phi(_event_leads(offsets, signed) - signed, signed, cap)
+    corpus = Corpus.of(games)
+    signed = corpus.signed
+    phi, counts = _phi(_event_leads(corpus.offsets, signed) - signed, signed, cap)
     leads = np.arange(-cap, cap + 1)
     fit = _fit_line(leads, phi, counts, min_samples)
     return LeadScoring(leads=leads, phi=phi, counts=counts, fit=fit)
@@ -569,9 +568,8 @@ def _fit_line(
     return LinearFit(slope=slope, intercept=intercept, slope_stderr=stderr, n_states=n)
 
 
-def _value_pmf(signed: np.ndarray) -> dict[int, float]:
-    """Relative frequency of each point value among events of these signed points."""
-    points = np.abs(signed)
+def _value_pmf(points: np.ndarray) -> dict[int, float]:
+    """Relative frequency of each point value among events of these points."""
     if not len(points):
         raise ValueError("no events: point value distribution undefined")
     values, counts = np.unique(points, return_counts=True)
@@ -580,7 +578,7 @@ def _value_pmf(signed: np.ndarray) -> dict[int, float]:
 
 def point_value_distribution(games: Sequence[GameLog]) -> dict[int, float]:
     """Relative frequency of each event point value across a corpus."""
-    return _value_pmf(_event_columns(games)[3])
+    return _value_pmf(Corpus.of(games).points)
 
 
 def points_fraction_distribution(
@@ -591,12 +589,12 @@ def points_fraction_distribution(
     Returns (points_fraction, events_fraction), aligned game-for-game
     over games with at least one event.
     """
-    offsets, game, _, signed = _event_columns(games)
-    n_events = np.diff(offsets)
+    corpus = Corpus.of(games)
+    n_events, signed = corpus.event_counts, corpus.signed
     if not np.any(n_events):
         raise ValueError("no games with events")
     r_points, total, r_events = (
-        np.bincount(game, w, len(games))[n_events > 0]
+        np.bincount(corpus.game, w, len(corpus))[n_events > 0]
         for w in (np.maximum(signed, 0), np.abs(signed), signed > 0)
     )
     return r_points / total, r_events / n_events[n_events > 0]
@@ -608,13 +606,14 @@ def fit_balance(
     min_samples: int = 50,
 ) -> BalanceModel:
     """Fit per-game biases, the lead-scoring function, and point values."""
-    cfg = config_for_games(games, config)
-    _check_regulation(games, cfg.regulation_length)
-    scoring = lead_scoring_function(games, cfg.lead_truncation, min_samples)
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    _check_regulation(corpus, cfg.regulation_length)
+    scoring = lead_scoring_function(corpus, cfg.lead_truncation, min_samples)
     return BalanceModel(
-        c_hat_samples=balance_fractions(games),
+        c_hat_samples=balance_fractions(corpus),
         scoring=scoring,
-        point_values=point_value_distribution(games),
+        point_values=point_value_distribution(corpus),
     )
 
 

@@ -29,7 +29,8 @@ Preprocessing:
   * same-second merge, over the whole file at once: records of one game
     at one second are summed into one signed net (one sort +
     `np.add.reduceat`); a net of zero drops the second entirely.
-Games come out in order of first occurrence, as views on those columns.
+Games come out in order of first occurrence, as one `Corpus` of those
+columns.
 
 The writer quotes a CSV game id that holds a comma, a quote or a line end,
 and rejects an id that would not read back as itself.
@@ -41,7 +42,6 @@ import csv
 import io
 import json
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,12 +51,12 @@ import numpy as np
 from .core import (
     TEAM_B,
     TEAM_R,
+    Corpus,
     GameLog,
     SportConfig,
     atomic_write_text,
     builtin_config,
     _BUILTIN_SPECS,
-    _event_columns,
 )
 
 CSV_COLUMNS = ("sport", "game_id", "team", "t", "points")
@@ -284,8 +284,8 @@ def parse_event_file(
     path: str | os.PathLike,
     fmt: str | None = None,
     configs: Mapping[str, SportConfig] | None = None,
-) -> list[GameLog]:
-    """Parse an event-log file into one validated GameLog per game id.
+) -> Corpus:
+    """Parse an event-log file into a corpus of one game per game id.
 
     `configs` maps extra sport tags to configurations; built-in tags
     (cfb/nfl/nhl/nba, case-insensitive) resolve automatically. Games
@@ -319,7 +319,7 @@ def parse_event_file(
     offsets = np.searchsorted(game, np.arange(len(games) + 1))
     sport_ids = [cfg.sport_id for _, _, cfg in games.values()]
     teams = np.sign(net).astype(np.int8)
-    return GameLog._views(list(games), sport_ids, offsets, t, teams, np.abs(net))
+    return Corpus(list(games), sport_ids, offsets, t, teams, np.abs(net))
 
 
 def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -395,10 +395,8 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     pair's slot (see `_distinct_pairs`)."""
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
-    games = list(games)
-    offsets, game_index, times, signed = _event_columns(games)
-    del game_index  # unused: freed now, it would add 8 bytes per event to the peak
-    slot, used, by_signed, by_time = _distinct_pairs(signed, times)
+    corpus = Corpus.of(games)
+    slot, used, by_signed, by_time = _distinct_pairs(corpus.signed, corpus.times)
     pairs = zip(by_signed, by_time)
     if fmt == "csv":
         tails = [f"{TEAM_R if v > 0 else TEAM_B},{t},{abs(v)}" for v, t in pairs]
@@ -408,10 +406,11 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     table[used] = tails
     per_event = table[slot].tolist()
     lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
-    for game, a, b in zip(games, offsets[:-1].tolist(), offsets[1:].tolist()):
+    bounds = corpus.offsets.tolist()
+    for game_id, sport, a, b in zip(corpus.game_ids, corpus.sport_ids, bounds[:-1], bounds[1:]):
         if a == b:
             continue
-        sport, gid = game.sport_id.lower(), _written_id(game.game_id, fmt)
+        sport, gid = sport.lower(), _written_id(game_id, fmt)
         if fmt == "csv":
             prefix = f"{sport},{gid},"
         else:
@@ -461,51 +460,59 @@ def validate_corpus(
 
     Checks per game: events inside [0, T], and point values inside the
     configured support (merged events may legitimately exceed it, so
-    this is reported rather than rejected).
+    this is reported rather than rejected). Every check runs over the
+    corpus's columns; messages are formatted for the failing games only,
+    in game order.
     """
+    corpus = Corpus.of(games)
+    n_games, counts = len(corpus), corpus.event_counts
+    sports = sorted(set(corpus.sport_ids))
+    index_of = {sport: k for k, sport in enumerate(sports)}
+    code = np.array([index_of[sport] for sport in corpus.sport_ids], dtype=np.intp)
+    configs_of = []  # per sport; None if unknown
+    for sport in sports:
+        try:
+            configs_of.append(_resolve_sport(sport, 0, configs))
+        except IngestError:
+            configs_of.append(None)
+    unknown = np.array([cfg is None for cfg in configs_of], dtype=bool)[code]
+    regulation = np.array([cfg.regulation_length if cfg else 0 for cfg in configs_of])[code]
+    last = np.full(n_games, -1, dtype=np.int64)  # each game's last event second
+    last[counts > 0] = corpus.times[corpus.offsets[1:][counts > 0] - 1]
+    late = ~unknown & (last > regulation)
+    inside = np.ones(len(corpus.points), dtype=bool)
+    event_sport = code[corpus.game]
+    for k, cfg in enumerate(configs_of):
+        if cfg is not None:
+            at = event_sport == k
+            inside[at] = np.isin(corpus.points[at], list(cfg.point_values))
+    outside = np.zeros(n_games, dtype=bool)
+    outside[corpus.game[~inside]] = True
+
     failures: list[str] = []
-    per_sport_games: dict[str, int] = defaultdict(int)
-    per_sport_events: dict[str, int] = defaultdict(int)
-    total_events = 0
-    resolved: dict[str, SportConfig | None] = {}  # per sport tag; None if unknown
-    for game in games:
-        per_sport_games[game.sport_id] += 1
-        per_sport_events[game.sport_id] += game.n_events
-        total_events += game.n_events
-        if game.sport_id not in resolved:
-            try:
-                resolved[game.sport_id] = _resolve_sport(game.sport_id, 0, configs)
-            except IngestError:
-                resolved[game.sport_id] = None
-        cfg = resolved[game.sport_id]
+    for g in np.flatnonzero(unknown | late | outside).tolist():
+        game_id, cfg = corpus.game_ids[g], configs_of[code[g]]
         if cfg is None:
-            failures.append(f"game {game.game_id}: unknown sport {game.sport_id!r}")
+            failures.append(f"game {game_id}: unknown sport {corpus.sport_ids[g]!r}")
             continue
-        if game.n_events and int(game.times[-1]) > cfg.regulation_length:
+        if late[g]:
             failures.append(
-                f"game {game.game_id}: event at t={int(game.times[-1])} "
+                f"game {game_id}: event at t={int(last[g])} "
                 f"beyond regulation {cfg.regulation_length}"
             )
-        support = set(cfg.point_values)
-        outside = sorted({int(p) for p in game.points} - support)
-        if outside:
-            failures.append(
-                f"game {game.game_id}: point values {outside} outside configured support"
-            )
-    per_sport = {
-        sport: SportSummary(
-            sport_id=sport,
-            n_games=per_sport_games[sport],
-            n_events=per_sport_events[sport],
-            events_per_game=per_sport_events[sport] / per_sport_games[sport],
-        )
-        for sport in sorted(per_sport_games)
-    }
-    n_games = len(games)
+        if outside[g]:
+            points = corpus.points[corpus.offsets[g] : corpus.offsets[g + 1]].tolist()
+            values = sorted(set(points) - set(cfg.point_values))
+            failures.append(f"game {game_id}: point values {values} outside configured support")
+    per_sport = {}
+    for k, sport in enumerate(sports):
+        n_sport, n_events = int(np.count_nonzero(code == k)), int(counts[code == k].sum())
+        per_sport[sport] = SportSummary(sport, n_sport, n_events, n_events / n_sport)
+    n_events = len(corpus.times)
     return CorpusReport(
         n_games=n_games,
-        n_events=total_events,
-        events_per_game=(total_events / n_games) if n_games else 0.0,
+        n_events=n_events,
+        events_per_game=(n_events / n_games) if n_games else 0.0,
         per_sport=per_sport,
         failures=tuple(failures),
     )

@@ -36,10 +36,10 @@ from .core import (
     PMF_TOLERANCE,
     TEAM_B,
     TEAM_R,
+    Corpus,
     GameLog,
     SportConfig,
     _check_regulation,
-    _event_columns,
     _event_leads,
     _validated_point_values,
     config_for_games,
@@ -261,24 +261,26 @@ def evaluate_predictability(
         raise ValueError("tie_mode must be 'exclude' or 'half'")
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
-    cfg = config_for_games(games, config)
-    if len(games) < 2:
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    if len(corpus) < 2:
         raise ValueError("need at least two games to split")
     cap, T = cfg.lead_truncation, cfg.regulation_length
     rng = np.random.default_rng(seed)
-    n_train = int(round(TRAIN_FRACTION * len(games)))
-    n_train = min(max(n_train, 1), len(games) - 1)
+    n_train = int(round(TRAIN_FRACTION * len(corpus)))
+    n_train = min(max(n_train, 1), len(corpus) - 1)
 
-    _check_regulation(games, T)
-    # Every event of the corpus, flattened: its game, index within the
-    # game, clock second and the lead right after it.
-    offsets, event_game, event_time, signed = _event_columns(games)
-    n_events = np.diff(offsets)
+    _check_regulation(corpus, T)
+    # Every event of the corpus: its game, index within the game, clock
+    # second and the lead right after it.
+    offsets, signed = corpus.offsets, corpus.signed
+    event_game, event_time = corpus.game, corpus.times
+    n_events = corpus.event_counts
     max_events = int(n_events.max())
     event_index = np.arange(len(event_game)) - offsets[event_game]
     event_lead = _event_leads(offsets, signed)
     lead_before = event_lead - signed
-    winner_sign = np.sign(np.bincount(event_game, signed, len(games)))
+    winner_sign = np.sign(np.bincount(event_game, signed, len(corpus)))
     scorable = (n_events > 0) & ((winner_sign != 0) | (tie_mode == "half"))
     event_col = np.clip(event_lead, -cap, cap) + cap
 
@@ -287,13 +289,13 @@ def evaluate_predictability(
     counts = np.zeros((n_splits, max_events), dtype=np.int64)
 
     for split in range(n_splits):
-        order = rng.permutation(len(games))
-        in_test = np.zeros(len(games), dtype=bool)
+        order = rng.permutation(len(corpus))
+        in_test = np.zeros(len(corpus), dtype=bool)
         in_test[order[n_train:]] = True
 
         train = ~in_test[event_game]  # the training games' events
         phi = _phi(lead_before[train], signed[train], cap)[0]
-        pmf = _value_pmf(signed[train])
+        pmf = _value_pmf(corpus.points[train])
         profile = _profile(event_time[train], n_train, T)
         # np.rint rounds half to even, as round() does in forecast_after_events.
         steps_of_t = np.rint(np.append(_remaining_events(profile), 0.0)).astype(np.int64)

@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GameLog, SportConfig, _clock_grid, _event_columns, _event_leads
+from .core import Corpus, GameLog, SportConfig, _clock_grid, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
 from .rng import rekey, substream
 
@@ -317,26 +317,30 @@ def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
     return n, times, u_points, c, u_winners
 
 
-def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> list[GameLog]:
-    """Games start..stop-1 of `law`, as read-only views on batch columns."""
+def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Corpus:
+    """Games start..stop-1 of `law`: their batch columns laid end to end."""
     first = law.tempo.first
     q = min(_MAX_EVENTS, law.tempo.cover)
     width = first + (q if law.c_samples is not None else 2 * q)
     per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // width, stop - start))
     buffer = np.empty((per_batch, width))  # one for every batch: its pages are touched once
-    games = []
+    empty = np.empty(0, np.int64)  # the first row: offsets' leading 0 and each column's dtype
+    batches = [(np.zeros(1, np.int64), empty, empty.astype(np.int8), empty)]
     for lo in range(start, stop, per_batch):
         index = range(lo, min(lo + per_batch, stop))
         n, times, u_points, c, u_winners = _batch(law, index, first, q, buffer[: len(index)])
-        offsets = np.concatenate(([0], np.cumsum(n)))
         points = law.points(u_points)
         if law.phi is None:
             teams = np.where(u_winners < c.repeat(n), 1, -1).astype(np.int8)
         else:
+            offsets = np.concatenate(([0], np.cumsum(n)))
             teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
-        ids = [f"{prefix}-{g:06d}" for g in index]
-        games += GameLog._views(ids, [sport_id] * len(index), offsets, times, teams, points)
-    return games
+        batches.append((n, times, teams, points))  # events per game and the columns
+    del buffer
+    n, times, teams, points = (np.concatenate(column) for column in zip(*batches))
+    del batches  # frees the batch columns before the corpus is checked
+    ids = [f"{prefix}-{g:06d}" for g in range(start, stop)]
+    return Corpus(ids, [sport_id] * len(ids), n.cumsum(), times, teams, points)
 
 
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
@@ -344,7 +348,7 @@ def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
     return _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)[0]
 
 
-def simulate_corpus(spec: ModelSpec, n_games: int) -> list[GameLog]:
+def simulate_corpus(spec: ModelSpec, n_games: int) -> Corpus:
     """Generate `n_games` independent games (substreams 0..n_games-1)."""
     if n_games < 0:
         raise ValueError(f"n_games must be nonnegative, got {n_games}")
@@ -409,9 +413,9 @@ def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int 
     return simulate_game(ideal_model(config, rate, seed), game_index)
 
 
-def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) -> list[GameLog]:
+def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) -> Corpus:
     if rate == 0.0:
-        return [ideal_game(config, 0.0, seed, i) for i in range(n_games)]
+        return Corpus.of(ideal_game(config, 0.0, seed, i) for i in range(n_games))
     spec = ideal_model(config, rate, seed)
     return simulate_corpus(spec, n_games)
 
@@ -434,7 +438,8 @@ def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
     lead = _event_leads(offsets, signed)
     counts = np.diff(offsets)
     start = np.searchsorted(grid, times)
-    end = np.append(start[1:], len(grid))
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
     end[offsets[1:][counts > 0] - 1] = len(grid)  # a game's last lead holds to the end
     size = len(grid) + 1
     weights = (lead, lead * lead, abs(lead))
@@ -447,14 +452,15 @@ def lead_dispersion(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, sd of lead, mean |lead|) sampled on a regular grid; a game
     without events counts, at lead 0 throughout."""
-    if not games:
+    corpus = Corpus.of(games)
+    if not len(corpus):
         raise ValueError("lead dispersion needs at least one game")
     grid = _clock_grid(regulation_length, sample_every)
     sums = np.zeros((3, len(grid)))
-    for lo in range(0, len(games), _CHUNK_GAMES):
-        offsets, _, times, signed = _event_columns(games[lo : lo + _CHUNK_GAMES])
-        sums += _lead_sums(offsets, times, signed, grid)
-    n = len(games)
+    for lo in range(0, len(corpus), _CHUNK_GAMES):  # bounds _lead_sums' working memory
+        chunk = corpus[lo : lo + _CHUNK_GAMES]
+        sums += _lead_sums(chunk.offsets, chunk.times, chunk.signed, grid)
+    n = len(corpus)
     mean = sums[0] / n
     var = np.maximum(sums[1] / n - mean**2, 0.0)
     return grid, np.sqrt(var), sums[2] / n

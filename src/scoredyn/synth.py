@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GameLog, SportConfig, _validated_point_values
+from .core import Corpus, SportConfig, _validated_point_values
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reachable_leads, flat_profile
 
 PROB_CLAMP = 1e-6
@@ -78,7 +78,7 @@ def _league_law(spec: LeagueSpec, **balance) -> _Law:
     return _Law(spec.seed, _ProfileTempo(spec.profile), _point_pmf(spec.point_values), **balance)
 
 
-def generate_league(spec: LeagueSpec, prefix: str = "league") -> list[GameLog]:
+def generate_league(spec: LeagueSpec, prefix: str = "league") -> Corpus:
     """Generate one game per scheduled matchup under the skill rule."""
     r, b = np.array(spec.schedule).T
     p_r = spec.skills[r] / (spec.skills[r] + spec.skills[b])
@@ -89,7 +89,7 @@ def generate_restoring_league(
     spec: LeagueSpec,
     restoring_slope: float,
     prefix: str = "restoring",
-) -> list[GameLog]:
+) -> Corpus:
     """Generate games where p(r scores | lead L) = 1/2 + slope * L.
 
     The probability is clamped into [PROB_CLAMP, 1 - PROB_CLAMP] for

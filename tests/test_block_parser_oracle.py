@@ -135,10 +135,11 @@ def row_parse(path, configs=None):
     net = np.add.reduceat(net, starts)
     keep = net != 0
     game, t, net = game[starts][keep], t[starts][keep], net[keep]
-    offsets = np.searchsorted(game, np.arange(len(games) + 1))
-    sport_ids = [cfg.sport_id for _, _, cfg in games.values()]
-    teams = np.sign(net).astype(np.int8)
-    return GameLog._views(list(games), sport_ids, offsets, t, teams, np.abs(net))
+    bounds = np.searchsorted(game, np.arange(len(games) + 1)).tolist()
+    return [
+        GameLog(game_id, cfg.sport_id, t[a:b], np.sign(net[a:b]), np.abs(net[a:b]))
+        for (game_id, (_, _, cfg)), a, b in zip(games.items(), bounds[:-1], bounds[1:])
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -224,8 +225,9 @@ def outcome(parse, path, configs):
         games = parse(path, configs=configs)
     except (IngestError, ingest.IngestError) as exc:
         return str(exc)
-    for game in games:
-        columns = ((game.times, np.int64), (game.teams, np.int8), (game.points, np.int64))
+    holders = list(games) + ([games] if isinstance(games, sd.Corpus) else [])
+    for holder in holders:  # every game, and the parsed corpus's own columns
+        columns = ((holder.times, np.int64), (holder.teams, np.int8), (holder.points, np.int64))
         for column, dtype in columns:
             assert column.dtype == dtype and not column.flags.writeable
     return [

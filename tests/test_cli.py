@@ -68,7 +68,7 @@ class TestValidate:
         nba = [sd.GameLog(f"b{i}", g.sport_id, g.times, g.teams, g.points)
                for i, g in enumerate(nba)]
         corpus = tmp_path / "mixed.csv"
-        sd.write_event_file(nhl + nba, corpus)
+        sd.write_event_file(list(nhl) + nba, corpus)
         config = tmp_path / "custom.json"
         sd.save_config(sd.SportConfig("custom", 600, (600,), {1: 1.0}, 20), config)
         for extra in ([], ["--config", str(config)]):
@@ -263,6 +263,22 @@ class TestReport:
         for name in expected:
             assert (outdir / name).exists(), name
 
+    def test_report_with_a_chunk_of_games_without_events(self, tmp_path, capsys):
+        # 1,024 games, then one whose two records net to zero: the lead
+        # dispersion's second chunk of games holds no event
+        games = sd.ideal_corpus(sd.builtin_config("nfl"), 0.002, 1100, seed=65)
+        games = [g for g in games if g.n_events][:1024]  # an eventless game writes no line
+        corpus = tmp_path / "games.csv"
+        sd.write_event_file(games, corpus)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write("nfl,zero,r,100,7\nnfl,zero,b,100,7\n")
+        code, out, err = run(capsys, "validate", "--in", str(corpus))
+        assert code == 0 and "games=1025" in out and "failures=0" in out, err
+        code, out, err = run(capsys, "report", "--in", str(corpus), "--sport", "nfl",
+                             "--out-dir", str(tmp_path / "report"), "--splits", "1",
+                             "--null-sims", "100")
+        assert code == 0 and "report ok games=1025" in out, err
+
     def test_report_byte_identical_across_runs(self, tmp_path, capsys):
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 200, seed=61)
         corpus = tmp_path / "games.csv"
@@ -315,6 +331,38 @@ class TestOutOfRangeArguments:
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))
         assert code == 1 and "error: n_splits must be >= 1" in err
+
+
+def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):
+    # parse and the simulator build a Corpus; no command lays out a list of
+    # games or builds a game out of the corpus's columns
+    games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 300, seed=66)
+    corpus, model = tmp_path / "games.csv", tmp_path / "model.json"
+    sd.write_event_file(games, corpus)
+    seen = []
+    of = sd.Corpus.of.__func__
+
+    def lay_out(cls, games):
+        if not isinstance(games, sd.Corpus):
+            seen.append("list layout")
+        return of(cls, games)
+
+    monkeypatch.setattr(sd.Corpus, "of", classmethod(lay_out))
+    monkeypatch.setattr(sd.Corpus, "_view", lambda *args: seen.append("game view"))
+    monkeypatch.setattr(sd.GameLog, "__init__", lambda *args, **kw: seen.append("GameLog"))
+    commands = [
+        ["validate", "--in", str(corpus)],
+        ["fit", "--in", str(corpus), "--out", str(model)],
+        ["eval", "--in", str(corpus), "--splits", "2", "--out", str(tmp_path / "eval.csv")],
+        ["report", "--in", str(corpus), "--out-dir", str(tmp_path / "report"),
+         "--splits", "1", "--null-sims", "100"],
+        ["simulate", "--model", str(model), "--tempo", "markov", "--n-games", "1100",
+         "--out", str(tmp_path / "sim.jsonl")],
+    ]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert seen == []
 
 
 def test_every_command_runs_without_scipy(tmp_path):

@@ -1,4 +1,6 @@
-"""Domain types: sport configs, game logs, lead queries."""
+"""Domain types: sport configs, game logs and the corpus."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -110,10 +112,8 @@ class TestGameLog:
         with pytest.raises(ValueError, match=r"\+1.*-1"):
             sd.GameLog("g", "NFL", [10], [2], [3])
 
-    def test_from_events_round_trip(self):
-        events = [sd.ScoringEvent(10, "r", 7), sd.ScoringEvent(500, "b", 3)]
-        game = sd.GameLog.from_events("g1", "NFL", events)
-        assert list(game.events()) == events
+    def test_final_lead_and_winner(self):
+        game = sd.GameLog("g1", "NFL", [10, 500], [1, -1], [7, 3])
         assert game.final_lead() == 4
         assert game.winner() == "r"
 
@@ -122,63 +122,85 @@ class TestGameLog:
         with pytest.raises(ValueError):
             game.times[0] = 5
 
-    def test_swap_teams_negates_lead(self):
-        game = sd.GameLog("g", "NFL", [10, 500], [1, -1], [7, 3])
-        assert game.swap_teams().final_lead() == -game.final_lead()
-
     def test_tie_has_no_winner(self):
         game = sd.GameLog("g", "NHL", [10, 20], [1, -1], [1, 1])
         assert game.winner() is None
 
 
-class TestLeadAt:
-    def test_empty_game_is_zero_everywhere(self):
-        game = sd.GameLog("g", "NFL", [], [], [])
-        for t in (0, 1800, 3600):
-            assert sd.lead_at(game, t) == 0
-
-    def test_single_event_counted(self):
-        game = sd.GameLog("g", "NFL", [10, 500], [1, -1], [7, 3])
-        assert sd.lead_at(game, 100) == 7
-
-    def test_full_game(self):
-        game = sd.GameLog("g", "NFL", [10, 500], [1, -1], [7, 3])
-        assert sd.lead_at(game, 3600) == 4
-
-    def test_right_continuous_at_event_time(self):
-        game = sd.GameLog("g", "NFL", [10], [1], [7])
-        assert sd.lead_at(game, 9) == 0
-        assert sd.lead_at(game, 10) == 7
-
-    def test_out_of_range(self):
-        game = sd.GameLog("g", "NFL", [10], [1], [7])
-        with pytest.raises(ValueError, match="outside regulation"):
-            sd.lead_at(game, -1)
-        with pytest.raises(ValueError, match="outside regulation"):
-            sd.lead_at(game, 3601)
-
-    def test_explicit_regulation_length(self):
-        game = sd.GameLog("g", "custom", [5], [1], [2])
-        assert sd.lead_at(game, 9, regulation_length=10) == 2
-        with pytest.raises(ValueError):
-            sd.lead_at(game, 11, regulation_length=10)
+def three_games():
+    return [
+        sd.GameLog("a", "NFL", [10, 500], [1, -1], [7, 3]),
+        sd.GameLog("b", "NFL", [], [], []),
+        sd.GameLog("c", "NHL", [5], [-1], [1]),
+    ]
 
 
-class TestLeadTrajectory:
-    def test_starts_at_zero_and_jumps_match_points(self):
-        game = sd.GameLog("g", "NFL", [10, 500, 900], [1, -1, 1], [7, 3, 2])
-        traj = sd.lead_trajectory(game, regulation_length=3600, sample_every=1)
-        assert traj.leads[0] == 0
-        jumps = np.diff(traj.leads)
-        nonzero = jumps[jumps != 0]
-        assert list(nonzero) == [7, -3, 2]
-        assert traj.leads[-1] == 6
+class TestCorpus:
+    def test_columns_of_a_laid_out_list(self):
+        corpus = sd.Corpus.of(three_games())
+        assert corpus.game_ids == ("a", "b", "c") and corpus.sport_ids == ("NFL", "NFL", "NHL")
+        assert corpus.offsets.tolist() == [0, 2, 2, 3]
+        assert corpus.event_counts.tolist() == [2, 0, 1]
+        assert corpus.times.tolist() == [10, 500, 5]
+        assert corpus.signed.tolist() == [7, -3, -1]
+        assert corpus.game.tolist() == [0, 0, 2]
+        dtypes = (corpus.times.dtype, corpus.teams.dtype, corpus.points.dtype, corpus.signed.dtype)
+        assert dtypes == (np.int64, np.int8, np.int64, np.int64)
+        assert sd.Corpus.of(corpus) is corpus
 
-    def test_piecewise_constant_between_events(self):
-        game = sd.GameLog("g", "NFL", [100], [1], [7])
-        traj = sd.lead_trajectory(game, regulation_length=3600)
-        assert set(traj.leads[:100]) == {0}
-        assert set(traj.leads[100:]) == {7}
+    def test_equal_to_a_list_of_equal_games_both_ways(self):
+        games = three_games()
+        corpus = sd.Corpus.of(games)
+        assert corpus == games and games == corpus
+        assert corpus == tuple(games) and corpus == sd.Corpus.of(three_games())
+        flipped = games[:2] + [sd.GameLog("c", "NHL", [5], [1], [1])]
+        for other in (flipped, games[:2], []):
+            assert corpus != other and other != corpus
+        assert sd.Corpus.of([]) == [] and [] == sd.Corpus.of([])
+        assert corpus != "abc" and corpus != games[0]
+
+    def test_items_are_views(self):
+        corpus = sd.Corpus.of(three_games())
+        assert list(corpus) == three_games() and corpus[-1] == three_games()[-1]
+        assert np.shares_memory(corpus[2].times, corpus.times)
+        with pytest.raises(IndexError):
+            corpus[3]
+
+    def test_contiguous_slice_is_a_corpus_of_views(self):
+        corpus = sd.Corpus.of(three_games())
+        part = corpus[1:]
+        assert isinstance(part, sd.Corpus) and part == three_games()[1:]
+        assert part.offsets.tolist() == [0, 0, 1]
+        assert np.shares_memory(part.points, corpus.points)
+        assert corpus[2:1] == [] and isinstance(corpus[2:1], sd.Corpus)
+        assert corpus[::2] == three_games()[::2]
+
+    def test_columns_cannot_be_written(self):
+        corpus = sd.Corpus.of(three_games())
+        columns = [corpus.offsets, corpus.times, corpus.teams, corpus.points, corpus.signed,
+                   corpus.game, corpus[1:].offsets, corpus[1:].times]
+        columns += [corpus[0].times, corpus[0].teams, corpus[0].points]
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_replace_of_an_item_is_a_checked_copy(self):
+        corpus = sd.Corpus.of(three_games())
+        game = dataclasses.replace(corpus[0], sport_id="custom")
+        assert game == sd.GameLog("a", "custom", [10, 500], [1, -1], [7, 3])
+        assert not np.shares_memory(game.times, corpus.times)
+
+    def test_checked_once_when_built(self):
+        # a game's times may restart below the previous game's
+        sd.Corpus(["a", "b"], ["NFL"] * 2, [0, 1, 2], [10, 5], [1, 1], [7, 7])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sd.Corpus(["a"], ["NFL"], [0, 2], [10, 10], [1, -1], [7, 3])
+        with pytest.raises(ValueError, match=r"\+1.*-1"):
+            sd.Corpus(["a"], ["NFL"], [0, 1], [10], [2], [7])
+        for offsets in ([0, 1], [1, 2], [0, 2, 1], [0]):
+            ids = ["a"] * (len(offsets) - 1)
+            with pytest.raises(ValueError, match="offsets"):
+                sd.Corpus(ids, ["NFL"] * len(ids), offsets, [10, 20], [1, 1], [7, 7])
 
 
 class TestConfigJson:

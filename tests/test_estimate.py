@@ -259,14 +259,10 @@ class TestEventsPastRegulation:
 
 class TestBalanceFraction:
     def test_all_events_won_by_r(self):
-        assert sd.balance_fraction(unit_game("g", [1, 1, 1])) == 1.0
+        assert sd.balance_fractions([unit_game("g", [1, 1, 1])]).tolist() == [1.0]
 
     def test_half(self):
-        assert sd.balance_fraction(unit_game("g", [1, 1, 1, -1, -1, -1])) == 0.5
-
-    def test_empty_game_undefined(self):
-        with pytest.raises(ValueError, match="no events"):
-            sd.balance_fraction(sd.GameLog("g", "NFL", [], [], []))
+        assert sd.balance_fractions([unit_game("g", [1, 1, 1, -1, -1, -1])]).tolist() == [0.5]
 
     def test_empty_games_excluded_from_samples(self):
         games = [unit_game("a", [1]), sd.GameLog("b", "custom", [], [], [])]

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import scoredyn as sd
 from scoredyn.cli import main
-from scoredyn.ingest import IngestError, render_event_file
+from scoredyn.ingest import (
+    CorpusReport,
+    IngestError,
+    SportSummary,
+    _resolve_sport,
+    render_event_file,
+)
 
 HEADER = "sport,game_id,team,t,points\n"
 
@@ -288,7 +294,87 @@ class TestRoundTrip:
         assert sum(g.n_events for g in games) <= len(rows)
 
 
+def loop_validate(games, configs=None):
+    """`validate_corpus` as the per-game loop it replaced."""
+    failures, n_games, n_events, resolved = [], {}, {}, {}
+    for game in games:
+        n_games[game.sport_id] = n_games.get(game.sport_id, 0) + 1
+        n_events[game.sport_id] = n_events.get(game.sport_id, 0) + game.n_events
+        if game.sport_id not in resolved:
+            try:
+                resolved[game.sport_id] = _resolve_sport(game.sport_id, 0, configs)
+            except IngestError:
+                resolved[game.sport_id] = None
+        cfg = resolved[game.sport_id]
+        if cfg is None:
+            failures.append(f"game {game.game_id}: unknown sport {game.sport_id!r}")
+            continue
+        if game.n_events and int(game.times[-1]) > cfg.regulation_length:
+            failures.append(
+                f"game {game.game_id}: event at t={int(game.times[-1])} "
+                f"beyond regulation {cfg.regulation_length}"
+            )
+        outside = sorted({int(p) for p in game.points} - set(cfg.point_values))
+        if outside:
+            failures.append(
+                f"game {game.game_id}: point values {outside} outside configured support"
+            )
+    total = sum(n_events.values())
+    return CorpusReport(
+        n_games=len(games),
+        n_events=total,
+        events_per_game=total / len(games) if games else 0.0,
+        per_sport={
+            s: SportSummary(s, n_games[s], n_events[s], n_events[s] / n_games[s])
+            for s in sorted(n_games)
+        },
+        failures=tuple(failures),
+    )
+
+
+VALIDATE_SPORTS = ["NFL", "NHL", "NBA", "XFL", "custom", "nhl"]
+
+
+@st.composite
+def mixed_games(draw):
+    """Games of known and unknown sports, some past regulation, some with
+    points outside their sport's support, some without events."""
+    games = []
+    for i in range(draw(st.integers(0, 8))):
+        second = st.one_of(st.integers(0, 3700), st.sampled_from([2880, 2881, 3600, 3601]))
+        times = sorted(draw(st.lists(second, max_size=6, unique=True)))
+        teams = draw(st.lists(st.sampled_from([1, -1]), min_size=len(times), max_size=len(times)))
+        points = draw(st.lists(st.integers(1, 9), min_size=len(times), max_size=len(times)))
+        games.append(sd.GameLog(f"g{i}", draw(st.sampled_from(VALIDATE_SPORTS)), times, teams,
+                                points))
+    return games
+
+
 class TestValidateCorpus:
+    @given(mixed_games(), st.sampled_from([None, {"custom": sd.builtin_config("nba")}]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_game_loop(self, games, configs):
+        assert sd.validate_corpus(games, configs) == loop_validate(games, configs)
+
+    def test_matches_per_game_loop_on_every_failure_kind(self):
+        games = [
+            sd.GameLog("late", "NBA", [10, 2881], [1, -1], [2, 2]),
+            sd.GameLog("odd", "NHL", [10, 20, 30], [1, 1, -1], [1, 3, 2]),
+            sd.GameLog("both", "NBA", [3000], [1], [9]),
+            sd.GameLog("unknown", "XFL", [4000], [1], [99]),
+            sd.GameLog("empty", "NFL", [], [], []),
+            sd.GameLog("fine", "NFL", [10, 3600], [1, -1], [7, 3]),
+        ]
+        report = sd.validate_corpus(sd.Corpus.of(games))
+        assert report == loop_validate(games)
+        assert report.failures == (
+            "game late: event at t=2881 beyond regulation 2880",
+            "game odd: point values [2, 3] outside configured support",
+            "game both: event at t=3000 beyond regulation 2880",
+            "game both: point values [9] outside configured support",
+            "game unknown: unknown sport 'XFL'",
+        )
+
     def test_empty_corpus_zero_counts(self):
         report = sd.validate_corpus([])
         assert report.n_games == 0

@@ -203,9 +203,10 @@ def test_columnar_parser_matches_reference(scratch, fmt, records):
     path.write_text(RENDER[fmt](records), encoding="utf-8")
     got = outcome(sd.parse_event_file, path, fmt)
     assert got == outcome(reference_parse, path, fmt)
-    if isinstance(got, list):
-        for game in got:
-            columns = ((game.times, np.int64), (game.teams, np.int8), (game.points, np.int64))
+    if not isinstance(got, str):  # a corpus, not an error message
+        assert isinstance(got, sd.Corpus)
+        for holder in [got, *got]:  # the corpus's columns and every game's views on them
+            columns = ((holder.times, np.int64), (holder.teams, np.int8), (holder.points, np.int64))
             for column, dtype in columns:
                 assert column.dtype == dtype and not column.flags.writeable
 

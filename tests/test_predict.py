@@ -563,15 +563,15 @@ class TestEvaluateMatchesPerEventReference:
         # each split refits from a mask over the one event layout, never
         # from a per-split list of games laid out again
         calls = []
-        layout = sd.core._event_columns
+        of = sd.Corpus.of.__func__
 
-        def spy(games):
-            calls.append(len(games))
-            return layout(games)
+        def spy(cls, games):
+            if not isinstance(games, sd.Corpus):  # the list layout
+                calls.append(len(games))
+            return of(cls, games)
 
-        for module in (sd.core, sd.estimate, sd.predict):
-            monkeypatch.setattr(module, "_event_columns", spy)
-        games = self.nba_like_games(24, seed=2)
+        monkeypatch.setattr(sd.Corpus, "of", classmethod(spy))
+        games = list(self.nba_like_games(24, seed=2))
         cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
         sd.evaluate_predictability(games, cfg, n_splits=n_splits, seed=1)
         assert calls == [len(games)]

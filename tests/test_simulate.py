@@ -507,13 +507,30 @@ class TestBatchedGeneratorOracle:
         for fitted, every in ((nfl_like, 60), (nba_like, 7)):
             config = fitted[0]
             spec = cell_spec(fitted, "bernoulli", "markov")
-            games = sd.simulate_corpus(spec, 1100)
+            games = list(sd.simulate_corpus(spec, 1100))
             games[3:3] = [sd.GameLog("empty", config.sport_id, [], [], [])]
             T = config.regulation_length
             for got, want in zip(
                 sd.lead_dispersion(games, T, every), ref_dispersion(games, T, every)
             ):
                 np.testing.assert_array_equal(got, want)
+
+    def test_lead_dispersion_of_eventless_games_is_zero(self):
+        games = [sd.GameLog(f"e{i}", "NFL", [], [], []) for i in range(3)]
+        times, sd_lead, mean_abs = sd.lead_dispersion(games, 3600)
+        assert len(times) == 61 and not sd_lead.any() and not mean_abs.any()
+
+    def test_lead_dispersion_with_a_chunk_without_events(self, nfl_like):
+        # the game after the first _CHUNK_GAMES fills a chunk that holds no event
+        config = nfl_like[0]
+        spec = cell_spec(nfl_like, "bernoulli", "markov")
+        games = list(sd.simulate_corpus(spec, sd.simulate._CHUNK_GAMES))
+        games.append(sd.GameLog("empty", config.sport_id, [], [], []))
+        T = config.regulation_length
+        want = ref_dispersion(games, T, 60)
+        for corpus in (games, sd.Corpus.of(games)):
+            for got, expected in zip(sd.lead_dispersion(corpus, T, 60), want):
+                np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("sample_every", [0, -5])
     def test_sample_every_below_one_rejected(self, nfl_like, sample_every):
@@ -680,8 +697,8 @@ class TestExactLeadSd:
         simulate_corpus = sd.simulate.simulate_corpus
 
         def keep(spec, n_games):
-            simulated.extend(simulate_corpus(spec, n_games))
-            return simulated
+            simulated.append(simulate_corpus(spec, n_games))
+            return simulated[-1]
 
         n_games = 20_000
         monkeypatch.setattr(sd.simulate, "simulate_corpus", keep)
@@ -690,7 +707,8 @@ class TestExactLeadSd:
         np.testing.assert_array_equal(times, curve.times)
         assert sd_exact[0] == 0.0 and np.all(np.isfinite(sd_exact))
 
-        _, game, event_times, signed = sd.core._event_columns(simulated)
+        (corpus,) = simulated
+        game, event_times, signed = corpus.game, corpus.times, corpus.signed
         T = spec.config.regulation_length
         for t in (T // 4, T // 2, 3 * T // 4, T):
             i = int(np.searchsorted(times, t))
