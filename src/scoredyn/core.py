@@ -394,22 +394,27 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
     return builtin_config(sport_id)
 
 
-def _check_regulation(corpus: Corpus, regulation_length: int) -> None:
-    """Raise ValueError when an event of `corpus` is past `regulation_length`
+def _checked_corpus(
+    games: Sequence[GameLog], config: SportConfig | None = None
+) -> tuple[Corpus, SportConfig]:
+    """The corpus of `games` and its config (`config_for_games`), checked:
+    raise ValueError when an event is past the config's regulation length
     (a config shorter than the corpus's clock), naming the first game with
-    the latest event and that second: profiles, gap laws and forecast tables
-    stop at regulation, so such an event would be counted in some
+    the latest event and that second. Profiles, gap laws and forecast
+    tables stop at regulation, so such an event would be counted in some
     estimates and silently dropped from others."""
-    if not len(corpus.times):
-        return
-    k = int(np.argmax(corpus.times))  # the first latest event ends its game
-    latest = int(corpus.times[k])
-    if latest > regulation_length:
-        game_id = corpus.game_ids[int(np.searchsorted(corpus.offsets, k, "right")) - 1]
-        raise ValueError(
-            f"game {game_id!r} has an event at second {latest}, "
-            f"past the config's regulation length {regulation_length}"
-        )
+    corpus = Corpus.of(games)
+    cfg = config_for_games(corpus, config)
+    if len(corpus.times):
+        k = int(np.argmax(corpus.times))  # the first latest event ends its game
+        latest = int(corpus.times[k])
+        if latest > cfg.regulation_length:
+            game_id = corpus.game_ids[int(np.searchsorted(corpus.offsets, k, "right")) - 1]
+            raise ValueError(
+                f"game {game_id!r} has an event at second {latest}, "
+                f"past the config's regulation length {cfg.regulation_length}"
+            )
+    return corpus, cfg
 
 
 def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .core import (
     SportConfig,
     _array,
     _artifact_fields,
-    _check_regulation,
+    _checked_corpus,
     _event_leads,
     _integer,
     _load_json,
@@ -44,7 +44,6 @@ from .core import (
     _point_values,
     _validated_point_values,
     atomic_write_text,
-    config_for_games,
     config_from_dict,
     config_to_dict,
 )
@@ -202,9 +201,7 @@ def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int
 
 def fit_poisson_rate(games: Sequence[GameLog], config: SportConfig | None = None) -> float:
     """Maximum-likelihood events-per-second rate for a corpus."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
-    _check_regulation(corpus, cfg.regulation_length)
+    corpus, cfg = _checked_corpus(games, config)
     return _rate(corpus, cfg.regulation_length)
 
 
@@ -288,9 +285,7 @@ def events_per_game_distribution(
     The reference is `scipy.stats.poisson.pmf` bit for bit without scipy:
     log(k!) is a port of cephes `lgam`, and `test_estimate.py::TestPoissonReference`
     holds it, the pmf and the 1 - 1e-6 quantile to scipy as the oracle."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
-    _check_regulation(corpus, cfg.regulation_length)
+    corpus, cfg = _checked_corpus(games, config)
     observed = corpus.event_counts
     mean = _rate(corpus, cfg.regulation_length) * cfg.regulation_length
     hi = int(max(observed.max(), _poisson_quantile(mean)))
@@ -344,9 +339,7 @@ def interarrival_distribution(
     games: Sequence[GameLog], config: SportConfig | None = None
 ) -> InterarrivalDistribution:
     """Empirical inter-arrival law with its geometric(lambda) reference."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
-    _check_regulation(corpus, cfg.regulation_length)
+    corpus, cfg = _checked_corpus(games, config)
     support, probs = _gap_law(corpus.game, corpus.times)
     if not len(support):
         raise ValueError("no inter-arrival gaps: need a game with at least two events")
@@ -425,25 +418,21 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
 
 def _profile(times: np.ndarray, n_games: int, T: int) -> np.ndarray:
     """Share of n_games games scoring at each second of [0, T], from their event
-    times (all within T: see `_check_regulation`)."""
+    times (all within T: see `_checked_corpus`)."""
     return np.bincount(times, minlength=T + 1) / n_games
 
 
 def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -> np.ndarray:
     """Fraction of games with a scoring event at each second t in [0, T]."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
+    corpus, cfg = _checked_corpus(games, config)
     if not len(corpus):
         raise ValueError("need at least one game")
-    _check_regulation(corpus, cfg.regulation_length)
     return _profile(corpus.times, len(corpus), cfg.regulation_length)
 
 
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
-    _check_regulation(corpus, cfg.regulation_length)
+    corpus, cfg = _checked_corpus(games, config)
     support, probs = _gap_law(corpus.game, corpus.times)
     T = cfg.regulation_length
     return TempoModel(
@@ -606,9 +595,7 @@ def fit_balance(
     min_samples: int = 50,
 ) -> BalanceModel:
     """Fit per-game biases, the lead-scoring function, and point values."""
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
-    _check_regulation(corpus, cfg.regulation_length)
+    corpus, cfg = _checked_corpus(games, config)
     scoring = lead_scoring_function(corpus, cfg.lead_truncation, min_samples)
     return BalanceModel(
         c_hat_samples=balance_fractions(corpus),
@@ -621,11 +608,24 @@ def fit_balance(
 # Model artifact (versioned JSON)
 # --------------------------------------------------------------------------
 
+def _check_model(config: SportConfig, tempo: TempoModel, balance: BalanceModel) -> None:
+    """Raise ValueError unless the models fit the sport config: the tempo
+    model's regulation length is the config's, and phi covers leads
+    -cap..cap for the config's lead truncation cap."""
+    if tempo.regulation_length != config.regulation_length:
+        raise ValueError("tempo model and sport config disagree on regulation length")
+    if len(balance.phi) != 2 * config.lead_truncation + 1:
+        raise ValueError("balance model and sport config disagree on lead truncation")
+
+
 @dataclass(frozen=True)
 class ModelArtifact:
     config: SportConfig
     tempo: TempoModel
     balance: BalanceModel
+
+    def __post_init__(self) -> None:
+        _check_model(self.config, self.tempo, self.balance)
 
 
 def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel) -> dict:
@@ -691,6 +691,7 @@ def model_from_dict(data: Mapping) -> ModelArtifact:
 def save_model(
     path: str | os.PathLike, config: SportConfig, tempo: TempoModel, balance: BalanceModel
 ) -> None:
+    _check_model(config, tempo, balance)
     atomic_write_text(
         path, json.dumps(model_to_dict(config, tempo, balance), sort_keys=True) + "\n"
     )

@@ -36,13 +36,11 @@ from .core import (
     PMF_TOLERANCE,
     TEAM_B,
     TEAM_R,
-    Corpus,
     GameLog,
     SportConfig,
-    _check_regulation,
+    _checked_corpus,
     _event_leads,
     _validated_point_values,
-    config_for_games,
 )
 from .estimate import _phi, _profile, _value_pmf
 from .estimate import (  # noqa: F401  (kept as module attributes for tracing hooks)
@@ -261,8 +259,7 @@ def evaluate_predictability(
         raise ValueError("tie_mode must be 'exclude' or 'half'")
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
-    corpus = Corpus.of(games)
-    cfg = config_for_games(corpus, config)
+    corpus, cfg = _checked_corpus(games, config)
     if len(corpus) < 2:
         raise ValueError("need at least two games to split")
     cap, T = cfg.lead_truncation, cfg.regulation_length
@@ -270,7 +267,6 @@ def evaluate_predictability(
     n_train = int(round(TRAIN_FRACTION * len(corpus)))
     n_train = min(max(n_train, 1), len(corpus) - 1)
 
-    _check_regulation(corpus, T)
     # Every event of the corpus: its game, index within the game, clock
     # second and the lead right after it.
     offsets, signed = corpus.offsets, corpus.signed

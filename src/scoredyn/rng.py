@@ -18,22 +18,18 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(rng: np.random.Generator, seed: int, index: int, position: int = 0) -> None:
-    """Move the Philox generator `rng` to `position` outputs into substream
-    `index` of `seed`; at position 0 that is the state `substream(seed,
-    index)` starts in (an empty output buffer). Cheaper than a new
-    generator, which first seeds and then discards a `SeedSequence` from
-    OS entropy. Philox makes its 64-bit outputs four at a time, block k from
-    counter k + 1, so the counter skips whole blocks and the rest of
-    `position` is drawn and dropped. Each double takes one output."""
-    blocks, rest = divmod(position, 4)
+def rekey(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Move the Philox generator `rng` to the start of substream `index` of
+    `seed`: the state `substream(seed, index)` starts in (counter 0, an
+    empty output buffer). Cheaper than a new generator, which first seeds
+    and then discards a `SeedSequence` from OS entropy. A simulated game's
+    draws all come after one re-key, in the order its contract fixes
+    (`scoredyn.simulate`); each double takes one 64-bit output."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [blocks, 0, 0, 0], "key": [seed & _MASK64, index & _MASK64]},
+        "state": {"counter": [0, 0, 0, 0], "key": [seed & _MASK64, index & _MASK64]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    if rest:
-        rng.bit_generator.random_raw(rest)

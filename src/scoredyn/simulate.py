@@ -22,26 +22,25 @@ corpora are bit-reproducible (one bit generator per batch of games is
 re-keyed to each game's substream). Its draws, in this order, are the
 reproducibility contract: the event times (`random(T + 1) < profile`,
 or markov gap chunks of `random(size)`, refilled while the last time is
-within regulation), `random(n)` for the n point values,
-`choice(c_hat_samples)` (bernoulli balance only) and `random(n)` for
-the winners.
+within regulation), `random(n)` for the n point values, `random(n)` for
+the winners and one more double u. Under bernoulli balance u picks the
+game's bias, `c_hat_samples[floor(u * m)]` for m samples; the other
+balance rules leave it unread.
 
 Philox is counter-based, so a game's k-th double does not depend on how
 its draws are cut into calls. Each game therefore makes one draw of
-first + 2q doubles (first + q under bernoulli balance) into a batch
-buffer: `first` is the first time draw (the T + 1 tempo uniforms or the
-first gap chunk), then the point values and winners of q events. q is
-the event count a gap chunk is sized for (1.25 times the expected count,
-plus 8; for markov tempo one less than the first chunk), at most
-_MAX_EVENTS. Times, point values and winners are cut from the buffer by
-segment arithmetic over the whole batch. Under bernoulli balance the
-generator is re-keyed to just after the game's point values for numpy's
-own `choice`, then draws the winners. A game with more than q events is
-re-keyed and replayed call by call in contract order; every game whose
-first gap chunk ends within regulation is one. Gaps and point values
-come from a CDF built once per model (the lookup `Generator.choice(p=...)`
-makes, read from a guide table), and lead-dependent winners decide event
-k of every game in lockstep.
+first + 2q + 1 doubles into a batch buffer: `first` is the first time
+draw (the T + 1 tempo uniforms or the first gap chunk), then the point
+values and winners of q events and the bias double. q is the event
+count a gap chunk is sized for (1.25 times the expected count, plus 8;
+for markov tempo one less than the first chunk), at most _MAX_EVENTS.
+Times, point values, winners and biases are cut from the buffer by
+segment arithmetic over the whole batch. A game with more than q events
+is re-keyed and replayed call by call in contract order; every game
+whose first gap chunk ends within regulation is one. Gaps and point
+values come from a CDF built once per model (the lookup
+`Generator.choice(p=...)` makes, read from a guide table), and
+lead-dependent winners decide event k of every game in lockstep.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Corpus, GameLog, SportConfig, _clock_grid, _event_leads
-from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
+from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
 from .rng import rekey, substream
 
 _CHUNK_GAMES = 1024  # games per batch: bounds working memory, amortises numpy calls
@@ -196,10 +195,7 @@ class ModelSpec:
         object.__setattr__(self, "tempo_kind", TempoKind(self.tempo_kind))
         object.__setattr__(self, "balance_kind", BalanceKind(self.balance_kind))
         tempo, balance = self.tempo, self.balance
-        if tempo.regulation_length != self.config.regulation_length:
-            raise ValueError("tempo model and sport config disagree on regulation length")
-        if len(balance.phi) != 2 * self.config.lead_truncation + 1:
-            raise ValueError("balance model and sport config disagree on lead truncation")
+        _check_model(self.config, tempo, balance)
         if self.tempo_kind is TempoKind.MARKOV and not len(tempo.interarrival_gaps):
             raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
         if self.balance_kind is BalanceKind.BERNOULLI and not len(balance.c_hat_samples):
@@ -259,13 +255,11 @@ def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
 
 
 def _replay(law: _Law, rng: np.random.Generator, index: int):
-    """Game `index`'s (times, point uniforms, bias, winner uniforms), drawn
-    call by call in contract order."""
+    """Game `index`'s (times, point uniforms, winner uniforms, bias uniform),
+    drawn call by call in contract order."""
     rekey(rng, law.seed, index)
     times = law.tempo.replay(rng)
-    u_points = rng.random(len(times))
-    c = None if law.c_samples is None else rng.choice(law.c_samples)
-    return times, u_points, c, rng.random(len(times))
+    return times, rng.random(len(times)), rng.random(len(times)), rng.random()
 
 
 def _splice(column: np.ndarray, replayed, at: np.ndarray) -> np.ndarray:
@@ -274,6 +268,13 @@ def _splice(column: np.ndarray, replayed, at: np.ndarray) -> np.ndarray:
     out[~at] = column
     out[at] = np.concatenate(replayed)
     return out
+
+
+def _sample_at(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`samples[floor(u * m)]`, m = len(samples): each sample with probability
+    1/m for u uniform on [0, 1). In floating point floor(u * m) < m for every
+    double u < 1 and integer m < 2**53."""
+    return samples[(u * len(samples)).astype(np.intp)]
 
 
 def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
@@ -292,28 +293,21 @@ def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
     times = times[hit].astype(np.int64, copy=False)
     rest, k = u[:, first:], np.arange(u.shape[1] - first)  # the draws after the times' uniforms
     u_points = rest[k < n[:, None]]
-    c = None if law.c_fixed is None else law.c_fixed[index.start : index.stop]
-    if law.c_samples is None:
-        u_winners = rest[(k >= n[:, None]) & (k < 2 * n[:, None])]
-    else:  # numpy's own choice, right after the game's point values, then the winners
-        c, ends = np.empty(len(index)), np.cumsum(n).tolist()
-        u_winners = np.empty(ends[-1])
-        for g, (i, n_g, b, skip) in enumerate(zip(index, n.tolist(), ends, replay.tolist())):
-            if not skip:
-                rekey(rng, law.seed, i, first + n_g)
-                c[g] = rng.choice(law.c_samples)
-                rng.random(out=u_winners[b - n_g : b])
+    u_winners = rest[(k >= n[:, None]) & (k < 2 * n[:, None])]
+    u_bias = rest[np.arange(len(n)), 2 * n]  # the draw right after the winners
     replayed = np.flatnonzero(replay)
     if len(replayed):
         draws = zip(*(_replay(law, rng, index[g]) for g in replayed.tolist()))
-        times_r, u_points_r, c_r, u_winners_r = draws
+        times_r, u_points_r, u_winners_r, u_bias[replayed] = draws
         n[replayed] = [len(t) for t in times_r]
         at = np.repeat(replay, n)
         times = _splice(times, times_r, at)
         u_points = _splice(u_points, u_points_r, at)
         u_winners = _splice(u_winners, u_winners_r, at)
-        if law.c_samples is not None:
-            c[replayed] = c_r
+    if law.c_samples is not None:
+        c = _sample_at(law.c_samples, u_bias)
+    else:
+        c = None if law.c_fixed is None else law.c_fixed[index.start : index.stop]
     return n, times, u_points, c, u_winners
 
 
@@ -321,7 +315,7 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Corp
     """Games start..stop-1 of `law`: their batch columns laid end to end."""
     first = law.tempo.first
     q = min(_MAX_EVENTS, law.tempo.cover)
-    width = first + (q if law.c_samples is not None else 2 * q)
+    width = first + 2 * q + 1
     per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // width, stop - start))
     buffer = np.empty((per_batch, width))  # one for every batch: its pages are touched once
     empty = np.empty(0, np.int64)  # the first row: offsets' leading 0 and each column's dtype

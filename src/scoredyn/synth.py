@@ -113,6 +113,8 @@ def default_league(
     seed: int = 0,
 ) -> LeagueSpec:
     """Desk-scale league: log-normal skills, uniform random schedule."""
+    if n_teams < 2:
+        raise ValueError(f"n_teams must be >= 2 for two distinct teams per game, got {n_teams}")
     rng = np.random.default_rng(seed)
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
     schedule = []

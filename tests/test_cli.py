@@ -133,6 +133,30 @@ class TestFitPredictSimulate:
         assert "error: n_games must be nonnegative, got -5" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("model, mismatch", [
+        ("tempo", "regulation length"), ("balance", "lead truncation"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["predict", "--lead", "2", "--t", "900"],
+        ["simulate", "--n-games", "5", "--out", "sim.csv"],
+    ])
+    def test_inconsistent_model_rejected(self, corpus, tmp_path, capsys, monkeypatch,
+                                         model, mismatch, command):
+        path = tmp_path / "model.json"
+        run(capsys, "fit", "--in", str(corpus), "--sport", "nhl",
+            "--out", str(path), "--min-samples", "10")
+        data = json.loads(path.read_text())
+        if model == "tempo":  # a tempo fit on a 1000 s clock
+            data["tempo"]["regulation_length_seconds"] = 1000
+            data["tempo"]["profile"] = data["tempo"]["profile"][:1001]
+        else:
+            data["sport"]["lead_truncation"] += 1
+        path.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
+        assert code == 1 and " ok " not in out
+        assert err == f"error: {model} model and sport config disagree on {mismatch}\n"
+        assert not (tmp_path / "sim.csv").exists()
 
 class TestSportTagCheck:
     """A --sport or --config whose sport differs from the corpus tags exits 1."""
@@ -181,6 +205,13 @@ class TestSynthAndEval:
         sidecar = json.loads(truth.read_text())
         assert len(sidecar["skills"]) == 6
         assert sidecar["seed"] == 2
+
+    def test_synth_rejects_a_one_team_league(self, tmp_path, capsys):
+        out = tmp_path / "league.csv"
+        code, text, err = run(capsys, "synth", "--n-teams", "1", "--out", str(out))
+        assert code == 1 and "synth ok" not in text
+        assert err == "error: n_teams must be >= 2 for two distinct teams per game, got 1\n"
+        assert not out.exists()
 
     def test_synth_output_fits_and_evals_with_config(self, tmp_path, capsys):
         corpus = tmp_path / "league.csv"

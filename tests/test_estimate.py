@@ -485,6 +485,24 @@ class TestModelArtifact:
         assert loaded.balance.point_values == dict(balance.point_values)
         assert loaded.balance.scoring.fit.slope == balance.scoring.fit.slope
 
+    @pytest.mark.parametrize("other, message", [
+        (sd.SportConfig("custom", 900, (900,), {1: 0.5, 2: 0.5}, 20), "regulation length"),
+        (sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 19), "lead truncation"),
+    ])
+    def test_models_that_disagree_with_the_config_rejected(self, tmp_path, other, message):
+        cfg = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 20)
+        games = sd.ideal_corpus(cfg, 0.01, n_games=50, seed=12)
+        tempo = sd.fit_tempo(games, cfg)
+        balance = sd.fit_balance(games, cfg, min_samples=10)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"disagree on {message}"):
+            sd.save_model(path, other, tempo, balance)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=f"disagree on {message}"):
+            sd.estimate.ModelArtifact(other, tempo, balance)
+        with pytest.raises(ValueError, match=f"disagree on {message}"):
+            sd.ModelSpec("markov", "markov", tempo, balance, other, seed=0)
+
     def test_unknown_major_rejected(self, tmp_path):
         cfg = sd.SportConfig("custom", 600, (600,), {1: 1.0}, 20)
         games = sd.ideal_corpus(cfg, 0.01, n_games=50, seed=13)

@@ -49,6 +49,11 @@ class TestLeagueSpec:
         with pytest.raises(ValueError, match="matchup"):
             sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 0),), 100, 0.01, {1: 1.0}, 0)
 
+    @pytest.mark.parametrize("n_teams", [-1, 0, 1])
+    def test_default_league_needs_two_teams(self, n_teams):
+        with pytest.raises(ValueError, match=f"n_teams must be >= 2 .*, got {n_teams}$"):
+            sd.default_league(n_teams=n_teams, n_games=5)
+
     def test_flat_tempo_profile_has_dead_opening_tick(self):
         spec = two_team_league(n_games=1, T=100, rate=0.05)
         assert spec.profile[0] == 0.0
