@@ -29,9 +29,10 @@ print(f"events per game:   fitted {tempo.lambda_hat * 3600:.2f}, true {RATE * 36
 print(f"mean gap:          fitted {tempo.mean_gap:.0f}s, geometric 1/lambda = {1 / RATE:.0f}s")
 
 c_hat = sd.balance_fractions(games)
-null = sd.balance_null_distribution(games, n_sims=100_000, seed=7)
+fractions, probs = sd.balance_null_distribution(games)  # the exact fair-play law
+null_sd = np.sqrt(probs @ (fractions - probs @ fractions) ** 2)
 print(f"\nbalance fraction c_hat: sd {c_hat.std():.4f} observed vs "
-      f"{null.std():.4f} under fair play")
+      f"{null_sd:.4f} under fair play")
 print("(a wider observed distribution is the signature of unequal skills)")
 
 balance = sd.fit_balance(games, config)

@@ -176,33 +176,30 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    points = dict(builtin_config(args.points_sport).point_values)
+    for name in ("slope",) if args.kind == "league" else ("n_teams", "skill_sigma"):
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} does not apply to --kind {args.kind}", file=sys.stderr)
+            return 2
+    spec = default_league(
+        n_teams=2 if args.kind == "restoring" else 20 if args.n_teams is None else args.n_teams,
+        n_games=args.n_games,
+        regulation_length=args.regulation,
+        rate=args.rate,
+        point_values=dict(builtin_config(args.points_sport).point_values),
+        skill_sigma=1.0 if args.skill_sigma is None else args.skill_sigma,
+        seed=args.seed,
+    )
     if args.kind == "league":
-        spec = default_league(
-            n_teams=args.n_teams,
-            n_games=args.n_games,
-            regulation_length=args.regulation,
-            rate=args.rate,
-            point_values=points,
-            skill_sigma=args.skill_sigma,
-            seed=args.seed,
-        )
         games = generate_league(spec)
     else:
-        spec = default_league(
-            n_teams=2,
-            n_games=args.n_games,
-            regulation_length=args.regulation,
-            rate=args.rate,
-            point_values=points,
-            seed=args.seed,
-        )
-        games = generate_restoring_league(spec, args.slope)
+        slope = -0.002 if args.slope is None else args.slope
+        games = generate_restoring_league(spec, slope)
     write_event_file(games, args.out, args.format)
     if args.truth:
         truth = league_truth(spec)
         if args.kind == "restoring":
-            truth["restoring_slope"] = args.slope
+            truth["restoring_slope"] = slope
         atomic_write_text(args.truth, json.dumps(truth, sort_keys=True) + "\n")
     print(
         f"synth ok kind={args.kind} games={args.n_games} events={len(games.times)} "
@@ -225,10 +222,10 @@ def _cmd_report(args) -> int:
     corr = correlation_function(games, args.correlation_lags)
 
     c_hat = balance_fractions(games)
-    null = balance_null_distribution(games, n_sims=args.null_sims, seed=args.seed)
+    fractions, probs = balance_null_distribution(games)
     bins = np.linspace(0.0, 1.0, args.balance_bins + 1)
     emp_hist, _ = np.histogram(c_hat, bins=bins, density=True)
-    null_hist, _ = np.histogram(null, bins=bins, density=True)
+    null_hist, _ = np.histogram(fractions, bins=bins, weights=probs, density=True)
 
     grid_cols: dict[str, np.ndarray] = {}
     for tempo_kind in ("bernoulli", "markov"):
@@ -339,12 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a ground-truth synthetic corpus")
     p.add_argument("--kind", choices=["league", "restoring"], default="league")
-    p.add_argument("--n-teams", type=int, default=20)
+    p.add_argument("--n-teams", type=int, default=None, help="league only (default 20)")
     p.add_argument("--n-games", type=int, default=1000)
     p.add_argument("--regulation", type=int, default=3600)
     p.add_argument("--rate", type=float, default=0.002)
-    p.add_argument("--skill-sigma", type=float, default=1.0)
-    p.add_argument("--slope", type=float, default=-0.002)
+    p.add_argument("--skill-sigma", type=float, default=None, help="league only (default 1.0)")
+    p.add_argument("--slope", type=float, default=None, help="restoring only (default -0.002)")
     p.add_argument("--points-sport", default="nfl")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -364,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deprecated, no effect: the lead-variance curves are computed exactly",
     )
     p.add_argument("--sample-every", type=int, default=60)
-    p.add_argument("--null-sims", type=int, default=100_000)
     p.add_argument("--balance-bins", type=int, default=51)
     p.add_argument("--correlation-lags", type=int, default=50)
     p.add_argument("--min-samples", type=int, default=50)

@@ -456,28 +456,29 @@ def balance_fractions(games: Sequence[GameLog]) -> np.ndarray:
     return wins[n_events > 0] / n_events[n_events > 0]
 
 
-def balance_null_distribution(
-    games: Sequence[GameLog],
-    n_sims: int = 100_000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Simulated balance fractions for perfectly balanced play.
+def balance_null_distribution(games: Sequence[GameLog]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the balance fraction under perfectly balanced play.
 
-    Each simulated game draws its event count from the corpus's
-    empirical events-per-game distribution and assigns every event to r
-    or b with probability 1/2. Zero-event draws are excluded, matching
-    the treatment of real games.
+    A fair game's event count n follows the corpus's events-per-game
+    distribution over games with at least one event (games without
+    events are excluded, as in `balance_fractions`), and r wins each
+    event with probability 1/2, so the fraction is Binomial(n, 1/2) / n.
+    Returns the distinct fractions k/n in ascending order and their
+    probabilities.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    observed = Corpus.of(games).event_counts
-    if not len(observed):
-        raise ValueError("need at least one game")
-    rng = np.random.default_rng(seed)
-    counts = rng.choice(observed, size=n_sims)
-    wins = rng.binomial(counts, 0.5)
-    keep = counts > 0
-    return wins[keep] / counts[keep]
+    n_events = Corpus.of(games).event_counts
+    weights = np.bincount(n_events[n_events > 0]) / np.count_nonzero(n_events)
+    if not weights.size:
+        raise ValueError("need at least one game with events")
+    fractions, probs = [], []
+    row = np.ones(1)  # Binomial(n, 1/2) pmf by halved Pascal's rule; no overflow at large n
+    for n in range(1, len(weights)):
+        row = 0.5 * (np.append(row, 0.0) + np.insert(row, 0, 0.0))
+        if weights[n]:
+            fractions.append(np.arange(n + 1) / n)
+            probs.append(weights[n] * row)
+    support, atom = np.unique(np.concatenate(fractions), return_inverse=True)
+    return support, np.bincount(atom, weights=np.concatenate(probs))
 
 
 def _phi(before: np.ndarray, signed: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:

@@ -294,7 +294,7 @@ def evaluate_predictability(
         pmf = _value_pmf(corpus.points[train])
         profile = _profile(event_time[train], n_train, T)
         # np.rint rounds half to even, as round() does in forecast_after_events.
-        steps_of_t = np.rint(np.append(_remaining_events(profile), 0.0)).astype(np.int64)
+        steps_of_t = np.rint(_remaining_events(profile)).astype(np.int64)
         chain = build_chain(phi, pmf, cap)
         win, lose = outcome_table(chain, int(steps_of_t.max()))
 

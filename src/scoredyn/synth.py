@@ -42,8 +42,8 @@ class LeagueSpec:
 
     def __post_init__(self) -> None:
         skills = np.asarray(self.skills, dtype=float).copy()
-        if len(skills) == 0 or np.any(skills <= 0):
-            raise ValueError("skills must be positive")
+        if len(skills) == 0 or not np.all(np.isfinite(skills) & (skills > 0)):
+            raise ValueError("skills must be finite and positive")
         skills.flags.writeable = False
         object.__setattr__(self, "skills", skills)
         schedule = tuple((int(i), int(j)) for i, j in self.schedule)
@@ -96,7 +96,7 @@ def generate_restoring_league(
     extreme leads. A |slope| >= 1/2 would leave the open interval at the
     first point of lead and is rejected.
     """
-    if abs(restoring_slope) >= 0.5:
+    if not abs(restoring_slope) < 0.5:  # NaN fails too
         raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")
     leads = _reachable_leads(spec.regulation_length, spec.point_values)
     phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -115,6 +115,8 @@ def default_league(
     """Desk-scale league: log-normal skills, uniform random schedule."""
     if n_teams < 2:
         raise ValueError(f"n_teams must be >= 2 for two distinct teams per game, got {n_teams}")
+    if not 0 <= skill_sigma < np.inf:
+        raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
     rng = np.random.default_rng(seed)
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
     schedule = []

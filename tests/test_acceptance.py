@@ -63,13 +63,9 @@ def test_criterion_1_poisson_identity():
 def test_criterion_2_balance_null_oracle():
     with criterion(2, 5.0, "balance null matches exact 2-event enumeration"):
         games = [unit_game(f"g{i}", [1, -1]) for i in range(64)]
-        n_sims = 100_000
-        null = sd.balance_null_distribution(games, n_sims=n_sims, seed=20)
-        exact = {0.0: 0.25, 0.5: 0.5, 1.0: 0.25}
-        for atom, p in exact.items():
-            observed = float((null == atom).mean())
-            tolerance = 3 * math.sqrt(p * (1 - p) / n_sims)
-            assert abs(observed - p) < tolerance, f"atom {atom}"
+        fractions, probs = sd.balance_null_distribution(games)
+        assert fractions.tolist() == [0.0, 0.5, 1.0]
+        assert probs.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_criterion_3_correlation_sanity():

@@ -213,6 +213,46 @@ class TestSynthAndEval:
         assert err == "error: n_teams must be >= 2 for two distinct teams per game, got 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--skill-sigma", "nan"], "skill_sigma must be finite and >= 0, got nan"),
+            (["--skill-sigma", "-1"], "skill_sigma must be finite and >= 0, got -1.0"),
+            (["--kind", "restoring", "--slope", "nan"], "|slope| must be < 1/2"),
+        ],
+    )
+    def test_synth_rejects_non_finite_inputs(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "league.csv"
+        code, text, err = run(capsys, "synth", *flags, "--out", str(out))
+        assert code == 1 and "synth ok" not in text
+        assert f"error: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "restoring", "--n-teams", "4"],
+            ["--kind", "restoring", "--skill-sigma", "0.5"],
+            ["--kind", "league", "--slope", "-0.01"],
+            ["--slope", "-0.01"],
+        ],
+    )
+    def test_synth_flag_of_the_other_kind_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "games.csv"
+        code, text, err = run(capsys, "synth", *flags, "--out", str(out))
+        kind = flags[1] if flags[0] == "--kind" else "league"
+        assert code == 2 and "synth ok" not in text
+        assert err == f"error: {flags[-2]} does not apply to --kind {kind}\n"
+        assert not out.exists()
+
+    def test_synth_restoring_truth_defaults(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        code, _, err = run(capsys, "synth", "--kind", "restoring", "--n-games", "5",
+                           "--out", str(tmp_path / "games.csv"), "--truth", str(truth))
+        assert code == 0, err
+        sidecar = json.loads(truth.read_text())
+        assert sidecar["n_teams"] == 2 and sidecar["restoring_slope"] == -0.002
+
     def test_synth_output_fits_and_evals_with_config(self, tmp_path, capsys):
         corpus = tmp_path / "league.csv"
         code, _, _ = run(capsys, "synth", "--kind", "league", "--n-teams", "6",
@@ -270,7 +310,7 @@ class TestReport:
         sd.write_event_file(games, corpus)
         code, _, err = run(capsys, "report", "--in", str(corpus), "--sport", "nhl",
                            "--out-dir", str(tmp_path / "report"), "--splits", "1",
-                           "--null-sims", "100", "--min-samples", "10")
+                           "--min-samples", "10")
         assert code == 0, err
         assert runs == [61]  # one DP, on the 60 s grid of a 3600 s game
         header = (tmp_path / "report" / "lead_variance.csv").read_text().splitlines()[0]
@@ -283,8 +323,7 @@ class TestReport:
         outdir = tmp_path / "report"
         code, text, _ = run(capsys, "report", "--in", str(corpus), "--sport", "nhl",
                             "--out-dir", str(outdir), "--seed", "1", "--splits", "2",
-                            "--sim-games", "1000", "--null-sims", "5000",
-                            "--min-samples", "10")
+                            "--sim-games", "1000", "--min-samples", "10")
         assert code == 0 and "report ok" in text
         expected = [
             "model.json", "events_per_game.csv", "interarrival.csv", "gap_correlation.csv",
@@ -306,8 +345,7 @@ class TestReport:
         code, out, err = run(capsys, "validate", "--in", str(corpus))
         assert code == 0 and "games=1025" in out and "failures=0" in out, err
         code, out, err = run(capsys, "report", "--in", str(corpus), "--sport", "nfl",
-                             "--out-dir", str(tmp_path / "report"), "--splits", "1",
-                             "--null-sims", "100")
+                             "--out-dir", str(tmp_path / "report"), "--splits", "1")
         assert code == 0 and "report ok games=1025" in out, err
 
     def test_report_byte_identical_across_runs(self, tmp_path, capsys):
@@ -318,8 +356,7 @@ class TestReport:
         for d in (dir_a, dir_b):
             code, _, _ = run(capsys, "report", "--in", str(corpus), "--sport", "nhl",
                              "--out-dir", str(d), "--seed", "7", "--splits", "2",
-                             "--sim-games", "1000", "--null-sims", "2000",
-                             "--min-samples", "10")
+                             "--sim-games", "1000", "--min-samples", "10")
             assert code == 0
         for name in ("model.json", "lead_variance.csv", "predictability.csv", "balance.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
@@ -344,8 +381,7 @@ class TestOutOfRangeArguments:
     )
     def test_report_rejects(self, nhl_corpus, tmp_path, capsys, flags, message):
         code, out, err = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
-                             "--out-dir", str(tmp_path / "report"), "--null-sims", "100",
-                             "--min-samples", "10", *flags)
+                             "--out-dir", str(tmp_path / "report"), "--min-samples", "10", *flags)
         assert code == 1 and "report ok" not in out
         assert f"error: {message}" in err
 
@@ -353,10 +389,17 @@ class TestOutOfRangeArguments:
     def test_rejected_report_writes_nothing(self, nhl_corpus, tmp_path, capsys, flags):
         outdir = tmp_path / "report"
         code, _, _ = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
-                         "--out-dir", str(outdir), "--null-sims", "100",
-                         "--min-samples", "10", *flags)
+                         "--out-dir", str(outdir), "--min-samples", "10", *flags)
         assert code == 1
         assert not outdir.exists()
+
+    def test_report_has_no_null_sims_option(self, nhl_corpus, tmp_path, capsys):
+        # the fair-play null is exact: report has no Monte Carlo size to set
+        code, out, err = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
+                             "--out-dir", str(tmp_path / "report"), "--null-sims", "100")
+        assert code == 2 and "report ok" not in out
+        assert "unrecognized arguments: --null-sims 100" in err
+        assert not (tmp_path / "report").exists()
 
     def test_eval_rejects_zero_splits(self, nhl_corpus, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
@@ -386,7 +429,7 @@ def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):
         ["fit", "--in", str(corpus), "--out", str(model)],
         ["eval", "--in", str(corpus), "--splits", "2", "--out", str(tmp_path / "eval.csv")],
         ["report", "--in", str(corpus), "--out-dir", str(tmp_path / "report"),
-         "--splits", "1", "--null-sims", "100"],
+         "--splits", "1"],
         ["simulate", "--model", str(model), "--tempo", "markov", "--n-games", "1100",
          "--out", str(tmp_path / "sim.jsonl")],
     ]
@@ -411,7 +454,7 @@ commands = [
     "predict --model model.json --lead 2 --t 1800",
     "eval --in games.csv --sport nhl --splits 2 --out eval.csv",
     "synth --kind league --n-teams 4 --n-games 10 --rate 0.005 --regulation 1200 --out l.csv",
-    "report --in games.csv --sport nhl --out-dir report --null-sims 100 --min-samples 10",
+    "report --in games.csv --sport nhl --out-dir report --min-samples 10",
 ]
 for command in commands:
     assert main(command.split()) == 0, command

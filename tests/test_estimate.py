@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import scoredyn as sd
 from scoredyn.estimate import _log_factorial, _poisson_pmf, _poisson_quantile
@@ -285,38 +286,84 @@ def exact_null_pmf(n_events: int) -> dict[float, float]:
     }
 
 
+def sampled_null(games, n_sims: int, seed: int) -> np.ndarray:
+    """Monte Carlo oracle: the sampler `balance_null_distribution` used to be.
+
+    Each draw picks a game's event count and assigns every event to r or b
+    with probability 1/2; draws of zero events are dropped.
+    """
+    observed = np.array([g.n_events for g in games])
+    rng = np.random.default_rng(seed)
+    counts = rng.choice(observed, size=n_sims)
+    wins = rng.binomial(counts, 0.5)
+    keep = counts > 0
+    return wins[keep] / counts[keep]
+
+
+def null_law(games) -> dict[float, float]:
+    fractions, probs = sd.balance_null_distribution(games)
+    assert np.all(np.diff(fractions) > 0)
+    return dict(zip(fractions.tolist(), probs.tolist()))
+
+
 class TestBalanceNull:
     def test_single_event_games(self):
         games = [unit_game(f"g{i}", [1]) for i in range(10)]
-        null = sd.balance_null_distribution(games, n_sims=20_000, seed=1)
-        assert set(np.unique(null)) == {0.0, 1.0}
-        assert abs((null == 1.0).mean() - 0.5) < 3 * math.sqrt(0.25 / 20_000)
+        assert null_law(games) == exact_null_pmf(1) == {0.0: 0.5, 1.0: 0.5}
 
     def test_two_event_games_match_enumeration(self):
         games = [unit_game(f"g{i}", [1, -1]) for i in range(10)]
-        n_sims = 100_000
-        null = sd.balance_null_distribution(games, n_sims=n_sims, seed=2)
-        expected = exact_null_pmf(2)
-        assert expected == {0.0: 0.25, 0.5: 0.5, 1.0: 0.25}
-        for atom, p in expected.items():
-            observed = (null == atom).mean()
-            assert abs(observed - p) < 3 * math.sqrt(p * (1 - p) / n_sims), atom
+        assert null_law(games) == exact_null_pmf(2) == {0.0: 0.25, 0.5: 0.5, 1.0: 0.25}
+
+    def test_mixed_counts_weighted_by_their_share_of_games(self):
+        counts = [1, 2, 3, 3]  # shares 1/4, 1/4, 1/2: every product is exact
+        games = [unit_game(f"g{i}", [1] * n) for i, n in enumerate(counts)]
+        expected: dict[float, float] = {}
+        for n in (1, 2, 3):
+            for atom, p in exact_null_pmf(n).items():
+                expected[atom] = expected.get(atom, 0.0) + counts.count(n) / 4 * p
+        assert null_law(games) == expected
 
     def test_fewer_events_widen_the_null(self):
         # exact variance for an n-event fair game is 1/(4n)
-        few = [unit_game(f"a{i}", [1] * 3) for i in range(50)]
-        many = [unit_game(f"b{i}", [1] * 90) for i in range(50)]
-        null_few = sd.balance_null_distribution(few, n_sims=50_000, seed=3)
-        null_many = sd.balance_null_distribution(many, n_sims=50_000, seed=3)
-        assert null_few.var() > null_many.var()
-        assert null_few.var() == pytest.approx(1 / 12, rel=0.05)
-        assert null_many.var() == pytest.approx(1 / 360, rel=0.05)
+        for n in (3, 90):
+            fractions, probs = sd.balance_null_distribution(
+                [unit_game(f"g{i}", [1] * n) for i in range(50)])
+            mean = probs @ fractions
+            assert mean == pytest.approx(0.5, rel=1e-12)
+            assert probs @ (fractions - mean) ** 2 == pytest.approx(1 / (4 * n), rel=1e-12)
 
-    def test_zero_event_draws_excluded(self):
+    def test_zero_event_games_excluded(self):
         games = [unit_game("a", [1]), sd.GameLog("b", "custom", [], [], [])]
-        null = sd.balance_null_distribution(games, n_sims=5_000, seed=4)
-        assert len(null) < 5_000
-        assert np.all(np.isfinite(null))
+        assert null_law(games) == exact_null_pmf(1)
+
+    @pytest.mark.parametrize("games", [[], [sd.GameLog("b", "custom", [], [], [])]])
+    def test_corpus_without_events_rejected(self, games):
+        with pytest.raises(ValueError, match="at least one game with events"):
+            sd.balance_null_distribution(games)
+
+    def test_long_game_law_is_finite_and_normalised(self):
+        # math.comb(n, k) * 0.5**n overflows a float at this n
+        n = 3601
+        fractions, probs = sd.balance_null_distribution([unit_game("g", [1] * n)])
+        assert np.all(np.isfinite(probs)) and len(probs) == n + 1
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert probs == pytest.approx(stats.binom.pmf(np.arange(n + 1), n, 0.5), rel=1e-9,
+                                      abs=1e-300)
+
+    @pytest.mark.parametrize("mean_events, seed", [(7.34, 5), (125.9, 6)])  # NFL-, NBA-like
+    def test_monte_carlo_oracle_within_3_sigma_in_every_report_bin(self, mean_events, seed):
+        rng = np.random.default_rng(seed)
+        games = [unit_game(f"g{i}", [1] * n) for i, n in enumerate(rng.poisson(mean_events, 2000))]
+        bins = np.linspace(0.0, 1.0, 52)  # report's default --balance-bins 51
+        fractions, probs = sd.balance_null_distribution(games)
+        mass, _ = np.histogram(fractions, bins, weights=probs)
+        sample = sampled_null(games, 100_000, seed)
+        observed, _ = np.histogram(sample, bins)
+        expected = len(sample) * mass
+        assert np.all(observed[mass == 0] == 0)
+        sigma = np.sqrt(expected * (1 - mass))[mass > 0]
+        assert np.all(np.abs(observed - expected)[mass > 0] < 3 * sigma)
 
 
 class TestLeadScoring:

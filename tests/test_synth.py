@@ -29,6 +29,11 @@ class TestLeagueSpec:
         with pytest.raises(ValueError, match="positive"):
             sd.LeagueSpec(np.array([1.0, -2.0]), ((0, 1),), 100, 0.01, {1: 1.0}, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    def test_requires_finite_skills(self, bad):
+        with pytest.raises(ValueError, match="skills must be finite and positive"):
+            sd.LeagueSpec(np.array([1.0, bad]), ((0, 1),), 100, 0.01, {1: 1.0}, 0)
+
     @pytest.mark.parametrize(
         "tempo, points, message",
         [
@@ -53,6 +58,11 @@ class TestLeagueSpec:
     def test_default_league_needs_two_teams(self, n_teams):
         with pytest.raises(ValueError, match=f"n_teams must be >= 2 .*, got {n_teams}$"):
             sd.default_league(n_teams=n_teams, n_games=5)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_default_league_needs_a_finite_nonnegative_skill_sigma(self, sigma):
+        with pytest.raises(ValueError, match=f"skill_sigma must be finite and >= 0, got {sigma}$"):
+            sd.default_league(n_games=5, skill_sigma=sigma)
 
     def test_flat_tempo_profile_has_dead_opening_tick(self):
         spec = two_team_league(n_games=1, T=100, rate=0.05)
@@ -143,6 +153,10 @@ class TestRestoringLeague:
         spec = two_team_league(n_games=5)
         with pytest.raises(ValueError, match="slope"):
             sd.generate_restoring_league(spec, 0.6)
+
+    def test_nan_slope_rejected(self):
+        with pytest.raises(ValueError, match="slope"):
+            sd.generate_restoring_league(two_team_league(n_games=5), math.nan)
 
     def test_probability_clamped_at_extreme_leads(self):
         # slope large enough that |lead| drifts into the clamp region
