@@ -75,6 +75,7 @@ from .simulate import (
     ideal_model,
     lead_dispersion,
     lead_variance_curve,
+    simulate_batches,
     simulate_corpus,
     simulate_game,
 )

@@ -50,7 +50,7 @@ from .synth import (
 def _write_csv(path: Path, **columns) -> None:
     """Write equal-length columns as CSV, headed by their keyword names in order."""
     rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
-    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -62,12 +62,6 @@ def _write_curve(path: Path, curve) -> None:
         auc_leader=curve.auc_leader,
         n_games_scored=curve.n_games_scored,
     )
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _load_corpus(args):
@@ -134,13 +128,12 @@ def _cmd_simulate(args) -> int:
         config=artifact.config,
         seed=args.seed,
     )
-    from .simulate import simulate_corpus
+    from .simulate import simulate_batches
 
-    games = simulate_corpus(spec, args.n_games)
-    write_event_file(games, args.out, args.format)
+    events = write_event_file(simulate_batches(spec, args.n_games), args.out, args.format)
     print(
         f"simulate ok tempo={args.tempo} balance={args.balance} games={args.n_games} "
-        f"events={len(games.times)} seed={args.seed} out={args.out}"
+        f"events={events} seed={args.seed} out={args.out}"
     )
     return 0
 

@@ -24,11 +24,13 @@ import json
 import os
 import tempfile
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from numbers import Real
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -42,6 +44,8 @@ CONFIG_SCHEMA_VERSION = "1.0"
 
 SPORT_IDS = ("CFB", "NFL", "NHL", "NBA", "custom")
 
+_CHUNK_GAMES = 1024  # games per batch or slice: bounds working memory, amortises numpy calls
+
 
 def require_schema_major(version: str, expected: str, context: str) -> None:
     """Reject serialized artifacts whose schema major version is unknown."""
@@ -54,19 +58,29 @@ def require_schema_major(version: str, expected: str, context: str) -> None:
         )
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to `path` via a temp file in the same directory, then rename."""
+@contextmanager
+def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A UTF-8 text file (LF line ends) that replaces `path` only if the block
+    exits cleanly: it is a temp file in the same directory, renamed over
+    `path` at the end and removed on any exception, so a failed write
+    leaves `path` as it was and no temp file behind."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write text to `path` through `atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, float]:
@@ -274,6 +288,23 @@ class Corpus(Sequence):
         ]
         offsets = np.cumsum([0] + [len(g.times) for g in games])
         return cls([g.game_id for g in games], [g.sport_id for g in games], offsets, *columns)
+
+    @classmethod
+    def concat(cls, parts: Iterable[Corpus]) -> Corpus:
+        """The games of `parts`, in order, as one corpus of their joined columns."""
+        parts = list(parts)
+
+        def joined(name: str, dtype) -> np.ndarray:
+            return np.concatenate([np.empty(0, dtype)] + [getattr(p, name) for p in parts])
+
+        return cls(
+            chain.from_iterable(p.game_ids for p in parts),
+            chain.from_iterable(p.sport_ids for p in parts),
+            np.concatenate(([0], joined("event_counts", np.int64).cumsum())),
+            joined("times", np.int64),
+            joined("teams", np.int8),
+            joined("points", np.int64),
+        )
 
     @cached_property
     def signed(self) -> np.ndarray:

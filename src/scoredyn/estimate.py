@@ -523,9 +523,13 @@ def lead_scoring_function(
     reflected, so phi(0) = 1/2 holds exactly. A line is fitted by
     ordinary least squares over the states with at least `min_samples`
     pooled observations; with fewer than two such states the slope is None.
+    `min_samples` must be at least 1: a state without observations has no
+    estimate to fit.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     corpus = Corpus.of(games)
     signed = corpus.signed
     phi, counts = _phi(_event_leads(corpus.offsets, signed) - signed, signed, cap)

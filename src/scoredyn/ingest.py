@@ -33,7 +33,12 @@ Games come out in order of first occurrence, as one `Corpus` of those
 columns.
 
 The writer quotes a CSV game id that holds a comma, a quote or a line end,
-and rejects an id that would not read back as itself.
+and rejects an id that would not read back as itself. It renders and
+writes one slice of at most 1,024 games at a time into a temp file that
+replaces the target only when every slice is written. Given an iterator
+of corpora (`simulate_batches`), it holds one of them at a time, so
+writing a simulated corpus takes the memory of one batch, not of the
+whole corpus and its text.
 """
 
 from __future__ import annotations
@@ -43,18 +48,20 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     TEAM_B,
     TEAM_R,
+    _CHUNK_GAMES,
     Corpus,
     GameLog,
     SportConfig,
-    atomic_write_text,
+    atomic_write_text,  # noqa: F401  (kept as a module attribute for tracing hooks)
+    atomic_writer,
     builtin_config,
     _BUILTIN_SPECS,
 )
@@ -385,17 +392,15 @@ def _distinct_pairs(
     return slot, used, by_major[first].tolist(), by_minor[first].tolist()
 
 
-def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
-    """Render games in the canonical interchange form (stable byte-for-byte).
+def _records(corpus: Corpus, fmt: str) -> list[str]:
+    """The records of `corpus`'s games, one string per game of its lines,
+    each line ending in a line feed.
 
     A game with no events writes no line; the id of every other game must
     read back as itself (see `_written_id`). Each record is a per-game
     prefix followed by a tail that depends only on (signed points, t);
     every distinct tail is formatted once, into a table indexed by the
     pair's slot (see `_distinct_pairs`)."""
-    if fmt not in ("csv", "jsonl"):
-        raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
-    corpus = Corpus.of(games)
     slot, used, by_signed, by_time = _distinct_pairs(corpus.signed, corpus.times)
     pairs = zip(by_signed, by_time)
     if fmt == "csv":
@@ -405,7 +410,7 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     table = np.empty(used[-1] + 1 if len(used) else 0, dtype=object)
     table[used] = tails
     per_event = table[slot].tolist()
-    lines = [",".join(CSV_COLUMNS)] if fmt == "csv" else []
+    lines = []
     bounds = corpus.offsets.tolist()
     for game_id, sport, a, b in zip(corpus.game_ids, corpus.sport_ids, bounds[:-1], bounds[1:]):
         if a == b:
@@ -415,16 +420,67 @@ def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
             prefix = f"{sport},{gid},"
         else:
             prefix = f'{{"sport":{json.dumps(sport)},"game_id":{gid},"team":"'
-        lines.append(prefix + ("\n" + prefix).join(per_event[a:b]))
-    return "\n".join(lines) + "\n"
+        lines.append(prefix + ("\n" + prefix).join(per_event[a:b]) + "\n")
+    return lines
+
+
+def _render(parts: Iterable[Corpus], fmt: str, write: Callable[[list[str]], object]) -> int:
+    """Pass the canonical text of the games of `parts`, in order, to `write`
+    as lists of strings: the CSV header, then the records of one part at a
+    time. Return the number of records. A JSONL file without records is
+    one empty line."""
+    if fmt not in ("csv", "jsonl"):
+        raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
+    if fmt == "csv":
+        write([",".join(CSV_COLUMNS) + "\n"])
+    records = 0
+    for part in parts:
+        write(_records(part, fmt))
+        records += len(part.times)
+        del part  # freed before the next part is made, which can then reuse its memory
+    if fmt == "jsonl" and not records:
+        write(["\n"])
+    return records
+
+
+def _slices(games: Iterable[GameLog] | Iterable[Corpus]) -> Iterator[Corpus]:
+    """`games` as corpora of at most _CHUNK_GAMES games: an iterator of
+    corpora (a simulator's batches) passes through, none held here; a
+    corpus or any other games are laid out once and sliced."""
+    if not isinstance(games, Sequence):
+        items = iter(games)
+        head = next(items, None)
+        if isinstance(head, Corpus):
+            return chain([head], items)
+        games = [] if head is None else [head, *items]
+    corpus = Corpus.of(games)
+    return (corpus[lo : lo + _CHUNK_GAMES] for lo in range(0, len(corpus), _CHUNK_GAMES))
+
+
+def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
+    """Render games in the canonical interchange form (stable byte-for-byte):
+    the text `write_event_file` writes."""
+    pieces: list[str] = []
+    _render([Corpus.of(games)], fmt, pieces.extend)
+    return "".join(pieces)
 
 
 def write_event_file(
-    games: Iterable[GameLog], path: str | os.PathLike, fmt: str | None = None
-) -> None:
-    """Write games to the canonical CSV/JSONL interchange format."""
+    games: Iterable[GameLog] | Iterable[Corpus],
+    path: str | os.PathLike,
+    fmt: str | None = None,
+) -> int:
+    """Write games to the canonical CSV/JSONL interchange format; return the
+    number of records (events) written.
+
+    `games` is a corpus, other games, or an iterator of corpora such as
+    `simulate_batches`. The text is rendered and written one slice of at
+    most _CHUNK_GAMES games at a time, so an iterator of corpora is
+    written in the memory of one. The file appears only once every slice
+    is written (see `atomic_writer`)."""
     fmt = _infer_format(path, fmt)
-    atomic_write_text(path, render_event_file(games, fmt))
+    with atomic_writer(path) as fh:
+        return _render(_slices(games), fmt, fh.writelines)
 
 
 @dataclass(frozen=True)

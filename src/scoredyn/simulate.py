@@ -41,6 +41,12 @@ whose first gap chunk ends within regulation is one. Gaps and point
 values come from a CDF built once per model (the lookup
 `Generator.choice(p=...)` makes, read from a guide table), and
 lead-dependent winners decide event k of every game in lockstep.
+
+Games come one batch (at most 1,024 games) at a time: `simulate_batches`
+yields a corpus per batch and keeps nothing of it, and `simulate_corpus`
+joins those same batches. `scoredyn simulate` writes each batch as it is
+generated, so its memory is bounded by one batch, not by the number of
+games.
 """
 
 from __future__ import annotations
@@ -48,15 +54,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Corpus, GameLog, SportConfig, _clock_grid, _event_leads
+from .core import _CHUNK_GAMES, Corpus, GameLog, SportConfig, _clock_grid, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
 from .rng import rekey, substream
 
-_CHUNK_GAMES = 1024  # games per batch: bounds working memory, amortises numpy calls
 _BATCH_DOUBLES = 1 << 20  # bound on a batch's draw buffer (8 MB): T + 1 doubles per game
 # Most events whose point values and winners a game's one draw covers:
 # above a high quantile of NBA-like event counts (markov tempo from a
@@ -277,10 +282,11 @@ def _sample_at(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
     return samples[(u * len(samples)).astype(np.intp)]
 
 
-def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
+def _batch(law: _Law, index: range, first: int, q: int):
     """(event counts, times, point uniforms, per-game bias, winner uniforms)
-    of games `index`, laid end to end: one draw per game into its row of
-    `u`, cut by segment arithmetic; games with more than q events replay."""
+    of games `index`, laid end to end: one draw per game into its row of a
+    buffer, cut by segment arithmetic; games with more than q events replay."""
+    u = np.empty((len(index), first + 2 * q + 1))  # freed on return: only the cuts are kept
     rng = substream(law.seed, index.start)  # one bit generator per batch, re-keyed per game
     for i, row in zip(index, u):
         rekey(rng, law.seed, i)
@@ -311,42 +317,46 @@ def _batch(law: _Law, index: range, first: int, q: int, u: np.ndarray):
     return n, times, u_points, c, u_winners
 
 
-def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Corpus:
-    """Games start..stop-1 of `law`: their batch columns laid end to end."""
+def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport_id: str) -> Corpus:
+    """Games `index` of `law` as one corpus (see `_batch`)."""
+    n, times, u_points, c, u_winners = _batch(law, index, first, q)
+    points = law.points(u_points)
+    offsets = np.concatenate(([0], np.cumsum(n)))
+    if law.phi is None:
+        teams = np.where(u_winners < c.repeat(n), 1, -1).astype(np.int8)
+    else:
+        teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
+    ids = [f"{prefix}-{g:06d}" for g in index]
+    return Corpus(ids, [sport_id] * len(ids), offsets, times, teams, points)
+
+
+def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iterator[Corpus]:
+    """Games start..stop-1 of `law`, one corpus per batch, in order. Nothing of
+    a batch is kept here, so it is freed once its consumer drops it."""
     first = law.tempo.first
     q = min(_MAX_EVENTS, law.tempo.cover)
-    width = first + 2 * q + 1
-    per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // width, stop - start))
-    buffer = np.empty((per_batch, width))  # one for every batch: its pages are touched once
-    empty = np.empty(0, np.int64)  # the first row: offsets' leading 0 and each column's dtype
-    batches = [(np.zeros(1, np.int64), empty, empty.astype(np.int8), empty)]
+    per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // (first + 2 * q + 1), stop - start))
     for lo in range(start, stop, per_batch):
-        index = range(lo, min(lo + per_batch, stop))
-        n, times, u_points, c, u_winners = _batch(law, index, first, q, buffer[: len(index)])
-        points = law.points(u_points)
-        if law.phi is None:
-            teams = np.where(u_winners < c.repeat(n), 1, -1).astype(np.int8)
-        else:
-            offsets = np.concatenate(([0], np.cumsum(n)))
-            teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
-        batches.append((n, times, teams, points))  # events per game and the columns
-    del buffer
-    n, times, teams, points = (np.concatenate(column) for column in zip(*batches))
-    del batches  # frees the batch columns before the corpus is checked
-    ids = [f"{prefix}-{g:06d}" for g in range(start, stop)]
-    return Corpus(ids, [sport_id] * len(ids), n.cumsum(), times, teams, points)
+        yield _batch_games(law, range(lo, min(lo + per_batch, stop)), first, q, prefix, sport_id)
 
 
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
     """Generate one game on substream (spec.seed, game_index)."""
-    return _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)[0]
+    (batch,) = _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)
+    return batch[0]
+
+
+def simulate_batches(spec: ModelSpec, n_games: int) -> Iterator[Corpus]:
+    """The games of `simulate_corpus(spec, n_games)`, one corpus per batch of
+    at most 1,024 games, generated as they are asked for."""
+    if n_games < 0:
+        raise ValueError(f"n_games must be nonnegative, got {n_games}")
+    return _games(spec._law, 0, n_games, "sim", spec.config.sport_id)
 
 
 def simulate_corpus(spec: ModelSpec, n_games: int) -> Corpus:
     """Generate `n_games` independent games (substreams 0..n_games-1)."""
-    if n_games < 0:
-        raise ValueError(f"n_games must be nonnegative, got {n_games}")
-    return _games(spec._law, 0, n_games, "sim", spec.config.sport_id)
+    return Corpus.concat(simulate_batches(spec, n_games))
 
 
 def flat_profile(regulation_length: int, rate: float) -> np.ndarray:
@@ -493,16 +503,6 @@ def _bernoulli_count_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return law
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_bernoulli_count_law(profile: bytes, grid: bytes) -> np.ndarray:
-    """`_bernoulli_count_law` of a float64 profile and an int64 grid, given
-    as bytes and remembered for one call: both bernoulli-tempo cells of a
-    report share one DP. The law is read-only."""
-    law = _bernoulli_count_law(np.frombuffer(profile), np.frombuffer(grid, dtype=np.int64))
-    law.flags.writeable = False
-    return law
-
-
 def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
     """P(N(s) = n) for s on `grid` and n < n_cut under iid gaps, the first
     anchored at t = 0: P(N(s) >= n) = P(S_n <= s), with S_n's pmf the
@@ -528,6 +528,22 @@ def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
         np.maximum(pmf, 0.0, out=pmf)
     at_least = np.column_stack(at_least)
     return at_least[:, :-1] - at_least[:, 1:]
+
+
+@functools.lru_cache(maxsize=2)
+def _count_law(kind: TempoKind, tempo: TempoModel, grid: bytes) -> np.ndarray:
+    """The count law of `tempo` read as `kind` (`_bernoulli_count_law` of its
+    profile, or `_renewal_count_law`) on an int64 grid given as bytes. The
+    last two are remembered: the two cells of a report that share a tempo
+    kind share one law. A tempo model is read-only and keyed by identity;
+    the law is read-only too."""
+    grid = np.frombuffer(grid, dtype=np.int64)
+    if kind is TempoKind.BERNOULLI:
+        law = _bernoulli_count_law(tempo.profile, grid)
+    else:
+        law = _renewal_count_law(tempo, grid)
+    law.flags.writeable = False
+    return law
 
 
 def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -571,10 +587,7 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     """
     T = spec.config.regulation_length
     grid = _clock_grid(T, sample_every)
-    if spec.tempo_kind is TempoKind.BERNOULLI:
-        law = _shared_bernoulli_count_law(spec.tempo.profile.tobytes(), grid.tobytes())
-    else:
-        law = _renewal_count_law(spec.tempo, grid)
+    law = _count_law(spec.tempo_kind, spec.tempo, grid.tobytes())
     values, probs = spec._law.points.support, np.diff(spec._law.points.cdf, prepend=0.0)
     if spec.balance_kind is BalanceKind.BERNOULLI:
         m1, m2 = _bernoulli_moments(spec._law.c_samples, values, probs, law.shape[1])

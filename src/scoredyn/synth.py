@@ -82,7 +82,7 @@ def generate_league(spec: LeagueSpec, prefix: str = "league") -> Corpus:
     """Generate one game per scheduled matchup under the skill rule."""
     r, b = np.array(spec.schedule).T
     p_r = spec.skills[r] / (spec.skills[r] + spec.skills[b])
-    return _games(_league_law(spec, c_fixed=p_r), 0, len(p_r), prefix, "custom")
+    return Corpus.concat(_games(_league_law(spec, c_fixed=p_r), 0, len(p_r), prefix, "custom"))
 
 
 def generate_restoring_league(
@@ -100,7 +100,8 @@ def generate_restoring_league(
         raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")
     leads = _reachable_leads(spec.regulation_length, spec.point_values)
     phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return _games(_league_law(spec, phi=phi), 0, len(spec.schedule), prefix, "custom")
+    law = _league_law(spec, phi=phi)
+    return Corpus.concat(_games(law, 0, len(spec.schedule), prefix, "custom"))
 
 
 def default_league(

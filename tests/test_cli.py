@@ -303,7 +303,7 @@ class TestReport:
             runs.append(len(grid))
             return dp(profile, grid)
 
-        simulate._shared_bernoulli_count_law.cache_clear()
+        simulate._count_law.cache_clear()
         monkeypatch.setattr(simulate, "_bernoulli_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
@@ -315,6 +315,31 @@ class TestReport:
         assert runs == [61]  # one DP, on the 60 s grid of a 3600 s game
         header = (tmp_path / "report" / "lead_variance.csv").read_text().splitlines()[0]
         assert header == "t,sd_empirical,sd_bb,sd_bm,sd_mb,sd_mm"
+
+    def test_one_renewal_count_law_for_both_markov_tempo_cells(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from scoredyn import simulate
+
+        runs = []
+        law = simulate._renewal_count_law
+
+        def spy(tempo, grid):
+            runs.append(len(grid))
+            return law(tempo, grid)
+
+        simulate._count_law.cache_clear()
+        monkeypatch.setattr(simulate, "_renewal_count_law", spy)
+        games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
+        corpus = tmp_path / "games.csv"
+        sd.write_event_file(games, corpus)
+        for every in ("60", "120"):
+            code, _, err = run(capsys, "report", "--in", str(corpus), "--sport", "nhl",
+                               "--out-dir", str(tmp_path / every), "--splits", "1",
+                               "--min-samples", "10", "--sample-every", every)
+            assert code == 0, err
+            header = (tmp_path / every / "lead_variance.csv").read_text().splitlines()[0]
+            assert header == "t,sd_empirical,sd_bb,sd_bm,sd_mb,sd_mm"
+        assert runs == [61, 31]  # one law per report, on its own grid
 
     def test_report_regenerates_every_curve(self, tmp_path, capsys):
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 300, seed=60)
@@ -347,6 +372,14 @@ class TestReport:
         code, out, err = run(capsys, "report", "--in", str(corpus), "--sport", "nfl",
                              "--out-dir", str(tmp_path / "report"), "--splits", "1")
         assert code == 0 and "report ok games=1025" in out, err
+
+    def test_csv_cells_are_python_reprs(self, tmp_path):
+        from scoredyn.cli import _write_csv
+
+        path = tmp_path / "table.csv"
+        _write_csv(path, n=np.array([3, -1]), x=[0.1, 1e-20], flag=np.array([True, False]),
+                   lag=range(2))
+        assert path.read_text() == "n,x,flag,lag\n3,0.1,True,0\n-1,1e-20,False,1\n"
 
     def test_report_byte_identical_across_runs(self, tmp_path, capsys):
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 200, seed=61)
@@ -400,6 +433,31 @@ class TestOutOfRangeArguments:
         assert code == 2 and "report ok" not in out
         assert "unrecognized arguments: --null-sims 100" in err
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_min_samples_below_one_rejected(self, nhl_corpus, tmp_path, capsys, command, value):
+        # a lead state without observations has no estimate for the phi line
+        out = ["--out", str(tmp_path / "model.json")] if command == "fit" else [
+            "--out-dir", str(tmp_path / "report")]
+        code, text, err = run(capsys, command, "--in", str(nhl_corpus), "--sport", "nhl",
+                              "--min-samples", value, *out)
+        assert code == 1 and " ok " not in text
+        assert err == f"error: min_samples must be >= 1, got {value}\n"
+        assert os.listdir(tmp_path) == ["games.csv"]
+
+    def test_min_samples_zero_fails_cleanly_under_warnings_as_errors(self, nhl_corpus,
+                                                                     tmp_path):
+        src = os.path.dirname(os.path.dirname(sd.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "scoredyn.cli", "fit", "--in", str(nhl_corpus),
+             "--sport", "nhl", "--min-samples", "0", "--out", str(tmp_path / "model.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: min_samples must be >= 1, got 0\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_eval_rejects_zero_splits(self, nhl_corpus, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",

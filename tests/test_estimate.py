@@ -415,6 +415,18 @@ class TestLeadScoring:
         with pytest.raises(ValueError, match="no event transitions"):
             sd.lead_scoring_function(games, cap=5)
 
+    @pytest.mark.parametrize("min_samples", [0, -3])
+    def test_min_samples_below_one_rejected(self, min_samples):
+        # state +-2 is never observed: at min_samples 0 it entered the line
+        # and its binomial variance divided by a zero count
+        games = [unit_game("a", [1, -1]), unit_game("b", [-1, 1])]
+        message = f"min_samples must be >= 1, got {min_samples}"
+        with pytest.raises(ValueError, match=message):
+            sd.lead_scoring_function(games, cap=2, min_samples=min_samples)
+        with pytest.raises(ValueError, match=message):
+            sd.fit_balance(games, sd.SportConfig("custom", 10, (10,), {1: 1.0}, 2),
+                           min_samples=min_samples)
+
     def test_leads_beyond_cap_pool_into_boundary(self):
         games = [unit_game("a", [1] * 8)]
         scoring = sd.lead_scoring_function(games, cap=3, min_samples=1)
