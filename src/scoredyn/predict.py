@@ -19,7 +19,10 @@ antisymmetric chain).
 Prediction quality is evaluated out of sample: on each random split the
 model is refitted on 3/4 of the games, and on the held-out quarter the
 winner is predicted after every scoring event, each forecast an array
-lookup in the split's outcome table at (remaining events, lead).
+lookup in the split's outcome table at (remaining events, lead). Split k
+orders the games by a counter-based hash of (seed, k, game index)
+(`rng.split_permutation`), so it depends only on (seed, k) and the number
+of games, and evaluation never loads `numpy.random`.
 The mean fraction of correct predictions per cumulative event index
 (the AUC in the sense used throughout this package, 0.5 = chance) is
 compared against the leader-wins heuristic.
@@ -48,6 +51,7 @@ from .estimate import (  # noqa: F401  (kept as module attributes for tracing ho
     point_value_distribution,
     tempo_profile,
 )
+from .rng import split_permutation
 
 # Share of each split's games that the model is refitted on.
 TRAIN_FRACTION = 0.75
@@ -239,12 +243,17 @@ def evaluate_predictability(
 ) -> PredictabilityCurve:
     """Out-of-sample winner-prediction accuracy per cumulative event index.
 
-    For each split, phi, the point-value pmf, and the tempo profile are
-    refitted from the events of a random `TRAIN_FRACTION` of games, masked
-    out of the corpus's one event layout. Every held-out game is forecast
-    at the clock time and lead immediately after each of its events, with
-    leads clipped to the chain's +-cap; an event past the config's
-    regulation length raises ValueError. Forecasts are read
+    Split k takes the first `TRAIN_FRACTION` of games in the order
+    `split_permutation(seed, k, len(games))` for training, so it depends
+    only on (seed, k) and the number of games; `seed` must lie in
+    [0, 2**64). For each split, phi, the point-value pmf, and the tempo
+    profile are refitted from the training games' events, masked out of
+    the corpus's one event layout. Every held-out game is forecast at the
+    clock time and lead immediately after each of its events, with leads
+    clipped to the chain's +-cap; the scored events are gathered from the
+    held-out games' ranges of the layout, so scoring a split costs its
+    test events. An event past the config's regulation length raises
+    ValueError. Forecasts are read
     from the split's `outcome_table` at the steps that `forecast` takes.
     Exactly tied win probabilities, like the leader-wins baseline's
     abstention at a tied lead, score 1/2. Chain and leader-wins scores
@@ -263,17 +272,15 @@ def evaluate_predictability(
     if len(corpus) < 2:
         raise ValueError("need at least two games to split")
     cap, T = cfg.lead_truncation, cfg.regulation_length
-    rng = np.random.default_rng(seed)
     n_train = int(round(TRAIN_FRACTION * len(corpus)))
     n_train = min(max(n_train, 1), len(corpus) - 1)
 
-    # Every event of the corpus: its game, index within the game, clock
-    # second and the lead right after it.
+    # Every event of the corpus: its game, clock second and the lead
+    # right after it.
     offsets, signed = corpus.offsets, corpus.signed
     event_game, event_time = corpus.game, corpus.times
     n_events = corpus.event_counts
     max_events = int(n_events.max())
-    event_index = np.arange(len(event_game)) - offsets[event_game]
     event_lead = _event_leads(offsets, signed)
     lead_before = event_lead - signed
     winner_sign = np.sign(np.bincount(event_game, signed, len(corpus)))
@@ -285,7 +292,7 @@ def evaluate_predictability(
     counts = np.zeros((n_splits, max_events), dtype=np.int64)
 
     for split in range(n_splits):
-        order = rng.permutation(len(corpus))
+        order = split_permutation(seed, split, len(corpus))
         in_test = np.zeros(len(corpus), dtype=bool)
         in_test[order[n_train:]] = True
 
@@ -298,12 +305,16 @@ def evaluate_predictability(
         chain = build_chain(phi, pmf, cap)
         win, lose = outcome_table(chain, int(steps_of_t.max()))
 
-        scored_games = in_test & scorable
-        if not np.any(scored_games):
+        # The scored games' events, laid out game by game from `offsets`:
+        # each one's position in the corpus and index within its game.
+        scored_games = np.flatnonzero(in_test & scorable)
+        if not len(scored_games):
             raise ValueError(f"split {split}: every test game tied at regulation")
-        scored = scored_games[event_game]
-        index = event_index[scored]
-        sign = winner_sign[event_game[scored]]
+        game_events = n_events[scored_games]
+        ends = np.cumsum(game_events)
+        index = np.arange(ends[-1]) - np.repeat(ends - game_events, game_events)
+        scored = index + np.repeat(offsets[scored_games], game_events)
+        sign = np.repeat(winner_sign[scored_games], game_events)
         steps = steps_of_t[event_time[scored]]
         col = event_col[scored]
         p_r = win[steps, col]

@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -460,14 +460,22 @@ def lead_dispersion(
     if not len(corpus):
         raise ValueError("lead dispersion needs at least one game")
     grid = _clock_grid(regulation_length, sample_every)
+    # chunks bound _lead_sums' working memory
+    chunks = (corpus[lo : lo + _CHUNK_GAMES] for lo in range(0, len(corpus), _CHUNK_GAMES))
+    return (grid, *_dispersion(chunks, grid))
+
+
+def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sd of lead, mean |lead|) on `grid` over the games of `parts`, summed
+    one part at a time."""
     sums = np.zeros((3, len(grid)))
-    for lo in range(0, len(corpus), _CHUNK_GAMES):  # bounds _lead_sums' working memory
-        chunk = corpus[lo : lo + _CHUNK_GAMES]
-        sums += _lead_sums(chunk.offsets, chunk.times, chunk.signed, grid)
-    n = len(corpus)
+    n = 0
+    for part in parts:
+        sums += _lead_sums(part.offsets, part.times, part.signed, grid)
+        n += len(part)
     mean = sums[0] / n
     var = np.maximum(sums[1] / n - mean**2, 0.0)
-    return grid, np.sqrt(var), sums[2] / n
+    return np.sqrt(var), sums[2] / n
 
 
 # exact_lead_sd drops the event counts n >= n_cut, n_cut the first n
@@ -607,14 +615,15 @@ def lead_variance_curve(
 
     Simulates `n_games` under `spec` and samples the cross-game standard
     deviation (and mean absolute value) of the lead every
-    `sample_every` seconds. When `empirical_games` is given, the same
-    curve is computed from it for overlay.
+    `sample_every` seconds, summing one batch of `simulate_batches` at a
+    time, so memory is bounded by one batch. When `empirical_games` is
+    given, the same curve is computed from it for overlay.
     """
     if n_games < 1_000:
         raise ValueError("n_games must be >= 1000 for a stable dispersion estimate")
     T = spec.config.regulation_length
-    games = simulate_corpus(spec, n_games)
-    times, sd, mean_abs = lead_dispersion(games, T, sample_every)
+    times = _clock_grid(T, sample_every)
+    sd, mean_abs = _dispersion(simulate_batches(spec, n_games), times)
     sd_emp = mean_abs_emp = None
     if empirical_games is not None:
         _, sd_emp, mean_abs_emp = lead_dispersion(empirical_games, T, sample_every)

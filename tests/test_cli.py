@@ -464,6 +464,17 @@ class TestOutOfRangeArguments:
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))
         assert code == 1 and "error: n_splits must be >= 1" in err
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, nhl_corpus, tmp_path, capsys, command, seed):
+        out = ["--out", str(tmp_path / "eval.csv")] if command == "eval" else [
+            "--out-dir", str(tmp_path / "report"), "--min-samples", "10"]
+        code, text, err = run(capsys, command, "--in", str(nhl_corpus), "--sport", "nhl",
+                              "--splits", "2", "--seed", seed, *out)
+        assert code == 1 and " ok " not in text
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert os.listdir(tmp_path) == ["games.csv"]
+
 
 def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):
     # parse and the simulator build a Corpus; no command lays out a list of
@@ -525,6 +536,35 @@ assert "scipy.special" not in sys.modules
     assert result.returncode == 0, result.stderr
     assert result.stdout.count(" ok ") == 7
     assert (tmp_path / "report" / "events_per_game.csv").exists()
+
+
+def test_eval_and_report_leave_numpy_random_unloaded(tmp_path):
+    # eval's splits come from a counter-based hash, so no other command
+    # loads numpy.random (6 MB of RSS and OpenSSL's hashlib)
+    sd.write_event_file(sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 60, seed=62),
+                        tmp_path / "games.csv")
+    script = """
+import sys
+from scoredyn.cli import main
+commands = [
+    "validate --in games.csv",
+    "fit --in games.csv --sport nhl --out model.json --min-samples 10",
+    "predict --model model.json --lead 2 --t 1800",
+    "eval --in games.csv --sport nhl --splits 3 --out eval.csv",
+    "report --in games.csv --sport nhl --out-dir report --min-samples 10",
+]
+for command in commands:
+    assert main(command.split()) == 0, command
+    assert "numpy.random" not in sys.modules, command
+assert main("simulate --model model.json --n-games 20 --out sim.csv".split()) == 0
+assert "numpy.random" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-W", "error", "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(" ok ") == 6
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import scoredyn as sd
 from scoredyn.predict import OutcomeForecast, outcome_table
+from scoredyn.rng import split_permutation
 
 NBA_PMF = {1: 0.0941, 2: 0.7373, 3: 0.1647, 4: 0.0029, 5: 0.0009, 6: 0.0001}
 
@@ -412,14 +414,13 @@ def reference_evaluate(games, cfg, n_splits, seed, tie_mode="exclude"):
     from a per-split outcome table.
     """
     cap = cfg.lead_truncation
-    rng = np.random.default_rng(seed)
     n_train = min(max(int(round(0.75 * len(games))), 1), len(games) - 1)
     max_events = max(g.n_events for g in games)
     chain_sums = np.zeros((n_splits, max_events))
     leader_sums = np.zeros((n_splits, max_events))
     counts = np.zeros((n_splits, max_events), dtype=np.int64)
     for split in range(n_splits):
-        order = rng.permutation(len(games))
+        order = split_permutation(seed, split, len(games))
         train = [games[i] for i in order[:n_train]]
         test = [games[i] for i in order[n_train:]]
         scoring = sd.lead_scoring_function(train, cap)
@@ -644,3 +645,82 @@ class TestForecastReadsEvalTable:
                 assert f.p_win_r <= 1.0 and f.p_win_b <= 1.0, (lead, n)
                 assert f.p_win_r == min(1.0, win[n, lead + cap]), (lead, n)
                 assert f.p_win_b == min(1.0, lose[n, lead + cap]), (lead, n)
+
+
+M64 = 2**64 - 1
+
+
+def splitmix64(state: int, k: int) -> int:
+    """Output k (k >= 1) of the SplitMix64 stream seeded with `state`, in Python ints."""
+    z = (state + k * 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def reference_split(seed: int, split: int, n: int) -> list[int]:
+    """Games sorted by output i + 1 of the stream seeded with output split + 1 of seed's."""
+    state = splitmix64(seed, split + 1)
+    return sorted(range(n), key=lambda i: splitmix64(state, i + 1))
+
+
+class TestSplitPermutation:
+    def test_reference_reproduces_splitmix64_test_vector(self):
+        assert [splitmix64(1234567, k) for k in (1, 2, 3)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, M64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 500])
+    def test_every_split_is_a_permutation_equal_to_reference(self, seed, n):
+        for split in range(40):
+            order = split_permutation(seed, split, n)
+            assert order.dtype == np.intp and order.shape == (n,)
+            assert np.array_equal(np.sort(order), np.arange(n)), split
+            assert order.tolist() == reference_split(seed, split, n), split
+
+    def test_small_corpora_see_every_order(self):
+        # n = 2 and n = 3: 200 splits reach each of the 2 and 6 orders
+        for n in (2, 3):
+            seen = {tuple(split_permutation(5, k, n).tolist()) for k in range(200)}
+            assert seen == set(itertools.permutations(range(n))), n
+
+    def test_split_depends_only_on_seed_split_and_size(self):
+        forward = [split_permutation(9, k, 60) for k in range(25)]
+        backward = [split_permutation(9, k, 60) for k in reversed(range(25))][::-1]
+        for k in range(25):
+            assert np.array_equal(forward[k], backward[k]), k
+            assert np.array_equal(forward[k], split_permutation(9, k, 60)), k
+        assert len({tuple(o.tolist()) for o in forward}) == 25  # the splits differ
+        assert not np.array_equal(split_permutation(10, 0, 60), forward[0])
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_test_set_frequency_within_four_sigma(self, n):
+        n_splits = 4000
+        n_train = min(max(round(0.75 * n), 1), n - 1)
+        p = (n - n_train) / n
+        in_test = np.zeros(n)
+        for k in range(n_splits):
+            in_test[split_permutation(3, k, n)[n_train:]] += 1
+        sigma = math.sqrt(n_splits * p * (1 - p))
+        assert np.all(np.abs(in_test - n_splits * p) <= 4 * sigma), in_test
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            split_permutation(seed, 0, 5)
+        games = TestEvaluateMatchesPerEventReference.nba_like_games(10, seed=1)
+        cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sd.evaluate_predictability(games, cfg, n_splits=2, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        games = TestEvaluateMatchesPerEventReference.nba_like_games(10, seed=1)
+        cfg = sd.SportConfig("custom", 1440, (1440,), NBA_PMF, 100)
+        curve = sd.evaluate_predictability(games, cfg, n_splits=2, seed=M64)
+        assert np.all((curve.auc_chain >= 0) & (curve.auc_chain <= 1))
+
+    def test_wrap_around_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split_permutation(M64, 2**64 + 7, 1000)

@@ -713,20 +713,22 @@ class TestExactLeadSd:
         # games, with sigma from those games' own per-game L and L^2
         spec = cell_spec(request.getfixturevalue(fitted_name), tempo_kind, balance_kind)
         simulated = []
-        simulate_corpus = sd.simulate.simulate_corpus
+        simulate_batches = sd.simulate.simulate_batches
 
         def keep(spec, n_games):
-            simulated.append(simulate_corpus(spec, n_games))
-            return simulated[-1]
+            for batch in simulate_batches(spec, n_games):
+                simulated.append(batch)
+                yield batch
 
         n_games = 20_000
-        monkeypatch.setattr(sd.simulate, "simulate_corpus", keep)
+        monkeypatch.setattr(sd.simulate, "simulate_batches", keep)
         curve = sd.lead_variance_curve(spec, n_games=n_games)
         times, sd_exact = sd.exact_lead_sd(spec)
         np.testing.assert_array_equal(times, curve.times)
         assert sd_exact[0] == 0.0 and np.all(np.isfinite(sd_exact))
 
-        (corpus,) = simulated
+        corpus = sd.Corpus.concat(simulated)
+        assert len(corpus) == n_games
         game, event_times, signed = corpus.game, corpus.times, corpus.signed
         T = spec.config.regulation_length
         for t in (T // 4, T // 2, 3 * T // 4, T):
