@@ -65,7 +65,7 @@ def _write_curve(path: Path, curve) -> None:
 
 
 def _load_corpus(args):
-    """Parse `--in` and resolve its config from --config, --sport or the corpus tags.
+    """Parse `--in` and resolve its config from --config, --sport (never both) or the corpus tags.
 
     A --config sport id also resolves that tag while parsing, so corpora
     under a non-built-in tag (such as `synth` output) load. A game tagged
@@ -288,8 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_io(p, needs_out=True):
         p.add_argument("--in", dest="infile", required=True, help="input event-log file")
         p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-        p.add_argument("--sport", default=None, help="built-in sport id (cfb/nfl/nhl/nba)")
-        p.add_argument("--config", default=None, help="path to a sport config JSON")
+        source = p.add_mutually_exclusive_group()  # --config resolves the sport itself
+        source.add_argument("--sport", default=None, help="built-in sport id (cfb/nfl/nhl/nba)")
+        source.add_argument("--config", default=None, help="path to a sport config JSON")
         if needs_out:
             p.add_argument("--out", required=True)
 

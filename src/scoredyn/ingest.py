@@ -10,17 +10,21 @@ other JSON type, so ``5`` and ``"5"`` never read as one game id. ``t`` and
 integer strings in JSONL (floats and booleans are rejected). ``points``
 must lie in [1, 2**31 - 1], so per-second sums stay exact in int64.
 
-CSV is tokenized by csv.reader and checked in blocks of 512 rows. Each
-check (missing values, team tags, integer ``t`` and ``points`` and their
-ranges, sport tags, one sport per game) runs once per block over whole
-columns, or once per distinct tag or id. JSONL is checked one line at a
-time, as ``json.loads`` reads it.
+CSV is tokenized on the file's bytes with numpy, in blocks of 4,096
+lines, when csv.reader would split it on commas and line feeds alone: the
+file holds no quote and no NUL, and every non-empty line holds five
+non-empty fields within csv's size limit. Each check (team tags, plain
+decimal ``t`` and ``points`` and their ranges, sport tags, one sport per
+game) runs once per block over whole columns, or once per distinct team
+tag or run of rows of one game. Any other file, and JSONL, is read by the
+row path: csv.reader or ``json.loads`` one line at a time, each row
+checked on its own.
 
 The first bad row in file order fails, naming its physical line (blank
 lines count) and the field: ``line N: field 'x': ...``; a byte that is not
-UTF-8 fails as field ``encoding`` on its line. When a CSV block fails a
-column check, the rows are walked again from the top, each checked on its
-own, and the first bad one raises; where the blocks fall never shows.
+UTF-8 fails as field ``encoding`` on its line. The tokenizer raises
+nothing: a file it does not take (a signed, padded or non-ASCII number
+among them) goes to the row path, which names the first bad row.
 
 Preprocessing:
   * overtime filter: records with t beyond regulation are dropped before
@@ -48,7 +52,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,7 +78,11 @@ _MAX_POINTS = 2**31 - 1  # sums of up to 2**32 records stay exact in int64
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-_BLOCK_ROWS = 512  # CSV rows per column block
+_BLOCK_ROWS = 4096  # CSV lines per block of the byte tokenizer
+_PAD = 8  # zero bytes after a file's bytes, so an 8-byte word read at any offset stays inside
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # k low bytes of a word
+_T_DIGITS, _POINTS_DIGITS = 18, 10  # the widest t and points the tokenizer reads (10**18 < 2**63)
+_COMMA, _LINE_FEED = ord(","), ord("\n")
 _KEYS_PER_EVENT = 4  # render keys (signed points, t) densely while the key range is this small
 _NO_ROWS = (np.empty(0, dtype=np.int64),) * 3  # (game index, t, signed points) of no rows
 
@@ -83,24 +91,32 @@ class IngestError(ValueError):
     """Malformed or inconsistent event-log input."""
 
 
-class _Irregular(Exception):
-    """A column check failed somewhere in a block; the row walk names the first error."""
-
-
 def _fail(line: int, field: str, message: str) -> IngestError:
     return IngestError(f"line {line}: field '{field}': {message}")
 
 
-def _read_text(path: str | os.PathLike) -> str:
-    """The file's UTF-8 text with line ends as in text mode ("\r\n" and "\r" read as "\n")."""
+def _read(path: str | os.PathLike) -> tuple[bytearray, int]:
+    """The file's bytes with line ends as in text mode ("\r\n" and "\r" read
+    as "\n"), followed by _PAD zero bytes, and their number without the
+    padding. Bytes that are not UTF-8 raise, naming their line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise _fail(before.count(b"\n") + 1, "encoding", f"not UTF-8: {exc.reason}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        size = os.fstat(fh.fileno()).st_size
+        data = bytearray(size + _PAD)  # read in place: the padding costs no copy of the file
+        size = fh.readinto(memoryview(data)[:size])
+        del data[size + _PAD :]  # the file shrank since fstat
+        if rest := fh.read():  # the file grew, or has no size (a pipe)
+            data[size:] = rest + bytes(_PAD)
+            size += len(rest)
+    if not data.isascii():
+        try:
+            str(memoryview(data)[:size], "utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            raise _fail(before.count(b"\n") + 1, "encoding", f"not UTF-8: {exc.reason}") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        size = len(data) - _PAD
+    return data, size
 
 
 def _integer(value, line: int, field: str, what: str) -> int:
@@ -173,74 +189,160 @@ def _jsonl_rows(text: str) -> Iterator[tuple[int, list]]:
         yield line, [obj.get(field) for field in CSV_COLUMNS]
 
 
-def _csv_blocks(text: str) -> Iterator[Sequence[Sequence[str]]]:
-    """The rows after the header, as five field columns per block of
-    _BLOCK_ROWS rows, tokenized by csv.reader as `_csv_rows` tokenizes
-    them. A wrong header, a ragged row or a csv error (a field over csv's
-    size limit among them) raises _Irregular."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        if not _is_header(next(reader, None)):
-            raise _Irregular
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            rows = list(filter(None, rows))  # blank lines hold no row
-            if not rows:
-                continue
-            if {*map(len, rows)} != {len(CSV_COLUMNS)}:
-                raise _Irregular
-            yield list(zip(*rows))
-    except csv.Error:
-        raise _Irregular from None
+def _decimal(view: np.ndarray, ends: np.ndarray, widths: np.ndarray, most: int):
+    """The fields of `widths` bytes that end before `ends` as int64, read
+    one digit column at a time, the most significant first; None unless
+    every field is plain ASCII digits and none is wider than `most`."""
+    widest, narrowest = int(widths.max()), int(widths.min())
+    if widest > most:
+        return None
+    value = np.zeros(len(ends), dtype=np.int64)
+    for k in reversed(range(widest)):  # the digits worth 10**k
+        digit = view[ends - (k + 1)] - 48  # uint8: a byte below "0" wraps past 9
+        if k >= narrowest:
+            digit[widths <= k] = 0
+        if digit.max() > 9:
+            return None
+        value *= 10  # in int64, so no digit is ever multiplied in uint8
+        value += digit
+    return value
 
 
-def _block_columns(
-    columns: Sequence[Sequence[str]],
+def _repeats(words: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Whether each row's `widths` bytes from `starts` are those of the row
+    before (False for the first row), compared 8 bytes at a time: over
+    every row while the words lie inside every row's bytes, then over the
+    rows that still agree, with the bytes past a row's end masked off."""
+    same = np.zeros(len(starts), dtype=bool)
+    same[1:] = widths[1:] == widths[:-1]
+    offset, shortest = 0, int(widths.min())
+    while offset + 8 <= shortest:
+        word = words[starts + offset]
+        same[1:] &= word[1:] == word[:-1]
+        offset += 8
+    rows = np.flatnonzero(same & (widths > offset))
+    while len(rows):
+        left = widths[rows] - offset
+        word = words[starts[rows] + offset] ^ words[starts[rows - 1] + offset]
+        differ = word & _LOW_BYTES[np.minimum(left, 8)] != 0
+        same[rows[differ]] = False
+        rows = rows[~differ & (left > 8)]
+        offset += 8
+    return same
+
+
+def _team_signs(keys: np.ndarray, sign_of: dict[int, int | None]) -> np.ndarray | None:
+    """The sign of each row's team tag, from its key: its at most 8 bytes
+    as a little-endian word (a tag holds no NUL, so no two share a key);
+    `sign_of` caches each distinct key's. None if a tag is unknown."""
+    distinct, row_key = np.unique(keys, return_inverse=True)
+    signs = []
+    for key in distinct.tolist():
+        if key not in sign_of:
+            tag = key.to_bytes(8, "little").rstrip(b"\0").decode("utf-8")
+            sign_of[key] = _TEAM_SIGNS.get(tag.strip().lower())
+        if sign_of[key] is None:
+            return None
+        signs.append(sign_of[key])
+    return np.array(signs, dtype=np.int64)[row_key]
+
+
+def _csv_columns(
+    data: bytearray,
+    size: int,
+    configs: Mapping[str, SportConfig] | None,
+    games: dict[str, tuple[int, str, SportConfig]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(game index, t, signed points) int64 columns of the regulation rows
+    of the CSV bytes `data[:size]` (see `_read`), or None if the row path
+    must read them.
+
+    The tokenizer takes a file without a quote or a NUL, with the right
+    header, whose non-empty lines each hold exactly four commas between
+    non-empty fields no wider than csv's limit: csv.reader splits such a
+    file on commas and line feeds alone. It reads _BLOCK_ROWS lines at a
+    time. ``t`` and ``points`` must be plain ASCII digits and team tags at
+    most 8 bytes. Each distinct team tag resolves once per file; sport and
+    game id once per run of rows with the same raw ``sport,game_id``
+    bytes, through `_game` as the row path resolves them, so `games` fills
+    in order of first occurrence. Any other input, and any failed check,
+    gives None."""
+    if data.find(b'"', 0, size) >= 0 or data.find(b"\0", 0, size) >= 0:
+        return None
+    limit = csv.field_size_limit()  # in characters; a field of no more bytes is within it
+    view = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(view[:size] == _LINE_FEED)
+    header = data[: breaks[0] if len(breaks) else size].decode("utf-8").split(",")
+    if not _is_header(header) or max(map(len, header)) > limit:
+        return None
+    words = np.ndarray((size,), dtype="<u8", buffer=data, strides=(1,))  # 8 bytes from each offset
+    line_starts, line_ends = breaks + 1, np.append(breaks[1:], size)
+    resolved: dict[str, SportConfig] = {}  # per sport tag
+    sign_of: dict[int, int | None] = {}  # per team key
+    blocks = []
+    for lo in range(0, len(breaks), _BLOCK_ROWS):
+        starts, ends = line_starts[lo : lo + _BLOCK_ROWS], line_ends[lo : lo + _BLOCK_ROWS]
+        commas = np.flatnonzero(view[starts[0] : ends[-1]] == _COMMA)
+        commas += starts[0]
+        full = ends > starts  # blank lines hold no row
+        starts, ends = starts[full], ends[full]
+        n = len(starts)
+        if len(commas) != 4 * n:
+            return None
+        if not n:
+            continue
+        edges = np.empty((6, n), dtype=np.int64)  # the byte before each field, and the line's end
+        edges[0], edges[1:5], edges[5] = starts - 1, commas.reshape(n, 4).T, ends
+        widths = edges[1:] - edges[:-1]
+        widths -= 1  # no width is 0 iff each line holds its own 4 commas
+        if widths.min() < 1 or widths.max() > limit or widths[2].max() > 8:
+            return None
+        t = _decimal(view, edges[4], widths[3], _T_DIGITS)
+        points = _decimal(view, edges[5], widths[4], _POINTS_DIGITS)
+        if t is None or points is None or points.min() < 1 or points.max() > _MAX_POINTS:
+            return None
+        signs = _team_signs(words[edges[2] + 1] & _LOW_BYTES[widths[2]], sign_of)
+        if signs is None:
+            return None
+
+        new_run = ~_repeats(words, starts, edges[2] - starts)  # of "sport,game_id"
+        index_of, regulation_of = [], []
+        for a, b in zip(starts[new_run].tolist(), edges[2][new_run].tolist()):
+            sport, _, game_id = data[a:b].decode("utf-8").partition(",")
+            try:
+                index, cfg = _game(sport.strip(), game_id.strip(), 0, configs, resolved, games)
+            except IngestError:
+                return None
+            index_of.append(index)
+            regulation_of.append(cfg.regulation_length)
+        run = np.cumsum(new_run) - 1
+        keep = t <= np.array(regulation_of, dtype=np.int64)[run]
+        game = np.array(index_of, dtype=np.int64)[run]
+        blocks.append((game[keep], t[keep], (signs * points)[keep]))
+    return tuple(np.concatenate(column) for column in zip(_NO_ROWS, *blocks))
+
+
+def _game(
+    sport: str,
+    game_id: str,
+    line: int,
     configs: Mapping[str, SportConfig] | None,
     resolved: dict[str, SportConfig],
     games: dict[str, tuple[int, str, SportConfig]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(game index, t, signed points) int64 columns of one block's regulation rows.
-
-    Each check of `_record` and of the sport tags runs once over the
-    block's columns, or once per distinct tag or id; any failure raises
-    _Irregular. `resolved` (sport tag -> config) and `games` (game id ->
-    (index, sport tag, config)) carry over from block to block."""
-    sports, game_ids, teams, times, points = columns
-    if not all(map(all, columns)):  # a missing value
-        raise _Irregular
-    sign_of = {tag: _TEAM_SIGNS.get(tag.strip().lower()) for tag in set(teams)}
-    if None in sign_of.values():
-        raise _Irregular
-    tag_of = {tag: tag.strip() for tag in set(sports)}
-    try:  # int() accepts what `_integer` accepts; an unknown sport is an IngestError
-        times = list(map(int, times))
-        points = list(map(int, points))
-        for tag in set(tag_of.values()).difference(resolved):
-            resolved[tag] = _resolve_sport(tag, 0, configs)
-    except ValueError:
-        raise _Irregular from None
-    if min(times) < 0 or min(points) <= 0 or max(points) > _MAX_POINTS:
-        raise _Irregular
-    index_of = {}  # game id as written -> game index
-    for game_id, sport in dict.fromkeys(zip(game_ids, sports)):  # in order of first occurrence
-        sport = tag_of[sport]
-        index, first_sport, _ = games.setdefault(
-            game_id.strip(), (len(games), sport, resolved[sport])
+) -> tuple[int, SportConfig]:
+    """The index and config of game `game_id` under the sport tag `sport`
+    (both stripped), entered in `games` on first sight; `resolved` holds
+    each tag's config. An unknown tag, or a game under a second sport,
+    raises an IngestError naming `line`."""
+    cfg = resolved.get(sport)
+    if cfg is None:
+        cfg = resolved[sport] = _resolve_sport(sport, line, configs)
+    index, first_sport, _ = games.setdefault(game_id, (len(games), sport, cfg))
+    if first_sport != sport:
+        raise _fail(
+            line, "sport", f"game {game_id!r} listed under both {first_sport!r} and {sport!r}"
         )
-        if first_sport != sport:
-            raise _Irregular
-        index_of[game_id] = index
-    regulation_of = {tag: resolved[tag_of[tag]].regulation_length for tag in tag_of}
-    if max(times) > _INT64_MAX:  # overtime beyond int64: any t above every regulation drops alike
-        cap = max(regulation_of.values()) + 1
-        times = [min(t, cap) for t in times]
-    n = len(times)
-    t = np.array(times, dtype=np.int64)
-    keep = t <= np.fromiter(map(regulation_of.__getitem__, sports), np.int64, n)
-    game = np.fromiter(map(index_of.__getitem__, game_ids), np.int64, n)
-    net = np.fromiter(map(sign_of.__getitem__, teams), np.int64, n)
-    net *= np.array(points, dtype=np.int64)
-    return game[keep], t[keep], net[keep]
+    return index, cfg
 
 
 def _row_records(
@@ -253,14 +355,7 @@ def _row_records(
     resolved: dict[str, SportConfig] = {}  # per sport tag
     for line, row in rows:
         sport, game_id, sign, t, points = _record(line, row)
-        cfg = resolved.get(sport)
-        if cfg is None:
-            cfg = resolved[sport] = _resolve_sport(sport, line, configs)
-        index, first_sport, _ = games.setdefault(game_id, (len(games), sport, cfg))
-        if first_sport != sport:
-            raise _fail(
-                line, "sport", f"game {game_id!r} listed under both {first_sport!r} and {sport!r}"
-            )
+        index, cfg = _game(sport, game_id, line, configs, resolved, games)
         yield index, t, sign * points, cfg.regulation_length
 
 
@@ -299,21 +394,17 @@ def parse_event_file(
     appear in order of first occurrence in the file.
     """
     fmt = _infer_format(path, fmt)
-    text = _read_text(path)
+    data, size = _read(path)
     games: dict[str, tuple[int, str, SportConfig]] = {}  # game id -> (index, sport tag, config)
-    if fmt == "jsonl":  # json.loads reads one line at a time, so JSONL is checked row by row
-        records = _row_records(_jsonl_rows(text), configs, games)
-        kept = [(index, t, net) for index, t, net, regulation in records if t <= regulation]
-        game, t, net = np.array(kept, dtype=np.int64).reshape(-1, 3).T
-    else:
-        resolved: dict[str, SportConfig] = {}  # per sport tag
-        try:
-            blocks = [_block_columns(b, configs, resolved, games) for b in _csv_blocks(text)]
-        except _Irregular:
-            for _ in _row_records(_csv_rows(text), configs, {}):
-                pass  # raises at the first bad row
-            raise AssertionError("a column check failed where every row check passes") from None
-        game, t, net = (np.concatenate(column) for column in zip(_NO_ROWS, *blocks))
+    columns = _csv_columns(data, size, configs, games) if fmt == "csv" else None
+    if columns is None:  # JSONL, or CSV the tokenizer does not take: one row at a time
+        games.clear()
+        text = str(memoryview(data)[:size], "utf-8")
+        rows = _csv_rows(text) if fmt == "csv" else _jsonl_rows(text)
+        records = _row_records(rows, configs, games)
+        kept = ((index, t, net) for index, t, net, regulation in records if t <= regulation)
+        columns = np.fromiter(chain.from_iterable(kept), dtype=np.int64).reshape(-1, 3).T
+    game, t, net = columns
 
     order = _sort_order(game, t)
     game, t, net = game[order], t[order], net[order]

@@ -1,7 +1,7 @@
-"""The block-column CSV parser against the row parser it replaced.
+"""The CSV byte tokenizer against the row parser.
 
 `row_parse` is `parse_event_file` as it stood before CSV text was
-tokenized and checked in column blocks: `csv.reader` over the whole text,
+tokenized and checked in blocks: `csv.reader` over the whole text,
 `_record` and the sport checks one row at a time, then the same-second
 merge. On any CSV text both must give the same games (ids, sports,
 events, dtypes and read-only columns) or the same `IngestError` message.
@@ -151,7 +151,11 @@ CONFIGS = {"tiny": TINY}
 HEADER = ",".join(CSV_COLUMNS)
 
 SPORTS = ["nfl", "NBA", " nba ", "nhl", "tiny", "TINY"]
-IDS = ["g1", "g2", " g1", "g1 ", "é☃", "g\x00", "٣"]
+LONG_ID = "abcdefghijklmnopqrstuvwxyz0123"  # 30 bytes
+# Ids of one width that differ only at byte 4, 8, ..., 24 of the id (the
+# tokenizer compares "sport,game_id" 8 bytes at a time), and past byte 24.
+IDS = ["g1", "g2", " g1", "g1 ", "é☃", "g\x00", "٣", LONG_ID,
+       *(LONG_ID[:k] + "_" + LONG_ID[k + 1:] for k in (4, 8, 12, 16, 20, 24, 28))]
 TEAMS = ["r", "b", "home", "away", " R ", "Away"]
 HEADERS = [
     " sport , game_id,team,t , points", '"sport",game_id,team,t,points', "sport,game_id,team,t", ""
@@ -281,6 +285,22 @@ CASES = {
     "padded fields": " nfl , g1 , r , 10 , 7 \nnfl,g1, Away ,20,3\n",
     "+7, 1_0 and non-ASCII digits": "nfl,g1,r,+7,1_0\nnfl,g1,b,٣,2\n",
     "custom configs": "tiny,g1,r,50,1\ntiny,g1,r,150,1\nTINY,g2,b,5,1\n",
+    "ids that differ only after byte 8, 16 or 24": "nfl,g1,r,1,1\n" + "".join(
+        f"nfl,{LONG_ID},r,{k},7\nnfl,{LONG_ID[:k]}_{LONG_ID[k + 1:]},b,{k},3\n"
+        f"nfl,{LONG_ID[:k]}_{LONG_ID[k + 1:]},r,{k + 1},2\n"
+        for k in range(len(LONG_ID))
+    ),
+    "ids longer than 24 bytes": f"nba,{LONG_ID * 5},r,10,2\nnba,{LONG_ID * 5},b,20,3\n"
+    f"nba,{LONG_ID * 5}x,r,30,1\nnba,{LONG_ID * 5},r,40,2\n",
+    "rows of two games interleaved": "nfl,g1,r,10,7\nnfl,g2,b,10,3\nnfl,g1,b,20,3\n"
+    "nfl,g2,r,30,7\nnfl,g1,r,30,2\nnfl,g2,b,40,3\n",
+    "no final newline": "nfl,g1,r,10,7\nnfl,g1,b,20,3",
+    "non-ASCII id within the limit in characters, past it in bytes":
+        f"nfl,{'é' * FIELD_LIMIT},r,10,7\nnfl,{'é' * FIELD_LIMIT},b,20,3\n",
+    "t with a byte just past 9": "nfl,g1,r,10,7\nnfl,g1,b,2:,3\n",
+    "points with a byte just below 0": "nfl,g1,r,10,7\nnfl,g1,b,20,/\n",
+    "t with leading zeros": "nfl,g1,r,0010,7\nnfl,g1,b,00,3\nnfl,g1,r,000000000000000030,2\n"
+    "nfl,g1,b,40,007\n",
     **{
         f"missing {column}": ",".join("" if i == k else v for i, v in enumerate(VALID_ROW)) + "\n"
         for k, column in enumerate(CSV_COLUMNS)
@@ -316,8 +336,12 @@ def block_starts(lines):
     return list(range(1, len(lines) - 1, ingest._BLOCK_ROWS))
 
 
+MULTI_BLOCK_ROWS = 512  # NBA_TEXT spans at least 3 blocks of this many lines
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 @pytest.mark.parametrize("where", ["last row of block 1", "first row of block 2", "last block"])
+@mock.patch.object(ingest, "_BLOCK_ROWS", MULTI_BLOCK_ROWS)
 def test_first_error_in_a_later_block_names_its_line(tmp_path, damage, where):
     lines = NBA_TEXT.split("\n")
     starts = block_starts(lines)
@@ -334,6 +358,7 @@ def test_first_error_in_a_later_block_names_its_line(tmp_path, damage, where):
         assert message.startswith(f"line {line + 1}: ")
 
 
+@mock.patch.object(ingest, "_BLOCK_ROWS", MULTI_BLOCK_ROWS)
 def test_valid_multi_block_file_matches(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(NBA_TEXT, encoding="utf-8")

@@ -182,6 +182,22 @@ class TestSportTagCheck:
         assert "is tagged NFL, but the chosen config is NBA" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "command, out_flag",
+        [("fit", ["--out", "model.json"]), ("eval", ["--out", "eval.csv"]),
+         ("report", ["--out-dir", "report"])],
+    )
+    def test_sport_with_config_is_a_usage_error(self, nfl_corpus, tmp_path, capsys, command,
+                                                out_flag):
+        config = tmp_path / "nba.json"
+        sd.save_config(sd.builtin_config("nba"), config)
+        out_path = tmp_path / out_flag[1]
+        code, out, err = run(capsys, command, "--in", str(nfl_corpus), "--sport", "nfl",
+                             "--config", str(config), out_flag[0], str(out_path))
+        assert code == 2 and out == ""
+        assert "argument --config: not allowed with argument --sport" in err
+        assert not out_path.exists()
+
     def test_config_of_other_sport_rejected(self, corpus, tmp_path, capsys):
         config = tmp_path / "custom.json"
         sd.save_config(sd.SportConfig("custom", 3600, (3600,), {1: 1.0}, 15), config)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scoredyn as sd
+from scoredyn import ingest
 from scoredyn.cli import main
 from scoredyn.ingest import (
     CorpusReport,
@@ -292,6 +293,56 @@ class TestRoundTrip:
         path = write_csv(tmp_path, rows)
         games = sd.parse_event_file(path)
         assert sum(g.n_events for g in games) <= len(rows)
+
+
+class TestByteTokenizer:
+    """Files as the writer writes them never reach the row path, whatever
+    their line ends, sport tag case or team tag spelling."""
+
+    @pytest.mark.parametrize("sport, rate", [("nfl", 0.004), ("nba", 0.0437)])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("spelling", ["as written", "uppercase sport, home/away"])
+    @pytest.mark.parametrize("block_rows", [ingest._BLOCK_ROWS, 256])
+    def test_written_files_parse_without_the_row_path(
+        self, tmp_path, monkeypatch, sport, rate, newline, spelling, block_rows
+    ):
+        games = sd.ideal_corpus(sd.builtin_config(sport), rate, 40, seed=11)
+        path = tmp_path / "games.csv"
+        sd.write_event_file(games, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        if spelling != "as written":
+            team = {"r": "home", "b": "away"}
+            lines = [
+                f"{s.upper()},{g},{team[side]},{t},{p}"
+                for s, g, side, t, p in (line.split(",") for line in lines)
+            ]
+        path.write_bytes(newline.join([header, *lines, ""]).encode("utf-8"))
+
+        def row_path(*args):
+            raise AssertionError("the row path ran")
+
+        monkeypatch.setattr(ingest, "_row_records", row_path)
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        assert sd.parse_event_file(path) == games
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("stale", [64, 3, -10])
+    def test_size_changed_since_stat(self, tmp_path, monkeypatch, newline, stale):
+        """A file that shrank (or grew) between its stat and its read parses
+        as the bytes read, with no padding counted as file bytes."""
+        games = sd.ideal_corpus(sd.builtin_config("nba"), 0.0437, 5, seed=3)
+        path = tmp_path / "games.csv"
+        sd.write_event_file(games, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_bytes(newline.join([*lines, ""]).encode("utf-8"))
+        real_fstat = ingest.os.fstat
+
+        def stale_fstat(fd):
+            st = real_fstat(fd)
+            return type("Stat", (), {"st_size": max(st.st_size + stale, 0)})
+
+        monkeypatch.setattr(ingest.os, "fstat", stale_fstat)
+        assert sd.parse_event_file(path) == games
 
 
 def loop_validate(games, configs=None):
