@@ -2,9 +2,9 @@
 
 Fits tempo and balance to a reference corpus, then computes the exact
 lead-size standard deviation curve of every combination of {bernoulli,
-markov} tempo and {bernoulli, markov} balance (`exact_lead_sd`, no
-simulation) and compares it against the reference corpus. The markov
-balance model (lead-conditioned event winners) is the one that tracks
+markov} tempo and {bernoulli, markov} balance in one pass
+(`exact_lead_sd_grid`, no simulation) and compares it against the
+reference corpus. The markov balance model (lead-conditioned event winners) is the one that tracks
 the reference.
 
 Writes demos_out/lead_variance_grid.csv with columns
@@ -34,22 +34,13 @@ config = sd.league_config(base, lead_cap=100)
 tempo = sd.fit_tempo(reference, config)
 balance = sd.fit_balance(reference, config)
 
-curves = {}
-for tempo_kind in ("bernoulli", "markov"):
-    for balance_kind in ("bernoulli", "markov"):
-        spec = sd.ModelSpec(
-            tempo_kind=tempo_kind, balance_kind=balance_kind,
-            tempo=tempo, balance=balance, config=config, seed=11,
-        )
-        times, curves[(tempo_kind, balance_kind)] = sd.exact_lead_sd(spec, sample_every=120)
-
-_, sd_ref, _ = sd.lead_dispersion(reference, config.regulation_length, sample_every=120)
+times, curves = sd.exact_lead_sd_grid(tempo, balance, config, sample_every=120)
+_, sd_ref = sd.lead_dispersion(reference, config.regulation_length, sample_every=120)
 
 print("lead-size standard deviation by clock time")
 print(f"{'t':>6} {'reference':>10} {'B/B':>8} {'B/M':>8} {'M/B':>8} {'M/M':>8}")
 for i in range(0, len(times), 4):
-    row = [curves[k][i] for k in (("bernoulli", "bernoulli"), ("bernoulli", "markov"),
-                                  ("markov", "bernoulli"), ("markov", "markov"))]
+    row = [curve[i] for curve in curves.values()]  # bb, bm, mb, mm
     print(f"{times[i]:>6} {sd_ref[i]:>10.2f} " + " ".join(f"{v:>8.2f}" for v in row))
 
 err = {k: float(np.mean(np.abs(v - sd_ref))) for k, v in curves.items()}

@@ -66,10 +66,10 @@ from .predict import (
 from .rng import substream
 from .simulate import (
     BalanceKind,
-    LeadDispersionCurve,
     ModelSpec,
     TempoKind,
     exact_lead_sd,
+    exact_lead_sd_grid,
     ideal_corpus,
     ideal_game,
     ideal_model,

@@ -25,7 +25,7 @@ from . import (
     correlation_function,
     evaluate_predictability,
     events_per_game_distribution,
-    exact_lead_sd,
+    exact_lead_sd_grid,
     fit_balance,
     fit_tempo,
     forecast,
@@ -39,6 +39,7 @@ from . import (
     write_event_file,
 )
 from .core import atomic_write_text, config_for_games
+from .rng import check_seed
 from .synth import (
     default_league,
     generate_league,
@@ -119,6 +120,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_seed(args.seed)
     artifact = load_model(args.model)
     spec = ModelSpec(
         tempo_kind=args.tempo,
@@ -174,6 +176,7 @@ def _cmd_synth(args) -> int:
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} does not apply to --kind {args.kind}", file=sys.stderr)
             return 2
+    check_seed(args.seed)
     spec = default_league(
         n_teams=2 if args.kind == "restoring" else 20 if args.n_teams is None else args.n_teams,
         n_games=args.n_games,
@@ -220,22 +223,11 @@ def _cmd_report(args) -> int:
     emp_hist, _ = np.histogram(c_hat, bins=bins, density=True)
     null_hist, _ = np.histogram(fractions, bins=bins, weights=probs, density=True)
 
-    grid_cols: dict[str, np.ndarray] = {}
-    for tempo_kind in ("bernoulli", "markov"):
-        for balance_kind in ("bernoulli", "markov"):
-            spec = ModelSpec(
-                tempo_kind=tempo_kind,
-                balance_kind=balance_kind,
-                tempo=tempo,
-                balance=balance,
-                config=config,
-                seed=args.seed,
-            )
-            times, sd = exact_lead_sd(spec, sample_every=args.sample_every)
-            grid_cols[f"sd_{tempo_kind[0]}{balance_kind[0]}"] = sd
+    times, curves = exact_lead_sd_grid(tempo, balance, config, args.sample_every)
+    grid_cols = {f"sd_{t[0]}{b[0]}": sd for (t, b), sd in curves.items()}
     from .simulate import lead_dispersion
 
-    _, sd_emp, _ = lead_dispersion(games, config.regulation_length, args.sample_every)
+    _, sd_emp = lead_dispersion(games, config.regulation_length, args.sample_every)
 
     curve = evaluate_predictability(
         games, config, n_splits=args.splits, seed=args.seed, tie_mode=args.tie_mode
@@ -271,7 +263,7 @@ def _cmd_report(args) -> int:
         phi=scoring.phi,
         n_observations=scoring.counts,
     )
-    # columns sd_bb, sd_bm, sd_mb, sd_mm, in the loop's order
+    # columns sd_bb, sd_bm, sd_mb, sd_mm, in the grid's order
     _write_csv(outdir / "lead_variance.csv", t=times, sd_empirical=sd_emp, **grid_cols)
     _write_curve(outdir / "predictability.csv", curve)
     print(f"report ok games={len(games)} sport={config.sport_id} out_dir={outdir}")

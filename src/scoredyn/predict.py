@@ -68,15 +68,12 @@ class LeadChain:
 
     cap: int
     transition: np.ndarray
-    phi: np.ndarray
-    point_values: Mapping[int, float]
     antisymmetric: bool
 
     def __post_init__(self) -> None:
-        for name in ("transition", "phi"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        transition = np.array(self.transition, dtype=float)
+        transition.flags.writeable = False
+        object.__setattr__(self, "transition", transition)
 
     @property
     def states(self) -> np.ndarray:
@@ -139,13 +136,7 @@ def build_chain(
         np.add.at(P, (rows, np.maximum(leads - value, -cap) + cap), down * q)
     if antisymmetric:
         P[:cap] = P[:cap:-1, ::-1]
-    return LeadChain(
-        cap=cap,
-        transition=P,
-        phi=phi,
-        point_values=dict(pmf),
-        antisymmetric=antisymmetric,
-    )
+    return LeadChain(cap=cap, transition=P, antisymmetric=antisymmetric)
 
 
 def _remaining_events(profile: np.ndarray) -> np.ndarray:

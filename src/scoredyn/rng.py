@@ -28,6 +28,15 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_seed(seed: int) -> int:
+    """`seed` as an int, if it lies in [0, 2**64); ValueError otherwise. The
+    CLI takes seeds in this range only, so no two seeds share a stream."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Return the Philox generator for substream `index` of master `seed`."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
@@ -71,9 +80,7 @@ def split_permutation(seed: int, split: int, n: int) -> np.ndarray:
     permutation that depends only on (seed, split, n). `seed` must lie
     in [0, 2**64).
     """
-    seed, split = operator.index(seed), operator.index(split)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed, split = check_seed(seed), operator.index(split)
     state = _mix64(np.array([(seed + (split + 1) * _GAMMA) & _MASK64], dtype=np.uint64))
     keys = _mix64(state + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA)
     return np.argsort(keys, kind="stable")

@@ -51,7 +51,6 @@ games.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -107,11 +106,7 @@ class _Pmf:
     def __init__(self, support, probs) -> None:
         self.support = np.asarray(support)
         self.cdf = _cdf(probs)
-
-    @functools.cached_property
-    def guide(self) -> np.ndarray:
-        """`_guide(cdf)`, built at the first draw: `exact_lead_sd` reads only the CDF."""
-        return _guide(self.cdf)
+        self.guide = _guide(self.cdf)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.support[_guided_search(self.cdf, self.guide, u)]
@@ -200,11 +195,7 @@ class ModelSpec:
         object.__setattr__(self, "tempo_kind", TempoKind(self.tempo_kind))
         object.__setattr__(self, "balance_kind", BalanceKind(self.balance_kind))
         tempo, balance = self.tempo, self.balance
-        _check_model(self.config, tempo, balance)
-        if self.tempo_kind is TempoKind.MARKOV and not len(tempo.interarrival_gaps):
-            raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
-        if self.balance_kind is BalanceKind.BERNOULLI and not len(balance.c_hat_samples):
-            raise ValueError("bernoulli balance needs at least one fitted balance fraction")
+        _check_cells(tempo, balance, self.config, (self.tempo_kind,), (self.balance_kind,))
         if self.tempo_kind is TempoKind.BERNOULLI:
             times = _ProfileTempo(tempo.profile)
         else:
@@ -218,6 +209,17 @@ class ModelSpec:
             rule = {"phi": balance.phi[np.clip(leads, -cap, cap) + cap]}
         law = _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
         object.__setattr__(self, "_law", law)
+
+
+def _check_cells(tempo, balance, config, tempo_kinds, balance_kinds) -> None:
+    """Raise ValueError unless every cell of `tempo_kinds` x `balance_kinds`
+    can run: the models fit `config`, markov tempo has gaps to draw and
+    bernoulli balance has fitted fractions to draw from."""
+    _check_model(config, tempo, balance)
+    if TempoKind.MARKOV in tempo_kinds and not len(tempo.interarrival_gaps):
+        raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
+    if BalanceKind.BERNOULLI in balance_kinds and not len(balance.c_hat_samples):
+        raise ValueError("bernoulli balance needs at least one fitted balance fraction")
 
 
 def _reachable_leads(regulation_length: int, point_values: Mapping[int, float]) -> np.ndarray:
@@ -234,9 +236,14 @@ def _cdf(probs: Sequence[float] | np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _point_pmf(point_values: Mapping[int, float]) -> _Pmf:
+def _point_law(point_values: Mapping[int, float]) -> tuple[np.ndarray, list[float]]:
+    """(point values in increasing order, their probabilities)."""
     values = np.array(sorted(point_values), dtype=np.int64)
-    return _Pmf(values, [point_values[int(v)] for v in values])
+    return values, [point_values[int(v)] for v in values]
+
+
+def _point_pmf(point_values: Mapping[int, float]) -> _Pmf:
+    return _Pmf(*_point_law(point_values))
 
 
 def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
@@ -424,20 +431,9 @@ def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) 
     return simulate_corpus(spec, n_games)
 
 
-@dataclass(frozen=True, eq=False)
-class LeadDispersionCurve:
-    """Standard deviation and mean absolute lead across games over time."""
-
-    times: np.ndarray
-    sd: np.ndarray
-    mean_abs: np.ndarray
-    sd_empirical: np.ndarray | None = None
-    mean_abs_empirical: np.ndarray | None = None
-
-
 def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
-    """Sums over games of lead, lead^2 and |lead| at each grid second (3 rows),
-    from a difference array over the grid slots each lead holds: O(events +
+    """Sums over games of lead and lead^2 at each grid second (2 rows), from
+    a difference array over the grid slots each lead holds: O(events +
     grid) memory. Leads are integers, so the float sums are exact."""
     lead = _event_leads(offsets, signed)
     counts = np.diff(offsets)
@@ -446,36 +442,33 @@ def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
     end[:-1] = start[1:]
     end[offsets[1:][counts > 0] - 1] = len(grid)  # a game's last lead holds to the end
     size = len(grid) + 1
-    weights = (lead, lead * lead, abs(lead))
-    diffs = [np.bincount(start, w, size) - np.bincount(end, w, size) for w in weights]
+    diffs = [np.bincount(start, w, size) - np.bincount(end, w, size) for w in (lead, lead * lead)]
     return np.cumsum(diffs, axis=1)[:, :-1]
 
 
 def lead_dispersion(
     games: Sequence[GameLog], regulation_length: int, sample_every: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, sd of lead, mean |lead|) sampled on a regular grid; a game
-    without events counts, at lead 0 throughout."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, sd of lead) sampled on a regular grid; a game without events
+    counts, at lead 0 throughout."""
     corpus = Corpus.of(games)
     if not len(corpus):
         raise ValueError("lead dispersion needs at least one game")
     grid = _clock_grid(regulation_length, sample_every)
     # chunks bound _lead_sums' working memory
     chunks = (corpus[lo : lo + _CHUNK_GAMES] for lo in range(0, len(corpus), _CHUNK_GAMES))
-    return (grid, *_dispersion(chunks, grid))
+    return grid, _dispersion(chunks, grid)
 
 
-def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sd of lead, mean |lead|) on `grid` over the games of `parts`, summed
-    one part at a time."""
-    sums = np.zeros((3, len(grid)))
+def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> np.ndarray:
+    """The sd of lead on `grid` over the games of `parts`, summed one part at a time."""
+    sums = np.zeros((2, len(grid)))
     n = 0
     for part in parts:
         sums += _lead_sums(part.offsets, part.times, part.signed, grid)
         n += len(part)
     mean = sums[0] / n
-    var = np.maximum(sums[1] / n - mean**2, 0.0)
-    return np.sqrt(var), sums[2] / n
+    return np.sqrt(np.maximum(sums[1] / n - mean**2, 0.0))
 
 
 # exact_lead_sd drops the event counts n >= n_cut, n_cut the first n
@@ -538,20 +531,12 @@ def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
     return at_least[:, :-1] - at_least[:, 1:]
 
 
-@functools.lru_cache(maxsize=2)
-def _count_law(kind: TempoKind, tempo: TempoModel, grid: bytes) -> np.ndarray:
-    """The count law of `tempo` read as `kind` (`_bernoulli_count_law` of its
-    profile, or `_renewal_count_law`) on an int64 grid given as bytes. The
-    last two are remembered: the two cells of a report that share a tempo
-    kind share one law. A tempo model is read-only and keyed by identity;
-    the law is read-only too."""
-    grid = np.frombuffer(grid, dtype=np.int64)
+def _count_law(kind: TempoKind, tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
+    """The count law of `tempo` read as `kind`: `_bernoulli_count_law` of its
+    profile, or `_renewal_count_law`."""
     if kind is TempoKind.BERNOULLI:
-        law = _bernoulli_count_law(tempo.profile, grid)
-    else:
-        law = _renewal_count_law(tempo, grid)
-    law.flags.writeable = False
-    return law
+        return _bernoulli_count_law(tempo.profile, grid)
+    return _renewal_count_law(tempo, grid)
 
 
 def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -565,10 +550,8 @@ def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray
 
 def _markov_moments(phi, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """E[L | n events] and E[L^2 | n] for n < n_cut from the lead law pi_0 P^n,
-    `phi` laid out over leads -R..R with R = len(phi) // 2 >= (n_cut - 1) max(values)."""
-    reach = (n_cut - 1) * int(values.max())
-    mid = len(phi) // 2
-    phi = phi[mid - reach : mid + reach + 1]
+    `phi` laid out over leads -R..R with R = (n_cut - 1) max(values)."""
+    reach = len(phi) // 2
     leads = np.arange(-reach, reach + 1, dtype=float)
     pi = (leads == 0).astype(float)
     m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
@@ -582,6 +565,27 @@ def _markov_moments(phi, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndar
     return m1, m2
 
 
+def _lead_moments(
+    kind: BalanceKind, balance: BalanceModel, cap: int, n_cut: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """E[L | n events] and E[L^2 | n] for n < n_cut under balance rule `kind`,
+    from the fitted model as the simulator reads it: the normalised point
+    pmf, the per-game fractions, and phi clamped beyond +-cap."""
+    values, probs = _point_law(balance.point_values)
+    probs = np.diff(_cdf(probs), prepend=0.0)
+    if kind is BalanceKind.BERNOULLI:
+        return _bernoulli_moments(balance.c_hat_samples, values, probs, n_cut)
+    reach = (n_cut - 1) * int(values.max())
+    phi = balance.phi[np.clip(np.arange(-reach, reach + 1), -cap, cap) + cap]
+    return _markov_moments(phi, values, probs, n_cut)
+
+
+def _mixed_sd(law: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The sd of lead at each grid time: the lead moments mixed over the count law."""
+    mean = law @ m1
+    return np.sqrt(np.maximum(law @ m2 - mean * mean, 0.0))
+
+
 def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """(times, sd of lead) across games of `spec`, computed exactly on the
     grid of `lead_dispersion`: an event at second g counts at grid time g,
@@ -590,43 +594,40 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     The event-count law P(N(s) = n) (a DP over the tempo profile, or the
     renewal law of the gap distribution) is mixed with the lead moments
     after n events (closed form for bernoulli balance; pi_0 P^n with phi
-    laid out as the simulator lays it out for markov balance). Event
-    counts whose mass at T is below 1e-15 are dropped.
+    clamped beyond +-cap, as the simulator reads it, for markov balance).
+    Event counts whose mass at T is below 1e-15 are dropped.
     """
-    T = spec.config.regulation_length
-    grid = _clock_grid(T, sample_every)
-    law = _count_law(spec.tempo_kind, spec.tempo, grid.tobytes())
-    values, probs = spec._law.points.support, np.diff(spec._law.points.cdf, prepend=0.0)
-    if spec.balance_kind is BalanceKind.BERNOULLI:
-        m1, m2 = _bernoulli_moments(spec._law.c_samples, values, probs, law.shape[1])
-    else:
-        m1, m2 = _markov_moments(spec._law.phi, values, probs, law.shape[1])
-    mean = law @ m1
-    return grid, np.sqrt(np.maximum(law @ m2 - mean * mean, 0.0))
+    grid = _clock_grid(spec.config.regulation_length, sample_every)
+    law = _count_law(spec.tempo_kind, spec.tempo, grid)
+    cap = spec.config.lead_truncation
+    return grid, _mixed_sd(law, *_lead_moments(spec.balance_kind, spec.balance, cap, law.shape[1]))
+
+
+def exact_lead_sd_grid(
+    tempo: TempoModel, balance: BalanceModel, config: SportConfig, sample_every: int = 60
+) -> tuple[np.ndarray, dict[tuple[str, str], np.ndarray]]:
+    """(times, {(tempo kind, balance kind): sd of lead}) for the four cells of
+    the model grid, in the order bb, bm, mb, mm: `exact_lead_sd` of each
+    cell, with each tempo kind's count law computed once. Refuses what
+    `ModelSpec` refuses for any cell."""
+    _check_cells(tempo, balance, config, TempoKind, BalanceKind)
+    grid = _clock_grid(config.regulation_length, sample_every)
+    sds = {}
+    for tempo_kind in TempoKind:
+        law = _count_law(tempo_kind, tempo, grid)
+        for balance_kind in BalanceKind:
+            moments = _lead_moments(balance_kind, balance, config.lead_truncation, law.shape[1])
+            sds[tempo_kind.value, balance_kind.value] = _mixed_sd(law, *moments)
+    return grid, sds
 
 
 def lead_variance_curve(
-    spec: ModelSpec,
-    n_games: int = 100_000,
-    sample_every: int = 60,
-    empirical_games: Sequence[GameLog] | None = None,
-) -> LeadDispersionCurve:
-    """Lead-size dispersion over the clock for a simulated corpus.
-
-    Simulates `n_games` under `spec` and samples the cross-game standard
-    deviation (and mean absolute value) of the lead every
-    `sample_every` seconds, summing one batch of `simulate_batches` at a
-    time, so memory is bounded by one batch. When `empirical_games` is
-    given, the same curve is computed from it for overlay.
-    """
+    spec: ModelSpec, n_games: int = 100_000, sample_every: int = 60
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, sd of lead) over `n_games` simulated games of `spec`: the Monte
+    Carlo twin of `exact_lead_sd`, on the same grid. Sums one batch of
+    `simulate_batches` at a time, so memory is bounded by one batch."""
     if n_games < 1_000:
         raise ValueError("n_games must be >= 1000 for a stable dispersion estimate")
-    T = spec.config.regulation_length
-    times = _clock_grid(T, sample_every)
-    sd, mean_abs = _dispersion(simulate_batches(spec, n_games), times)
-    sd_emp = mean_abs_emp = None
-    if empirical_games is not None:
-        _, sd_emp, mean_abs_emp = lead_dispersion(empirical_games, T, sample_every)
-    return LeadDispersionCurve(
-        times=times, sd=sd, mean_abs=mean_abs, sd_empirical=sd_emp, mean_abs_empirical=mean_abs_emp
-    )
+    times = _clock_grid(spec.config.regulation_length, sample_every)
+    return times, _dispersion(simulate_batches(spec, n_games), times)

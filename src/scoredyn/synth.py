@@ -14,7 +14,7 @@ index), so corpora are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -78,19 +78,17 @@ def _league_law(spec: LeagueSpec, **balance) -> _Law:
     return _Law(spec.seed, _ProfileTempo(spec.profile), _point_pmf(spec.point_values), **balance)
 
 
-def generate_league(spec: LeagueSpec, prefix: str = "league") -> Corpus:
-    """Generate one game per scheduled matchup under the skill rule."""
+def generate_league(spec: LeagueSpec) -> Corpus:
+    """Generate one game per scheduled matchup under the skill rule; game i
+    is `league-{i:06d}`."""
     r, b = np.array(spec.schedule).T
     p_r = spec.skills[r] / (spec.skills[r] + spec.skills[b])
-    return Corpus.concat(_games(_league_law(spec, c_fixed=p_r), 0, len(p_r), prefix, "custom"))
+    return Corpus.concat(_games(_league_law(spec, c_fixed=p_r), 0, len(p_r), "league", "custom"))
 
 
-def generate_restoring_league(
-    spec: LeagueSpec,
-    restoring_slope: float,
-    prefix: str = "restoring",
-) -> Corpus:
-    """Generate games where p(r scores | lead L) = 1/2 + slope * L.
+def generate_restoring_league(spec: LeagueSpec, restoring_slope: float) -> Corpus:
+    """Generate games where p(r scores | lead L) = 1/2 + slope * L; game i is
+    `restoring-{i:06d}`.
 
     The probability is clamped into [PROB_CLAMP, 1 - PROB_CLAMP] for
     extreme leads. A |slope| >= 1/2 would leave the open interval at the
@@ -101,7 +99,7 @@ def generate_restoring_league(
     leads = _reachable_leads(spec.regulation_length, spec.point_values)
     phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
     law = _league_law(spec, phi=phi)
-    return Corpus.concat(_games(law, 0, len(spec.schedule), prefix, "custom"))
+    return Corpus.concat(_games(law, 0, len(spec.schedule), "restoring", "custom"))
 
 
 def default_league(
@@ -136,17 +134,12 @@ def default_league(
     )
 
 
-def league_config(
-    spec: LeagueSpec,
-    lead_cap: int = 100,
-    period_ends: Sequence[int] | None = None,
-) -> SportConfig:
-    """SportConfig matching a synthetic league, for use with estimators."""
-    ends = tuple(period_ends) if period_ends else (spec.regulation_length,)
+def league_config(spec: LeagueSpec, lead_cap: int = 100) -> SportConfig:
+    """SportConfig matching a synthetic league, one period long, for use with estimators."""
     return SportConfig(
         sport_id="custom",
         regulation_length=spec.regulation_length,
-        period_ends=ends,
+        period_ends=(spec.regulation_length,),
         point_values=dict(spec.point_values),
         lead_truncation=lead_cap,
     )

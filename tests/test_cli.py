@@ -319,7 +319,6 @@ class TestReport:
             runs.append(len(grid))
             return dp(profile, grid)
 
-        simulate._count_law.cache_clear()
         monkeypatch.setattr(simulate, "_bernoulli_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
@@ -343,7 +342,6 @@ class TestReport:
             runs.append(len(grid))
             return law(tempo, grid)
 
-        simulate._count_law.cache_clear()
         monkeypatch.setattr(simulate, "_renewal_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
@@ -480,16 +478,26 @@ class TestOutOfRangeArguments:
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))
         assert code == 1 and "error: n_splits must be >= 1" in err
 
-    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("command", ["eval", "report", "simulate", "synth"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_rejected(self, nhl_corpus, tmp_path, capsys, command, seed):
-        out = ["--out", str(tmp_path / "eval.csv")] if command == "eval" else [
-            "--out-dir", str(tmp_path / "report"), "--min-samples", "10"]
-        code, text, err = run(capsys, command, "--in", str(nhl_corpus), "--sport", "nhl",
-                              "--splits", "2", "--seed", seed, *out)
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "fit", "--in", str(nhl_corpus), "--sport", "nhl",
+                           "--min-samples", "10", "--out", str(model))
+        assert code == 0, err
+        corpus = ["--in", str(nhl_corpus), "--sport", "nhl", "--splits", "2"]
+        flags = {
+            "eval": [*corpus, "--out", str(tmp_path / "eval.csv")],
+            "report": [*corpus, "--out-dir", str(tmp_path / "report"), "--min-samples", "10"],
+            "simulate": ["--model", str(model), "--n-games", "5",
+                         "--out", str(tmp_path / "sim.csv")],
+            "synth": ["--n-games", "5", "--out", str(tmp_path / "synth.csv"),
+                      "--truth", str(tmp_path / "truth.json")],
+        }[command]
+        code, text, err = run(capsys, command, *flags, "--seed", seed)
         assert code == 1 and " ok " not in text
         assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
-        assert os.listdir(tmp_path) == ["games.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["games.csv", "model.json"]
 
 
 def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):

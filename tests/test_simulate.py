@@ -164,27 +164,19 @@ class TestReproducibility:
 
 class TestLeadVarianceCurve:
     def test_all_games_start_tied(self):
-        curve = sd.lead_variance_curve(flat_spec(0.01, seed=108), n_games=1000, sample_every=100)
-        assert curve.sd[0] == 0.0
-        assert curve.mean_abs[0] == 0.0
+        spec = flat_spec(0.01, seed=108)
+        _, sd_lead = sd.lead_variance_curve(spec, n_games=1000, sample_every=100)
+        assert sd_lead[0] == 0.0
 
     def test_fair_unit_walk_sd_is_sqrt_expected_count(self):
         # random-walk oracle: Var(L_t) = E[N_t] for fair unit steps
         p = 0.01
-        curve = sd.lead_variance_curve(
+        times, sd_lead = sd.lead_variance_curve(
             flat_spec(p, seed=109), n_games=20_000, sample_every=50
         )
-        expected = np.sqrt(p * curve.times)
-        rel = np.abs(curve.sd[1:] - expected[1:]) / expected[1:]
+        expected = np.sqrt(p * times)
+        rel = np.abs(sd_lead[1:] - expected[1:]) / expected[1:]
         assert np.all(rel < 0.05)
-
-    def test_empirical_overlay(self):
-        games = sd.ideal_corpus(TINY, 0.01, 500, seed=110)
-        curve = sd.lead_variance_curve(
-            flat_spec(0.01, seed=111), n_games=1000, sample_every=100, empirical_games=games
-        )
-        assert curve.sd_empirical is not None
-        assert len(curve.sd_empirical) == len(curve.sd)
 
     def test_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="1000"):
@@ -309,7 +301,6 @@ def ref_dispersion(games, regulation_length, sample_every):
     grid = np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
-    total_abs = np.zeros(len(grid))
     for game in games:
         if game.n_events == 0:
             continue
@@ -318,11 +309,10 @@ def ref_dispersion(games, regulation_length, sample_every):
         leads = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0).astype(float)
         total += leads
         total_sq += leads**2
-        total_abs += np.abs(leads)
     n = len(games)
     mean = total / n
     var = np.maximum(total_sq / n - mean**2, 0.0)
-    return grid, np.sqrt(var), total_abs / n
+    return grid, np.sqrt(var)
 
 
 def assert_same_corpus(games, reference):
@@ -491,8 +481,8 @@ class TestBatchedGeneratorOracle:
 
     def test_lead_dispersion_of_eventless_games_is_zero(self):
         games = [sd.GameLog(f"e{i}", "NFL", [], [], []) for i in range(3)]
-        times, sd_lead, mean_abs = sd.lead_dispersion(games, 3600)
-        assert len(times) == 61 and not sd_lead.any() and not mean_abs.any()
+        times, sd_lead = sd.lead_dispersion(games, 3600)
+        assert len(times) == 61 and not sd_lead.any()
 
     def test_lead_dispersion_with_a_chunk_without_events(self, nfl_like):
         # the game after the first _CHUNK_GAMES fills a chunk that holds no event
@@ -515,6 +505,9 @@ class TestBatchedGeneratorOracle:
             spec = cell_spec(nfl_like, tempo_kind, balance_kind)
             with pytest.raises(ValueError, match="sample_every must be >= 1"):
                 sd.exact_lead_sd(spec, sample_every)
+        config, tempo, balance = nfl_like
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            sd.exact_lead_sd_grid(tempo, balance, config, sample_every)
 
     def test_lead_dispersion_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one game"):
@@ -660,9 +653,8 @@ class TestGridConvention:
 
     def test_lead_dispersion(self):
         games = [sd.GameLog(f"g{s}", "custom", [self.G], [s], [1]) for s in (1, -1)]
-        times, sd_lead, mean_abs = sd.lead_dispersion(games, 600, 60)
+        times, sd_lead = sd.lead_dispersion(games, 600, 60)
         np.testing.assert_array_equal(sd_lead, self.expected(times))
-        np.testing.assert_array_equal(mean_abs, self.expected(times))
 
     @pytest.mark.parametrize("balance_kind", ["bernoulli", "markov"])
     def test_exact_lead_sd(self, balance_kind):
@@ -722,9 +714,9 @@ class TestExactLeadSd:
 
         n_games = 20_000
         monkeypatch.setattr(sd.simulate, "simulate_batches", keep)
-        curve = sd.lead_variance_curve(spec, n_games=n_games)
+        times_mc, sd_mc = sd.lead_variance_curve(spec, n_games=n_games)
         times, sd_exact = sd.exact_lead_sd(spec)
-        np.testing.assert_array_equal(times, curve.times)
+        np.testing.assert_array_equal(times, times_mc)
         assert sd_exact[0] == 0.0 and np.all(np.isfinite(sd_exact))
 
         corpus = sd.Corpus.concat(simulated)
@@ -736,6 +728,57 @@ class TestExactLeadSd:
             assert times[i] == t
             lead = np.bincount(game, signed * (event_times <= t), minlength=n_games)
             sigma = np.std((lead - lead.mean()) ** 2) / math.sqrt(n_games)
-            assert curve.sd[i] ** 2 == pytest.approx(lead.var(), rel=1e-9)
-            z = (sd_exact[i] ** 2 - curve.sd[i] ** 2) / sigma
+            assert sd_mc[i] ** 2 == pytest.approx(lead.var(), rel=1e-9)
+            z = (sd_exact[i] ** 2 - sd_mc[i] ** 2) / sigma
             assert abs(z) < 3, f"t={t}: z={z:.2f}"
+
+
+class TestExactLeadSdGrid:
+    """The 2x2 grid in one pass is the four single-cell curves, bit for bit."""
+
+    @pytest.mark.parametrize("fitted_name", ["nfl_like", "nba_like"])
+    @pytest.mark.parametrize("sample_every", [7, 10, 50, 60, 100, 120])
+    def test_matches_single_cells(self, request, fitted_name, sample_every):
+        fitted = request.getfixturevalue(fitted_name)
+        config, tempo, balance = fitted
+        times, curves = sd.exact_lead_sd_grid(tempo, balance, config, sample_every)
+        assert list(curves) == CELLS
+        for cell, got in curves.items():
+            cell_times, want = sd.exact_lead_sd(cell_spec(fitted, *cell), sample_every)
+            np.testing.assert_array_equal(times, cell_times)
+            np.testing.assert_array_equal(got, want)
+
+    def test_gapless_tempo_refused(self, nfl_like):
+        config, tempo, balance = nfl_like
+        gapless = dataclasses.replace(
+            tempo, interarrival_gaps=np.array([], dtype=np.int64), interarrival_probs=np.array([])
+        )
+        message = "markov tempo needs a non-empty inter-arrival distribution"
+        with pytest.raises(ValueError, match=message):
+            sd.ModelSpec("markov", "markov", gapless, balance, config, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sd.exact_lead_sd_grid(gapless, balance, config)
+
+    def test_empty_balance_fractions_refused(self, nfl_like):
+        config, tempo, balance = nfl_like
+        no_c = dataclasses.replace(balance, c_hat_samples=np.array([]))
+        message = "bernoulli balance needs at least one fitted balance fraction"
+        with pytest.raises(ValueError, match=message):
+            sd.ModelSpec("bernoulli", "bernoulli", tempo, no_c, config, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sd.exact_lead_sd_grid(tempo, no_c, config)
+
+    def test_model_that_does_not_fit_the_config_refused(self, nfl_like):
+        config, tempo, balance = nfl_like
+        wider = dataclasses.replace(config, lead_truncation=config.lead_truncation + 1)
+        message = "balance model and sport config disagree on lead truncation"
+        with pytest.raises(ValueError, match=message):
+            sd.ModelSpec("bernoulli", "markov", tempo, balance, wider, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sd.exact_lead_sd_grid(tempo, balance, wider)
+
+    def test_builds_no_sampling_table(self, nfl_like, monkeypatch):
+        # the grid reads the fitted models, not a ModelSpec's draw tables
+        monkeypatch.setattr(sd.simulate, "_guide", lambda cdf: pytest.fail("a guide was built"))
+        config, tempo, balance = nfl_like
+        sd.exact_lead_sd_grid(tempo, balance, config)
