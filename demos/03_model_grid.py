@@ -52,12 +52,8 @@ print(f"best combination: tempo={best[0]}, balance={best[1]}")
 
 outdir = Path(__file__).resolve().parent.parent / "demos_out"
 outdir.mkdir(exist_ok=True)
+columns = [times, sd_ref, *curves.values()]  # curves in the grid's order: bb, bm, mb, mm
 rows = ["t,sd_reference,sd_bb,sd_bm,sd_mb,sd_mm"]
-for i, t in enumerate(times):
-    rows.append(
-        f"{t},{sd_ref[i]!r},{curves[('bernoulli', 'bernoulli')][i]!r},"
-        f"{curves[('bernoulli', 'markov')][i]!r},{curves[('markov', 'bernoulli')][i]!r},"
-        f"{curves[('markov', 'markov')][i]!r}"
-    )
+rows += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
 (outdir / "lead_variance_grid.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 print(f"\nwrote {outdir / 'lead_variance_grid.csv'}")

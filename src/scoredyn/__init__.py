@@ -5,6 +5,11 @@ Poisson tempo process and a Bernoulli balance process whose bias varies
 with the lead), simulates games under every combination of those
 models, and predicts game outcomes with an explicit Markov chain on the
 lead size, evaluated out of sample against a leader-wins baseline.
+
+`import scoredyn` loads the modules that parse, fit and forecast. The
+simulator (`simulate`) and the synthetic leagues (`synth`) load on the
+first use of one of their names, so fitting and forecasting never pay
+for them.
 """
 
 from .core import (
@@ -64,28 +69,40 @@ from .predict import (
     leader_wins,
 )
 from .rng import substream
-from .simulate import (
-    BalanceKind,
-    ModelSpec,
-    TempoKind,
-    exact_lead_sd,
-    exact_lead_sd_grid,
-    ideal_corpus,
-    ideal_game,
-    ideal_model,
-    lead_dispersion,
-    lead_variance_curve,
-    simulate_batches,
-    simulate_corpus,
-    simulate_game,
-)
-from .synth import (
-    LeagueSpec,
-    default_league,
-    generate_league,
-    generate_restoring_league,
-    league_config,
-    league_truth,
+
+# Public names of the modules that load on first use (PEP 562), each
+# mapped to its module; the two modules themselves are listed too.
+_LAZY = dict.fromkeys(
+    (
+        "simulate", "BalanceKind", "ModelSpec", "TempoKind", "exact_lead_sd",
+        "exact_lead_sd_grid", "ideal_corpus", "ideal_game", "ideal_model", "lead_dispersion",
+        "lead_variance_curve", "simulate_batches", "simulate_corpus", "simulate_game",
+    ),
+    "simulate",
+) | dict.fromkeys(
+    (
+        "synth", "LeagueSpec", "default_league", "generate_league", "generate_restoring_league",
+        "league_config", "league_truth",
+    ),
+    "synth",
 )
 
 __version__ = "0.1.0"
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY.keys())
+
+
+def __getattr__(name: str):
+    """Import `simulate` or `synth` on the first use of it or of one of its names."""
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home}")
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -4,6 +4,12 @@ Every subcommand prints a one-line machine-parsable summary (key=value
 tokens) on success and exits 0; data errors exit 1 with a diagnostic on
 stderr; usage errors exit 2. All randomness flows from --seed, so runs
 with identical flags produce byte-identical outputs.
+
+Each subcommand imports only the modules it runs. This module imports
+`core`, `estimate`, `ingest`, `predict` and `rng` when it loads;
+`simulate` and `synth` are imported inside the handlers of `simulate`,
+`report` and `synth`, so `validate`, `fit`, `eval` and `predict` never
+load the simulator.
 """
 
 from __future__ import annotations
@@ -15,37 +21,32 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (
-    IngestError,
-    ModelSpec,
+from .core import atomic_write_text, builtin_config, config_for_games, load_config
+from .estimate import (
     balance_fractions,
     balance_null_distribution,
-    build_chain,
-    builtin_config,
     correlation_function,
-    evaluate_predictability,
     events_per_game_distribution,
-    exact_lead_sd_grid,
     fit_balance,
     fit_tempo,
-    forecast,
     interarrival_distribution,
-    lead_variance_curve,  # noqa: F401  (kept as a module attribute for tracing hooks)
-    load_config,
     load_model,
-    parse_event_file,
     save_model,
-    validate_corpus,
-    write_event_file,
 )
-from .core import atomic_write_text, config_for_games
+from .ingest import IngestError, parse_event_file, validate_corpus, write_event_file
+from .predict import build_chain, evaluate_predictability, forecast
 from .rng import check_seed
-from .synth import (
-    default_league,
-    generate_league,
-    generate_restoring_league,
-    league_truth,
-)
+
+
+def __getattr__(name: str):
+    # perfbench/trace_child.py wraps `cli.lead_variance_curve` by name, so it
+    # resolves here without loading the simulator at import. It goes when
+    # ROADMAP item 5 deletes the function.
+    if name == "lead_variance_curve":
+        from .simulate import lead_variance_curve
+
+        return lead_variance_curve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write_csv(path: Path, **columns) -> None:
@@ -120,6 +121,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import ModelSpec, simulate_batches
+
     check_seed(args.seed)
     artifact = load_model(args.model)
     spec = ModelSpec(
@@ -130,8 +133,6 @@ def _cmd_simulate(args) -> int:
         config=artifact.config,
         seed=args.seed,
     )
-    from .simulate import simulate_batches
-
     events = write_event_file(simulate_batches(spec, args.n_games), args.out, args.format)
     print(
         f"simulate ok tempo={args.tempo} balance={args.balance} games={args.n_games} "
@@ -171,6 +172,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import default_league, generate_league, generate_restoring_league, league_truth
+
     for name in ("slope",) if args.kind == "league" else ("n_teams", "skill_sigma"):
         if getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
@@ -205,10 +208,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .simulate import exact_lead_sd_grid, lead_dispersion
+
     # Every table is computed before --out-dir is created, so a rejected
     # option leaves no partial report behind.
     if args.balance_bins < 1:
         raise ValueError("--balance-bins must be >= 1")
+    if args.correlation_lags < 1:
+        raise ValueError("--correlation-lags must be >= 1")
     games, config = _load_corpus(args)
     tempo = fit_tempo(games, config)
     balance = fit_balance(games, config, min_samples=args.min_samples)
@@ -225,8 +232,6 @@ def _cmd_report(args) -> int:
 
     times, curves = exact_lead_sd_grid(tempo, balance, config, args.sample_every)
     grid_cols = {f"sd_{t[0]}{b[0]}": sd for (t, b), sd in curves.items()}
-    from .simulate import lead_dispersion
-
     _, sd_emp = lead_dispersion(games, config.regulation_length, args.sample_every)
 
     curve = evaluate_predictability(

@@ -424,6 +424,7 @@ class TestOutOfRangeArguments:
             (["--sample-every", "-5"], "sample_every must be >= 1"),
             (["--splits", "0"], "n_splits must be >= 1"),
             (["--balance-bins", "0"], "--balance-bins must be >= 1"),
+            (["--correlation-lags", "0"], "--correlation-lags must be >= 1"),
         ],
     )
     def test_report_rejects(self, nhl_corpus, tmp_path, capsys, flags, message):
@@ -432,7 +433,9 @@ class TestOutOfRangeArguments:
         assert code == 1 and "report ok" not in out
         assert f"error: {message}" in err
 
-    @pytest.mark.parametrize("flags", [["--splits", "0"], ["--sample-every", "0"]])
+    @pytest.mark.parametrize(
+        "flags", [["--splits", "0"], ["--sample-every", "0"], ["--correlation-lags", "0"]]
+    )
     def test_rejected_report_writes_nothing(self, nhl_corpus, tmp_path, capsys, flags):
         outdir = tmp_path / "report"
         code, _, _ = run(capsys, "report", "--in", str(nhl_corpus), "--sport", "nhl",
@@ -597,3 +600,119 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, scoredyn.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+# The import contract: `import scoredyn` and every command load only the
+# modules they run; the simulator loads on first use.
+
+SRC = os.path.dirname(os.path.dirname(sd.__file__))
+MODULES = ("core", "estimate", "ingest", "predict", "rng", "simulate", "synth")
+LOADED_BY_EVERY_COMMAND = {
+    "scoredyn", "scoredyn.core", "scoredyn.estimate", "scoredyn.ingest", "scoredyn.predict",
+    "scoredyn.rng",
+}
+
+
+def run_python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("commands")
+    config = sd.builtin_config("nhl")
+    games = sd.ideal_corpus(config, 0.003, 60, seed=62)
+    sd.write_event_file(games, path / "games.csv")
+    tempo, balance = sd.fit_tempo(games, config), sd.fit_balance(games, config, min_samples=10)
+    sd.save_model(path / "model.json", config, tempo, balance)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, simulator",
+    [
+        pytest.param("validate --in games.csv", set(), id="validate"),
+        pytest.param("fit --in games.csv --sport nhl --out fit.json --min-samples 10", set(),
+                     id="fit"),
+        pytest.param("eval --in games.csv --sport nhl --splits 2 --out eval.csv", set(),
+                     id="eval"),
+        pytest.param("predict --model model.json --lead 2 --t 1800", set(), id="predict"),
+        pytest.param("report --in games.csv --sport nhl --out-dir report --min-samples 10",
+                     {"scoredyn.simulate"}, id="report"),
+        pytest.param("simulate --model model.json --n-games 20 --out sim.csv",
+                     {"scoredyn.simulate"}, id="simulate"),
+        pytest.param("synth --n-teams 4 --n-games 10 --rate 0.005 --regulation 1200 --out l.csv",
+                     {"scoredyn.simulate", "scoredyn.synth"}, id="synth"),
+    ],
+)
+def test_command_loads_only_the_modules_it_runs(command_inputs, argv, simulator):
+    result = run_python("-X", "importtime", "-m", "scoredyn.cli", *argv.split(),
+                        cwd=command_inputs)
+    assert result.returncode == 0, result.stderr
+    assert " ok " in result.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    loaded = {name for name in imported if name.split(".")[0] == "scoredyn"}
+    assert loaded == LOADED_BY_EVERY_COMMAND | simulator
+
+
+PUBLIC_NAMES = """
+BUILTIN_SPORTS BalanceKind BalanceModel Corpus CorpusReport EventCountDistribution GameLog
+IngestError InterarrivalDistribution LeadChain LeadScoring LeagueSpec LinearFit
+ModelArtifact ModelSpec OutcomeForecast PredictabilityCurve SportConfig TEAM_B TEAM_R
+TempoKind TempoModel balance_fractions balance_null_distribution build_chain builtin_config
+config_for_games core correlation_function default_league estimate evaluate_predictability
+events_per_game_distribution exact_lead_sd exact_lead_sd_grid expected_remaining_events
+fit_balance fit_poisson_rate fit_tempo forecast forecast_after_events gap_correlation
+generate_league generate_restoring_league ideal_corpus ideal_game ideal_model ingest
+interarrival_distribution lead_dispersion lead_scoring_function lead_variance_curve
+leader_wins league_config league_truth load_config load_model parse_event_file
+point_value_distribution points_fraction_distribution poisson_rate_from_counts predict
+render_event_file rng save_config save_model simulate simulate_batches simulate_corpus
+simulate_game substream synth tempo_profile validate_corpus write_event_file
+""".split()
+
+
+def test_package_exports_its_public_names():
+    assert set(sd.__all__) == set(PUBLIC_NAMES)
+
+
+PACKAGE_NAMES = """
+import sys
+import scoredyn as sd
+
+modules = {name: f"scoredyn.{name}" for name in sys.argv[2:]}
+assert "scoredyn.simulate" not in sys.modules and "scoredyn.synth" not in sys.modules
+assert {name for name in dir(sd) if not name.startswith("_")} == set(sd.__all__)
+resolved = {name: getattr(sd, name) for name in [sys.argv[1], *sd.__all__]}
+for name, value in resolved.items():
+    if name in modules:
+        assert value is sys.modules[modules[name]], name
+        continue
+    homes = [vars(sys.modules[m]) for m in modules.values() if name in vars(sys.modules[m])]
+    assert homes and all(home[name] is value for home in homes), name
+assert isinstance(sd.__version__, str)
+assert not hasattr(sd, "no_such_name")
+assert {name for name in vars(sd) if not name.startswith("_")} == set(sd.__all__)
+star = {}
+exec("from scoredyn import *", star)
+assert star.keys() - {"__builtins__"} == set(sd.__all__)
+"""
+
+
+@pytest.mark.parametrize("first", ["simulate", "synth", "exact_lead_sd", "LeagueSpec"])
+def test_package_resolves_every_name_on_first_use(first):
+    # a fresh `import scoredyn` leaves the simulator unloaded, yet every
+    # public name and submodule resolves, whichever is used first
+    result = run_python("-c", PACKAGE_NAMES, first, *MODULES)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_resolves_lead_variance_curve_and_no_other_name():
+    import scoredyn.cli as cli
+
+    assert cli.lead_variance_curve is sd.simulate.lead_variance_curve
+    for name in ("no_such_name", "simulate_batches", "ModelSpec", "default_league"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
