@@ -63,14 +63,21 @@ def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
     """A UTF-8 text file (LF line ends) that replaces `path` only if the block
     exits cleanly: it is a temp file in the same directory, renamed over
     `path` at the end and removed on any exception, so a failed write
-    leaves `path` as it was and no temp file behind."""
+    leaves `path` as it was and no temp file behind. A failure to create
+    the temp file or to rename it raises an `OSError` that names `path`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, artifacts, summary lines, determinism."""
 
+import ast
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,6 +485,24 @@ class TestOutOfRangeArguments:
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))
         assert code == 1 and "error: n_splits must be >= 1" in err
 
+    def test_out_in_a_missing_directory_is_named(self, nhl_corpus, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "m.json"
+        code, text, err = run(capsys, "fit", "--in", str(nhl_corpus), "--sport", "nhl",
+                              "--min-samples", "10", "--out", str(out))
+        assert code == 1 and " ok " not in text
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert os.listdir(tmp_path) == ["games.csv"]
+
+    def test_out_that_is_a_directory_is_named(self, nhl_corpus, tmp_path, capsys):
+        out = tmp_path / "some_dir"
+        out.mkdir()
+        code, text, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
+                              "--splits", "1", "--out", str(out))
+        assert code == 1 and " ok " not in text
+        assert err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["games.csv", "some_dir"]
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("command", ["eval", "report", "simulate", "synth"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_rejected(self, nhl_corpus, tmp_path, capsys, command, seed):
@@ -716,3 +738,49 @@ def test_cli_resolves_lead_variance_curve_and_no_other_name():
     for name in ("no_such_name", "simulate_batches", "ModelSpec", "default_league"):
         with pytest.raises(AttributeError):
             getattr(cli, name)
+
+
+# The process entry: `run()` freezes the objects the imports left tracked,
+# so collections at exit skip them; `main()`, the library call, never does.
+
+ENTRY = """
+import atexit, gc, runpy
+atexit.register(lambda: print(f"freeze_count={gc.get_freeze_count()}"))
+runpy.run_module("scoredyn.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_leaves_the_collector_alone(corpus, capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "validate", "--in", str(corpus))
+    assert code == 0
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param("predict --model model.json --lead 2 --t 1800", 0, id="ok"),
+        pytest.param("predict --model missing.json --lead 2 --t 1800", 1, id="error"),
+        pytest.param("predict --model model.json --lead 2", 2, id="usage"),
+    ],
+)
+def test_main_block_freezes_and_exits_with_mains_code(command_inputs, argv, code, capsys,
+                                                      monkeypatch):
+    result = run_python("-c", ENTRY, *argv.split(), cwd=command_inputs)
+    printed, _, freeze_count = result.stdout.rpartition("freeze_count=")
+    assert result.returncode == code and int(freeze_count) > 0
+    monkeypatch.chdir(command_inputs)
+    assert run(capsys, *argv.split()) == (code, printed, result.stderr)
+
+
+def test_scoredyn_script_is_what_the_main_block_runs():
+    import scoredyn.cli as cli
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = re.search(r'^scoredyn = "scoredyn\.cli:(\w+)"$', pyproject.read_text(), re.M)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(statement) for statement in block.body] == [f"{script[1]}()"]
+    assert script[1] == cli.run.__name__
