@@ -46,8 +46,8 @@ from .rng import check_seed
 
 def __getattr__(name: str):
     # perfbench/trace_child.py wraps `cli.lead_variance_curve` by name, so it
-    # resolves here without loading the simulator at import. It goes when
-    # ROADMAP item 5 deletes the function.
+    # resolves here without loading the simulator at import. It goes with the
+    # function, in the benchmark change that drops that wrap from trace_child.py.
     if name == "lead_variance_curve":
         from .simulate import lead_variance_curve
 

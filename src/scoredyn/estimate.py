@@ -36,6 +36,7 @@ from .core import (
     SportConfig,
     _array,
     _artifact_fields,
+    _as_readonly,
     _checked_corpus,
     _event_leads,
     _integer,
@@ -76,28 +77,24 @@ class TempoModel:
     interarrival_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        profile = np.asarray(self.profile, dtype=float).copy()
-        gaps = np.asarray(self.interarrival_gaps, dtype=np.int64).copy()
-        probs = np.asarray(self.interarrival_probs, dtype=float).copy()
+        for name, dtype in (("profile", float), ("interarrival_gaps", np.int64),
+                            ("interarrival_probs", float)):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype))
         if not (np.isfinite(self.lambda_hat) and self.lambda_hat > 0):
             raise ValueError("lambda_hat must be positive and finite (degenerate corpus?)")
-        if len(profile) != self.regulation_length + 1:
+        if len(self.profile) != self.regulation_length + 1:
             raise ValueError("profile must have regulation_length + 1 entries")
-        if not np.all((profile >= 0) & (profile <= 1)):
+        if not np.all((self.profile >= 0) & (self.profile <= 1)):
             raise ValueError("profile entries must be probabilities")
+        gaps, probs = self.interarrival_gaps, self.interarrival_probs
         if len(gaps) != len(probs):
             raise ValueError("interarrival support and probabilities differ in length")
-        if len(gaps):
-            if np.any(gaps < 1) or np.any(np.diff(gaps) <= 0):
-                raise ValueError("interarrival gaps must be ascending positive integers")
-            if not np.all(probs >= 0):
-                raise ValueError("interarrival probabilities must be nonnegative")
-            if abs(probs.sum() - 1.0) > PMF_TOLERANCE:
-                raise ValueError("interarrival probabilities must sum to 1")
-        for name, arr in (("profile", profile), ("interarrival_gaps", gaps),
-                          ("interarrival_probs", probs)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if np.any(gaps < 1) or np.any(np.diff(gaps) <= 0):
+            raise ValueError("interarrival gaps must be ascending positive integers")
+        if not np.all(probs >= 0):
+            raise ValueError("interarrival probabilities must be nonnegative")
+        if len(probs) and abs(probs.sum() - 1.0) > PMF_TOLERANCE:  # an empty law is allowed
+            raise ValueError("interarrival probabilities must sum to 1")
 
     @property
     def mean_gap(self) -> float:
@@ -132,30 +129,31 @@ class LinearFit:
 class LeadScoring:
     """Lead-size scoring function phi on the integer grid [-cap, cap].
 
+    `phi` has the odd length 2 * cap + 1, `phi[i]` at lead `leads[i]`.
     `counts[i]` is the number of observed transitions informing
     `phi[i]` (mirror states pooled; the L = 0 state reports its own
     count). Unobserved interior leads are filled by linear
     interpolation between observed ones and the tails are clamped.
     """
 
-    leads: np.ndarray
     phi: np.ndarray
     counts: np.ndarray
     fit: LinearFit
 
     def __post_init__(self) -> None:
-        for name in ("leads", "phi", "counts"):
-            arr = np.asarray(getattr(self, name)).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not len(self.leads) == len(self.phi) == len(self.counts) > 0:
-            raise ValueError("leads, phi and counts must share one nonzero length")
-        if np.any(self.counts < 0):
-            raise ValueError("phi transition counts must be nonnegative")
+        object.__setattr__(self, "phi", _as_readonly(self.phi, float))
+        if not len(self.phi) == len(self.counts) or len(self.phi) % 2 != 1:
+            raise ValueError("phi and counts must share one odd length")
+        counts = np.asarray(self.counts)
+        if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
+            raise ValueError("phi transition counts must be nonnegative integers")
+        object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
 
     @property
-    def cap(self) -> int:
-        return int(self.leads[-1])
+    def leads(self) -> np.ndarray:
+        """The leads -cap..cap that `phi` covers."""
+        cap = len(self.phi) // 2
+        return np.arange(-cap, cap + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +165,9 @@ class BalanceModel:
     point_values: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.c_hat_samples, dtype=float).copy()
+        samples = _as_readonly(self.c_hat_samples, float)
         if not np.all((samples >= 0) & (samples <= 1)):
             raise ValueError("balance fractions must lie in [0, 1]")
-        samples.flags.writeable = False
         object.__setattr__(self, "c_hat_samples", samples)
         object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
         phi = self.scoring.phi
@@ -314,7 +311,6 @@ class InterarrivalDistribution:
     empirical_ccdf: np.ndarray
     reference_pmf: np.ndarray
     reference_ccdf: np.ndarray
-    geometric_p: float
     reference_mean: float
 
     @property
@@ -357,7 +353,6 @@ def interarrival_distribution(
         empirical_ccdf=empirical_ccdf,
         reference_pmf=reference,
         reference_ccdf=reference_ccdf,
-        geometric_p=p,
         reference_mean=1.0 / p,
     )
 
@@ -433,6 +428,8 @@ def tempo_profile(games: Sequence[GameLog], config: SportConfig | None = None) -
 def fit_tempo(games: Sequence[GameLog], config: SportConfig | None = None) -> TempoModel:
     """Fit the rate, per-second profile, and inter-arrival law together."""
     corpus, cfg = _checked_corpus(games, config)
+    if not len(corpus.times):  # before `_rate`, which would warn first
+        raise ValueError("corpus has zero events; the tempo model is undefined")
     support, probs = _gap_law(corpus.game, corpus.times)
     T = cfg.regulation_length
     return TempoModel(
@@ -533,9 +530,8 @@ def lead_scoring_function(
     corpus = Corpus.of(games)
     signed = corpus.signed
     phi, counts = _phi(_event_leads(corpus.offsets, signed) - signed, signed, cap)
-    leads = np.arange(-cap, cap + 1)
-    fit = _fit_line(leads, phi, counts, min_samples)
-    return LeadScoring(leads=leads, phi=phi, counts=counts, fit=fit)
+    fit = _fit_line(np.arange(-cap, cap + 1), phi, counts, min_samples)
+    return LeadScoring(phi=phi, counts=counts, fit=fit)
 
 
 def _fit_line(
@@ -581,17 +577,17 @@ def points_fraction_distribution(
     """Per-game fraction of total points won by r, next to the events-based fraction.
 
     Returns (points_fraction, events_fraction), aligned game-for-game
-    over games with at least one event.
+    over games with at least one event; the second is `balance_fractions`.
     """
     corpus = Corpus.of(games)
     n_events, signed = corpus.event_counts, corpus.signed
     if not np.any(n_events):
         raise ValueError("no games with events")
-    r_points, total, r_events = (
+    r_points, total = (
         np.bincount(corpus.game, w, len(corpus))[n_events > 0]
-        for w in (np.maximum(signed, 0), np.abs(signed), signed > 0)
+        for w in (np.maximum(signed, 0), np.abs(signed))
     )
-    return r_points / total, r_events / n_events[n_events > 0]
+    return r_points / total, balance_fractions(corpus)
 
 
 def fit_balance(
@@ -651,12 +647,8 @@ def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel)
             "c_hat_samples": balance.c_hat_samples.tolist(),
             "phi": balance.phi.tolist(),
             "phi_counts": balance.scoring.counts.tolist(),
-            "phi_fit": {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "slope_stderr": fit.slope_stderr,
-                "n_states": fit.n_states,
-            },
+            "phi_fit": {"slope": fit.slope, "intercept": fit.intercept,
+                        "slope_stderr": fit.slope_stderr, "n_states": fit.n_states},
             "point_values": {str(v): p for v, p in balance.point_values.items()},
         },
     }
@@ -672,11 +664,8 @@ def model_from_dict(data: Mapping) -> ModelArtifact:
         interarrival_gaps=field("tempo.interarrival.gaps", _array(_integer, np.int64)),
         interarrival_probs=field("tempo.interarrival.probs", _array(_number, float)),
     )
-    phi = field("balance.phi", _array(_number, float))
-    cap = (len(phi) - 1) // 2
     scoring = LeadScoring(
-        leads=np.arange(-cap, cap + 1),
-        phi=phi,
+        phi=field("balance.phi", _array(_number, float)),
         counts=field("balance.phi_counts", _array(_integer, np.int64)),
         fit=LinearFit(
             slope=field("balance.phi_fit.slope"),

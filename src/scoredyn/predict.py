@@ -41,6 +41,7 @@ from .core import (
     TEAM_R,
     GameLog,
     SportConfig,
+    _as_readonly,
     _checked_corpus,
     _event_leads,
     _validated_point_values,
@@ -71,9 +72,7 @@ class LeadChain:
     antisymmetric: bool
 
     def __post_init__(self) -> None:
-        transition = np.array(self.transition, dtype=float)
-        transition.flags.writeable = False
-        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "transition", _as_readonly(self.transition, float))
 
     @property
     def states(self) -> np.ndarray:

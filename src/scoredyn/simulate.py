@@ -204,9 +204,8 @@ class ModelSpec:
         if self.balance_kind is BalanceKind.BERNOULLI:
             rule = {"c_samples": balance.c_hat_samples}
         else:
-            cap = self.config.lead_truncation
-            leads = _reachable_leads(tempo.regulation_length, balance.point_values)
-            rule = {"phi": balance.phi[np.clip(leads, -cap, cap) + cap]}
+            reach = _reach(tempo.regulation_length, balance.point_values)
+            rule = {"phi": _phi_over(balance.phi, reach)}
         law = _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
         object.__setattr__(self, "_law", law)
 
@@ -222,11 +221,17 @@ def _check_cells(tempo, balance, config, tempo_kinds, balance_kinds) -> None:
         raise ValueError("bernoulli balance needs at least one fitted balance fraction")
 
 
-def _reachable_leads(regulation_length: int, point_values: Mapping[int, float]) -> np.ndarray:
-    """Every lead a game can reach: at most one event per second of [0, T],
-    each worth at most the largest point value."""
-    reach = (regulation_length + 1) * max(point_values)
-    return np.arange(-reach, reach + 1)
+def _reach(regulation_length: int, point_values: Mapping[int, float]) -> int:
+    """The largest lead a game can reach: at most one event per second of
+    [0, T], each worth at most the largest point value."""
+    return (regulation_length + 1) * max(point_values)
+
+
+def _phi_over(phi: np.ndarray, reach: int) -> np.ndarray:
+    """`phi`, fitted on leads -cap..cap, laid out over leads -reach..reach:
+    clamped beyond +-cap."""
+    cap = len(phi) // 2
+    return phi[np.clip(np.arange(-reach, reach + 1), -cap, cap) + cap]
 
 
 def _cdf(probs: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -289,11 +294,10 @@ def _sample_at(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
     return samples[(u * len(samples)).astype(np.intp)]
 
 
-def _batch(law: _Law, index: range, first: int, q: int):
-    """(event counts, times, point uniforms, per-game bias, winner uniforms)
-    of games `index`, laid end to end: one draw per game into its row of a
-    buffer, cut by segment arithmetic; games with more than q events replay."""
-    u = np.empty((len(index), first + 2 * q + 1))  # freed on return: only the cuts are kept
+def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport_id: str) -> Corpus:
+    """Games `index` of `law` as one corpus: one draw per game into its row of
+    a buffer, cut by segment arithmetic; games with more than q events replay."""
+    u = np.empty((len(index), first + 2 * q + 1))
     rng = substream(law.seed, index.start)  # one bit generator per batch, re-keyed per game
     for i, row in zip(index, u):
         rekey(rng, law.seed, i)
@@ -308,6 +312,7 @@ def _batch(law: _Law, index: range, first: int, q: int):
     u_points = rest[k < n[:, None]]
     u_winners = rest[(k >= n[:, None]) & (k < 2 * n[:, None])]
     u_bias = rest[np.arange(len(n)), 2 * n]  # the draw right after the winners
+    del u, rest, hit  # only the cuts are kept: the buffer is freed before the games are built
     replayed = np.flatnonzero(replay)
     if len(replayed):
         draws = zip(*(_replay(law, rng, index[g]) for g in replayed.tolist()))
@@ -319,14 +324,8 @@ def _batch(law: _Law, index: range, first: int, q: int):
         u_winners = _splice(u_winners, u_winners_r, at)
     if law.c_samples is not None:
         c = _sample_at(law.c_samples, u_bias)
-    else:
-        c = None if law.c_fixed is None else law.c_fixed[index.start : index.stop]
-    return n, times, u_points, c, u_winners
-
-
-def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport_id: str) -> Corpus:
-    """Games `index` of `law` as one corpus (see `_batch`)."""
-    n, times, u_points, c, u_winners = _batch(law, index, first, q)
+    elif law.c_fixed is not None:
+        c = law.c_fixed[index.start : index.stop]
     points = law.points(u_points)
     offsets = np.concatenate(([0], np.cumsum(n)))
     if law.phi is None:
@@ -347,8 +346,16 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iter
         yield _batch_games(law, range(lo, min(lo + per_batch, stop)), first, q, prefix, sport_id)
 
 
+def _check_game_index(game_index: int) -> None:
+    """Raise ValueError unless `game_index` names a substream: 0 <= index < 2**64."""
+    if not 0 <= game_index < 1 << 64:
+        raise ValueError(f"game_index must be in [0, 2**64), got {game_index}")
+
+
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
-    """Generate one game on substream (spec.seed, game_index)."""
+    """Generate one game on substream (spec.seed, game_index), for
+    0 <= game_index < 2**64."""
+    _check_game_index(game_index)
     (batch,) = _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)
     return batch[0]
 
@@ -397,7 +404,6 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
         interarrival_probs=np.array([]),
     )
     scoring = LeadScoring(
-        leads=np.arange(-cap, cap + 1),
         phi=np.full(2 * cap + 1, 0.5),
         counts=np.zeros(2 * cap + 1, dtype=np.int64),
         fit=LinearFit(slope=0.0, intercept=0.5, slope_stderr=None, n_states=0),
@@ -419,6 +425,7 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
 
 def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int = 0) -> GameLog:
     """One ideal-competition game; rate 0 yields an empty game."""
+    _check_game_index(game_index)
     if rate == 0.0:
         return GameLog(f"sim-{game_index:06d}", config.sport_id, [], [], [])
     return simulate_game(ideal_model(config, rate, seed), game_index)
@@ -566,18 +573,17 @@ def _markov_moments(phi, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndar
 
 
 def _lead_moments(
-    kind: BalanceKind, balance: BalanceModel, cap: int, n_cut: int
+    kind: BalanceKind, balance: BalanceModel, n_cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """E[L | n events] and E[L^2 | n] for n < n_cut under balance rule `kind`,
     from the fitted model as the simulator reads it: the normalised point
-    pmf, the per-game fractions, and phi clamped beyond +-cap."""
+    pmf, the per-game fractions, and phi clamped beyond +-cap (`_phi_over`)."""
     values, probs = _point_law(balance.point_values)
     probs = np.diff(_cdf(probs), prepend=0.0)
     if kind is BalanceKind.BERNOULLI:
         return _bernoulli_moments(balance.c_hat_samples, values, probs, n_cut)
     reach = (n_cut - 1) * int(values.max())
-    phi = balance.phi[np.clip(np.arange(-reach, reach + 1), -cap, cap) + cap]
-    return _markov_moments(phi, values, probs, n_cut)
+    return _markov_moments(_phi_over(balance.phi, reach), values, probs, n_cut)
 
 
 def _mixed_sd(law: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -599,8 +605,7 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     """
     grid = _clock_grid(spec.config.regulation_length, sample_every)
     law = _count_law(spec.tempo_kind, spec.tempo, grid)
-    cap = spec.config.lead_truncation
-    return grid, _mixed_sd(law, *_lead_moments(spec.balance_kind, spec.balance, cap, law.shape[1]))
+    return grid, _mixed_sd(law, *_lead_moments(spec.balance_kind, spec.balance, law.shape[1]))
 
 
 def exact_lead_sd_grid(
@@ -616,7 +621,7 @@ def exact_lead_sd_grid(
     for tempo_kind in TempoKind:
         law = _count_law(tempo_kind, tempo, grid)
         for balance_kind in BalanceKind:
-            moments = _lead_moments(balance_kind, balance, config.lead_truncation, law.shape[1])
+            moments = _lead_moments(balance_kind, balance, law.shape[1])
             sds[tempo_kind.value, balance_kind.value] = _mixed_sd(law, *moments)
     return grid, sds
 

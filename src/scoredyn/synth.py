@@ -14,37 +14,37 @@ index), so corpora are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .core import Corpus, SportConfig, _validated_point_values
-from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reachable_leads, flat_profile
+from .core import Corpus, SportConfig, _as_readonly, _validated_point_values
+from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
 
 PROB_CLAMP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class LeagueSpec:
-    """A synthetic league: skills, schedule, tempo law, point values, seed.
+    """A synthetic league: skills, schedule, tempo rate, point values, seed.
 
-    `tempo` is either a flat per-second event probability (float) or a
-    per-second profile of length regulation_length + 1. In each
-    scheduled matchup (i, j), team i plays as r and team j as b.
+    `tempo` is the per-second event probability of every second but the
+    opening tick (`profile`). In each scheduled matchup (i, j), team i
+    plays as r and team j as b.
     """
 
     skills: np.ndarray
     schedule: tuple[tuple[int, int], ...]
     regulation_length: int
-    tempo: float | np.ndarray
+    tempo: float
     point_values: Mapping[int, float]
     seed: int
 
     def __post_init__(self) -> None:
-        skills = np.asarray(self.skills, dtype=float).copy()
+        skills = _as_readonly(self.skills, float)
         if len(skills) == 0 or not np.all(np.isfinite(skills) & (skills > 0)):
             raise ValueError("skills must be finite and positive")
-        skills.flags.writeable = False
         object.__setattr__(self, "skills", skills)
         schedule = tuple((int(i), int(j)) for i, j in self.schedule)
         if not schedule:
@@ -58,9 +58,10 @@ class LeagueSpec:
         if T <= 0:
             raise ValueError("regulation_length must be positive")
         object.__setattr__(self, "regulation_length", T)
-        profile = self.profile
-        if len(profile) != T + 1 or not np.all((profile >= 0) & (profile <= 1)):
-            raise ValueError("tempo must be a probability, or a profile of length T + 1")
+        rate = self.tempo  # a number in [0, 1]: not a bool, an array or NaN
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
+            raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
+        object.__setattr__(self, "tempo", float(rate))
         object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
 
     @property
@@ -69,9 +70,7 @@ class LeagueSpec:
 
     @property
     def profile(self) -> np.ndarray:
-        if np.ndim(self.tempo) == 0:
-            return flat_profile(self.regulation_length, float(self.tempo))
-        return np.asarray(self.tempo, dtype=float)
+        return flat_profile(self.regulation_length, self.tempo)
 
 
 def _league_law(spec: LeagueSpec, **balance) -> _Law:
@@ -96,7 +95,8 @@ def generate_restoring_league(spec: LeagueSpec, restoring_slope: float) -> Corpu
     """
     if not abs(restoring_slope) < 0.5:  # NaN fails too
         raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")
-    leads = _reachable_leads(spec.regulation_length, spec.point_values)
+    reach = _reach(spec.regulation_length, spec.point_values)
+    leads = np.arange(-reach, reach + 1)
     phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
     law = _league_law(spec, phi=phi)
     return Corpus.concat(_games(law, 0, len(spec.schedule), "restoring", "custom"))
@@ -118,15 +118,12 @@ def default_league(
         raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
     rng = np.random.default_rng(seed)
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
-    schedule = []
-    for _ in range(n_games):
-        i, j = rng.choice(n_teams, size=2, replace=False)
-        schedule.append((int(i), int(j)))
+    schedule = [rng.choice(n_teams, size=2, replace=False) for _ in range(n_games)]
     if point_values is None:
         point_values = {1: 1.0}
     return LeagueSpec(
         skills=skills,
-        schedule=tuple(schedule),
+        schedule=schedule,
         regulation_length=regulation_length,
         tempo=rate,
         point_values=dict(point_values),
@@ -147,13 +144,12 @@ def league_config(spec: LeagueSpec, lead_cap: int = 100) -> SportConfig:
 
 def league_truth(spec: LeagueSpec) -> dict:
     """Ground-truth sidecar describing exactly what was generated."""
-    tempo = spec.tempo
     return {
         "n_teams": spec.n_teams,
         "skills": spec.skills.tolist(),
         "schedule": [list(m) for m in spec.schedule],
         "regulation_length_seconds": spec.regulation_length,
-        "tempo": float(tempo) if np.ndim(tempo) == 0 else np.asarray(tempo).tolist(),
+        "tempo": spec.tempo,
         "point_values": {str(v): float(p) for v, p in spec.point_values.items()},
         "seed": spec.seed,
     }

@@ -121,9 +121,9 @@ def replaced(data, value, *path):
         (replaced(MODEL, 3.5, "tempo", "regulation_length_seconds"),
          r"field 'tempo\.regulation_length_seconds': expected an integer"),
         (replaced(MODEL, "0.5", "tempo", "profile", 3), r"field 'tempo\.profile'"),
-        (replaced(MODEL, [], "balance", "phi"), r"leads, phi and counts"),
+        (replaced(MODEL, [], "balance", "phi"), r"phi and counts must share one odd length"),
         (replaced(MODEL, MODEL["balance"]["phi_counts"][:-1], "balance", "phi_counts"),
-         r"leads, phi and counts"),
+         r"phi and counts must share one odd length"),
     ],
 )
 def test_malformed_model_names_the_field(data, message):

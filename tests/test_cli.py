@@ -480,6 +480,20 @@ class TestOutOfRangeArguments:
         assert result.stderr == "error: min_samples must be >= 1, got 0\n"
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_corpus_without_events_fails_cleanly_under_warnings_as_errors(self, tmp_path,
+                                                                         command):
+        # the only two records share a second and net to zero: one game, no event
+        corpus = tmp_path / "games.csv"
+        corpus.write_text("sport,game_id,team,t,points\nNFL,g1,r,10,3\nNFL,g1,b,10,3\n")
+        out = ["--out", str(tmp_path / "model.json")] if command == "fit" else [
+            "--out-dir", str(tmp_path / "report")]
+        result = run_python("-m", "scoredyn.cli", command, "--in", str(corpus), "--sport", "nfl",
+                            *out)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: corpus has zero events; the tempo model is undefined\n"
+        assert os.listdir(tmp_path) == ["games.csv"]
+
     def test_eval_rejects_zero_splits(self, nhl_corpus, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--in", str(nhl_corpus), "--sport", "nhl",
                            "--splits", "0", "--out", str(tmp_path / "eval.csv"))

@@ -433,6 +433,25 @@ class TestLeadScoring:
         # transitions at leads 0..7, clamped to 3: states 3 sees 5 transitions
         assert scoring.counts[-1] == 5
 
+    def test_leads_follow_from_phi(self):
+        scoring = sd.lead_scoring_function([unit_game("a", [1, -1, 1])], cap=4, min_samples=1)
+        assert np.array_equal(scoring.leads, np.arange(-4, 5))
+        with pytest.raises(TypeError, match="leads"):
+            sd.LeadScoring(leads=scoring.leads, phi=scoring.phi, counts=scoring.counts,
+                           fit=scoring.fit)
+
+    @pytest.mark.parametrize("length", [0, 4])
+    def test_even_length_phi_refused(self, length):
+        fit = sd.LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
+        with pytest.raises(ValueError, match="phi and counts must share one odd length"):
+            sd.LeadScoring(phi=np.full(length, 0.5), counts=np.zeros(length, np.int64), fit=fit)
+
+    @pytest.mark.parametrize("counts", [[0.7, 0, 0], [0.0, 0.0, 0.0], [True, False, True]])
+    def test_non_integer_counts_refused(self, counts):
+        fit = sd.LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
+        with pytest.raises(ValueError, match="phi transition counts must be nonnegative integers"):
+            sd.LeadScoring(phi=np.full(3, 0.5), counts=counts, fit=fit)
+
 
 class TestPointValues:
     def test_relative_frequencies(self):
@@ -543,6 +562,8 @@ class TestModelArtifact:
         assert np.array_equal(loaded.balance.phi, balance.phi)
         assert loaded.balance.point_values == dict(balance.point_values)
         assert loaded.balance.scoring.fit.slope == balance.scoring.fit.slope
+        for scoring in (balance.scoring, loaded.balance.scoring):
+            assert np.array_equal(scoring.leads, np.arange(-20, 21))
 
     @pytest.mark.parametrize("other, message", [
         (sd.SportConfig("custom", 900, (900,), {1: 0.5, 2: 0.5}, 20), "regulation length"),

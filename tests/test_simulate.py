@@ -187,6 +187,16 @@ class TestIdealGame:
     def test_zero_rate_empty(self):
         assert sd.ideal_game(TINY, 0.0).n_events == 0
 
+    @pytest.mark.parametrize("index", [-1, -(2**40), 2**64, 2**70])
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    def test_game_index_outside_the_substreams_refused(self, index, rate):
+        # index -1 would name game `sim--00001` and draw substream 2**64 - 1
+        message = rf"game_index must be in \[0, 2\*\*64\), got {index}$"
+        with pytest.raises(ValueError, match=message):
+            sd.ideal_game(TINY, rate, game_index=index)
+        with pytest.raises(ValueError, match=message):
+            sd.simulate_game(flat_spec(0.01), index)
+
     def test_nhl_rate_mean_events(self):
         cfg = sd.builtin_config("nhl")
         rate = 0.00106

@@ -39,12 +39,17 @@ class TestLeagueSpec:
         [
             (0.01, {2.5: -1.0, 3: 2.0}, "positive integer"),
             (0.01, {2: -1.0, 3: 2.0}, "negative probability"),
-            (np.full(101, np.nan), {1: 1.0}, "profile"),
+            (np.nan, {1: 1.0}, "tempo must be a per-second event probability, got nan"),
         ],
     )
     def test_rejects_what_the_draws_would_reject(self, tempo, points, message):
         with pytest.raises(ValueError, match=message):
             sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 1),), 100, tempo, points, 0)
+
+    @pytest.mark.parametrize("tempo", [np.full(101, 0.01), [0.01], "0.01", True, 1.5, -0.01])
+    def test_tempo_is_one_probability(self, tempo):
+        with pytest.raises(ValueError, match="tempo must be a per-second event probability"):
+            sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 1),), 100, tempo, {1: 1.0}, 0)
 
     def test_requires_nonempty_schedule(self):
         with pytest.raises(ValueError, match="non-empty"):
