@@ -22,7 +22,7 @@ config = sd.league_config(spec, lead_cap=30)
 
 tempo = sd.fit_tempo(games, config)
 balance = sd.fit_balance(games, config)
-chain = sd.build_chain(balance.phi, balance.point_values, config.lead_truncation)
+chain = sd.build_chain(balance.phi, balance.point_values)
 
 print("forecasts from selected states (lead, clock):")
 print(f"{'lead':>5} {'t':>6} {'expected events left':>20} {'P(r wins)':>10} "

@@ -149,9 +149,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     artifact = load_model(args.model)
-    chain = build_chain(
-        artifact.balance.phi, artifact.balance.point_values, artifact.config.lead_truncation
-    )
+    chain = build_chain(artifact.balance.phi, artifact.balance.point_values)
     result = forecast(chain, args.lead, args.t, artifact.tempo.profile)
     print(
         f"predict ok lead={args.lead} t={args.t} "

@@ -258,17 +258,17 @@ class Corpus(Sequence):
 
     Game g is `game_ids[g]`, tagged `sport_ids[g]`, and holds events
     offsets[g]:offsets[g + 1] of the int64 `times`, int8 `teams` and int64
-    `points` columns. The columns are checked once, when the corpus is
-    built, and made read-only. `corpus[g]` is a `GameLog` of views on them,
-    and a contiguous slice is a `Corpus` of views. (A plain class, not a
-    dataclass: every CLI run imports this module, and building a frozen
-    dataclass took about 1 ms.)
+    `points` columns. The columns are copied and checked once, when the
+    corpus is built, and made read-only. `corpus[g]` is a `GameLog` of
+    views on them, and a contiguous slice is a `Corpus` of views. (A plain
+    class, not a dataclass: every CLI run imports this module, and building
+    a frozen dataclass took about 1 ms.)
     """
 
     def __init__(self, game_ids, sport_ids, offsets, times, teams, points) -> None:
         game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
-        offsets, times = np.asarray(offsets, np.int64), np.asarray(times, np.int64)
-        teams, points = np.asarray(teams, np.int8), np.asarray(points, np.int64)
+        offsets, times = np.array(offsets, np.int64), np.array(times, np.int64)
+        teams, points = np.array(teams, np.int8), np.array(points, np.int64)
         if not (
             len(game_ids) == len(sport_ids) == len(offsets) - 1
             and offsets[0] == 0

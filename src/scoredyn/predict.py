@@ -7,14 +7,14 @@ and to L - k otherwise, so with winner and value independent,
     P[L, L+k] = phi(L) * Pr(value = k)
     P[L, L-k] = (1 - phi(L)) * Pr(value = k),
 
-with transitions past the boundary depositing at +-cap. A forecast from
-clock second t runs the chain for the expected number of remaining
-events, the sum of the per-second tempo profile over [t, T]
-(`_remaining_events`), rounded half to even. Every forecast reads the n-step
-absorption probabilities from one outcome table built by backward
-induction, win[0] = 1{lead > 0} and win[n] = P @ win[n-1] (likewise for
-b's win from 1{lead < 0}, or the exact mirror win[:, ::-1] for an
-antisymmetric chain).
+with transitions past the boundary depositing at +-cap. As r and b are
+interchangeable labels, phi(-L) = 1 - phi(L) and the chain is
+mirror-symmetric, P[-L, -L'] = P[L, L']. A forecast from clock second t
+runs the chain for the expected number of remaining events, the sum of
+the per-second tempo profile over [t, T] (`_remaining_events`), rounded
+half to even. Every forecast reads the n-step absorption probabilities
+from one outcome table built by backward induction, win[0] = 1{lead > 0}
+and win[n] = P @ win[n-1]; b's table is its exact mirror win[:, ::-1].
 
 Prediction quality is evaluated out of sample: on each random split the
 model is refitted on 3/4 of the games, and on the held-out quarter the
@@ -30,6 +30,7 @@ compared against the leader-wins heuristic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,28 +61,31 @@ TRAIN_FRACTION = 0.75
 
 @dataclass(frozen=True, eq=False)
 class LeadChain:
-    """Row-stochastic transition matrix over integer lead sizes.
+    """Row-stochastic matrix over the leads -cap..+cap, mirror-symmetric: P[-L, -L'] = P[L, L']."""
 
-    `antisymmetric` records whether phi satisfied phi(-L) = 1 - phi(L)
-    exactly at build time; such chains are mirror-symmetric
-    (P[-L, -L'] = P[L, L']) bit for bit by construction.
-    """
-
-    cap: int
     transition: np.ndarray
-    antisymmetric: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transition", _as_readonly(self.transition, float))
+        P = _as_readonly(self.transition, float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or len(P) % 2 != 1:
+            raise ValueError(f"transition must be square of odd size, got shape {P.shape}")
+        if not np.array_equal(P, P[::-1, ::-1]):
+            raise ValueError("transition must be mirror-symmetric, P[-L, -L'] = P[L, L']")
+        object.__setattr__(self, "transition", P)
+
+    @property
+    def cap(self) -> int:
+        return len(self.transition) // 2
 
     @property
     def states(self) -> np.ndarray:
         return np.arange(-self.cap, self.cap + 1)
 
     def state_index(self, lead: int) -> int:
+        lead = operator.index(lead)
         if abs(lead) > self.cap:
             raise ValueError(f"lead {lead} outside truncation +-{self.cap}")
-        return int(lead) + self.cap
+        return lead + self.cap
 
 
 @dataclass(frozen=True)
@@ -101,41 +105,36 @@ class OutcomeForecast:
 
 
 def build_chain(
-    phi: np.ndarray | Sequence[float],
-    point_values: Mapping[int, float],
-    cap: int,
+    phi: np.ndarray | Sequence[float], point_values: Mapping[int, float]
 ) -> LeadChain:
     """Build the lead-size transition matrix from phi and the value pmf.
 
-    `phi` must cover the grid -cap..+cap (length 2*cap + 1). When phi is
-    exactly antisymmetric, rows for negative leads are constructed by
-    reflecting the positive rows, which makes the chain's mirror
-    symmetry hold to the last bit.
+    `phi` covers the leads -cap..+cap, so its odd length 2 * cap + 1 fixes
+    the cap, and must be exactly antisymmetric, phi(-L) = 1 - phi(L). The
+    rows of leads 0..cap are built and the rest mirrored, which makes the
+    chain's mirror symmetry hold to the last bit.
     """
     phi = np.asarray(phi, dtype=float)
-    if len(phi) != 2 * cap + 1:
-        raise ValueError(f"phi must have {2 * cap + 1} entries for cap {cap}")
     if not np.all((phi >= 0) & (phi <= 1)):
         raise ValueError("phi entries must be finite probabilities")
+    if phi.ndim != 1 or len(phi) % 2 != 1 or not np.all(phi + phi[::-1] == 1.0):
+        raise ValueError("phi must be antisymmetric about L = 0")
+    cap = len(phi) // 2
     pmf = _validated_point_values(point_values)
     max_value = max(pmf)
     if cap < max_value:
         raise ValueError(f"cap {cap} is below the maximum point value {max_value}")
 
-    m = 2 * cap + 1
-    P = np.zeros((m, m))
-    antisymmetric = bool(np.all(phi + phi[::-1] == 1.0))
-    # an antisymmetric chain fills the rows of leads 0..cap and mirrors the rest
-    leads = np.arange(0 if antisymmetric else -cap, cap + 1)
+    P = np.zeros((len(phi), len(phi)))
+    leads = np.arange(cap + 1)
     rows = leads + cap
     up = phi[rows]
     down = 1.0 - up
     for value, q in pmf.items():
         np.add.at(P, (rows, np.minimum(leads + value, cap) + cap), up * q)
         np.add.at(P, (rows, np.maximum(leads - value, -cap) + cap), down * q)
-    if antisymmetric:
-        P[:cap] = P[:cap:-1, ::-1]
-    return LeadChain(cap=cap, transition=P, antisymmetric=antisymmetric)
+    P[:cap] = P[:cap:-1, ::-1]
+    return LeadChain(P)
 
 
 def _remaining_events(profile: np.ndarray) -> np.ndarray:
@@ -145,10 +144,10 @@ def _remaining_events(profile: np.ndarray) -> np.ndarray:
 
 def expected_remaining_events(profile: np.ndarray, t: int) -> float:
     """Expected number of scoring events from second t through T."""
-    T = len(profile) - 1
+    t, T = operator.index(t), len(profile) - 1
     if not 0 <= t <= T:
         raise ValueError(f"time {t} outside [0, {T}]")
-    return float(_remaining_events(profile)[int(t)])
+    return float(_remaining_events(profile)[t])
 
 
 def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> OutcomeForecast:
@@ -156,16 +155,16 @@ def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> Outco
 
     The number of transitions is real-valued (an expected event count)
     and is rounded half to even to a whole number of steps. The answer
-    is the last row of `outcome_table(chain, steps)`, which holds
-    steps + 1 rows of 2 * cap + 1 floats.
+    is the last row of `outcome_table(chain, steps)`, read at `lead` for r
+    and at `-lead` for b.
     """
     if not np.isfinite(n_events) or n_events < 0:
         raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
     idx = chain.state_index(lead)
-    win, lose = outcome_table(chain, round(float(n_events)))
+    win = outcome_table(chain, round(float(n_events)))[-1]
     # rows of P can sum a few ulp over 1, so a win can read a few ulp over 1
     # and the tie's complement a few ulp below 0
-    p_win_r, p_win_b = min(1.0, float(win[-1, idx])), min(1.0, float(lose[-1, idx]))
+    p_win_r, p_win_b = min(1.0, float(win[idx])), min(1.0, float(win[-1 - idx]))
     p_tie = max(0.0, 1.0 - (p_win_r + p_win_b))
     return OutcomeForecast(p_win_r=p_win_r, p_tie=p_tie, p_win_b=p_win_b)
 
@@ -200,28 +199,24 @@ class PredictabilityCurve:
     n_games_scored: np.ndarray
 
 
-def outcome_table(chain: LeadChain, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Win probabilities of r and of b for every step count and start lead.
+def outcome_table(chain: LeadChain, max_steps: int) -> np.ndarray:
+    """r's win probability for every step count and start lead.
 
-    Returns `(win, lose)`, each of shape (max_steps + 1, 2 * cap + 1):
-    `win[n, L + cap]` is the probability that r leads after n chain
-    steps from lead L, and `lose[n, L + cap]` that b leads. Built by
-    backward induction, win[n] = P @ win[n-1] from win[0] = 1{lead > 0}.
-    For an antisymmetric chain `lose` is the exact mirror win[:, ::-1],
-    so the two are equal bit for bit at lead 0; otherwise it follows the
-    same recursion from 1{lead < 0}.
+    Returns `win` of shape (max_steps + 1, 2 * cap + 1): `win[n, L + cap]`
+    is the probability that r leads after n chain steps from lead L. Built
+    by backward induction, win[n] = P @ win[n-1] from win[0] = 1{lead > 0}.
+    The chain is mirror-symmetric, so b's table is the exact mirror
+    win[:, ::-1], equal to r's bit for bit at lead 0.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    states = chain.states
-    targets = [states > 0] if chain.antisymmetric else [states > 0, states < 0]
-    table = np.empty((max_steps + 1, len(states), len(targets)))
-    table[0] = np.stack(targets, axis=1)
+    # a (2 * cap + 1, 1) column on the right of each product, not a 1-D vector:
+    # a vector can run another BLAS kernel, whose last bits need not match
+    table = np.empty((max_steps + 1, len(chain.transition), 1))
+    table[0, :, 0] = chain.states > 0
     for n in range(1, max_steps + 1):
         table[n] = chain.transition @ table[n - 1]
-    win = table[:, :, 0]
-    lose = win[:, ::-1] if chain.antisymmetric else table[:, :, 1]
-    return win, lose
+    return table[:, :, 0]
 
 
 def evaluate_predictability(
@@ -292,8 +287,7 @@ def evaluate_predictability(
         profile = _profile(event_time[train], n_train, T)
         # np.rint rounds half to even, as round() does in forecast_after_events.
         steps_of_t = np.rint(_remaining_events(profile)).astype(np.int64)
-        chain = build_chain(phi, pmf, cap)
-        win, lose = outcome_table(chain, int(steps_of_t.max()))
+        win = outcome_table(build_chain(phi, pmf), int(steps_of_t.max()))
 
         # The scored games' events, laid out game by game from `offsets`:
         # each one's position in the corpus and index within its game.
@@ -308,7 +302,7 @@ def evaluate_predictability(
         steps = steps_of_t[event_time[scored]]
         col = event_col[scored]
         p_r = win[steps, col]
-        p_b = lose[steps, col]
+        p_b = win[steps, 2 * cap - col]
         lead_sign = np.sign(event_lead[scored])
         chain_score = np.where(
             (sign == 0) | (p_r == p_b), 0.5, np.where(p_r > p_b, 1, -1) == sign

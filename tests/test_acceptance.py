@@ -84,7 +84,7 @@ def test_criterion_4_chain_vs_simulator():
     with criterion(4, 30.0, "chain forecasts: exact enumeration and Monte Carlo"):
         # exhaustive enumeration for fair unit chains, n <= 6
         cap = 12
-        chain = sd.build_chain(np.full(2 * cap + 1, 0.5), {1: 1.0}, cap)
+        chain = sd.build_chain(np.full(2 * cap + 1, 0.5), {1: 1.0})
         weight_cache = {}
         for start in (0, 1, 2, -3):
             for n in range(7):
@@ -110,7 +110,7 @@ def test_criterion_4_chain_vs_simulator():
         cap = 100
         pmf = dict(sd.builtin_config("nba").point_values)
         phi = 0.5 - 0.002 * np.arange(-cap, cap + 1)
-        chain = sd.build_chain(phi, pmf, cap)
+        chain = sd.build_chain(phi, pmf)
         start, steps, n_runs = 5, 30, 100_000
         f = sd.forecast_after_events(chain, start, steps)
 
@@ -220,7 +220,7 @@ def test_criterion_7_invariant_suite():
         @given(antisym_phi(), pmfs(), st.integers(-8, 8), st.sampled_from([0, 1, 3, 25, 200]))
         @settings(max_examples=40, deadline=None)
         def chain_invariants(phi, pmf, lead, steps):
-            chain = sd.build_chain(phi, pmf, 8)
+            chain = sd.build_chain(phi, pmf)
             P = chain.transition
             assert np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-9)  # row-stochastic
             assert np.array_equal(P, P[::-1, ::-1])  # reflection consistency

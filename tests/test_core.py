@@ -202,6 +202,17 @@ class TestCorpus:
             with pytest.raises(ValueError, match="offsets"):
                 sd.Corpus(ids, ["NFL"] * len(ids), offsets, [10, 20], [1, 1], [7, 7])
 
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        # each array already has its column's dtype, so only a copy keeps it apart
+        offsets, times = np.array([0, 2], np.int64), np.array([1, 2], np.int64)
+        teams, points = np.array([1, -1], np.int8), np.array([7, 3], np.int64)
+        corpus = sd.Corpus(["g"], ["NFL"], offsets, times, teams, points)
+        for array in (offsets, times, teams, points):
+            assert array.flags.writeable
+            array[:] = 0
+        assert corpus[0] == sd.GameLog("g", "NFL", [1, 2], [1, -1], [7, 3])
+        assert corpus.offsets.tolist() == [0, 2]
+
 
 class TestConfigJson:
     def test_round_trip(self, tmp_path):

@@ -43,22 +43,16 @@ def forward_forecast(chain, lead: int, n_events: float) -> OutcomeForecast:
     """Forward propagation of an indicator vector at `lead` through P.
 
     Independent oracle for `forecast_after_events`, which reads the
-    backward-induction `outcome_table` instead: round(n_events) steps of
-    v @ P, with the mirror and lead-0 symmetries of an antisymmetric
-    chain applied explicitly.
+    backward-induction `outcome_table` instead, and b's probability from
+    its mirror: round(n_events) steps of v @ P, then each outcome summed
+    from the final distribution, with no symmetry applied.
     """
-    if chain.antisymmetric and lead < 0:
-        f = forward_forecast(chain, -lead, n_events)
-        return OutcomeForecast(f.p_win_b, f.p_tie, f.p_win_r)
     cap = chain.cap
     v = np.zeros(2 * cap + 1)
     v[chain.state_index(lead)] = 1.0
     for _ in range(int(round(float(n_events)))):
         v = v @ chain.transition
     p_tie = float(v[cap])
-    if chain.antisymmetric and lead == 0:
-        half = (1.0 - p_tie) / 2.0
-        return OutcomeForecast(p_win_r=half, p_tie=p_tie, p_win_b=half)
     return OutcomeForecast(
         p_win_r=float(v[cap + 1 :].sum()), p_tie=p_tie, p_win_b=float(v[:cap].sum())
     )
@@ -66,7 +60,7 @@ def forward_forecast(chain, lead: int, n_events: float) -> OutcomeForecast:
 
 class TestBuildChain:
     def test_fair_unit_chain_rows(self):
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         P = chain.transition
         for lead in range(-4, 5):
             row = lead + 5
@@ -76,7 +70,7 @@ class TestBuildChain:
 
     def test_single_value_pmf_is_bidiagonal(self):
         cap = 15
-        chain = sd.build_chain(fair_phi(cap), {1: 1.0}, cap)
+        chain = sd.build_chain(fair_phi(cap), {1: 1.0})
         P = chain.transition
         for i in range(2 * cap + 1):
             for j in range(2 * cap + 1):
@@ -86,7 +80,7 @@ class TestBuildChain:
     def test_nba_row_at_zero_splits_mass_evenly(self):
         # hand computation: P[0, +-k] = 0.5 * Pr(value = k)
         cap = 100
-        chain = sd.build_chain(fair_phi(cap), NBA_PMF, cap)
+        chain = sd.build_chain(fair_phi(cap), NBA_PMF)
         row = chain.transition[cap]
         for value, q in NBA_PMF.items():
             assert row[cap + value] == pytest.approx(0.5 * q, abs=1e-15)
@@ -95,7 +89,7 @@ class TestBuildChain:
 
     def test_boundary_mass_deposits_at_cap(self):
         cap = 3
-        chain = sd.build_chain(fair_phi(cap), {2: 0.5, 3: 0.5}, cap)
+        chain = sd.build_chain(fair_phi(cap), {2: 0.5, 3: 0.5})
         P = chain.transition
         # from lead 2, both +2 and +3 land at the cap
         assert P[cap + 2, 2 * cap] == 0.5
@@ -104,7 +98,7 @@ class TestBuildChain:
 
     def test_cap_below_max_point_value_rejected(self):
         with pytest.raises(ValueError, match="below the maximum point value"):
-            sd.build_chain(fair_phi(5), {7: 1.0}, 5)
+            sd.build_chain(fair_phi(5), {7: 1.0})
 
     @pytest.mark.parametrize(
         "phi, pmf, match",
@@ -117,52 +111,89 @@ class TestBuildChain:
     )
     def test_invalid_phi_or_point_values_rejected(self, phi, pmf, match):
         with pytest.raises(ValueError, match=match):
-            sd.build_chain(phi, pmf, 5)
+            sd.build_chain(phi, pmf)
 
     def test_reflection_consistency_for_antisymmetric_phi(self):
         cap = 8
         upper = np.linspace(0.5, 0.9, cap + 1)
         phi = np.concatenate([1.0 - upper[:0:-1], upper])
-        chain = sd.build_chain(phi, {1: 0.75, 2: 0.25}, cap)
-        assert chain.antisymmetric
+        chain = sd.build_chain(phi, {1: 0.75, 2: 0.25})
         P = chain.transition
         for L in range(-cap, cap + 1):
             for Lp in range(-cap, cap + 1):
                 assert P[cap - L, cap - Lp] == P[cap + L, cap + Lp]
 
-    def test_general_phi_rows_follow_formula(self):
+    @pytest.mark.parametrize("phi", [np.full(4, 0.5), np.empty(0), np.full((3, 3), 0.5)],
+                             ids=["even", "empty", "matrix"])
+    def test_phi_of_no_odd_length_refused(self, phi):
+        with pytest.raises(ValueError, match="phi must be antisymmetric about L = 0"):
+            sd.build_chain(phi, {1: 1.0})
+
+    def test_phi_not_exactly_antisymmetric_refused(self):
+        # a random phi, and a fair one with one entry moved by 2**-52, the
+        # least move that phi(L) + phi(-L) == 1 does not round away
         cap = 4
         rng = np.random.default_rng(3)
-        phi = rng.uniform(0.2, 0.8, 2 * cap + 1)  # not antisymmetric
-        chain = sd.build_chain(phi, {1: 1.0}, cap)
-        assert not chain.antisymmetric
-        for lead in range(-cap + 1, cap):
-            row = lead + cap
-            assert chain.transition[row, row + 1] == phi[row]
-        assert np.allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
+        off = fair_phi(cap)
+        off[1] += 2.0**-52
+        for phi in (rng.uniform(0.2, 0.8, 2 * cap + 1), off):
+            with pytest.raises(ValueError, match="phi must be antisymmetric about L = 0"):
+                sd.build_chain(phi, {1: 1.0})
 
-    @pytest.mark.parametrize("antisymmetric", [True, False])
-    def test_transition_matrix_equals_row_loop(self, antisymmetric):
-        rng = np.random.default_rng(17 + antisymmetric)
+    def test_cap_read_from_phi_length(self):
+        for cap in (1, 6, 100):
+            chain = sd.build_chain(fair_phi(cap), {1: 1.0})
+            assert chain.cap == cap and chain.transition.shape == (2 * cap + 1,) * 2
+
+    def test_transition_matrix_equals_row_loop(self):
+        rng = np.random.default_rng(18)
         for _ in range(150):
             cap = int(rng.integers(1, 25))
             values = rng.choice(np.arange(1, cap + 1), int(rng.integers(1, min(cap, 6) + 1)),
                                 replace=False)
             probs = rng.random(len(values))
             pmf = dict(zip(values.tolist(), (probs / probs.sum()).tolist()))
-            if antisymmetric:  # dyadic phi, so 1 - phi(L) + phi(L) == 1 exactly
-                upper = np.append(0.5, rng.integers(0, 1025, cap) / 1024)
-                phi = np.concatenate((1.0 - upper[:0:-1], upper))
-            else:
-                phi = rng.random(2 * cap + 1)
-            chain = sd.build_chain(phi, pmf, cap)
-            assert chain.antisymmetric == antisymmetric
+            # dyadic phi, so 1 - phi(L) + phi(L) == 1 exactly
+            upper = np.append(0.5, rng.integers(0, 1025, cap) / 1024)
+            phi = np.concatenate((1.0 - upper[:0:-1], upper))
+            chain = sd.build_chain(phi, pmf)
             assert np.array_equal(chain.transition, row_loop_transition(phi, pmf, cap))
+
+
+class TestLeadChain:
+    @pytest.mark.parametrize(
+        "transition, match",
+        [
+            (np.eye(5)[:4], "square of odd size"),
+            (np.full(5, 0.2), "square of odd size"),
+            (np.eye(4), "square of odd size"),
+            (np.roll(np.eye(5), 1, axis=1), "mirror-symmetric"),
+            (np.where(np.eye(3) == 1, np.nan, 0.0), "mirror-symmetric"),
+        ],
+        ids=["non-square", "vector", "even", "non-mirror", "nan"],
+    )
+    def test_refuses_transition(self, transition, match):
+        with pytest.raises(ValueError, match=rf"^transition must be {match}"):
+            sd.LeadChain(transition)
+
+    def test_cap_is_read_from_size(self):
+        chain = sd.LeadChain(np.eye(5))
+        assert chain.cap == 2
+        assert chain.states.tolist() == [-2, -1, 0, 1, 2]
+        assert chain.state_index(-2) == 0 and chain.state_index(np.int64(2)) == 4
+
+    @pytest.mark.parametrize("lead", [2.7, 2.0, np.float64(1.0), "1"])
+    def test_non_integral_lead_refused(self, lead):
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
+        with pytest.raises(TypeError):
+            chain.state_index(lead)
+        with pytest.raises(TypeError):
+            sd.forecast(chain, lead, 0, np.full(11, 0.25))
 
 
 def row_loop_transition(phi, point_values, cap):
     """The transition matrix filled one row at a time, one value at a time
-    (oracle for `build_chain`); antisymmetric rows below lead 0 are mirrored."""
+    (oracle for `build_chain`); the rows below lead 0 are mirrored."""
     P = np.zeros((2 * cap + 1, 2 * cap + 1))
     items = sorted(point_values.items())
 
@@ -174,14 +205,10 @@ def row_loop_transition(phi, point_values, cap):
             P[row, min(lead + value, cap) + cap] += up * q
             P[row, max(lead - value, -cap) + cap] += down * q
 
-    if np.all(phi + phi[::-1] == 1.0):
-        for lead in range(0, cap + 1):
-            fill_row(lead)
-        for lead in range(1, cap + 1):
-            P[cap - lead, :] = P[cap + lead, ::-1]
-    else:
-        for lead in range(-cap, cap + 1):
-            fill_row(lead)
+    for lead in range(0, cap + 1):
+        fill_row(lead)
+    for lead in range(1, cap + 1):
+        P[cap - lead, :] = P[cap + lead, ::-1]
     return P
 
 
@@ -200,6 +227,13 @@ class TestExpectedRemainingEvents:
             with pytest.raises(ValueError, match="outside"):
                 sd.expected_remaining_events(profile, t)
 
+    def test_non_integral_second_refused(self):
+        profile = np.full(11, 0.25)
+        for t in (10.5, 10.0, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                sd.expected_remaining_events(profile, t)
+        assert sd.expected_remaining_events(profile, np.int64(10)) == 0.25
+
     def test_full_sum_equals_mean_events_for_merged_games(self):
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.001, 500, seed=21)
         profile = sd.tempo_profile(games)
@@ -210,26 +244,26 @@ class TestExpectedRemainingEvents:
 
 class TestForecast:
     def test_zero_steps_is_indicator(self):
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         f = sd.forecast_after_events(chain, 3, 0)
         assert (f.p_win_r, f.p_tie, f.p_win_b) == (1.0, 0.0, 0.0)
 
     def test_two_steps_from_tie(self):
         # enumeration: 4 equally likely paths from 0 -> {+2, 0, 0, -2}
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         f = sd.forecast_after_events(chain, 0, 2)
         assert f.p_win_r == pytest.approx(0.25, abs=1e-15)
         assert f.p_tie == pytest.approx(0.5, abs=1e-15)
         assert f.p_win_b == pytest.approx(0.25, abs=1e-15)
 
     def test_one_step_from_lead_one(self):
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         f = sd.forecast_after_events(chain, 1, 1)
         assert (f.p_win_r, f.p_tie, f.p_win_b) == (0.5, 0.5, 0.0)
 
     def test_matches_exhaustive_enumeration_up_to_six_steps(self):
         cap = 10
-        chain = sd.build_chain(fair_phi(cap), {1: 1.0}, cap)
+        chain = sd.build_chain(fair_phi(cap), {1: 1.0})
         for start in (0, 1, -2, 3):
             for n in range(7):
                 f = sd.forecast_after_events(chain, start, n)
@@ -239,14 +273,14 @@ class TestForecast:
                 assert abs(f.p_win_b - loss) <= 1e-12, (start, n)
 
     def test_real_event_counts_round(self):
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         f_rounded = sd.forecast_after_events(chain, 0, 2.4)
         f_two = sd.forecast_after_events(chain, 0, 2)
         assert f_rounded == f_two
 
     def test_forecast_from_profile_time(self):
         cap = 5
-        chain = sd.build_chain(fair_phi(cap), {1: 1.0}, cap)
+        chain = sd.build_chain(fair_phi(cap), {1: 1.0})
         profile = np.zeros(101)
         profile[50] = 1.0
         profile[80] = 1.0
@@ -254,7 +288,7 @@ class TestForecast:
         assert f.p_tie == pytest.approx(0.5, abs=1e-15)
 
     def test_invalid_inputs(self):
-        chain = sd.build_chain(fair_phi(5), {1: 1.0}, 5)
+        chain = sd.build_chain(fair_phi(5), {1: 1.0})
         with pytest.raises(ValueError, match="outside truncation"):
             sd.forecast_after_events(chain, 6, 1)
         with pytest.raises(ValueError, match="finite"):
@@ -264,7 +298,7 @@ class TestForecast:
         cap = 20
         upper = 0.5 + 0.4 * np.tanh(np.arange(cap + 1) / 6.0)
         phi = np.concatenate([1.0 - upper[:0:-1], upper])
-        chain = sd.build_chain(phi, {1: 0.6, 2: 0.3, 3: 0.1}, cap)
+        chain = sd.build_chain(phi, {1: 0.6, 2: 0.3, 3: 0.1})
         for lead in (-20, -3, 0, 5, 20):
             for n in (0, 1, 7, 50, 200):
                 f = sd.forecast_after_events(chain, lead, n)
@@ -275,7 +309,7 @@ class TestForecast:
         cap = 9
         upper = np.concatenate([[0.5], np.clip(0.5 + np.cumsum(rng.uniform(0, 0.04, cap)), 0, 1)])
         phi = np.concatenate([1.0 - upper[:0:-1], upper])
-        chain = sd.build_chain(phi, {1: 0.7, 3: 0.3}, cap)
+        chain = sd.build_chain(phi, {1: 0.7, 3: 0.3})
         for lead in range(0, cap + 1):
             for n in (0, 1, 4, 9):
                 f_pos = sd.forecast_after_events(chain, lead, n)
@@ -287,7 +321,7 @@ class TestForecast:
     def test_win_probability_monotone_in_lead_for_monotone_phi(self):
         cap = 6
         phi = np.clip(0.5 + 0.05 * np.arange(-cap, cap + 1), 0.0, 1.0)
-        chain = sd.build_chain(phi, {1: 1.0}, cap)
+        chain = sd.build_chain(phi, {1: 1.0})
         for n in (1, 4, 8):
             values = [sd.forecast_after_events(chain, L, n).p_win_r for L in range(-cap, cap + 1)]
             assert np.all(np.diff(values) >= -1e-12)
@@ -297,7 +331,7 @@ class TestForecast:
         cap = 100
         leads_grid = np.arange(-cap, cap + 1)
         phi = 0.5 - 0.002 * leads_grid
-        chain = sd.build_chain(phi, NBA_PMF, cap)
+        chain = sd.build_chain(phi, NBA_PMF)
         start, steps, n_runs = 5, 30, 100_000
         f = sd.forecast_after_events(chain, start, steps)
 
@@ -411,7 +445,9 @@ def reference_evaluate(games, cfg, n_splits, seed, tie_mode="exclude"):
     """Per-event evaluation loop: one forward forecast per (lead, steps).
 
     Oracle for `evaluate_predictability`, which reads the same forecasts
-    from a per-split outcome table.
+    from a per-split outcome table, b's from its mirror. Win probabilities
+    within 1e-12 of each other, the forward pass's precision, count as the
+    tie that eval scores 1/2: at a tied lead they agree only to rounding here.
     """
     cap = cfg.lead_truncation
     n_train = min(max(int(round(0.75 * len(games))), 1), len(games) - 1)
@@ -426,7 +462,7 @@ def reference_evaluate(games, cfg, n_splits, seed, tie_mode="exclude"):
         scoring = sd.lead_scoring_function(train, cap)
         profile = sd.tempo_profile(train, cfg)
         suffix = np.concatenate((np.cumsum(profile[::-1])[::-1], [0.0]))
-        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(train), cap)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(train))
         cache = {}
         for game in test:
             winner_sign = np.sign(game.final_lead())
@@ -445,7 +481,7 @@ def reference_evaluate(games, cfg, n_splits, seed, tie_mode="exclude"):
                     f = forward_forecast(chain, *key)
                     cache[key] = (f.p_win_r, f.p_win_b)
                 p_r, p_b = cache[key]
-                if p_r == p_b:
+                if abs(p_r - p_b) <= 1e-12:
                     chain_sums[split, ell] += 0.5
                 else:
                     chain_sums[split, ell] += float((1 if p_r > p_b else -1) == winner_sign)
@@ -469,40 +505,41 @@ def antisymmetric_phi(cap):
     return np.concatenate([1.0 - upper[:0:-1], upper])
 
 
+def b_win_table(chain, max_steps):
+    """b's win probabilities by their own backward induction from
+    1{lead < 0} (oracle for the mirror of `outcome_table`)."""
+    table = np.empty((max_steps + 1, len(chain.transition), 1))
+    table[0, :, 0] = chain.states < 0
+    for n in range(1, max_steps + 1):
+        table[n] = chain.transition @ table[n - 1]
+    return table[:, :, 0]
+
+
 class TestOutcomeTable:
-    @pytest.mark.parametrize("antisymmetric", [True, False])
-    def test_entries_match_forward_forecasts(self, antisymmetric):
+    def test_entries_match_forward_forecasts(self):
         cap, max_steps = 12, 40
-        if antisymmetric:
-            phi = antisymmetric_phi(cap)
-        else:
-            phi = np.random.default_rng(4).uniform(0.2, 0.8, 2 * cap + 1)
-        chain = sd.build_chain(phi, {1: 0.5, 2: 0.3, 3: 0.2}, cap)
-        assert chain.antisymmetric == antisymmetric
-        win, lose = outcome_table(chain, max_steps)
-        assert win.shape == lose.shape == (max_steps + 1, 2 * cap + 1)
+        chain = sd.build_chain(antisymmetric_phi(cap), {1: 0.5, 2: 0.3, 3: 0.2})
+        win = outcome_table(chain, max_steps)
+        assert win.shape == (max_steps + 1, 2 * cap + 1)
         for lead in range(-cap, cap + 1):
             for n in range(max_steps + 1):
                 f = forward_forecast(chain, lead, n)
                 assert abs(win[n, lead + cap] - f.p_win_r) <= 1e-12, (lead, n)
-                assert abs(lose[n, lead + cap] - f.p_win_b) <= 1e-12, (lead, n)
+                assert abs(win[n, cap - lead] - f.p_win_b) <= 1e-12, (lead, n)
 
-    def test_lose_is_exact_mirror_for_antisymmetric_chain(self):
-        cap = 20
-        chain = sd.build_chain(antisymmetric_phi(cap), NBA_PMF, cap)
-        win, lose = outcome_table(chain, 60)
-        assert np.array_equal(lose, win[:, ::-1])
-        assert np.array_equal(win[:, cap], lose[:, cap])
+    @pytest.mark.parametrize("cap, pmf", [(20, NBA_PMF), (6, {1: 0.5, 2: 0.3, 3: 0.2})])
+    def test_mirror_matches_b_own_recursion(self, cap, pmf):
+        # The mirror sums each row's terms in the reverse order of b's own
+        # recursion, so the two agree to rounding (about 2e-15 here), not bit
+        # for bit; the lead-0 column is its own mirror, so r and b tie exactly.
+        chain = sd.build_chain(antisymmetric_phi(cap), pmf)
+        win = outcome_table(chain, 200)
+        assert np.abs(win[:, ::-1] - b_win_table(chain, 200)).max() <= 1e-12
+        assert np.array_equal(win[:, ::-1][:, cap], win[:, cap])
 
-    @pytest.mark.parametrize("antisymmetric", [True, False])
-    def test_forecast_after_events_matches_forward_oracle(self, antisymmetric):
+    def test_forecast_after_events_matches_forward_oracle(self):
         cap = 6
-        if antisymmetric:
-            phi = antisymmetric_phi(cap)
-        else:
-            phi = np.random.default_rng(9).uniform(0.2, 0.8, 2 * cap + 1)
-        chain = sd.build_chain(phi, {1: 0.5, 2: 0.3, 3: 0.2}, cap)
-        assert chain.antisymmetric == antisymmetric
+        chain = sd.build_chain(antisymmetric_phi(cap), {1: 0.5, 2: 0.3, 3: 0.2})
         for lead in range(-cap, cap + 1):
             for n in range(201):
                 f = sd.forecast_after_events(chain, lead, n)
@@ -606,26 +643,26 @@ class TestForecastReadsEvalTable:
         cfg = sd.SportConfig("custom", 1440, (360, 720, 1080, 1440), NBA_PMF, cap)
         profile = sd.tempo_profile(games, cfg)
         scoring = sd.lead_scoring_function(games, cap, 20)
-        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games))
         suffix = np.cumsum(profile[::-1])[::-1]
         assert np.any(np.abs(suffix - np.floor(suffix) - 0.5) < 1e-9)
         steps = np.rint(suffix).astype(int)
-        win, lose = outcome_table(chain, int(steps.max()))
+        win = outcome_table(chain, int(steps.max()))
         for t in range(len(profile)):
             for lead in (-9, -1, 0, 2, 5, cap):
                 f = sd.forecast(chain, lead, t, profile)
                 assert f.p_win_r == win[steps[t], lead + cap], (t, lead)
-                assert f.p_win_b == lose[steps[t], lead + cap], (t, lead)
+                assert f.p_win_b == win[steps[t], cap - lead], (t, lead)
 
     def test_impossible_tie_reads_zero_not_negative(self):
-        # Fitted pmfs leave rows of P a few ulp off 1, so win + lose can
-        # exceed 1; the tie probability is then 0, never -0.000000 in print.
+        # Fitted pmfs leave rows of P a few ulp off 1, so r's and b's wins can
+        # sum over 1; the tie probability is then 0, never -0.000000 in print.
         games = TestEvaluateMatchesPerEventReference.nba_like_games(48, seed=19)
         cap = 100
         scoring = sd.lead_scoring_function(games, cap, 20)
-        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
-        win, lose = outcome_table(chain, 4)
-        assert np.any(win + lose > 1.0)
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games))
+        win = outcome_table(chain, 4)
+        assert np.any(win + win[:, ::-1] > 1.0)
         for lead in range(-cap, cap + 1):
             for n in range(5):
                 assert sd.forecast_after_events(chain, lead, n).p_tie >= 0.0, (lead, n)
@@ -636,15 +673,15 @@ class TestForecastReadsEvalTable:
         games = TestEvaluateMatchesPerEventReference.nba_like_games(48, seed=19)
         cap = 100
         scoring = sd.lead_scoring_function(games, cap, 20)
-        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games), cap)
-        win, lose = outcome_table(chain, 4)
-        assert win.max() > 1.0 and lose.max() > 1.0
+        chain = sd.build_chain(scoring.phi, sd.point_value_distribution(games))
+        win = outcome_table(chain, 4)
+        assert win.max() > 1.0
         for lead in range(-cap, cap + 1):
             for n in range(5):
                 f = sd.forecast_after_events(chain, lead, n)
                 assert f.p_win_r <= 1.0 and f.p_win_b <= 1.0, (lead, n)
                 assert f.p_win_r == min(1.0, win[n, lead + cap]), (lead, n)
-                assert f.p_win_b == min(1.0, lose[n, lead + cap]), (lead, n)
+                assert f.p_win_b == min(1.0, win[n, cap - lead]), (lead, n)
 
 
 M64 = 2**64 - 1

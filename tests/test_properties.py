@@ -142,7 +142,7 @@ class TestChainProperties:
         cap = 8
         if max(pmf) > cap:
             return
-        chain = sd.build_chain(phi, pmf, cap)
+        chain = sd.build_chain(phi, pmf)
         assert np.all(np.abs(chain.transition.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(chain.transition >= 0)
         P = chain.transition
@@ -159,7 +159,7 @@ class TestChainProperties:
         cap = 8
         if max(pmf) > cap:
             return
-        chain = sd.build_chain(phi, pmf, cap)
+        chain = sd.build_chain(phi, pmf)
         f = sd.forecast_after_events(chain, lead, steps)
         assert abs(f.p_win_r + f.p_tie + f.p_win_b - 1.0) <= 1e-9
 
@@ -169,7 +169,7 @@ class TestChainProperties:
         cap = 8
         if max(pmf) > cap:
             return
-        chain = sd.build_chain(phi, pmf, cap)
+        chain = sd.build_chain(phi, pmf)
         pos = sd.forecast_after_events(chain, lead, steps)
         neg = sd.forecast_after_events(chain, -lead, steps)
         assert pos.p_win_r == neg.p_win_b
