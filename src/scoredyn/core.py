@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -266,9 +266,19 @@ class Corpus(Sequence):
     """
 
     def __init__(self, game_ids, sport_ids, offsets, times, teams, points) -> None:
+        self._take(np.array, game_ids, sport_ids, offsets, times, teams, points)
+
+    @classmethod
+    def _owning(cls, *columns) -> Corpus:
+        """A corpus of fresh columns that nothing else holds, taken uncopied."""
+        corpus = object.__new__(cls)
+        corpus._take(np.asarray, *columns)
+        return corpus
+
+    def _take(self, array, game_ids, sport_ids, offsets, times, teams, points) -> None:
         game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
-        offsets, times = np.array(offsets, np.int64), np.array(times, np.int64)
-        teams, points = np.array(teams, np.int8), np.array(points, np.int64)
+        offsets, times = array(offsets, np.int64), array(times, np.int64)
+        teams, points = array(teams, np.int8), array(points, np.int64)
         if not (
             len(game_ids) == len(sport_ids) == len(offsets) - 1
             and offsets[0] == 0
@@ -304,7 +314,7 @@ class Corpus(Sequence):
         def joined(name: str, dtype) -> np.ndarray:
             return np.concatenate([np.empty(0, dtype)] + [getattr(p, name) for p in parts])
 
-        return cls(
+        return cls._owning(
             chain.from_iterable(p.game_ids for p in parts),
             chain.from_iterable(p.sport_ids for p in parts),
             np.concatenate(([0], joined("event_counts", np.int64).cumsum())),
@@ -490,11 +500,16 @@ def _integer(value) -> int:
 
 
 def _array(convert: Callable, dtype) -> Callable:
-    """Converter of a JSON list, entry by entry through `convert`, to a 1-D array."""
+    """Converter of a JSON list, entry by entry through `convert`, to a 1-D
+    array; a list of exact ints (or floats, for floats) converts at once."""
+    exact = {int} if np.issubdtype(dtype, np.integer) else {int, float}
 
     def to_array(value) -> np.ndarray:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {type(value).__name__}")
+        if set(map(type, value)) <= exact:
+            with suppress(OverflowError):  # an int past the dtype's range fails below
+                return np.array(value, dtype=dtype)
         return np.array([convert(v) for v in value], dtype=dtype)
 
     return to_array

@@ -37,10 +37,11 @@ Games come out in order of first occurrence, as one `Corpus` of those
 columns.
 
 The writer quotes a CSV game id that holds a comma, a quote or a line end,
-and rejects an id that would not read back as itself. It renders and
-writes one slice of at most 1,024 games at a time into a temp file that
-replaces the target only when every slice is written. Given an iterator
-of corpora (`simulate_batches`), it holds one of them at a time, so
+and rejects an id that would not read back as itself. It formats each
+distinct record tail once per file, renders one slice of at most 1,024
+games at a time and writes it in strings of 64 games into a temp file
+that replaces the target only when every slice is written. Given an
+iterator of corpora (`simulate_batches`), it holds one at a time, so
 writing a simulated corpus takes the memory of one batch, not of the
 whole corpus and its text.
 """
@@ -84,6 +85,7 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # 
 _T_DIGITS, _POINTS_DIGITS = 18, 10  # the widest t and points the tokenizer reads (10**18 < 2**63)
 _COMMA, _LINE_FEED = ord(","), ord("\n")
 _KEYS_PER_EVENT = 4  # render keys (signed points, t) densely while the key range is this small
+_GAMES_PER_WRITE = 64  # games per string written: few writes, not the memory of a slice's text
 _NO_ROWS = (np.empty(0, dtype=np.int64),) * 3  # (game index, t, signed points) of no rows
 
 
@@ -369,7 +371,8 @@ def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
         return "csv"
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
-    raise IngestError(f"cannot infer format from {path!r}; pass format='csv' or 'jsonl'")
+    raise IngestError(f"cannot infer format from {os.fspath(path)!r}; pass fmt='csv' or 'jsonl' "
+                      "(--format csv or --format jsonl on the command line)")
 
 
 def _resolve_sport(tag: str, line: int, configs: Mapping[str, SportConfig] | None) -> SportConfig:
@@ -417,7 +420,7 @@ def parse_event_file(
     offsets = np.searchsorted(game, np.arange(len(games) + 1))
     sport_ids = [cfg.sport_id for _, _, cfg in games.values()]
     teams = np.sign(net).astype(np.int8)
-    return Corpus(list(games), sport_ids, offsets, t, teams, np.abs(net))
+    return Corpus._owning(list(games), sport_ids, offsets, t, teams, np.abs(net))
 
 
 def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -457,76 +460,107 @@ def _written_id(game_id: str, fmt: str) -> str:
 
 def _distinct_pairs(
     major: np.ndarray, minor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """(slot of each int64 pair (major, minor), the slots in use, and the
-    distinct pairs they hold in pair order, as a list of majors and a list
-    of minors). Slots are dense keys over the pairs' ranges while there
-    are at most `_KEYS_PER_EVENT` per pair; past that (t is unbounded and
-    points reach 2**31 - 1) they are ranks in `_sort_order`."""
-    if len(major):
-        lo_major, lo_minor = int(major.min()), int(minor.min())
-        span = int(minor.max()) - lo_minor + 1
-        n_keys = (int(major.max()) - lo_major + 1) * span
-        if n_keys <= _KEYS_PER_EVENT * len(major):
-            slot = (major - lo_major) * span + (minor - lo_minor)
-            present = np.zeros(n_keys, dtype=bool)
-            present[slot] = True
-            used = np.flatnonzero(present)
-            return slot, used, (used // span + lo_major).tolist(), (used % span + lo_minor).tolist()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank of each int64 pair (major, minor) among the distinct pairs by
+    `_sort_order`, and those pairs in order, as arrays of majors and minors)."""
     order = _sort_order(major, minor)
     by_major, by_minor = major[order], minor[order]
     first = np.ones(len(order), dtype=bool)  # first of its pair
     first[1:] = (by_major[1:] != by_major[:-1]) | (by_minor[1:] != by_minor[:-1])
-    slot = np.empty(len(order), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    used = np.arange(np.count_nonzero(first))
-    return slot, used, by_major[first].tolist(), by_minor[first].tolist()
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return rank, by_major[first], by_minor[first]
 
 
-def _records(corpus: Corpus, fmt: str) -> list[str]:
-    """The records of `corpus`'s games, one string per game of its lines,
-    each line ending in a line feed.
+def _tails(fmt: str, signed: np.ndarray, times: np.ndarray) -> list[str]:
+    """The record tails of the pairs (signed points, t), given in order of
+    signed points: one template per signed value, mapped over its seconds."""
+    template = "{},{{}},{}" if fmt == "csv" else '{}","t":{{}},"points":{}}}}}'
+    first = np.ones(len(signed), dtype=bool)  # first pair of its signed value
+    first[1:] = signed[1:] != signed[:-1]
+    starts = np.flatnonzero(first)
+    tails: list[str] = []
+    for v, seconds in zip(signed[starts].tolist(), np.split(times, starts[1:])):
+        tails += map(template.format(TEAM_R if v > 0 else TEAM_B, abs(v)).format, seconds.tolist())
+    return tails
 
-    A game with no events writes no line; the id of every other game must
-    read back as itself (see `_written_id`). Each record is a per-game
-    prefix followed by a tail that depends only on (signed points, t);
-    every distinct tail is formatted once, into a table indexed by the
-    pair's slot (see `_distinct_pairs`)."""
-    slot, used, by_signed, by_time = _distinct_pairs(corpus.signed, corpus.times)
-    pairs = zip(by_signed, by_time)
-    if fmt == "csv":
-        tails = [f"{TEAM_R if v > 0 else TEAM_B},{t},{abs(v)}" for v, t in pairs]
-    else:
-        tails = [f'{TEAM_R if v > 0 else TEAM_B}","t":{t},"points":{abs(v)}}}' for v, t in pairs]
-    table = np.empty(used[-1] + 1 if len(used) else 0, dtype=object)
-    table[used] = tails
-    per_event = table[slot].tolist()
-    lines = []
+
+class _TailTable:
+    """The record tails of one file (the text after a record's game id,
+    which depends only on (signed points, t)), each formatted once: dense
+    over the key ranges of the slices served so far, grown with them to at
+    most `_KEYS_PER_EVENT` keys per event of the largest slice. A slice
+    past that bound is formatted on its own, through `_distinct_pairs`."""
+
+    def __init__(self, fmt: str) -> None:
+        self.fmt, self.most = fmt, 0  # events of the largest slice
+        self.table = np.empty((0, 0), dtype=object)  # None where no tail is formatted yet
+        self.lo, self.hi = (np.inf, np.inf), (-np.inf, -np.inf)  # keys of its corners
+
+    def per_event(self, signed: np.ndarray, times: np.ndarray) -> list[str]:
+        """The tail of each event (signed points, t)."""
+        self.most = max(self.most, len(signed))
+        if not len(signed):
+            return []
+        lo = (min(int(signed.min()), self.lo[0]), min(int(times.min()), self.lo[1]))
+        hi = (max(int(signed.max()), self.hi[0]), max(int(times.max()), self.hi[1]))
+        shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
+        if shape[0] * shape[1] > _KEYS_PER_EVENT * self.most:  # this slice alone, by a sort
+            rank, by_signed, by_time = _distinct_pairs(signed, times)
+            return np.array(_tails(self.fmt, by_signed, by_time), dtype=object)[rank].tolist()
+        if shape != self.table.shape:  # grow, keeping every tail formatted so far
+            table = np.empty(shape, dtype=object)
+            if self.table.size:
+                v, t = self.lo[0] - lo[0], self.lo[1] - lo[1]
+                table[v : v + self.table.shape[0], t : t + self.table.shape[1]] = self.table
+            self.table, self.lo, self.hi = table, lo, hi
+        slot = (signed - lo[0]) * shape[1] + (times - lo[1])
+        flat = self.table.reshape(-1)
+        present = np.zeros(len(flat), dtype=bool)
+        present[slot] = True
+        new = np.flatnonzero(present)
+        new = new[np.equal(flat[new], None)]  # present, not yet formatted
+        flat[new] = _tails(self.fmt, new // shape[1] + lo[0], new % shape[1] + lo[1])
+        return flat[slot].tolist()
+
+
+def _records(corpus: Corpus, tails: _TailTable) -> Iterator[str]:
+    """The records of `corpus`'s games in the format of `tails`, each line
+    ending in a line feed, as one string per `_GAMES_PER_WRITE` games with
+    events: a per-game prefix, then each record's tail from the file's
+    table. A game with no events writes no line; the id of every other
+    game must read back as itself (see `_written_id`)."""
+    per_event = tails.per_event(corpus.signed, corpus.times)
     bounds = corpus.offsets.tolist()
+    lines = []
     for game_id, sport, a, b in zip(corpus.game_ids, corpus.sport_ids, bounds[:-1], bounds[1:]):
         if a == b:
             continue
-        sport, gid = sport.lower(), _written_id(game_id, fmt)
-        if fmt == "csv":
+        sport, gid = sport.lower(), _written_id(game_id, tails.fmt)
+        if tails.fmt == "csv":
             prefix = f"{sport},{gid},"
         else:
             prefix = f'{{"sport":{json.dumps(sport)},"game_id":{gid},"team":"'
         lines.append(prefix + ("\n" + prefix).join(per_event[a:b]) + "\n")
-    return lines
+        if len(lines) == _GAMES_PER_WRITE:
+            yield "".join(lines)
+            lines = []
+    yield "".join(lines)
 
 
-def _render(parts: Iterable[Corpus], fmt: str, write: Callable[[list[str]], object]) -> int:
+def _render(parts: Iterable[Corpus], fmt: str, write: Callable[[Iterable[str]], object]) -> int:
     """Pass the canonical text of the games of `parts`, in order, to `write`
-    as lists of strings: the CSV header, then the records of one part at a
-    time. Return the number of records. A JSONL file without records is
-    one empty line."""
+    as iterables of strings: the CSV header, then the records of one part at
+    a time (see `_records`), their tails from one `_TailTable`. Return the
+    number of records. A JSONL file without records is one empty line."""
     if fmt not in ("csv", "jsonl"):
         raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
     if fmt == "csv":
         write([",".join(CSV_COLUMNS) + "\n"])
+    tails = _TailTable(fmt)
     records = 0
     for part in parts:
-        write(_records(part, fmt))
+        write(_records(part, tails))
         records += len(part.times)
         del part  # freed before the next part is made, which can then reuse its memory
     if fmt == "jsonl" and not records:

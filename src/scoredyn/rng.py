@@ -16,6 +16,7 @@ on the first `substream` call.
 from __future__ import annotations
 
 import operator
+from typing import Callable
 
 import numpy as np
 
@@ -43,21 +44,19 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(rng: np.random.Generator, seed: int, index: int) -> None:
-    """Move the Philox generator `rng` to the start of substream `index` of
-    `seed`: the state `substream(seed, index)` starts in (counter 0, an
-    empty output buffer). Cheaper than a new generator, which first seeds
-    and then discards a `SeedSequence` from OS entropy. A simulated game's
-    draws all come after one re-key, in the order its contract fixes
-    (`scoredyn.simulate`); each double takes one 64-bit output."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed & _MASK64, index & _MASK64]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def rekeyer(rng: np.random.Generator, seed: int) -> Callable[[int], None]:
+    """`rekey(index)`: move `rng` to the state `substream(seed, index)` starts
+    in, built once, with only its index word set per call. Cheaper than a
+    new generator, which seeds and discards a `SeedSequence` from OS entropy."""
+    key, bit_generator = [seed & _MASK64, 0], rng.bit_generator
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(index: int) -> None:
+        key[1] = index & _MASK64
+        bit_generator.state = state
+
+    return rekey
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -18,14 +18,14 @@ Balance variants:
 Event point values are always drawn iid from the fitted distribution.
 
 Game i draws only from its own Philox substream keyed by (seed, i), so
-corpora are bit-reproducible (one bit generator per batch of games is
-re-keyed to each game's substream). Its draws, in this order, are the
-reproducibility contract: the event times (`random(T + 1) < profile`,
-or markov gap chunks of `random(size)`, refilled while the last time is
-within regulation), `random(n)` for the n point values, `random(n)` for
-the winners and one more double u. Under bernoulli balance u picks the
-game's bias, `c_hat_samples[floor(u * m)]` for m samples; the other
-balance rules leave it unread.
+corpora are bit-reproducible (a batch has one bit generator and one
+re-key state, whose index word each game sets). Its draws, in this order,
+are the reproducibility contract: the event times (`random(T + 1) <
+profile`, or markov gap chunks of `random(size)`, refilled while the last
+time is within regulation), `random(n)` for the n point values,
+`random(n)` for the winners and one more double u. Under bernoulli
+balance u picks the game's bias, `c_hat_samples[floor(u * m)]` for m
+samples; the other balance rules leave it unread.
 
 Philox is counter-based, so a game's k-th double does not depend on how
 its draws are cut into calls. Each game therefore makes one draw of
@@ -34,12 +34,12 @@ draw (the T + 1 tempo uniforms or the first gap chunk), then the point
 values and winners of q events and the bias double. q is the event
 count a gap chunk is sized for (1.25 times the expected count, plus 8;
 for markov tempo one less than the first chunk), at most _MAX_EVENTS.
-Times, point values, winners and biases are cut from the buffer by
-segment arithmetic over the whole batch. A game with more than q events
-is re-keyed and replayed call by call in contract order; every game
-whose first gap chunk ends within regulation is one. Gaps and point
-values come from a CDF built once per model (the lookup
-`Generator.choice(p=...)` makes, read from a guide table), and
+Times are cut from the buffer by one mask, and point values, winners and
+biases by one gather each (from the games' offsets in the flat buffer).
+A game with more than q events is re-keyed and replayed call by call in
+contract order; every game whose first gap chunk ends within regulation
+is one. Gaps and point values come from a CDF built once per model (the
+lookup `Generator.choice(p=...)` makes, read from a guide table), and
 lead-dependent winners decide event k of every game in lockstep.
 
 Games come one batch (at most 1,024 games) at a time: `simulate_batches`
@@ -59,7 +59,7 @@ import numpy as np
 
 from .core import _CHUNK_GAMES, Corpus, GameLog, SportConfig, _clock_grid, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
-from .rng import rekey, substream
+from .rng import rekeyer, substream
 
 _BATCH_DOUBLES = 1 << 20  # bound on a batch's draw buffer (8 MB): T + 1 doubles per game
 # Most events whose point values and winners a game's one draw covers:
@@ -265,7 +265,7 @@ def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
     for k, m in enumerate(active.tolist()):
         idx = starts[:m] + k
         rows = row[:m]
-        team = np.where(u[idx] < phi[rows], 1, -1)
+        team = (u[idx] < phi[rows]).view(np.int8) * 2 - 1  # +1 or -1 from the comparison
         teams[idx] = team
         rows += team * points[idx]
     return teams
@@ -273,8 +273,8 @@ def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
 
 def _replay(law: _Law, rng: np.random.Generator, index: int):
     """Game `index`'s (times, point uniforms, winner uniforms, bias uniform),
-    drawn call by call in contract order."""
-    rekey(rng, law.seed, index)
+    drawn call by call in contract order (a rare game: it re-keys alone)."""
+    rekeyer(rng, law.seed)(index)
     times = law.tempo.replay(rng)
     return times, rng.random(len(times)), rng.random(len(times)), rng.random()
 
@@ -296,11 +296,13 @@ def _sample_at(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport_id: str) -> Corpus:
     """Games `index` of `law` as one corpus: one draw per game into its row of
-    a buffer, cut by segment arithmetic; games with more than q events replay."""
+    a buffer, cut with one gather per column; games with more than q events
+    replay. The batch has one bit generator and one re-key state."""
     u = np.empty((len(index), first + 2 * q + 1))
-    rng = substream(law.seed, index.start)  # one bit generator per batch, re-keyed per game
+    rng = substream(law.seed, index.start)
+    rekey = rekeyer(rng, law.seed)
     for i, row in zip(index, u):
-        rekey(rng, law.seed, i)
+        rekey(i)
         rng.random(out=row)
     times, hit = law.tempo.first_times(u[:, :first])
     n = hit.sum(axis=1)
@@ -308,11 +310,11 @@ def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport
     n[replay] = 0
     hit[replay] = False
     times = times[hit].astype(np.int64, copy=False)
-    rest, k = u[:, first:], np.arange(u.shape[1] - first)  # the draws after the times' uniforms
-    u_points = rest[k < n[:, None]]
-    u_winners = rest[(k >= n[:, None]) & (k < 2 * n[:, None])]
-    u_bias = rest[np.arange(len(n)), 2 * n]  # the draw right after the winners
-    del u, rest, hit  # only the cuts are kept: the buffer is freed before the games are built
+    starts = np.arange(len(n)) * u.shape[1] + first  # each row's first draw after the times'
+    on = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # starts[g] + k, k < n[g]
+    flat = u.reshape(-1)
+    u_points, u_winners, u_bias = flat[on], flat[on + np.repeat(n, n)], flat[starts + 2 * n]
+    del u, flat, hit, on  # only the cuts are kept: the buffer is freed before the games are built
     replayed = np.flatnonzero(replay)
     if len(replayed):
         draws = zip(*(_replay(law, rng, index[g]) for g in replayed.tolist()))
@@ -329,11 +331,11 @@ def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport
     points = law.points(u_points)
     offsets = np.concatenate(([0], np.cumsum(n)))
     if law.phi is None:
-        teams = np.where(u_winners < c.repeat(n), 1, -1).astype(np.int8)
+        teams = (u_winners < c.repeat(n)).view(np.int8) * 2 - 1
     else:
         teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
     ids = [f"{prefix}-{g:06d}" for g in index]
-    return Corpus(ids, [sport_id] * len(ids), offsets, times, teams, points)
+    return Corpus._owning(ids, [sport_id] * len(ids), offsets, times, teams, points)
 
 
 def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iterator[Corpus]:

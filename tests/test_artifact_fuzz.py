@@ -132,6 +132,35 @@ def test_malformed_model_names_the_field(data, message):
 
 
 @pytest.mark.parametrize(
+    "path, entry, message",
+    [
+        (("tempo", "profile"), True, "expected a number, got bool"),
+        (("tempo", "profile"), "0.5", "expected a number, got str"),
+        (("tempo", "profile"), None, "expected a number, got NoneType"),
+        (("tempo", "profile"), [0.5], "expected a number, got list"),
+        (("tempo", "profile"), 10**400, "int too large to convert to float"),
+        (("tempo", "interarrival", "gaps"), 2**64, "Python int too large to convert to C long"),
+        (("tempo", "interarrival", "gaps"), 2.5, "expected an integer, got 2.5"),
+        (("tempo", "interarrival", "gaps"), False, "expected a number, got bool"),
+    ],
+)
+def test_one_bad_entry_in_a_long_list_names_the_field(path, entry, message):
+    """A list of exact ints and floats loads at once; one entry of any other
+    type, or out of range, fails as it would entry by entry."""
+    data = copy.deepcopy(MODEL)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    values = (parent[path[-1]] * 3000)[:3000]  # ints for gaps, floats for the profile
+    values[2000] = entry
+    parent[path[-1]] = values
+    field = ".".join(path)
+    with pytest.raises(ValueError) as info:
+        model_from_dict(data)
+    assert str(info.value) == f"model artifact: field {field!r}: {message}"
+
+
+@pytest.mark.parametrize(
     "data, message",
     [
         (without(CONFIG, "lead_truncation"), r"field 'lead_truncation': missing key"),

@@ -137,6 +137,19 @@ class TestFitPredictSimulate:
         assert "error: n_games must be nonnegative, got -5" in err
         assert not out_path.exists()
 
+    def test_simulate_names_the_format_flag_for_an_unknown_suffix(self, corpus, tmp_path,
+                                                                   capsys):
+        model = tmp_path / "model.json"
+        run(capsys, "fit", "--in", str(corpus), "--sport", "nhl",
+            "--out", str(model), "--min-samples", "10")
+        out_path, before = tmp_path / "x.out", sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, "simulate", "--model", str(model), "--n-games", "5",
+                             "--out", str(out_path))
+        assert code == 1 and "simulate ok" not in out
+        assert err == (f"error: cannot infer format from {str(out_path)!r}; pass fmt='csv' or "
+                       "'jsonl' (--format csv or --format jsonl on the command line)\n")
+        assert sorted(os.listdir(tmp_path)) == before  # no output and no temp file
+
     @pytest.mark.parametrize("model, mismatch", [
         ("tempo", "regulation length"), ("balance", "lead truncation"),
     ])

@@ -213,6 +213,24 @@ class TestCorpus:
         assert corpus[0] == sd.GameLog("g", "NFL", [1, 2], [1, -1], [7, 3])
         assert corpus.offsets.tolist() == [0, 2]
 
+    def test_owned_columns_are_taken_checked_and_read_only(self):
+        def columns():
+            return (np.array([0, 2, 2, 3], np.int64), np.array([1, 2, 5], np.int64),
+                    np.array([1, -1, -1], np.int8), np.array([7, 3, 2], np.int64))
+
+        ids, sports = ["a", "b", "c"], ["NFL", "NFL", "NHL"]
+        fresh = columns()
+        owned = sd.Corpus._owning(ids, sports, *fresh)
+        assert owned == sd.Corpus(ids, sports, *columns())
+        for array, column in zip(fresh, (owned.offsets, owned.times, owned.teams, owned.points)):
+            assert column is array  # taken as it is, not copied
+            assert not column.flags.writeable
+        offsets, times, teams, points = columns()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sd.Corpus._owning(ids, sports, offsets, times[::-1].copy(), teams, points)
+        with pytest.raises(ValueError, match="offsets must run"):
+            sd.Corpus._owning(ids[:2], sports, offsets, times, teams, points)
+
 
 class TestConfigJson:
     def test_round_trip(self, tmp_path):

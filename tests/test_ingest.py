@@ -136,6 +136,17 @@ class TestParseErrors:
         with pytest.raises(IngestError, match="expected columns"):
             sd.parse_event_file(path)
 
+    def test_unknown_suffix_names_the_keyword_and_the_flag(self, tmp_path):
+        path = tmp_path / "games.out"
+        message = (f"cannot infer format from {str(path)!r}; pass fmt='csv' or 'jsonl' "
+                   "(--format csv or --format jsonl on the command line)")
+        for call in (lambda: sd.parse_event_file(path), lambda: sd.write_event_file([], path)):
+            with pytest.raises(IngestError) as info:
+                call()
+            assert str(info.value) == message
+        assert not path.exists()
+        assert sd.parse_event_file(write_csv(tmp_path, ["nfl,g1,r,10,7"]), fmt="csv")
+
 
 class TestDiagnostics:
     """Errors name the physical line; numbers are never truncated or wrapped."""

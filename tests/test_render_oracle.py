@@ -186,3 +186,74 @@ def test_huge_points_and_times_take_the_sort(monkeypatch, fmt):
     calls = sort_calls(monkeypatch)
     assert render_event_file(games, fmt) == reference_render(games, fmt)
     assert calls == [6]
+
+
+def random_games(rng, name, n_games, n_events, t_range, points):
+    """Games of `n_events` events at distinct seconds of `t_range`, each won
+    by either side, worth one of `points`."""
+    games = []
+    for g in range(n_games):
+        times = np.sort(rng.choice(np.arange(*t_range), n_events, replace=False))
+        teams = rng.choice(np.array([1, -1], dtype=np.int8), n_events)
+        games.append(sd.GameLog(f"{name}{g}", "nba", times, teams, rng.choice(points, n_events)))
+    return games
+
+
+def tails_formatted(monkeypatch):
+    """The number of tails `_tails` formats, call by call."""
+    calls = []
+    tails = ingest._tails
+
+    def spy(fmt, signed, times):
+        calls.append(len(signed))
+        return tails(fmt, signed, times)
+
+    monkeypatch.setattr(ingest, "_tails", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_later_slices_grow_the_tail_table(tmp_path, monkeypatch, fmt):
+    """Each slice a write passes through: the second reaches lower and higher
+    t and new signed values, the third is sparse (huge t and points), and the
+    fourth is dense again and grows the table past the second's range. The
+    dense slices share one table, so each of their distinct tails is
+    formatted once per file; the sparse one takes the sort alone."""
+    rng = np.random.default_rng(11)
+    slices = [
+        random_games(rng, "a", 6, 60, (100, 201), [2, 3]),
+        random_games(rng, "b", 10, 60, (50, 251), [1, 2, 3, 4]),
+        [sd.GameLog("c0", "nba", np.array([0, 7, 2**40]), np.array([1, -1, 1]),
+                    np.array([2**31 - 1, 3, 2]))],
+        random_games(rng, "d", 10, 60, (30, 261), [1, 2, 3, 4]),
+    ]
+    games = [g for part in slices for g in part]
+    sorts, formatted = sort_calls(monkeypatch), tails_formatted(monkeypatch)
+    path = tmp_path / f"games.{fmt}"
+    parts = iter([sd.Corpus.of(part) for part in slices])
+    assert sd.write_event_file(parts, path, fmt) == sum(g.n_events for g in games)
+    assert path.read_text(encoding="utf-8") == reference_render(games, fmt)
+    assert sorts == [3]
+
+    def distinct(part):
+        return {(int(s), int(t)) for g in part for s, t in zip(g.signed_points, g.times)}
+
+    dense = distinct(slices[0]) | distinct(slices[1]) | distinct(slices[3])
+    assert sum(formatted) == len(dense) + 3
+    for k in (1, 3):  # each dense slice after the first adds tails the table lacked
+        assert distinct(slices[k]) - set().union(*map(distinct, slices[:k]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_slice_inside_the_table_formats_nothing(tmp_path, monkeypatch, fmt):
+    """A slice whose tails the table already holds formats none, even when it
+    is too small to be dense on its own."""
+    rng = np.random.default_rng(12)
+    first = random_games(rng, "a", 8, 60, (0, 121), [1, 2, 3])
+    again = [sd.GameLog(g.game_id + "x", "nba", g.times[:3], g.teams[:3], g.points[:3])
+             for g in first[:2]]
+    formatted = tails_formatted(monkeypatch)
+    path = tmp_path / f"games.{fmt}"
+    sd.write_event_file(iter([sd.Corpus.of(first), sd.Corpus.of(again)]), path, fmt)
+    assert path.read_text(encoding="utf-8") == reference_render(first + again, fmt)
+    assert len(formatted) == 2 and formatted[1] == 0

@@ -621,12 +621,25 @@ class TestRekeyedSubstreams:
         rng = sd.substream(9, 9)
         rng.random(3)
         rng.integers(0, 10, 5)  # leaves a buffered 32-bit half behind
-        sd.rng.rekey(rng, seed, index)
+        sd.rng.rekeyer(rng, seed)(index)
         fresh = sd.substream(seed, index)
         np.testing.assert_array_equal(rng.random(7), fresh.random(7))
         np.testing.assert_array_equal(rng.integers(0, 1000, 9), fresh.integers(0, 1000, 9))
         samples = np.array([0.1, 0.5, 0.9])
         np.testing.assert_array_equal(rng.choice(samples, 5), fresh.choice(samples, 5))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
+    def test_one_rekey_state_serves_a_batch(self, seed):
+        """One re-key state, moved from game to game as a batch moves it, puts
+        each game at the start of `substream(seed, i)`, whatever the game
+        before it drew."""
+        rng = sd.substream(seed, 0)
+        rekey = sd.rng.rekeyer(rng, seed)
+        for index in (0, 1, 1023, 2**64 - 1, 7, 0):
+            rekey(index)
+            fresh = sd.substream(seed, index)
+            np.testing.assert_array_equal(rng.random(5), fresh.random(5))
+            np.testing.assert_array_equal(rng.integers(0, 10, 3), fresh.integers(0, 10, 3))
 
     @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
     def test_extreme_keys_match_per_game_generators(self, nfl_like, tempo_kind, balance_kind):

@@ -3,6 +3,7 @@ corpus rendered at once, nothing at --out until every batch is written,
 and memory that does not grow with the number of games. `lead_variance_curve`
 sums the same batches one at a time."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -60,6 +61,30 @@ def test_streamed_output_is_the_whole_render(nba_model, tmp_path, capsys, fmt, t
     assert n_games > 2 * simulate._CHUNK_GAMES  # the last run wrote three batches or more
 
 
+# sha256 of `scoredyn simulate --n-games 1100 --seed 1` from `nba_model`, in
+# every cell and format, taken before the writer kept one tail table per
+# file and the batch loop one re-key state per batch.
+PINNED_SIMULATE = {
+    ("bernoulli", "bernoulli", "csv"): "50ff8c15a092fa1d7f45cefcced94db58f9d39e3ab1d7f348911821ac03c598b",
+    ("bernoulli", "bernoulli", "jsonl"): "f6a46cd3ff1b8a0065dfb741f7884fdc95a34b8410d81a5e987396565e595b8c",
+    ("bernoulli", "markov", "csv"): "c7d73fcf128bd20d8325e6bfdbb47b40d74d530c79357f7f998751a2702357e9",
+    ("bernoulli", "markov", "jsonl"): "baa9f305f7e53bc15a1fc332752fb10510bdc3f18179cc60bbe936d5e41ca62b",
+    ("markov", "bernoulli", "csv"): "d0c7c4ab0710b7744d091805f1b627f5a0ac6160f3e8e84c9d8153c800e199ab",
+    ("markov", "bernoulli", "jsonl"): "4e8b807b4c41e9cab0a98abe1f6f495cb8ef7d2df3fea4bc641f7babf43dafca",
+    ("markov", "markov", "csv"): "1e67247f5fa168e0eed9f5dcd707738889949326b7a38d15ccc9468c768abc16",
+    ("markov", "markov", "jsonl"): "dc33fceacb7a8338089e69877adf14f539d447e211acb9d240094f67bcadb636",
+}
+
+
+@pytest.mark.parametrize("tempo_kind, balance_kind, fmt", sorted(PINNED_SIMULATE))
+def test_simulate_outputs_are_pinned(nba_model, tmp_path, capsys, tempo_kind, balance_kind, fmt):
+    out = tmp_path / f"sim.{fmt}"
+    code, printed = simulate_cli(capsys, nba_model, out, tempo_kind, balance_kind, 1100)
+    assert code == 0, printed.err
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_SIMULATE[tempo_kind, balance_kind, fmt]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_empty_output(tmp_path, fmt):
     """No games, or games without events: the CSV header alone, and a JSONL
@@ -97,9 +122,9 @@ def test_write_event_file_slices_a_whole_corpus(tmp_path, monkeypatch):
     sizes = []
     records = sd.ingest._records
 
-    def spy(corpus, fmt):
+    def spy(corpus, tails):
         sizes.append(len(corpus))
-        return records(corpus, fmt)
+        return records(corpus, tails)
 
     monkeypatch.setattr(sd.ingest, "_records", spy)
     for value in (games, list(games)):
