@@ -45,6 +45,8 @@ CONFIG_SCHEMA_VERSION = "1.0"
 SPORT_IDS = ("CFB", "NFL", "NHL", "NBA", "custom")
 
 _CHUNK_GAMES = 1024  # games per batch or slice: bounds working memory, amortises numpy calls
+_WORK_WORDS = 1 << 20  # the one working-memory bound (8 MB of words): draw buffer, tail table
+_EVENT_COLUMNS = (("times", np.int64), ("teams", np.int8), ("points", np.int64))
 
 
 def require_schema_major(version: str, expected: str, context: str) -> None:
@@ -168,6 +170,19 @@ def _as_readonly(values, dtype) -> np.ndarray:
     return arr
 
 
+def _integers(name: str, values, dtype, array: Callable = np.array) -> np.ndarray:
+    """`values` as a `dtype` column through `array` (`np.array` copies). A
+    non-empty column of non-integers (floats, bools, strings, objects) or of
+    values `dtype` cannot hold raises ValueError: none is truncated or parsed."""
+    column = np.asarray(values)
+    if column.size and column.dtype != dtype:
+        if column.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got values of dtype {column.dtype}")
+        if (column.astype(dtype) != column).any():
+            raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
+    return array(column, dtype)
+
+
 def check_events(times, teams, points, offsets: np.ndarray | None = None) -> None:
     """Raise unless the columns hold valid games (game g holds events
     offsets[g]:offsets[g + 1]; without offsets, one game)."""
@@ -209,13 +224,11 @@ class GameLog:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _as_readonly(self.times, np.int64)
-        teams = _as_readonly(self.teams, np.int8)
-        points = _as_readonly(self.points, np.int64)
-        check_events(times, teams, points)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "teams", teams)
-        object.__setattr__(self, "points", points)
+        columns = [_integers(name, getattr(self, name), dtype) for name, dtype in _EVENT_COLUMNS]
+        check_events(*columns)
+        for (name, _), column in zip(_EVENT_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameLog):
@@ -253,16 +266,21 @@ class GameLog:
         return None
 
 
+def _joined(parts, name: str, dtype) -> np.ndarray:
+    """Column `name` of every part (a game or a corpus), end to end, as `dtype`."""
+    return np.concatenate([np.empty(0, dtype)] + [getattr(p, name) for p in parts])
+
+
 class Corpus(Sequence):
     """Games laid end to end in one event layout, as a read-only `Sequence[GameLog]`.
 
     Game g is `game_ids[g]`, tagged `sport_ids[g]`, and holds events
     offsets[g]:offsets[g + 1] of the int64 `times`, int8 `teams` and int64
-    `points` columns. The columns are copied and checked once, when the
-    corpus is built, and made read-only. `corpus[g]` is a `GameLog` of
-    views on them, and a contiguous slice is a `Corpus` of views. (A plain
-    class, not a dataclass: every CLI run imports this module, and building
-    a frozen dataclass took about 1 ms.)
+    `points` columns. The columns are copied and checked once (see
+    `_integers`), when the corpus is built, and made read-only.
+    `corpus[g]` is a `GameLog` of views on them, and a contiguous slice is
+    a `Corpus` of views. (A plain class, not a dataclass: every CLI run
+    imports this module, and building a frozen dataclass took about 1 ms.)
     """
 
     def __init__(self, game_ids, sport_ids, offsets, times, teams, points) -> None:
@@ -277,8 +295,11 @@ class Corpus(Sequence):
 
     def _take(self, array, game_ids, sport_ids, offsets, times, teams, points) -> None:
         game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
-        offsets, times = array(offsets, np.int64), array(times, np.int64)
-        teams, points = array(teams, np.int8), array(points, np.int64)
+        offsets = _integers("offsets", offsets, np.int64, array)
+        times, teams, points = (
+            _integers(name, values, dtype, array)
+            for (name, dtype), values in zip(_EVENT_COLUMNS, (times, teams, points))
+        )
         if not (
             len(game_ids) == len(sport_ids) == len(offsets) - 1
             and offsets[0] == 0
@@ -299,10 +320,7 @@ class Corpus(Sequence):
         if isinstance(games, Corpus):
             return games
         games = list(games)
-        columns = [
-            np.concatenate([np.empty(0, dtype)] + [getattr(g, name) for g in games])
-            for name, dtype in (("times", np.int64), ("teams", np.int8), ("points", np.int64))
-        ]
+        columns = [_joined(games, name, dtype) for name, dtype in _EVENT_COLUMNS]
         offsets = np.cumsum([0] + [len(g.times) for g in games])
         return cls([g.game_id for g in games], [g.sport_id for g in games], offsets, *columns)
 
@@ -310,17 +328,11 @@ class Corpus(Sequence):
     def concat(cls, parts: Iterable[Corpus]) -> Corpus:
         """The games of `parts`, in order, as one corpus of their joined columns."""
         parts = list(parts)
-
-        def joined(name: str, dtype) -> np.ndarray:
-            return np.concatenate([np.empty(0, dtype)] + [getattr(p, name) for p in parts])
-
         return cls._owning(
             chain.from_iterable(p.game_ids for p in parts),
             chain.from_iterable(p.sport_ids for p in parts),
-            np.concatenate(([0], joined("event_counts", np.int64).cumsum())),
-            joined("times", np.int64),
-            joined("teams", np.int8),
-            joined("points", np.int64),
+            np.concatenate(([0], _joined(parts, "event_counts", np.int64).cumsum())),
+            *(_joined(parts, name, dtype) for name, dtype in _EVENT_COLUMNS),
         )
 
     @cached_property

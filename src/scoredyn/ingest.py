@@ -38,12 +38,15 @@ columns.
 
 The writer quotes a CSV game id that holds a comma, a quote or a line end,
 and rejects an id that would not read back as itself. It formats each
-distinct record tail once per file, renders one slice of at most 1,024
-games at a time and writes it in strings of 64 games into a temp file
-that replaces the target only when every slice is written. Given an
-iterator of corpora (`simulate_batches`), it holds one at a time, so
-writing a simulated corpus takes the memory of one batch, not of the
-whole corpus and its text.
+distinct record tail once per file, from one table keyed by (signed
+points, t); a slice whose huge t or points would take that table past
+the package's memory bound has each record's tail formatted on its own.
+It renders one slice of at most 1,024 games at a time and writes it in
+strings of 64 games into a temp file that replaces the target only when
+every slice is written. Given an iterator of corpora
+(`simulate_batches`), it holds one at a time, so writing a simulated
+corpus takes the memory of one batch, not of the whole corpus and its
+text.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .core import (
     TEAM_B,
     TEAM_R,
     _CHUNK_GAMES,
+    _WORK_WORDS,
     Corpus,
     GameLog,
     SportConfig,
@@ -84,7 +88,6 @@ _PAD = 8  # zero bytes after a file's bytes, so an 8-byte word read at any offse
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # k low bytes of a word
 _T_DIGITS, _POINTS_DIGITS = 18, 10  # the widest t and points the tokenizer reads (10**18 < 2**63)
 _COMMA, _LINE_FEED = ord(","), ord("\n")
-_KEYS_PER_EVENT = 4  # render keys (signed points, t) densely while the key range is this small
 _GAMES_PER_WRITE = 64  # games per string written: few writes, not the memory of a slice's text
 _NO_ROWS = (np.empty(0, dtype=np.int64),) * 3  # (game index, t, signed points) of no rows
 
@@ -424,9 +427,9 @@ def parse_event_file(
 
 
 def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """An order that sorts int64 pairs (major, minor): an argsort of one
-    int64 key when the ranges' product fits in int64, else a lexsort (t
-    is unbounded and points reach 2**31 - 1, so the key can overflow)."""
+    """An order that sorts parse's int64 pairs (game, t): an argsort of one
+    int64 key when the ranges' product fits in int64, else a lexsort (a
+    custom regulation length, and so t, is unbounded: the key can overflow)."""
     if not len(major):
         return np.empty(0, dtype=np.intp)
     lo_major, lo_minor = int(major.min()), int(minor.min())
@@ -458,23 +461,10 @@ def _written_id(game_id: str, fmt: str) -> str:
     return game_id
 
 
-def _distinct_pairs(
-    major: np.ndarray, minor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rank of each int64 pair (major, minor) among the distinct pairs by
-    `_sort_order`, and those pairs in order, as arrays of majors and minors)."""
-    order = _sort_order(major, minor)
-    by_major, by_minor = major[order], minor[order]
-    first = np.ones(len(order), dtype=bool)  # first of its pair
-    first[1:] = (by_major[1:] != by_major[:-1]) | (by_minor[1:] != by_minor[:-1])
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    return rank, by_major[first], by_minor[first]
-
-
 def _tails(fmt: str, signed: np.ndarray, times: np.ndarray) -> list[str]:
-    """The record tails of the pairs (signed points, t), given in order of
-    signed points: one template per signed value, mapped over its seconds."""
+    """The record tails of the pairs (signed points, t), in the order given
+    (any order): one template per run of equal signed values, mapped over
+    the run's seconds."""
     template = "{},{{}},{}" if fmt == "csv" else '{}","t":{{}},"points":{}}}}}'
     first = np.ones(len(signed), dtype=bool)  # first pair of its signed value
     first[1:] = signed[1:] != signed[:-1]
@@ -488,26 +478,25 @@ def _tails(fmt: str, signed: np.ndarray, times: np.ndarray) -> list[str]:
 class _TailTable:
     """The record tails of one file (the text after a record's game id,
     which depends only on (signed points, t)), each formatted once: dense
-    over the key ranges of the slices served so far, grown with them to at
-    most `_KEYS_PER_EVENT` keys per event of the largest slice. A slice
-    past that bound is formatted on its own, through `_distinct_pairs`."""
+    over the key ranges of the slices served so far, grown with them while
+    it holds at most `_WORK_WORDS` keys (8 MB of references). A slice that
+    would grow it past that, which only huge t or points can give, has the
+    tail of each of its events formatted on its own."""
 
     def __init__(self, fmt: str) -> None:
-        self.fmt, self.most = fmt, 0  # events of the largest slice
+        self.fmt = fmt
         self.table = np.empty((0, 0), dtype=object)  # None where no tail is formatted yet
         self.lo, self.hi = (np.inf, np.inf), (-np.inf, -np.inf)  # keys of its corners
 
     def per_event(self, signed: np.ndarray, times: np.ndarray) -> list[str]:
         """The tail of each event (signed points, t)."""
-        self.most = max(self.most, len(signed))
         if not len(signed):
             return []
         lo = (min(int(signed.min()), self.lo[0]), min(int(times.min()), self.lo[1]))
         hi = (max(int(signed.max()), self.hi[0]), max(int(times.max()), self.hi[1]))
         shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
-        if shape[0] * shape[1] > _KEYS_PER_EVENT * self.most:  # this slice alone, by a sort
-            rank, by_signed, by_time = _distinct_pairs(signed, times)
-            return np.array(_tails(self.fmt, by_signed, by_time), dtype=object)[rank].tolist()
+        if shape[0] * shape[1] > _WORK_WORDS:
+            return _tails(self.fmt, signed, times)
         if shape != self.table.shape:  # grow, keeping every tail formatted so far
             table = np.empty(shape, dtype=object)
             if self.table.size:

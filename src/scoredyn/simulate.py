@@ -31,9 +31,9 @@ Philox is counter-based, so a game's k-th double does not depend on how
 its draws are cut into calls. Each game therefore makes one draw of
 first + 2q + 1 doubles into a batch buffer: `first` is the first time
 draw (the T + 1 tempo uniforms or the first gap chunk), then the point
-values and winners of q events and the bias double. q is the event
-count a gap chunk is sized for (1.25 times the expected count, plus 8;
-for markov tempo one less than the first chunk), at most _MAX_EVENTS.
+values and winners of q events and the bias double. q is the tempo's
+`cover`, the event count a gap chunk is sized for (1.25 times the
+expected count, plus 8; for markov tempo one less than the first chunk).
 Times are cut from the buffer by one mask, and point values, winners and
 biases by one gather each (from the games' offsets in the flat buffer).
 A game with more than q events is re-keyed and replayed call by call in
@@ -42,9 +42,10 @@ is one. Gaps and point values come from a CDF built once per model (the
 lookup `Generator.choice(p=...)` makes, read from a guide table), and
 lead-dependent winners decide event k of every game in lockstep.
 
-Games come one batch (at most 1,024 games) at a time: `simulate_batches`
-yields a corpus per batch and keeps nothing of it, and `simulate_corpus`
-joins those same batches. `scoredyn simulate` writes each batch as it is
+Games come one batch (at most 1,024 games, and past one game at most
+`_WORK_WORDS` doubles of draws) at a time: `simulate_batches` yields a
+corpus per batch and keeps nothing of it, and `simulate_corpus` joins
+those same batches. `scoredyn simulate` writes each batch as it is
 generated, so its memory is bounded by one batch, not by the number of
 games.
 """
@@ -57,15 +58,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import _CHUNK_GAMES, Corpus, GameLog, SportConfig, _clock_grid, _event_leads
+from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig
+from .core import _clock_grid, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
 from .rng import rekeyer, substream
 
-_BATCH_DOUBLES = 1 << 20  # bound on a batch's draw buffer (8 MB): T + 1 doubles per game
-# Most events whose point values and winners a game's one draw covers:
-# above a high quantile of NBA-like event counts (markov tempo from a
-# 300-game fit replays 3 games in 3,000 at q = 165).
-_MAX_EVENTS = 176
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
 
 
@@ -99,9 +96,7 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
 
 class _Pmf:
     """Draws from a finite pmf the way `Generator.choice(support, p=probs)`
-    does, with one uniform each: a search of the normalised CDF. (Plain
-    classes here, not dataclasses: every CLI run imports this module, and
-    building a frozen dataclass took about 0.9 ms on a 2-vCPU Xeon VM.)"""
+    does, with one uniform each: a search of the normalised CDF."""
 
     def __init__(self, support, probs) -> None:
         self.support = np.asarray(support)
@@ -294,10 +289,11 @@ def _sample_at(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
     return samples[(u * len(samples)).astype(np.intp)]
 
 
-def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport_id: str) -> Corpus:
+def _batch_games(law: _Law, index: range, prefix: str, sport_id: str) -> Corpus:
     """Games `index` of `law` as one corpus: one draw per game into its row of
     a buffer, cut with one gather per column; games with more than q events
     replay. The batch has one bit generator and one re-key state."""
+    first, q = law.tempo.first, law.tempo.cover
     u = np.empty((len(index), first + 2 * q + 1))
     rng = substream(law.seed, index.start)
     rekey = rekeyer(rng, law.seed)
@@ -341,11 +337,10 @@ def _batch_games(law: _Law, index: range, first: int, q: int, prefix: str, sport
 def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iterator[Corpus]:
     """Games start..stop-1 of `law`, one corpus per batch, in order. Nothing of
     a batch is kept here, so it is freed once its consumer drops it."""
-    first = law.tempo.first
-    q = min(_MAX_EVENTS, law.tempo.cover)
-    per_batch = max(1, min(_CHUNK_GAMES, _BATCH_DOUBLES // (first + 2 * q + 1), stop - start))
+    row = law.tempo.first + 2 * law.tempo.cover + 1  # doubles of a game's one draw
+    per_batch = max(1, min(_CHUNK_GAMES, _WORK_WORDS // row, stop - start))
     for lo in range(start, stop, per_batch):
-        yield _batch_games(law, range(lo, min(lo + per_batch, stop)), first, q, prefix, sport_id)
+        yield _batch_games(law, range(lo, min(lo + per_batch, stop)), prefix, sport_id)
 
 
 def _check_game_index(game_index: int) -> None:

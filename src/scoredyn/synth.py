@@ -14,12 +14,13 @@ index), so corpora are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .core import Corpus, SportConfig, _as_readonly, _validated_point_values
+from .core import Corpus, SportConfig, _as_readonly, _field, _integer, _validated_point_values
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
 
 PROB_CLAMP = 1e-6
@@ -46,7 +47,8 @@ class LeagueSpec:
         if len(skills) == 0 or not np.all(np.isfinite(skills) & (skills > 0)):
             raise ValueError("skills must be finite and positive")
         object.__setattr__(self, "skills", skills)
-        schedule = tuple((int(i), int(j)) for i, j in self.schedule)
+        field = partial(_field, "league spec", vars(self))
+        schedule = field("schedule", lambda s: tuple((_integer(i), _integer(j)) for i, j in s))
         if not schedule:
             raise ValueError("schedule must be non-empty")
         n = len(skills)
@@ -54,7 +56,7 @@ class LeagueSpec:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid matchup ({i}, {j}) for {n} teams")
         object.__setattr__(self, "schedule", schedule)
-        T = int(self.regulation_length)
+        T = field("regulation_length", _integer)
         if T <= 0:
             raise ValueError("regulation_length must be positive")
         object.__setattr__(self, "regulation_length", T)

@@ -126,6 +126,30 @@ class TestGameLog:
         game = sd.GameLog("g", "NHL", [10, 20], [1, -1], [1, 1])
         assert game.winner() is None
 
+    @pytest.mark.parametrize("column", ["times", "teams", "points"])
+    def test_non_integer_column_rejected(self, column):
+        good = {"times": [1, 20], "teams": [1, -1], "points": [7, 3]}
+        for values in non_integer(good[column]):
+            with pytest.raises(ValueError, match=f"^{column} must be integers, got values of dtype"):
+                sd.GameLog("g", "NFL", **{**good, column: values})
+
+    def test_values_past_the_column_dtype_rejected(self):
+        with pytest.raises(ValueError, match="^teams must fit in int8"):
+            sd.GameLog("g", "NFL", [1, 20], np.array([255, 1]), [7, 3])  # 255 wraps to -1
+        with pytest.raises(ValueError, match="^points must fit in int64"):
+            sd.GameLog("g", "NFL", [1], [1], np.array([2**64 - 1], np.uint64))  # wraps to -1
+
+    def test_empty_columns_of_any_dtype_allowed(self):
+        game = sd.GameLog("g", "NFL", [], np.array([], float), np.array([], "U1"))
+        assert game.n_events == 0 and game.teams.dtype == np.int8
+
+
+def non_integer(good):
+    """The values of a valid column as floats with a fraction, as bools, as
+    strings and as objects."""
+    return [[v + 0.5 for v in good], [v != 0 for v in good], [str(v) for v in good],
+            np.array(good, dtype=object)]
+
 
 def three_games():
     return [
@@ -201,6 +225,15 @@ class TestCorpus:
             ids = ["a"] * (len(offsets) - 1)
             with pytest.raises(ValueError, match="offsets"):
                 sd.Corpus(ids, ["NFL"] * len(ids), offsets, [10, 20], [1, 1], [7, 7])
+
+    @pytest.mark.parametrize("column", ["offsets", "times", "teams", "points"])
+    def test_non_integer_column_rejected(self, column):
+        good = {"offsets": [0, 1, 2], "times": [1, 20], "teams": [1, 1], "points": [7, 3]}
+        for values in non_integer(good[column]):
+            columns = {**good, column: values}
+            for build in (sd.Corpus, sd.Corpus._owning):
+                with pytest.raises(ValueError, match=f"^{column} must be integers, got values"):
+                    build(["a", "b"], ["NFL", "NFL"], *columns.values())
 
     def test_caller_arrays_stay_writeable_and_apart(self):
         # each array already has its column's dtype, so only a copy keeps it apart

@@ -4,10 +4,11 @@
 formats every record of every game on its own, CSV with an f-string and
 JSONL with `json.dumps` of the whole record. CSV game ids go through
 `csv.writer`, which quotes an id holding a comma, a quote or a line end.
-The column renderer formats each distinct (signed points, t) tail once,
-keyed densely over the pairs' ranges or, past `_KEYS_PER_EVENT` keys per
-event, by a sort. It must give the same bytes on both paths, or reject a
-game whose id would not read back as itself.
+The column renderer formats each distinct (signed points, t) tail once
+per file, in one table keyed densely over the pairs' ranges, or, for a
+slice that would take that table past `_WORK_WORDS` keys, the tail of
+each event. It must give the same bytes on both paths, or reject a game
+whose id would not read back as itself.
 """
 
 import csv
@@ -139,19 +140,6 @@ def test_empty_games_and_escaped_ids(fmt):
     assert render_event_file(games[:1], fmt) == reference_render(games[:1], fmt)
 
 
-def sort_calls(monkeypatch):
-    """The lengths `render_event_file` passes to `_sort_order`, call by call."""
-    calls = []
-    sort_order = ingest._sort_order
-
-    def spy(major, minor):
-        calls.append(len(major))
-        return sort_order(major, minor)
-
-    monkeypatch.setattr(ingest, "_sort_order", spy)
-    return calls
-
-
 def bound_games(t_span):
     """30 events of signed points -2 or 3 (6 values) over seconds 0..t_span - 1."""
     rng = np.random.default_rng(5)
@@ -168,14 +156,16 @@ def bound_games(t_span):
 @pytest.mark.parametrize("t_span, dense", [(20, True), (21, False)])
 def test_both_sides_of_the_dense_key_bound(monkeypatch, fmt, t_span, dense):
     games = bound_games(t_span)
-    assert 6 * 20 == ingest._KEYS_PER_EVENT * 30  # t_span 20 is the last dense one
-    calls = sort_calls(monkeypatch)
+    monkeypatch.setattr(ingest, "_WORK_WORDS", 6 * 20)  # t_span 20 is the last dense one
+    formatted = tails_formatted(monkeypatch)
     assert render_event_file(games, fmt) == reference_render(games, fmt)
-    assert calls == ([] if dense else [30])
+    distinct = {(int(s), int(t)) for g in games for s, t in zip(g.signed_points, g.times)}
+    assert len(distinct) < 30
+    assert formatted == ([len(distinct)] if dense else [30])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_huge_points_and_times_take_the_sort(monkeypatch, fmt):
+def test_huge_points_and_times_format_each_event(monkeypatch, fmt):
     def game(gid, times, teams, points):
         return sd.GameLog(gid, "nba", np.array(times, np.int64), np.array(teams), np.array(points))
 
@@ -183,9 +173,9 @@ def test_huge_points_and_times_take_the_sort(monkeypatch, fmt):
         game("big", [0, 5, 2**40, INT64_MAX], [1, -1, -1, 1], [2**31 - 1, 2**31 - 2, 1, 7]),
         game("g2", [3, 2**40], [-1, 1], [2**31 - 1, 2**31 - 1]),
     ]
-    calls = sort_calls(monkeypatch)
+    formatted = tails_formatted(monkeypatch)
     assert render_event_file(games, fmt) == reference_render(games, fmt)
-    assert calls == [6]
+    assert formatted == [6]
 
 
 def random_games(rng, name, n_games, n_events, t_range, points):
@@ -218,7 +208,8 @@ def test_later_slices_grow_the_tail_table(tmp_path, monkeypatch, fmt):
     t and new signed values, the third is sparse (huge t and points), and the
     fourth is dense again and grows the table past the second's range. The
     dense slices share one table, so each of their distinct tails is
-    formatted once per file; the sparse one takes the sort alone."""
+    formatted once per file; the sparse one formats the tail of each of its
+    events."""
     rng = np.random.default_rng(11)
     slices = [
         random_games(rng, "a", 6, 60, (100, 201), [2, 3]),
@@ -228,12 +219,12 @@ def test_later_slices_grow_the_tail_table(tmp_path, monkeypatch, fmt):
         random_games(rng, "d", 10, 60, (30, 261), [1, 2, 3, 4]),
     ]
     games = [g for part in slices for g in part]
-    sorts, formatted = sort_calls(monkeypatch), tails_formatted(monkeypatch)
+    formatted = tails_formatted(monkeypatch)
     path = tmp_path / f"games.{fmt}"
     parts = iter([sd.Corpus.of(part) for part in slices])
     assert sd.write_event_file(parts, path, fmt) == sum(g.n_events for g in games)
     assert path.read_text(encoding="utf-8") == reference_render(games, fmt)
-    assert sorts == [3]
+    assert len(formatted) == 4 and formatted[2] == 3
 
     def distinct(part):
         return {(int(s), int(t)) for g in part for s, t in zip(g.signed_points, g.times)}
@@ -257,3 +248,20 @@ def test_a_slice_inside_the_table_formats_nothing(tmp_path, monkeypatch, fmt):
     sd.write_event_file(iter([sd.Corpus.of(first), sd.Corpus.of(again)]), path, fmt)
     assert path.read_text(encoding="utf-8") == reference_render(first + again, fmt)
     assert len(formatted) == 2 and formatted[1] == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_sparse_sport_formats_each_tail_once_per_file(tmp_path, monkeypatch, fmt):
+    """An NFL-like file of three slices (about 7 events per game over 17
+    signed values and 3,601 seconds) fills one table: each distinct tail
+    is formatted once per file, and none once per event."""
+    nfl = sd.builtin_config("nfl")
+    spec = sd.default_league(n_teams=32, n_games=2500, regulation_length=3600, rate=0.00204,
+                             point_values=nfl.point_values, seed=7)
+    games = sd.generate_league(spec)
+    formatted = tails_formatted(monkeypatch)
+    path = tmp_path / f"nfl.{fmt}"
+    assert sd.write_event_file(games, path, fmt) == len(games.times)
+    assert path.read_text(encoding="utf-8") == reference_render(games, fmt)
+    distinct = set(zip(games.signed.tolist(), games.times.tolist()))
+    assert len(formatted) == 3 and sum(formatted) == len(distinct)

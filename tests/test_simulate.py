@@ -361,6 +361,12 @@ def nba_like():
     return fitted_league("nba", 0.0437, 60, seed=32)
 
 
+@pytest.fixture(scope="module")
+def dense_nhl():
+    """About 360 events per game: far past NBA-like tempo."""
+    return fitted_league("nhl", 0.1, 60, seed=34)
+
+
 CELLS = [(t, b) for t in ("bernoulli", "markov") for b in ("bernoulli", "markov")]
 
 
@@ -384,6 +390,19 @@ def corpus_and_batch_starts(monkeypatch, spec, n_games):
     return games, starts
 
 
+def replays(monkeypatch):
+    """The game indices `_replay` is called for, call by call."""
+    replayed = []
+    replay = sd.simulate._replay
+
+    def spy(law, rng, index):
+        replayed.append(index)
+        return replay(law, rng, index)
+
+    monkeypatch.setattr(sd.simulate, "_replay", spy)
+    return replayed
+
+
 def check_cell(monkeypatch, fitted, tempo_kind, balance_kind):
     spec = cell_spec(fitted, tempo_kind, balance_kind)
     games, starts = corpus_and_batch_starts(monkeypatch, spec, 2100)
@@ -395,7 +414,7 @@ def check_cell(monkeypatch, fitted, tempo_kind, balance_kind):
     if tempo_kind == "bernoulli":  # T + 1 uniforms per game: the buffer bound cuts batches
         per_batch = starts[1] - starts[0]
         assert per_batch < sd.simulate._CHUNK_GAMES
-        assert per_batch * (spec.config.regulation_length + 1) <= sd.simulate._BATCH_DOUBLES
+        assert per_batch * (spec.config.regulation_length + 1) <= sd.core._WORK_WORDS
 
 
 class TestBatchedGeneratorOracle:
@@ -411,19 +430,23 @@ class TestBatchedGeneratorOracle:
     def test_forced_replays(self, nfl_like, monkeypatch, tempo_kind, balance_kind):
         # with q = 4 most games have more events than their one draw covers
         spec = cell_spec(nfl_like, tempo_kind, balance_kind)
-        replayed = []
-        replay = sd.simulate._replay
-
-        def spy(law, rng, index):
-            replayed.append(index)
-            return replay(law, rng, index)
-
-        monkeypatch.setattr(sd.simulate, "_MAX_EVENTS", 4)
-        monkeypatch.setattr(sd.simulate, "_replay", spy)
+        monkeypatch.setattr(spec._law.tempo, "cover", 4)
+        replayed = replays(monkeypatch)
         games = sd.simulate_corpus(spec, 1100)
         assert len(replayed) > 550
         assert_same_corpus(games, [ref_game(spec, i) for i in range(1100)])
         assert sd.simulate_game(spec, replayed[-1]) == games[replayed[-1]]
+
+    @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
+    def test_dense_games_fit_one_draw(self, dense_nhl, monkeypatch, tempo_kind, balance_kind):
+        # a game's one draw covers the events a gap chunk is sized for, however
+        # many the model expects: at about 360 per game no game replays
+        spec = cell_spec(dense_nhl, tempo_kind, balance_kind)
+        replayed = replays(monkeypatch)
+        games = sd.simulate_corpus(spec, 600)
+        assert replayed == []
+        assert 330 < len(games.times) / len(games) < 390
+        assert_same_corpus(games, [ref_game(spec, i) for i in range(600)])
 
     @pytest.mark.parametrize("tempo_kind", ["bernoulli", "markov"])
     def test_clamped_leads(self, tempo_kind):

@@ -55,6 +55,16 @@ class TestLeagueSpec:
         with pytest.raises(ValueError, match="non-empty"):
             sd.LeagueSpec(np.array([1.0, 2.0]), (), 100, 0.01, {1: 1.0}, 0)
 
+    @pytest.mark.parametrize("T", [600.7, True, "600"])
+    def test_non_integer_regulation_length_rejected(self, T):
+        with pytest.raises(ValueError, match=r"^league spec: field 'regulation_length': "):
+            sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 1),), T, 0.01, {1: 1.0}, 0)
+
+    @pytest.mark.parametrize("matchup", [(0, 1.9), (0.5, 1), (True, 0), ("0", "1")])
+    def test_non_integer_matchup_rejected(self, matchup):
+        with pytest.raises(ValueError, match=r"^league spec: field 'schedule': "):
+            sd.LeagueSpec(np.array([1.0, 2.0]), ((1, 0), matchup), 100, 0.01, {1: 1.0}, 0)
+
     def test_rejects_self_matchups(self):
         with pytest.raises(ValueError, match="matchup"):
             sd.LeagueSpec(np.array([1.0, 2.0]), ((0, 0),), 100, 0.01, {1: 1.0}, 0)
