@@ -62,16 +62,6 @@ def _write_csv(path: Path, **columns) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_curve(path: Path, curve) -> None:
-    _write_csv(
-        path,
-        event_index=curve.event_index,
-        auc_chain=curve.auc_chain,
-        auc_leader=curve.auc_leader,
-        n_games_scored=curve.n_games_scored,
-    )
-
-
 def _load_corpus(args):
     """Parse `--in` and resolve its config from --config, --sport (never both) or the corpus tags.
 
@@ -167,7 +157,7 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         tie_mode=args.tie_mode,
     )
-    _write_curve(Path(args.out), curve)
+    _write_csv(Path(args.out), **vars(curve))
     print(
         f"eval ok games={len(games)} splits={args.splits} "
         f"auc_chain_final={curve.auc_chain[-1]:.4f} out={args.out}"
@@ -274,7 +264,7 @@ def _cmd_report(args) -> int:
     )
     # columns sd_bb, sd_bm, sd_mb, sd_mm, in the grid's order
     _write_csv(outdir / "lead_variance.csv", t=times, sd_empirical=sd_emp, **grid_cols)
-    _write_curve(outdir / "predictability.csv", curve)
+    _write_csv(outdir / "predictability.csv", **vars(curve))
     print(f"report ok games={len(games)} sport={config.sport_id} out_dir={outdir}")
     return 0
 

@@ -14,14 +14,22 @@ corpus is a `GameLog` of read-only views on those columns, built only
 when it is asked for. `Corpus.of` lays a hand-built list of games out
 once, so every `(games, ...)` entry point takes either.
 
-All types are immutable after construction and safe to share across
-workers.
+Every record, here and in the other modules, is a frozen `_Record`
+dataclass, safe to share across workers, whose fields each declare one
+converter. `_number` refuses a non-number or bool, `_integer` also a
+fraction, `_string` a non-string, the read-only columns `_ints` and
+`_floats` values of another kind, the point-value pmf an invalid pmf, a
+seed one outside [0, 2**64), an enum an unknown value; none truncates or
+parses. Construction and `dataclasses.replace` convert the fields in
+order, then run the record's cross-field `_check`. A column refuses as
+"times must be integers, ...", any other field as "game log: field ...".
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
@@ -92,9 +100,21 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if _number(value) != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, float]:
-    if not point_values:
-        raise ValueError("point_values must be non-empty")
+    if not isinstance(point_values, Mapping) or not point_values:
+        raise ValueError("point_values must be a non-empty mapping")
     cleaned: dict[int, float] = {}
     for value, prob in point_values.items():
         try:
@@ -103,7 +123,7 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
             raise ValueError(f"point value {value!r} is not a positive integer") from None
         if v != value or v < 1:
             raise ValueError(f"point value {value!r} is not a positive integer")
-        p = float(prob)
+        p = _number(prob)
         if not np.isfinite(p):
             raise ValueError(f"point value {v} has non-finite probability {p}")
         if p < 0.0:
@@ -115,8 +135,63 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
     return MappingProxyType(dict(sorted(cleaned.items())))
 
 
-@dataclass(frozen=True)
-class SportConfig:
+def _column(name: str, values, dtype, array: Callable = np.array) -> np.ndarray:
+    """`values` as a read-only `dtype` column through `array` (`np.array`
+    copies). A non-empty column of bools, strings, objects or (for an integer
+    `dtype`) floats, or of integers `dtype` cannot hold, raises ValueError:
+    no value is truncated or parsed."""
+    column = np.asarray(values)
+    if column.size and column.dtype != dtype:
+        integral = np.issubdtype(dtype, np.integer)
+        if column.dtype.kind not in ("iu" if integral else "iuf"):
+            kind = "integers" if integral else "numbers"
+            raise ValueError(f"{name} must be {kind}, got values of dtype {column.dtype}")
+        if integral and (column.astype(dtype) != column).any():
+            raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
+    column = array(column, dtype)
+    column.flags.writeable = False
+    return column
+
+
+_ints, _floats = partial(_column, dtype=np.int64), partial(_column, dtype=np.float64)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+class _Record:
+    """Base of every record (see above); `eq=False` compares by identity."""
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        context = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        converters = []
+        for name in vars(cls).get("__annotations__", {}):
+            convert = vars(cls).get(name)
+            if callable(convert):  # a converter, not a default: the dataclass never sees it
+                delattr(cls, name)
+                named = getattr(convert, "func", None) is _column  # names the field in its refusals
+                refusal = "" if named else f"{context}: field {name!r}: "
+                converters.append((name, partial(convert, name) if named else convert, refusal))
+        cls._converters = tuple(converters)
+        dataclass(frozen=True, eq=eq)(cls)
+
+    def __post_init__(self) -> None:
+        values = vars(self)
+        for name, convert, refusal in self._converters:
+            try:
+                values[name] = convert(values[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{refusal}{exc}") from None
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError unless the converted fields agree with each other."""
+
+
+class SportConfig(_Record):
     """Static description of one sport's scoring rules.
 
     Attributes:
@@ -134,53 +209,25 @@ class SportConfig:
             (Lmax >= max point value).
     """
 
-    sport_id: str
-    regulation_length: int
-    period_ends: tuple[int, ...]
-    point_values: Mapping[int, float]
-    lead_truncation: int
+    sport_id: str = _string
+    regulation_length: int = _integer
+    period_ends: tuple[int, ...] = lambda values: tuple(map(_integer, values))
+    point_values: Mapping[int, float] = _validated_point_values
+    lead_truncation: int = _integer
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.sport_id not in SPORT_IDS:
             raise ValueError(f"sport_id must be one of {SPORT_IDS}, got {self.sport_id!r}")
-        field = partial(_field, "sport config", vars(self))
-        T = field("regulation_length", _integer)
+        T, ends = self.regulation_length, self.period_ends
         if T <= 0:
             raise ValueError("regulation_length must be positive")
-        object.__setattr__(self, "regulation_length", T)
-        ends = field("period_ends", lambda values: tuple(_integer(v) for v in values))
         if not ends or any(b <= a for a, b in zip((0,) + ends, ends)):
             raise ValueError("period_ends must be strictly ascending and positive")
         if ends[-1] != T:
             raise ValueError("last period end must equal regulation_length")
-        object.__setattr__(self, "period_ends", ends)
-        object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
-        cap = field("lead_truncation", _integer)
-        if cap < max(self.point_values):
-            raise ValueError(
-                f"lead_truncation {cap} is below the maximum point value "
-                f"{max(self.point_values)}"
-            )
-        object.__setattr__(self, "lead_truncation", cap)
-
-
-def _as_readonly(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _integers(name: str, values, dtype, array: Callable = np.array) -> np.ndarray:
-    """`values` as a `dtype` column through `array` (`np.array` copies). A
-    non-empty column of non-integers (floats, bools, strings, objects) or of
-    values `dtype` cannot hold raises ValueError: none is truncated or parsed."""
-    column = np.asarray(values)
-    if column.size and column.dtype != dtype:
-        if column.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be integers, got values of dtype {column.dtype}")
-        if (column.astype(dtype) != column).any():
-            raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
-    return array(column, dtype)
+        cap, top = self.lead_truncation, max(self.point_values)
+        if cap < top:
+            raise ValueError(f"lead_truncation {cap} is below the maximum point value {top}")
 
 
 def check_events(times, teams, points, offsets: np.ndarray | None = None) -> None:
@@ -207,8 +254,7 @@ def _event_leads(offsets: np.ndarray, signed: np.ndarray) -> np.ndarray:
     return cum - np.repeat(np.concatenate(([0], cum))[offsets[:-1]], np.diff(offsets))
 
 
-@dataclass(frozen=True, eq=False)
-class GameLog:
+class GameLog(_Record, eq=False):
     """One game's time-ordered, same-second-merged regulation scoring events.
 
     Events are stored as parallel arrays for fast aggregation:
@@ -217,18 +263,14 @@ class GameLog:
     ingest layer performs the same-second merge.
     """
 
-    game_id: str
-    sport_id: str
-    times: np.ndarray
-    teams: np.ndarray
-    points: np.ndarray
+    game_id: str = _string
+    sport_id: str = _string
+    times: np.ndarray = _ints
+    teams: np.ndarray = partial(_column, dtype=np.int8)
+    points: np.ndarray = _ints
 
-    def __post_init__(self) -> None:
-        columns = [_integers(name, getattr(self, name), dtype) for name, dtype in _EVENT_COLUMNS]
-        check_events(*columns)
-        for (name, _), column in zip(_EVENT_COLUMNS, columns):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+    def _check(self) -> None:
+        check_events(self.times, self.teams, self.points)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameLog):
@@ -277,7 +319,7 @@ class Corpus(Sequence):
     Game g is `game_ids[g]`, tagged `sport_ids[g]`, and holds events
     offsets[g]:offsets[g + 1] of the int64 `times`, int8 `teams` and int64
     `points` columns. The columns are copied and checked once (see
-    `_integers`), when the corpus is built, and made read-only.
+    `_column`), when the corpus is built, and made read-only.
     `corpus[g]` is a `GameLog` of views on them, and a contiguous slice is
     a `Corpus` of views. (A plain class, not a dataclass: every CLI run
     imports this module, and building a frozen dataclass took about 1 ms.)
@@ -295,9 +337,9 @@ class Corpus(Sequence):
 
     def _take(self, array, game_ids, sport_ids, offsets, times, teams, points) -> None:
         game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
-        offsets = _integers("offsets", offsets, np.int64, array)
+        offsets = _column("offsets", offsets, np.int64, array)
         times, teams, points = (
-            _integers(name, values, dtype, array)
+            _column(name, values, dtype, array)
             for (name, dtype), values in zip(_EVENT_COLUMNS, (times, teams, points))
         )
         if not (
@@ -308,8 +350,6 @@ class Corpus(Sequence):
         ):
             raise ValueError("offsets must run from 0 to the event count, one entry per game")
         check_events(times, teams, points, offsets)
-        for column in (offsets, times, teams, points):
-            column.flags.writeable = False
         self.game_ids, self.sport_ids, self.offsets = game_ids, sport_ids, offsets
         self.times, self.teams, self.points = times, teams, points
 
@@ -355,7 +395,7 @@ class Corpus(Sequence):
         return np.diff(self.offsets)
 
     def _view(self, g: int, a: int, b: int) -> GameLog:
-        game = object.__new__(GameLog)  # skips __post_init__'s per-game copy and check
+        game = object.__new__(GameLog)  # views on checked columns: no per-game copy and check
         vars(game).update(game_id=self.game_ids[g], sport_id=self.sport_ids[g])
         vars(game).update(times=self.times[a:b], teams=self.teams[a:b], points=self.points[a:b])
         return game
@@ -497,18 +537,6 @@ def config_to_dict(config: SportConfig) -> dict:
         "point_values": {str(v): p for v, p in config.point_values.items()},
         "lead_truncation": config.lead_truncation,
     }
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    if _number(value) != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _array(convert: Callable, dtype) -> Callable:

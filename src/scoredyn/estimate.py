@@ -23,7 +23,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -36,13 +35,15 @@ from .core import (
     SportConfig,
     _array,
     _artifact_fields,
-    _as_readonly,
     _checked_corpus,
     _event_leads,
     _integer,
     _load_json,
     _number,
     _point_values,
+    _Record,
+    _floats,
+    _ints,
     _validated_point_values,
     atomic_write_text,
     config_from_dict,
@@ -56,8 +57,14 @@ MODEL_SCHEMA_VERSION = "1.0"
 # Model containers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class TempoModel:
+def _transition_counts(values) -> np.ndarray:
+    counts = np.asarray(values)
+    if counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ValueError("phi transition counts must be nonnegative integers")
+    return _ints("counts", counts)
+
+
+class TempoModel(_Record, eq=False):
     """Fitted timing model for one sport.
 
     Attributes:
@@ -70,16 +77,13 @@ class TempoModel:
             of the positive integer gaps between consecutive events.
     """
 
-    lambda_hat: float
-    regulation_length: int
-    profile: np.ndarray
-    interarrival_gaps: np.ndarray
-    interarrival_probs: np.ndarray
+    lambda_hat: float = _number
+    regulation_length: int = _integer
+    profile: np.ndarray = _floats
+    interarrival_gaps: np.ndarray = _ints
+    interarrival_probs: np.ndarray = _floats
 
-    def __post_init__(self) -> None:
-        for name, dtype in (("profile", float), ("interarrival_gaps", np.int64),
-                            ("interarrival_probs", float)):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype))
+    def _check(self) -> None:
         if not (np.isfinite(self.lambda_hat) and self.lambda_hat > 0):
             raise ValueError("lambda_hat must be positive and finite (degenerate corpus?)")
         if len(self.profile) != self.regulation_length + 1:
@@ -103,8 +107,7 @@ class TempoModel:
         return float(np.dot(self.interarrival_gaps, self.interarrival_probs))
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(_Record):
     """Ordinary least-squares line through the lead-scoring estimates.
 
     `slope_stderr` is the slope's standard error from propagating each
@@ -116,17 +119,16 @@ class LinearFit:
     slope: float | None
     intercept: float | None
     slope_stderr: float | None
-    n_states: int
+    n_states: int = _integer
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("slope", "intercept", "slope_stderr"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
                 raise ValueError(f"phi fit {name} must be a finite number or None, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class LeadScoring:
+class LeadScoring(_Record, eq=False):
     """Lead-size scoring function phi on the integer grid [-cap, cap].
 
     `phi` has the odd length 2 * cap + 1, `phi[i]` at lead `leads[i]`.
@@ -136,18 +138,13 @@ class LeadScoring:
     interpolation between observed ones and the tails are clamped.
     """
 
-    phi: np.ndarray
-    counts: np.ndarray
+    phi: np.ndarray = _floats
+    counts: np.ndarray = _transition_counts
     fit: LinearFit
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _as_readonly(self.phi, float))
+    def _check(self) -> None:
         if not len(self.phi) == len(self.counts) or len(self.phi) % 2 != 1:
             raise ValueError("phi and counts must share one odd length")
-        counts = np.asarray(self.counts)
-        if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
-            raise ValueError("phi transition counts must be nonnegative integers")
-        object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
 
     @property
     def leads(self) -> np.ndarray:
@@ -156,20 +153,17 @@ class LeadScoring:
         return np.arange(-cap, cap + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class BalanceModel:
+class BalanceModel(_Record, eq=False):
     """Fitted balance model: per-game biases, phi, and point values."""
 
-    c_hat_samples: np.ndarray
+    c_hat_samples: np.ndarray = _floats
     scoring: LeadScoring
-    point_values: Mapping[int, float]
+    point_values: Mapping[int, float] = _validated_point_values
 
-    def __post_init__(self) -> None:
-        samples = _as_readonly(self.c_hat_samples, float)
+    def _check(self) -> None:
+        samples = self.c_hat_samples
         if not np.all((samples >= 0) & (samples <= 1)):
             raise ValueError("balance fractions must lie in [0, 1]")
-        object.__setattr__(self, "c_hat_samples", samples)
-        object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
         phi = self.scoring.phi
         if phi[len(phi) // 2] != 0.5:
             raise ValueError("phi(0) must equal 1/2 exactly")
@@ -207,14 +201,13 @@ def _rate(corpus: Corpus, T: int) -> float:
     return poisson_rate_from_counts(len(corpus.times), len(corpus), T)
 
 
-@dataclass(frozen=True, eq=False)
-class EventCountDistribution:
+class EventCountDistribution(_Record, eq=False):
     """Empirical events-per-game pmf next to its Poisson reference."""
 
-    counts: np.ndarray
-    empirical_pmf: np.ndarray
-    reference_pmf: np.ndarray
-    reference_mean: float
+    counts: np.ndarray = _ints
+    empirical_pmf: np.ndarray = _floats
+    reference_pmf: np.ndarray = _floats
+    reference_mean: float = _number
 
 
 # Cephes `lgam` (the routine behind `scipy.special.gammaln`) at integer
@@ -296,8 +289,7 @@ def events_per_game_distribution(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class InterarrivalDistribution:
+class InterarrivalDistribution(_Record, eq=False):
     """Empirical gap distribution next to its geometric reference.
 
     Both pmfs (and complementary cdfs, P(gap > g)) are aligned on the
@@ -306,12 +298,12 @@ class InterarrivalDistribution:
     is exactly 1 / lambda.
     """
 
-    gaps: np.ndarray
-    empirical_pmf: np.ndarray
-    empirical_ccdf: np.ndarray
-    reference_pmf: np.ndarray
-    reference_ccdf: np.ndarray
-    reference_mean: float
+    gaps: np.ndarray = _ints
+    empirical_pmf: np.ndarray = _floats
+    empirical_ccdf: np.ndarray = _floats
+    reference_pmf: np.ndarray = _floats
+    reference_ccdf: np.ndarray = _floats
+    reference_mean: float = _number
 
     @property
     def empirical_mean(self) -> float:
@@ -619,13 +611,12 @@ def _check_model(config: SportConfig, tempo: TempoModel, balance: BalanceModel) 
         raise ValueError("balance model and sport config disagree on lead truncation")
 
 
-@dataclass(frozen=True)
-class ModelArtifact:
+class ModelArtifact(_Record):
     config: SportConfig
     tempo: TempoModel
     balance: BalanceModel
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_model(self.config, self.tempo, self.balance)
 
 

@@ -55,7 +55,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -69,6 +68,10 @@ from .core import (
     Corpus,
     GameLog,
     SportConfig,
+    _integer,
+    _number,
+    _Record,
+    _string,
     atomic_write_text,  # noqa: F401  (kept as a module attribute for tracing hooks)
     atomic_writer,
     builtin_config,
@@ -124,7 +127,7 @@ def _read(path: str | os.PathLike) -> tuple[bytearray, int]:
     return data, size
 
 
-def _integer(value, line: int, field: str, what: str) -> int:
+def _parsed_integer(value, line: int, field: str, what: str) -> int:
     """An integer from a string or a JSON integer; floats and bools are rejected."""
     if type(value) in (str, int):
         try:
@@ -146,10 +149,10 @@ def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
     sign = _TEAM_SIGNS.get(team.strip().lower())
     if sign is None:
         raise _fail(line, "team", f"unknown team tag {team!r} (expected r/b or home/away)")
-    t = _integer(t, line, "t", "not an integer second")
+    t = _parsed_integer(t, line, "t", "not an integer second")
     if t < 0:
         raise _fail(line, "t", f"negative time {t}")
-    points = _integer(points, line, "points", "not an integer")
+    points = _parsed_integer(points, line, "points", "not an integer")
     if points <= 0:
         raise _fail(line, "points", f"points must be positive, got {points}")
     if points > _MAX_POINTS:
@@ -597,21 +600,19 @@ def write_event_file(
         return _render(_slices(games), fmt, fh.writelines)
 
 
-@dataclass(frozen=True)
-class SportSummary:
-    sport_id: str
-    n_games: int
-    n_events: int
-    events_per_game: float
+class SportSummary(_Record):
+    sport_id: str = _string
+    n_games: int = _integer
+    n_events: int = _integer
+    events_per_game: float = _number
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(_Record):
     """Corpus-level counts plus per-game validation failures."""
 
-    n_games: int
-    n_events: int
-    events_per_game: float
+    n_games: int = _integer
+    n_events: int = _integer
+    events_per_game: float = _number
     per_sport: Mapping[str, SportSummary]
     failures: tuple[str, ...]
 

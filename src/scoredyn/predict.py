@@ -31,7 +31,6 @@ compared against the leader-wins heuristic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,9 +41,12 @@ from .core import (
     TEAM_R,
     GameLog,
     SportConfig,
-    _as_readonly,
     _checked_corpus,
     _event_leads,
+    _floats,
+    _ints,
+    _number,
+    _Record,
     _validated_point_values,
 )
 from .estimate import _phi, _profile, _value_pmf
@@ -59,19 +61,17 @@ from .rng import split_permutation
 TRAIN_FRACTION = 0.75
 
 
-@dataclass(frozen=True, eq=False)
-class LeadChain:
+class LeadChain(_Record, eq=False):
     """Row-stochastic matrix over the leads -cap..+cap, mirror-symmetric: P[-L, -L'] = P[L, L']."""
 
-    transition: np.ndarray
+    transition: np.ndarray = _floats
 
-    def __post_init__(self) -> None:
-        P = _as_readonly(self.transition, float)
+    def _check(self) -> None:
+        P = self.transition
         if P.ndim != 2 or P.shape[0] != P.shape[1] or len(P) % 2 != 1:
             raise ValueError(f"transition must be square of odd size, got shape {P.shape}")
         if not np.array_equal(P, P[::-1, ::-1]):
             raise ValueError("transition must be mirror-symmetric, P[-L, -L'] = P[L, L']")
-        object.__setattr__(self, "transition", P)
 
     @property
     def cap(self) -> int:
@@ -88,15 +88,14 @@ class LeadChain:
         return lead + self.cap
 
 
-@dataclass(frozen=True)
-class OutcomeForecast:
+class OutcomeForecast(_Record):
     """Probabilities that r wins, the game ties, and b wins."""
 
-    p_win_r: float
-    p_tie: float
-    p_win_b: float
+    p_win_r: float = _number
+    p_tie: float = _number
+    p_win_b: float = _number
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         total = self.p_win_r + self.p_tie + self.p_win_b
         if min(self.p_win_r, self.p_tie, self.p_win_b) < -PMF_TOLERANCE:
             raise ValueError("forecast probabilities must be nonnegative")
@@ -189,14 +188,13 @@ def leader_wins(lead: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class PredictabilityCurve:
+class PredictabilityCurve(_Record, eq=False):
     """Mean correct-prediction fraction per cumulative event index."""
 
-    event_index: np.ndarray
-    auc_chain: np.ndarray
-    auc_leader: np.ndarray
-    n_games_scored: np.ndarray
+    event_index: np.ndarray = _ints
+    auc_chain: np.ndarray = _floats
+    auc_leader: np.ndarray = _floats
+    n_games_scored: np.ndarray = _ints
 
 
 def outcome_table(chain: LeadChain, max_steps: int) -> np.ndarray:

@@ -52,16 +52,16 @@ games.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig
+from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
 from .core import _clock_grid, _event_leads
 from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
-from .rng import rekeyer, substream
+from .rng import check_seed, rekeyer, substream
 
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
 
@@ -161,8 +161,7 @@ class _GapTempo:
             t = int(cs[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class _Law:
+class _Law(_Record, eq=False):
     """A generative law: one bias per game (drawn from `c_samples` or fixed
     per game index in `c_fixed`) or `phi` over every reachable lead."""
 
@@ -174,23 +173,22 @@ class _Law:
     phi: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
+class ModelSpec(_Record, eq=False):
     """One cell of the tempo x balance model grid, its seed and its sampling tables."""
 
-    tempo_kind: TempoKind
-    balance_kind: BalanceKind
+    tempo_kind: TempoKind = TempoKind
+    balance_kind: BalanceKind = BalanceKind
     tempo: TempoModel
     balance: BalanceModel
     config: SportConfig
-    seed: int
-    _law: _Law = field(init=False, repr=False)
+    seed: int = check_seed
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tempo_kind", TempoKind(self.tempo_kind))
-        object.__setattr__(self, "balance_kind", BalanceKind(self.balance_kind))
+    def _check(self) -> None:
+        _check_cells(self.tempo, self.balance, self.config, [self.tempo_kind], [self.balance_kind])
+
+    @cached_property
+    def _law(self) -> _Law:  # the cell's sampling tables, built on the first draw
         tempo, balance = self.tempo, self.balance
-        _check_cells(tempo, balance, self.config, (self.tempo_kind,), (self.balance_kind,))
         if self.tempo_kind is TempoKind.BERNOULLI:
             times = _ProfileTempo(tempo.profile)
         else:
@@ -201,8 +199,7 @@ class ModelSpec:
         else:
             reach = _reach(tempo.regulation_length, balance.point_values)
             rule = {"phi": _phi_over(balance.phi, reach)}
-        law = _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
-        object.__setattr__(self, "_law", law)
+        return _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
 
 
 def _check_cells(tempo, balance, config, tempo_kinds, balance_kinds) -> None:

@@ -13,21 +13,26 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .core import Corpus, SportConfig, _as_readonly, _field, _integer, _validated_point_values
+from .core import Corpus, SportConfig, _floats, _integer, _Record, _validated_point_values
+from .rng import check_seed
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
 
 PROB_CLAMP = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class LeagueSpec:
+def _event_probability(rate) -> float:
+    """A number in [0, 1]: not a bool, an array or NaN."""
+    if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
+        raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
+    return float(rate)
+
+
+class LeagueSpec(_Record, eq=False):
     """A synthetic league: skills, schedule, tempo rate, point values, seed.
 
     `tempo` is the per-second event probability of every second but the
@@ -35,36 +40,26 @@ class LeagueSpec:
     plays as r and team j as b.
     """
 
-    skills: np.ndarray
-    schedule: tuple[tuple[int, int], ...]
-    regulation_length: int
-    tempo: float
-    point_values: Mapping[int, float]
-    seed: int
+    skills: np.ndarray = _floats
+    schedule: tuple[tuple[int, int], ...] = lambda pairs: tuple(
+        (_integer(i), _integer(j)) for i, j in pairs)
+    regulation_length: int = _integer
+    tempo: float = _event_probability
+    point_values: Mapping[int, float] = _validated_point_values
+    seed: int = check_seed
 
-    def __post_init__(self) -> None:
-        skills = _as_readonly(self.skills, float)
+    def _check(self) -> None:
+        skills = self.skills
         if len(skills) == 0 or not np.all(np.isfinite(skills) & (skills > 0)):
             raise ValueError("skills must be finite and positive")
-        object.__setattr__(self, "skills", skills)
-        field = partial(_field, "league spec", vars(self))
-        schedule = field("schedule", lambda s: tuple((_integer(i), _integer(j)) for i, j in s))
-        if not schedule:
+        if not self.schedule:
             raise ValueError("schedule must be non-empty")
         n = len(skills)
-        for i, j in schedule:
+        for i, j in self.schedule:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid matchup ({i}, {j}) for {n} teams")
-        object.__setattr__(self, "schedule", schedule)
-        T = field("regulation_length", _integer)
-        if T <= 0:
+        if self.regulation_length <= 0:
             raise ValueError("regulation_length must be positive")
-        object.__setattr__(self, "regulation_length", T)
-        rate = self.tempo  # a number in [0, 1]: not a bool, an array or NaN
-        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
-            raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
-        object.__setattr__(self, "tempo", float(rate))
-        object.__setattr__(self, "point_values", _validated_point_values(self.point_values))
 
     @property
     def n_teams(self) -> int:

@@ -1,0 +1,182 @@
+"""The one record kind: every record converts, freezes and checks its fields
+through `core._Record`, when it is built and again through `dataclasses.replace`."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import scoredyn as sd
+from scoredyn.core import _column, _Record
+from scoredyn.estimate import LeadScoring, LinearFit, ModelArtifact, TempoModel
+from scoredyn.predict import LeadChain, OutcomeForecast
+
+MODULES = [
+    importlib.import_module(f"scoredyn.{info.name}") for info in pkgutil.iter_modules(sd.__path__)
+]
+CLASSES = [
+    obj
+    for module in MODULES
+    for obj in vars(module).values()
+    if isinstance(obj, type) and obj.__module__ == module.__name__
+]
+CFG = sd.SportConfig("custom", 120, (60, 120), {1: 0.5, 2: 0.5}, 6)
+
+
+def public_records() -> list:
+    """One instance of every public record, fitted to a small ideal corpus."""
+    games = sd.ideal_corpus(CFG, 0.05, n_games=60, seed=3)
+    tempo = sd.fit_tempo(games, CFG)
+    balance = sd.fit_balance(games, CFG, min_samples=5)
+    chain = sd.build_chain(balance.phi, balance.point_values)
+    report = sd.validate_corpus(games)
+    return [
+        CFG, games[0], tempo, balance.scoring.fit, balance.scoring, balance,
+        sd.events_per_game_distribution(games, CFG), sd.interarrival_distribution(games, CFG),
+        ModelArtifact(CFG, tempo, balance), chain, sd.forecast(chain, 1, 60, tempo.profile),
+        sd.evaluate_predictability(games, CFG, n_splits=2, seed=0),
+        sd.ModelSpec("markov", "markov", tempo, balance, CFG, seed=1),
+        sd.default_league(n_games=5), report, report.per_sport["custom"],
+    ]
+
+
+RECORDS = public_records()
+
+
+def test_every_public_record_is_covered():
+    records = {cls for cls in CLASSES if issubclass(cls, _Record)}
+    assert {type(record) for record in RECORDS} == {c for c in records if c.__name__[0] != "_"}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_array_fields_are_read_only_after_construction_and_replace(record):
+    for copy in (record, dataclasses.replace(record)):
+        for field in dataclasses.fields(copy):
+            value = getattr(copy, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, field.name
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_replace_reruns_the_converters(record):
+    converters = type(record)._converters
+    assert converters or isinstance(record, ModelArtifact)
+    for name, convert, _ in converters:
+        # a column refuses in its own words; any other field under the record's name
+        own_words = getattr(convert, "func", None) is _column
+        message = f"^{name} must be" if own_words else f"^[a-z ]+: field {name!r}: "
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(record, **{name: object()})
+
+
+def test_replace_reruns_the_cross_field_checks():
+    artifact = next(r for r in RECORDS if isinstance(r, ModelArtifact))
+    longer = sd.SportConfig("custom", 240, (240,), {1: 0.5, 2: 0.5}, 6)
+    with pytest.raises(ValueError, match="disagree on regulation length"):
+        dataclasses.replace(artifact, config=longer)
+
+
+def tempo(**changes):
+    fields = dict(lambda_hat=0.01, regulation_length=600, profile=np.full(601, 0.01),
+                  interarrival_gaps=[1, 2], interarrival_probs=[0.5, 0.5])
+    return TempoModel(**{**fields, **changes})
+
+
+NO_FIT = LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
+
+
+class TestNothingTruncatedOrParsed:
+    @pytest.mark.parametrize("gaps, dtype", [([1.5, 2.7], "float64"), (["3"], "<U1")])
+    def test_non_integer_gaps_refused(self, gaps, dtype):
+        probs = [1 / len(gaps)] * len(gaps)
+        message = f"^interarrival_gaps must be integers, got values of dtype {dtype}$"
+        with pytest.raises(ValueError, match=message):
+            tempo(interarrival_gaps=gaps, interarrival_probs=probs)
+
+    def test_integral_regulation_length_is_an_int(self):
+        model = tempo(regulation_length=600.0)
+        assert model.regulation_length == 600 and type(model.regulation_length) is int
+
+    def test_fractional_regulation_length_refused(self):
+        message = r"^tempo model: field 'regulation_length': expected an integer, got 600\.5$"
+        with pytest.raises(ValueError, match=message):
+            tempo(regulation_length=600.5)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: tempo(profile=v * 301), "profile"),
+        (lambda v: LeadScoring(phi=v[:1] * 3, counts=[0, 0, 0], fit=NO_FIT), "phi"),
+        (lambda v: LeadChain([v[:1]]), "transition"),
+        (lambda v: sd.LeagueSpec(v, ((0, 1),), 100, 0.01, {1: 1.0}, 0), "skills"),
+    ])
+    @pytest.mark.parametrize("values, dtype", [(["0.5", "0.5"], "<U3"), ([True, True], "bool")])
+    def test_float_columns_refuse_strings_and_bools(self, build, name, values, dtype):
+        message = f"^{name} must be numbers, got values of dtype {dtype}$"
+        with pytest.raises(ValueError, match=message):
+            build(values)
+
+    def test_balance_fractions_refuse_strings(self):
+        scoring = LeadScoring(phi=[0.5, 0.5, 0.5], counts=[0, 0, 0], fit=NO_FIT)
+        with pytest.raises(ValueError, match="^c_hat_samples must be numbers, got values of dtype"):
+            sd.BalanceModel(c_hat_samples=["0.5", True], scoring=scoring, point_values={1: 1.0})
+
+    def test_fractional_state_count_refused(self):
+        with pytest.raises(ValueError, match="^linear fit: field 'n_states': expected an integer"):
+            LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=2.5)
+
+    def test_bool_probabilities_refused(self):
+        message = "field '{}': expected a number, got bool$"
+        with pytest.raises(ValueError, match="^outcome forecast: " + message.format("p_win_r")):
+            OutcomeForecast(True, False, False)
+        with pytest.raises(ValueError, match="^sport config: " + message.format("point_values")):
+            sd.SportConfig("custom", 100, (100,), {1: True}, 10)
+
+
+class TestSeedsAndStrings:
+    @pytest.mark.parametrize("seed", [2.5, "7", -1, 2**64])
+    def test_specs_refuse_seeds_outside_the_philox_keys(self, seed):
+        spec = next(r for r in RECORDS if isinstance(r, sd.ModelSpec))
+        with pytest.raises(ValueError, match="^model spec: field 'seed': "):
+            dataclasses.replace(spec, seed=seed)
+        league = next(r for r in RECORDS if isinstance(r, sd.LeagueSpec))
+        with pytest.raises(ValueError, match="^league spec: field 'seed': "):
+            dataclasses.replace(league, seed=seed)
+
+    @pytest.mark.parametrize(
+        "game_id, sport_id, name", [(5, "NFL", "game_id"), ("g", None, "sport_id")]
+    )
+    def test_game_ids_and_sport_ids_are_strings(self, game_id, sport_id, name):
+        with pytest.raises(ValueError, match=f"^game log: field {name!r}: expected a string, got "):
+            sd.GameLog(game_id, sport_id, [1], [1], [3])
+
+    def test_sport_config_id_is_a_string(self):
+        message = "^sport config: field 'sport_id': expected a string, got int$"
+        with pytest.raises(ValueError, match=message):
+            sd.SportConfig(5, 100, (100,), {1: 1.0}, 10)
+
+
+class TestOneRecordKind:
+    def test_every_dataclass_is_a_record(self):
+        for cls in CLASSES:
+            if dataclasses.is_dataclass(cls):
+                assert issubclass(cls, _Record), cls
+
+    def test_only_the_base_defines_post_init(self):
+        assert [cls for cls in CLASSES if "__post_init__" in vars(cls)] == [_Record]
+
+    def test_only_core_imports_dataclasses(self):
+        importers = []
+        for module in MODULES:
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "dataclasses" in names:
+                    importers.append(module.__name__)
+        assert importers == ["scoredyn.core"]
