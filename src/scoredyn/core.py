@@ -23,11 +23,19 @@ seed one outside [0, 2**64), an enum an unknown value; none truncates or
 parses. Construction and `dataclasses.replace` convert the fields in
 order, then run the record's cross-field `_check`. A column refuses as
 "times must be integers, ...", any other field as "game log: field ...".
+
+Each rule has one home, which records and public functions share: how a
+number, an integer, a position (`_index`), an id (`_string`, `_strings`)
+and an array of one shape (`_column`) are read, the team a lead's sign
+names (`_team`), a corpus's slices (`Corpus._slices`) and the sports
+(`BUILTIN_SPORTS`). `estimate.ModelArtifact` checks that models fit a
+config, and `ingest._infer_format` that a format exists.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import tempfile
@@ -49,8 +57,6 @@ TEAM_B = "b"
 PMF_TOLERANCE = 1e-9
 
 CONFIG_SCHEMA_VERSION = "1.0"
-
-SPORT_IDS = ("CFB", "NFL", "NHL", "NBA", "custom")
 
 _CHUNK_GAMES = 1024  # games per batch or slice: bounds working memory, amortises numpy calls
 _WORK_WORDS = 1 << 20  # the one working-memory bound (8 MB of words): draw buffer, tail table
@@ -106,7 +112,16 @@ def _number(value) -> float:
     return float(value)
 
 
+def _index(value) -> int:
+    """`operator.index(value)`, which takes a bool as 0 or 1: refused here."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _integer(value) -> int:
+    with suppress(TypeError):
+        return _index(value)  # as it is: through a float, an int past 2**53 would round
     if _number(value) != int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
@@ -135,19 +150,24 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
     return MappingProxyType(dict(sorted(cleaned.items())))
 
 
-def _column(name: str, values, dtype, array: Callable = np.array) -> np.ndarray:
-    """`values` as a read-only `dtype` column through `array` (`np.array`
-    copies). A non-empty column of bools, strings, objects or (for an integer
-    `dtype`) floats, or of integers `dtype` cannot hold, raises ValueError:
-    no value is truncated or parsed."""
+def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1) -> np.ndarray:
+    """`values` as a read-only `dtype` column of `ndim` dimensions through
+    `array` (`np.array` copies). A non-empty column of bools, strings,
+    objects or (for an integer `dtype`) floats, a list or tuple with a bool
+    entry, integers `dtype` cannot hold, or another number of dimensions
+    raises ValueError: no value is truncated or parsed."""
     column = np.asarray(values)
+    integral = np.issubdtype(dtype, np.integer)
+    kind = "integers" if integral else "numbers"
     if column.size and column.dtype != dtype:
-        integral = np.issubdtype(dtype, np.integer)
         if column.dtype.kind not in ("iu" if integral else "iuf"):
-            kind = "integers" if integral else "numbers"
             raise ValueError(f"{name} must be {kind}, got values of dtype {column.dtype}")
         if integral and (column.astype(dtype) != column).any():
             raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
+    if isinstance(values, (list, tuple)) and {bool, np.bool_} & set(map(type, values)):
+        raise ValueError(f"{name} must be {kind}, got a bool entry")
+    if column.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {column.shape}")
     column = array(column, dtype)
     column.flags.writeable = False
     return column
@@ -160,6 +180,22 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
+
+
+def _strings(name: str, values) -> tuple[str, ...]:
+    """`values` as a tuple of `_string`s; ValueError "game_ids must be strings, got int"."""
+    values = tuple(values)
+    try:
+        for value in values:
+            _string(value)
+    except TypeError:
+        raise ValueError(f"{name} must be strings, got {type(value).__name__}") from None
+    return values
+
+
+def _team(lead) -> str | None:
+    """The tag of the team ahead at `lead` (relative to r): TEAM_R, TEAM_B, or None at 0."""
+    return TEAM_R if lead > 0 else TEAM_B if lead < 0 else None
 
 
 class _Record:
@@ -300,12 +336,7 @@ class GameLog(_Record, eq=False):
 
     def winner(self) -> str | None:
         """Regulation winner tag, or None for a tie."""
-        lead = self.final_lead()
-        if lead > 0:
-            return TEAM_R
-        if lead < 0:
-            return TEAM_B
-        return None
+        return _team(self.final_lead())
 
 
 def _joined(parts, name: str, dtype) -> np.ndarray:
@@ -336,7 +367,7 @@ class Corpus(Sequence):
         return corpus
 
     def _take(self, array, game_ids, sport_ids, offsets, times, teams, points) -> None:
-        game_ids, sport_ids = tuple(game_ids), tuple(sport_ids)
+        game_ids, sport_ids = _strings("game_ids", game_ids), _strings("sport_ids", sport_ids)
         offsets = _column("offsets", offsets, np.int64, array)
         times, teams, points = (
             _column(name, values, dtype, array)
@@ -362,7 +393,8 @@ class Corpus(Sequence):
         games = list(games)
         columns = [_joined(games, name, dtype) for name, dtype in _EVENT_COLUMNS]
         offsets = np.cumsum([0] + [len(g.times) for g in games])
-        return cls([g.game_id for g in games], [g.sport_id for g in games], offsets, *columns)
+        ids = [g.game_id for g in games], [g.sport_id for g in games]
+        return cls._owning(*ids, offsets, *columns)  # fresh columns: not copied again
 
     @classmethod
     def concat(cls, parts: Iterable[Corpus]) -> Corpus:
@@ -421,6 +453,10 @@ class Corpus(Sequence):
         )
         return part
 
+    def _slices(self) -> Iterator[Corpus]:
+        """Views of at most _CHUNK_GAMES games: a pass over them bounds its memory."""
+        return (self[lo : lo + _CHUNK_GAMES] for lo in range(0, len(self), _CHUNK_GAMES))
+
     def __iter__(self) -> Iterator[GameLog]:
         bounds = self.offsets.tolist()
         for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -464,13 +500,14 @@ _BUILTIN_SPECS: dict[str, dict] = {
 }
 
 BUILTIN_SPORTS = tuple(_BUILTIN_SPECS)
+SPORT_IDS = BUILTIN_SPORTS + ("custom",)
 
 
 def builtin_config(sport_id: str) -> SportConfig:
     """Return the built-in configuration for CFB, NFL, NHL, or NBA."""
     key = str(sport_id).upper()
     if key not in _BUILTIN_SPECS:
-        raise ValueError(f"no built-in sport {sport_id!r}; known: {BUILTIN_SPORTS}")
+        raise ValueError(f"no built-in sport {sport_id!r} (known: {BUILTIN_SPORTS}); pass a config")
     return SportConfig(sport_id=key, **_BUILTIN_SPECS[key])
 
 
@@ -489,8 +526,6 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
     if len(sport_ids) != 1:
         raise ValueError(f"corpus mixes sports {sorted(sport_ids)}; pass an explicit config")
     (sport_id,) = sport_ids
-    if sport_id.upper() not in _BUILTIN_SPECS:
-        raise ValueError(f"sport {sport_id!r} has no built-in config; pass one explicitly")
     return builtin_config(sport_id)
 
 

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import warnings
-from numbers import Real
+from contextlib import suppress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -124,8 +124,10 @@ class LinearFit(_Record):
     def _check(self) -> None:
         for name in ("slope", "intercept", "slope_stderr"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"phi fit {name} must be a finite number or None, got {value!r}")
+            with suppress(TypeError, OverflowError):  # refused below: not a float, bools included
+                if value is None or math.isfinite(_number(value)):
+                    continue
+            raise ValueError(f"phi fit {name} must be a finite number or None, got {value!r}")
 
 
 class LeadScoring(_Record, eq=False):
@@ -380,7 +382,7 @@ def gap_correlation(gaps: Sequence[int] | np.ndarray, n_max: int) -> np.ndarray:
     sequence mean. Values lie in [-1, 1]; lags with no usable pair are
     NaN. A constant sequence has no defined correlation and raises.
     """
-    x = np.asarray(gaps, dtype=float)
+    x = _floats("gaps", gaps)
     corr, used = _correlation(np.zeros(len(x), dtype=np.int64), x, n_max)
     if not used:
         raise ValueError("constant gap sequence: correlation undefined")
@@ -601,23 +603,18 @@ def fit_balance(
 # Model artifact (versioned JSON)
 # --------------------------------------------------------------------------
 
-def _check_model(config: SportConfig, tempo: TempoModel, balance: BalanceModel) -> None:
-    """Raise ValueError unless the models fit the sport config: the tempo
-    model's regulation length is the config's, and phi covers leads
-    -cap..cap for the config's lead truncation cap."""
-    if tempo.regulation_length != config.regulation_length:
-        raise ValueError("tempo model and sport config disagree on regulation length")
-    if len(balance.phi) != 2 * config.lead_truncation + 1:
-        raise ValueError("balance model and sport config disagree on lead truncation")
-
-
 class ModelArtifact(_Record):
+    """Models checked to fit their config: its regulation length, and phi over its -cap..cap."""
+
     config: SportConfig
     tempo: TempoModel
     balance: BalanceModel
 
     def _check(self) -> None:
-        _check_model(self.config, self.tempo, self.balance)
+        if self.tempo.regulation_length != self.config.regulation_length:
+            raise ValueError("tempo model and sport config disagree on regulation length")
+        if len(self.balance.phi) != 2 * self.config.lead_truncation + 1:
+            raise ValueError("balance model and sport config disagree on lead truncation")
 
 
 def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel) -> dict:
@@ -676,7 +673,7 @@ def model_from_dict(data: Mapping) -> ModelArtifact:
 def save_model(
     path: str | os.PathLike, config: SportConfig, tempo: TempoModel, balance: BalanceModel
 ) -> None:
-    _check_model(config, tempo, balance)
+    ModelArtifact(config, tempo, balance)  # refuses models that do not fit the config
     atomic_write_text(
         path, json.dumps(model_to_dict(config, tempo, balance), sort_keys=True) + "\n"
     )

@@ -61,10 +61,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    TEAM_B,
-    TEAM_R,
-    _CHUNK_GAMES,
     _WORK_WORDS,
+    BUILTIN_SPORTS,
     Corpus,
     GameLog,
     SportConfig,
@@ -72,10 +70,10 @@ from .core import (
     _number,
     _Record,
     _string,
+    _team,
     atomic_write_text,  # noqa: F401  (kept as a module attribute for tracing hooks)
     atomic_writer,
     builtin_config,
-    _BUILTIN_SPECS,
 )
 
 CSV_COLUMNS = ("sport", "game_id", "team", "t", "points")
@@ -368,6 +366,7 @@ def _row_records(
 
 
 def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
+    """`fmt` if it is 'csv' or 'jsonl', else (when None) the one `path` names."""
     if fmt is not None:
         if fmt not in ("csv", "jsonl"):
             raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
@@ -386,7 +385,7 @@ def _resolve_sport(tag: str, line: int, configs: Mapping[str, SportConfig] | Non
         for key, cfg in configs.items():
             if key.lower() == tag.lower():
                 return cfg
-    if tag.upper() in _BUILTIN_SPECS:
+    if tag.upper() in BUILTIN_SPORTS:
         return builtin_config(tag)
     raise _fail(line, "sport", f"unknown sport tag {tag!r}")
 
@@ -474,7 +473,7 @@ def _tails(fmt: str, signed: np.ndarray, times: np.ndarray) -> list[str]:
     starts = np.flatnonzero(first)
     tails: list[str] = []
     for v, seconds in zip(signed[starts].tolist(), np.split(times, starts[1:])):
-        tails += map(template.format(TEAM_R if v > 0 else TEAM_B, abs(v)).format, seconds.tolist())
+        tails += map(template.format(_team(v), abs(v)).format, seconds.tolist())
     return tails
 
 
@@ -545,8 +544,6 @@ def _render(parts: Iterable[Corpus], fmt: str, write: Callable[[Iterable[str]], 
     as iterables of strings: the CSV header, then the records of one part at
     a time (see `_records`), their tails from one `_TailTable`. Return the
     number of records. A JSONL file without records is one empty line."""
-    if fmt not in ("csv", "jsonl"):
-        raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
     if fmt == "csv":
         write([",".join(CSV_COLUMNS) + "\n"])
     tails = _TailTable(fmt)
@@ -570,15 +567,14 @@ def _slices(games: Iterable[GameLog] | Iterable[Corpus]) -> Iterator[Corpus]:
         if isinstance(head, Corpus):
             return chain([head], items)
         games = [] if head is None else [head, *items]
-    corpus = Corpus.of(games)
-    return (corpus[lo : lo + _CHUNK_GAMES] for lo in range(0, len(corpus), _CHUNK_GAMES))
+    return Corpus.of(games)._slices()
 
 
 def render_event_file(games: Iterable[GameLog], fmt: str = "csv") -> str:
     """Render games in the canonical interchange form (stable byte-for-byte):
     the text `write_event_file` writes."""
     pieces: list[str] = []
-    _render([Corpus.of(games)], fmt, pieces.extend)
+    _render([Corpus.of(games)], _infer_format("", fmt), pieces.extend)
     return "".join(pieces)
 
 

@@ -30,23 +30,23 @@ compared against the leader-wins heuristic.
 
 from __future__ import annotations
 
-import operator
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     PMF_TOLERANCE,
-    TEAM_B,
-    TEAM_R,
     GameLog,
     SportConfig,
     _checked_corpus,
     _event_leads,
     _floats,
+    _index,
     _ints,
     _number,
     _Record,
+    _team,
     _validated_point_values,
 )
 from .estimate import _phi, _profile, _value_pmf
@@ -64,11 +64,11 @@ TRAIN_FRACTION = 0.75
 class LeadChain(_Record, eq=False):
     """Row-stochastic matrix over the leads -cap..+cap, mirror-symmetric: P[-L, -L'] = P[L, L']."""
 
-    transition: np.ndarray = _floats
+    transition: np.ndarray = partial(_floats, ndim=2)
 
     def _check(self) -> None:
         P = self.transition
-        if P.ndim != 2 or P.shape[0] != P.shape[1] or len(P) % 2 != 1:
+        if P.shape[0] != P.shape[1] or len(P) % 2 != 1:
             raise ValueError(f"transition must be square of odd size, got shape {P.shape}")
         if not np.array_equal(P, P[::-1, ::-1]):
             raise ValueError("transition must be mirror-symmetric, P[-L, -L'] = P[L, L']")
@@ -82,7 +82,7 @@ class LeadChain(_Record, eq=False):
         return np.arange(-self.cap, self.cap + 1)
 
     def state_index(self, lead: int) -> int:
-        lead = operator.index(lead)
+        lead = _index(lead)
         if abs(lead) > self.cap:
             raise ValueError(f"lead {lead} outside truncation +-{self.cap}")
         return lead + self.cap
@@ -113,10 +113,10 @@ def build_chain(
     rows of leads 0..cap are built and the rest mirrored, which makes the
     chain's mirror symmetry hold to the last bit.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _floats("phi", phi)
     if not np.all((phi >= 0) & (phi <= 1)):
         raise ValueError("phi entries must be finite probabilities")
-    if phi.ndim != 1 or len(phi) % 2 != 1 or not np.all(phi + phi[::-1] == 1.0):
+    if len(phi) % 2 != 1 or not np.all(phi + phi[::-1] == 1.0):
         raise ValueError("phi must be antisymmetric about L = 0")
     cap = len(phi) // 2
     pmf = _validated_point_values(point_values)
@@ -138,12 +138,12 @@ def build_chain(
 
 def _remaining_events(profile: np.ndarray) -> np.ndarray:
     """Expected scoring events from each second t through T, t included."""
-    return np.cumsum(np.asarray(profile, dtype=float)[::-1])[::-1]
+    return np.cumsum(_floats("profile", profile)[::-1])[::-1]
 
 
 def expected_remaining_events(profile: np.ndarray, t: int) -> float:
     """Expected number of scoring events from second t through T."""
-    t, T = operator.index(t), len(profile) - 1
+    t, T = _index(t), len(profile) - 1
     if not 0 <= t <= T:
         raise ValueError(f"time {t} outside [0, {T}]")
     return float(_remaining_events(profile)[t])
@@ -157,7 +157,7 @@ def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> Outco
     is the last row of `outcome_table(chain, steps)`, read at `lead` for r
     and at `-lead` for b.
     """
-    if not np.isfinite(n_events) or n_events < 0:
+    if not np.isfinite(_number(n_events)) or n_events < 0:
         raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
     idx = chain.state_index(lead)
     win = outcome_table(chain, round(float(n_events)))[-1]
@@ -176,16 +176,8 @@ def forecast(
 
 
 def leader_wins(lead: int) -> str | None:
-    """Baseline prediction: the current leader wins; abstain at a tie.
-
-    Abstentions are scored 1/2 in the evaluation, so the heuristic
-    scores exactly 1/2 on symmetric inputs.
-    """
-    if lead > 0:
-        return TEAM_R
-    if lead < 0:
-        return TEAM_B
-    return None
+    """Baseline prediction: the current leader wins; abstain (scored 1/2) at a tie."""
+    return _team(lead)
 
 
 class PredictabilityCurve(_Record, eq=False):

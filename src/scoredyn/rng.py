@@ -9,16 +9,17 @@ too, but need no generator: `split_permutation` orders the games by a
 SplitMix64 hash of (seed, split, game index), computed with numpy's
 uint64 array arithmetic. Split k therefore depends only on (seed, k) and
 the number of games, and eval and report never load `numpy.random`.
-This module imports only numpy at load time; `numpy.random` is loaded
-on the first `substream` call.
+This module imports only numpy and `core` at load time; `numpy.random`
+is loaded on the first `substream` call.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
 import numpy as np
+
+from .core import _index
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,12 +30,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def check_seed(seed: int) -> int:
-    """`seed` as an int, if it lies in [0, 2**64); ValueError otherwise. The
-    CLI takes seeds in this range only, so no two seeds share a stream."""
-    seed = operator.index(seed)
+def check_seed(seed: int, name: str = "seed") -> int:
+    """`seed` (or another Philox key word, `name`) as an int, if it lies in
+    [0, 2**64); ValueError otherwise. The CLI takes seeds in this range
+    only, so no two seeds share a stream."""
+    seed = _index(seed)
     if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
     return seed
 
 
@@ -79,7 +81,7 @@ def split_permutation(seed: int, split: int, n: int) -> np.ndarray:
     permutation that depends only on (seed, split, n). `seed` must lie
     in [0, 2**64).
     """
-    seed, split = check_seed(seed), operator.index(split)
+    seed, split = check_seed(seed), _index(split)
     state = _mix64(np.array([(seed + (split + 1) * _GAMMA) & _MASK64], dtype=np.uint64))
     keys = _mix64(state + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA)
     return np.argsort(keys, kind="stable")

@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
 from .core import _clock_grid, _event_leads
-from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _check_model
+from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
 from .rng import check_seed, rekeyer, substream
 
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
@@ -206,7 +206,7 @@ def _check_cells(tempo, balance, config, tempo_kinds, balance_kinds) -> None:
     """Raise ValueError unless every cell of `tempo_kinds` x `balance_kinds`
     can run: the models fit `config`, markov tempo has gaps to draw and
     bernoulli balance has fitted fractions to draw from."""
-    _check_model(config, tempo, balance)
+    ModelArtifact(config, tempo, balance)
     if TempoKind.MARKOV in tempo_kinds and not len(tempo.interarrival_gaps):
         raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
     if BalanceKind.BERNOULLI in balance_kinds and not len(balance.c_hat_samples):
@@ -340,16 +340,10 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iter
         yield _batch_games(law, range(lo, min(lo + per_batch, stop)), prefix, sport_id)
 
 
-def _check_game_index(game_index: int) -> None:
-    """Raise ValueError unless `game_index` names a substream: 0 <= index < 2**64."""
-    if not 0 <= game_index < 1 << 64:
-        raise ValueError(f"game_index must be in [0, 2**64), got {game_index}")
-
-
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
     """Generate one game on substream (spec.seed, game_index), for
     0 <= game_index < 2**64."""
-    _check_game_index(game_index)
+    game_index = check_seed(game_index, "game_index")
     (batch,) = _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)
     return batch[0]
 
@@ -419,7 +413,7 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
 
 def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int = 0) -> GameLog:
     """One ideal-competition game; rate 0 yields an empty game."""
-    _check_game_index(game_index)
+    game_index = check_seed(game_index, "game_index")
     if rate == 0.0:
         return GameLog(f"sim-{game_index:06d}", config.sport_id, [], [], [])
     return simulate_game(ideal_model(config, rate, seed), game_index)
@@ -456,9 +450,7 @@ def lead_dispersion(
     if not len(corpus):
         raise ValueError("lead dispersion needs at least one game")
     grid = _clock_grid(regulation_length, sample_every)
-    # chunks bound _lead_sums' working memory
-    chunks = (corpus[lo : lo + _CHUNK_GAMES] for lo in range(0, len(corpus), _CHUNK_GAMES))
-    return grid, _dispersion(chunks, grid)
+    return grid, _dispersion(corpus._slices(), grid)
 
 
 def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> np.ndarray:

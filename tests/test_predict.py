@@ -123,10 +123,17 @@ class TestBuildChain:
             for Lp in range(-cap, cap + 1):
                 assert P[cap - L, cap - Lp] == P[cap + L, cap + Lp]
 
-    @pytest.mark.parametrize("phi", [np.full(4, 0.5), np.empty(0), np.full((3, 3), 0.5)],
-                             ids=["even", "empty", "matrix"])
-    def test_phi_of_no_odd_length_refused(self, phi):
-        with pytest.raises(ValueError, match="phi must be antisymmetric about L = 0"):
+    @pytest.mark.parametrize(
+        "phi, match",
+        [
+            (np.full(4, 0.5), "phi must be antisymmetric about L = 0"),
+            (np.empty(0), "phi must be antisymmetric about L = 0"),
+            (np.full((3, 3), 0.5), r"^phi must be 1-dimensional, got shape \(3, 3\)$"),
+        ],
+        ids=["even", "empty", "matrix"],
+    )
+    def test_phi_of_no_odd_length_refused(self, phi, match):
+        with pytest.raises(ValueError, match=match):
             sd.build_chain(phi, {1: 1.0})
 
     def test_phi_not_exactly_antisymmetric_refused(self):
@@ -165,7 +172,7 @@ class TestLeadChain:
         "transition, match",
         [
             (np.eye(5)[:4], "square of odd size"),
-            (np.full(5, 0.2), "square of odd size"),
+            (np.full(5, 0.2), "2-dimensional"),
             (np.eye(4), "square of odd size"),
             (np.roll(np.eye(5), 1, axis=1), "mirror-symmetric"),
             (np.where(np.eye(3) == 1, np.nan, 0.0), "mirror-symmetric"),
