@@ -28,7 +28,10 @@ Each rule has one home, which records and public functions share: how a
 number, an integer, a position (`_index`), an id (`_string`, `_strings`)
 and an array of one shape (`_column`) are read, the team a lead's sign
 names (`_team`), a corpus's slices (`Corpus._slices`) and the sports
-(`BUILTIN_SPORTS`). `estimate.ModelArtifact` checks that models fit a
+(`BUILTIN_SPORTS`). Every field of a public record declares a converter
+(a nested record's is `_Record._instance`), and the artifact readers
+read each JSON path through its field's (`_Record._read`): a file takes
+what a record takes. `estimate.ModelArtifact` checks that models fit a
 config, and `ingest._infer_format` that a format exists.
 """
 
@@ -133,11 +136,11 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
     cleaned: dict[int, float] = {}
     for value, prob in point_values.items():
         try:
-            v = int(value)
+            v = _integer(value)
+            if v < 1:
+                raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"point value {value!r} is not a positive integer") from None
-        if v != value or v < 1:
-            raise ValueError(f"point value {value!r} is not a positive integer")
         p = _number(prob)
         if not np.isfinite(p):
             raise ValueError(f"point value {v} has non-finite probability {p}")
@@ -155,8 +158,11 @@ def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1)
     `array` (`np.array` copies). A non-empty column of bools, strings,
     objects or (for an integer `dtype`) floats, a list or tuple with a bool
     entry, integers `dtype` cannot hold, or another number of dimensions
-    raises ValueError: no value is truncated or parsed."""
-    column = np.asarray(values)
+    raises ValueError, and so does a ragged list: no value is truncated or parsed."""
+    try:
+        column = np.asarray(values)
+    except ValueError:  # numpy's refusal of a ragged list
+        raise ValueError(f"{name} must be {ndim}-dimensional, got a ragged list") from None
     integral = np.issubdtype(dtype, np.integer)
     kind = "integers" if integral else "numbers"
     if column.size and column.dtype != dtype:
@@ -225,6 +231,21 @@ class _Record:
 
     def _check(self) -> None:
         """Raise ValueError unless the converted fields agree with each other."""
+
+    @classmethod
+    def _instance(cls, value) -> _Record:
+        """The converter of a field that holds a `cls`: takes one as it is."""
+        if not isinstance(value, cls):
+            raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+        return value
+
+    @classmethod
+    def _read(cls, field: Callable, paths: Mapping[str, str], **values) -> _Record:
+        """The record of `values` and of the JSON values at `paths` (a dotted path
+        per field name), each read by `_field` through its field's converter."""
+        converters = {name: convert for name, convert, _ in cls._converters}
+        values.update((name, field(path, converters[name])) for name, path in paths.items())
+        return cls(**values)
 
 
 class SportConfig(_Record):
@@ -574,26 +595,17 @@ def config_to_dict(config: SportConfig) -> dict:
     }
 
 
-def _array(convert: Callable, dtype) -> Callable:
-    """Converter of a JSON list, entry by entry through `convert`, to a 1-D
-    array; a list of exact ints (or floats, for floats) converts at once."""
-    exact = {int} if np.issubdtype(dtype, np.integer) else {int, float}
-
-    def to_array(value) -> np.ndarray:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {type(value).__name__}")
-        if set(map(type, value)) <= exact:
-            with suppress(OverflowError):  # an int past the dtype's range fails below
-                return np.array(value, dtype=dtype)
-        return np.array([convert(v) for v in value], dtype=dtype)
-
-    return to_array
-
-
-def _point_values(value) -> dict[int, float]:
+def _point_values(value) -> dict:
+    """A JSON object of point values, each key read as the int whose `str` it
+    is (the writers' form; JSON's keys are strings), any other key as it is."""
     if not isinstance(value, Mapping):
         raise TypeError(f"expected an object, got {type(value).__name__}")
-    return {int(v): _number(p) for v, p in value.items()}
+    pmf = {}
+    for key, p in value.items():
+        with suppress(TypeError, ValueError):
+            key = int(key) if str(int(key)) == key else key
+        pmf[key] = p
+    return pmf
 
 
 def _field(context: str, data: Mapping, path: str, convert: Callable | None = None):
@@ -605,6 +617,8 @@ def _field(context: str, data: Mapping, path: str, convert: Callable | None = No
             if not isinstance(value, Mapping):
                 raise TypeError(f"expected an object, got {type(value).__name__}")
             value = value[key]
+        if convert is _validated_point_values:  # JSON's keys are strings
+            value = _point_values(value)
         return value if convert is None else convert(value)
     except KeyError as exc:
         raise ValueError(f"{context}: field {path!r}: missing key {exc}") from None
@@ -632,13 +646,9 @@ def _load_json(path: str | os.PathLike, context: str):
 
 def config_from_dict(data: Mapping) -> SportConfig:
     field = _artifact_fields(data, CONFIG_SCHEMA_VERSION, "sport config")
-    return SportConfig(
-        sport_id=field("sport_id"),
-        regulation_length=field("regulation_length_seconds", _integer),
-        period_ends=tuple(field("period_ends", _array(_integer, np.int64))),
-        point_values=field("point_values", _point_values),
-        lead_truncation=field("lead_truncation", _integer),
-    )
+    return SportConfig._read(field, dict(
+        sport_id="sport_id", regulation_length="regulation_length_seconds",
+        period_ends="period_ends", point_values="point_values", lead_truncation="lead_truncation"))
 
 
 def save_config(config: SportConfig, path: str | os.PathLike) -> None:

@@ -33,14 +33,12 @@ from .core import (
     Corpus,
     GameLog,
     SportConfig,
-    _array,
     _artifact_fields,
     _checked_corpus,
     _event_leads,
     _integer,
     _load_json,
     _number,
-    _point_values,
     _Record,
     _floats,
     _ints,
@@ -58,10 +56,17 @@ MODEL_SCHEMA_VERSION = "1.0"
 # --------------------------------------------------------------------------
 
 def _transition_counts(values) -> np.ndarray:
-    counts = np.asarray(values)
-    if counts.dtype.kind not in "iu" or (counts < 0).any():
-        raise ValueError("phi transition counts must be nonnegative integers")
-    return _ints("counts", counts)
+    with suppress(ValueError):
+        counts = _ints("counts", values)
+        if (counts >= 0).all():
+            return counts
+    raise ValueError("phi transition counts must be nonnegative integers")
+
+
+def _finite_or_none(value) -> float | None:
+    if value is not None and not math.isfinite(value := _number(value)):
+        raise ValueError(f"expected a finite number or None, got {value}")
+    return value
 
 
 class TempoModel(_Record, eq=False):
@@ -116,18 +121,10 @@ class LinearFit(_Record):
     when far states are much noisier than near ones.
     """
 
-    slope: float | None
-    intercept: float | None
-    slope_stderr: float | None
+    slope: float | None = _finite_or_none
+    intercept: float | None = _finite_or_none
+    slope_stderr: float | None = _finite_or_none
     n_states: int = _integer
-
-    def _check(self) -> None:
-        for name in ("slope", "intercept", "slope_stderr"):
-            value = getattr(self, name)
-            with suppress(TypeError, OverflowError):  # refused below: not a float, bools included
-                if value is None or math.isfinite(_number(value)):
-                    continue
-            raise ValueError(f"phi fit {name} must be a finite number or None, got {value!r}")
 
 
 class LeadScoring(_Record, eq=False):
@@ -142,7 +139,7 @@ class LeadScoring(_Record, eq=False):
 
     phi: np.ndarray = _floats
     counts: np.ndarray = _transition_counts
-    fit: LinearFit
+    fit: LinearFit = LinearFit._instance
 
     def _check(self) -> None:
         if not len(self.phi) == len(self.counts) or len(self.phi) % 2 != 1:
@@ -159,7 +156,7 @@ class BalanceModel(_Record, eq=False):
     """Fitted balance model: per-game biases, phi, and point values."""
 
     c_hat_samples: np.ndarray = _floats
-    scoring: LeadScoring
+    scoring: LeadScoring = LeadScoring._instance
     point_values: Mapping[int, float] = _validated_point_values
 
     def _check(self) -> None:
@@ -606,9 +603,9 @@ def fit_balance(
 class ModelArtifact(_Record):
     """Models checked to fit their config: its regulation length, and phi over its -cap..cap."""
 
-    config: SportConfig
-    tempo: TempoModel
-    balance: BalanceModel
+    config: SportConfig = SportConfig._instance
+    tempo: TempoModel = TempoModel._instance
+    balance: BalanceModel = BalanceModel._instance
 
     def _check(self) -> None:
         if self.tempo.regulation_length != self.config.regulation_length:
@@ -645,28 +642,16 @@ def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel)
 def model_from_dict(data: Mapping) -> ModelArtifact:
     field = _artifact_fields(data, MODEL_SCHEMA_VERSION, "model artifact")
     config = config_from_dict(field("sport"))
-    tempo = TempoModel(
-        lambda_hat=field("tempo.lambda_hat", _number),
-        regulation_length=field("tempo.regulation_length_seconds", _integer),
-        profile=field("tempo.profile", _array(_number, float)),
-        interarrival_gaps=field("tempo.interarrival.gaps", _array(_integer, np.int64)),
-        interarrival_probs=field("tempo.interarrival.probs", _array(_number, float)),
-    )
-    scoring = LeadScoring(
-        phi=field("balance.phi", _array(_number, float)),
-        counts=field("balance.phi_counts", _array(_integer, np.int64)),
-        fit=LinearFit(
-            slope=field("balance.phi_fit.slope"),
-            intercept=field("balance.phi_fit.intercept"),
-            slope_stderr=field("balance.phi_fit.slope_stderr"),
-            n_states=field("balance.phi_fit.n_states", _integer),
-        ),
-    )
-    balance = BalanceModel(
-        c_hat_samples=field("balance.c_hat_samples", _array(_number, float)),
-        scoring=scoring,
-        point_values=field("balance.point_values", _point_values),
-    )
+    tempo = TempoModel._read(field, dict(
+        lambda_hat="tempo.lambda_hat", regulation_length="tempo.regulation_length_seconds",
+        profile="tempo.profile", interarrival_gaps="tempo.interarrival.gaps",
+        interarrival_probs="tempo.interarrival.probs"))
+    fit = LinearFit._read(field, {name: f"balance.phi_fit.{name}" for name in (
+        "slope", "intercept", "slope_stderr", "n_states")})
+    scoring = LeadScoring._read(field, dict(phi="balance.phi", counts="balance.phi_counts"),
+                                fit=fit)
+    balance = BalanceModel._read(field, dict(c_hat_samples="balance.c_hat_samples",
+                                             point_values="balance.point_values"), scoring=scoring)
     return ModelArtifact(config=config, tempo=tempo, balance=balance)
 
 

@@ -56,6 +56,7 @@ import io
 import json
 import os
 from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -141,8 +142,10 @@ def _record(line: int, row: Sequence) -> tuple[str, str, int, int, int]:
         if value is None or value == "":
             raise _fail(line, field, "missing value")
     for field, value in zip(CSV_COLUMNS[:3], row):  # JSONL values may be of any type
-        if not isinstance(value, str):
-            raise _fail(line, field, f"expected a string, got {type(value).__name__}")
+        try:
+            _string(value)
+        except TypeError as exc:
+            raise _fail(line, field, str(exc)) from None
     sport, game_id, team, t, points = row
     sign = _TEAM_SIGNS.get(team.strip().lower())
     if sign is None:
@@ -609,8 +612,9 @@ class CorpusReport(_Record):
     n_games: int = _integer
     n_events: int = _integer
     events_per_game: float = _number
-    per_sport: Mapping[str, SportSummary]
-    failures: tuple[str, ...]
+    per_sport: Mapping[str, SportSummary] = lambda sports: MappingProxyType(
+        {_string(sport): SportSummary._instance(s) for sport, s in dict(sports).items()})
+    failures: tuple[str, ...] = lambda failures: tuple(map(_string, failures))
 
     def summary_line(self) -> str:
         return (

@@ -178,9 +178,9 @@ class ModelSpec(_Record, eq=False):
 
     tempo_kind: TempoKind = TempoKind
     balance_kind: BalanceKind = BalanceKind
-    tempo: TempoModel
-    balance: BalanceModel
-    config: SportConfig
+    tempo: TempoModel = TempoModel._instance
+    balance: BalanceModel = BalanceModel._instance
+    config: SportConfig = SportConfig._instance
     seed: int = check_seed
 
     def _check(self) -> None:

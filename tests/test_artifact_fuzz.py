@@ -7,6 +7,7 @@ allowed outcomes are a valid object or a ValueError.
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,14 @@ def replaced(data, value, *path):
         (replaced(MODEL, 3.5, "tempo", "regulation_length_seconds"),
          r"field 'tempo\.regulation_length_seconds': expected an integer"),
         (replaced(MODEL, "0.5", "tempo", "profile", 3), r"field 'tempo\.profile'"),
+        (replaced(MODEL, [float(g) for g in MODEL["tempo"]["interarrival"]["gaps"]],
+                  "tempo", "interarrival", "gaps"),
+         r"^model artifact: field 'tempo\.interarrival\.gaps': interarrival_gaps must be "
+         r"integers, got values of dtype float64$"),
+        (replaced(MODEL, [float(n) for n in MODEL["balance"]["phi_counts"]],
+                  "balance", "phi_counts"),
+         r"^model artifact: field 'balance\.phi_counts': phi transition counts must be "
+         r"nonnegative integers$"),
         (replaced(MODEL, [], "balance", "phi"), r"phi and counts must share one odd length"),
         (replaced(MODEL, MODEL["balance"]["phi_counts"][:-1], "balance", "phi_counts"),
          r"phi and counts must share one odd length"),
@@ -134,14 +143,17 @@ def test_malformed_model_names_the_field(data, message):
 @pytest.mark.parametrize(
     "path, entry, message",
     [
-        (("tempo", "profile"), True, "expected a number, got bool"),
-        (("tempo", "profile"), "0.5", "expected a number, got str"),
-        (("tempo", "profile"), None, "expected a number, got NoneType"),
-        (("tempo", "profile"), [0.5], "expected a number, got list"),
-        (("tempo", "profile"), 10**400, "int too large to convert to float"),
-        (("tempo", "interarrival", "gaps"), 2**64, "Python int too large to convert to C long"),
-        (("tempo", "interarrival", "gaps"), 2.5, "expected an integer, got 2.5"),
-        (("tempo", "interarrival", "gaps"), False, "expected a number, got bool"),
+        (("tempo", "profile"), True, "profile must be numbers, got a bool entry"),
+        (("tempo", "profile"), "0.5", "profile must be numbers, got values of dtype <U32"),
+        (("tempo", "profile"), None, "profile must be numbers, got values of dtype object"),
+        (("tempo", "profile"), [0.5], "profile must be 1-dimensional, got a ragged list"),
+        (("tempo", "profile"), 10**400, "profile must be numbers, got values of dtype object"),
+        (("tempo", "interarrival", "gaps"), 2**64,
+         "interarrival_gaps must be integers, got values of dtype object"),
+        (("tempo", "interarrival", "gaps"), 2.5,
+         "interarrival_gaps must be integers, got values of dtype float64"),
+        (("tempo", "interarrival", "gaps"), False,
+         "interarrival_gaps must be integers, got a bool entry"),
     ],
 )
 def test_one_bad_entry_in_a_long_list_names_the_field(path, entry, message):
@@ -169,6 +181,10 @@ def test_one_bad_entry_in_a_long_list_names_the_field(path, entry, message):
         (replaced(CONFIG, [720, None], "period_ends"), r"field 'period_ends'"),
         (replaced(CONFIG, {"2": "x"}, "point_values"), r"field 'point_values'"),
         ("NBA", r"sport config: expected a JSON object, got str"),
+        *[(replaced(CONFIG, {key: 1.0}, "point_values"),
+           f"^sport config: field 'point_values': point value {re.escape(repr(key))} is not a "
+           "positive integer$")
+          for key in ["1_0", " 2", "+2", "02", "\u0662", "2.0"]],
     ],
 )
 def test_malformed_config_names_the_field(data, message):

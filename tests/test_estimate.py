@@ -446,7 +446,9 @@ class TestLeadScoring:
         with pytest.raises(ValueError, match="phi and counts must share one odd length"):
             sd.LeadScoring(phi=np.full(length, 0.5), counts=np.zeros(length, np.int64), fit=fit)
 
-    @pytest.mark.parametrize("counts", [[0.7, 0, 0], [0.0, 0.0, 0.0], [True, False, True]])
+    @pytest.mark.parametrize(
+        "counts", [[0.7, 0, 0], [0.0, 0.0, 0.0], [True, False, True], [0, True, 0]]
+    )
     def test_non_integer_counts_refused(self, counts):
         fit = sd.LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
         with pytest.raises(ValueError, match="phi transition counts must be nonnegative integers"):
@@ -598,16 +600,17 @@ class TestModelArtifact:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("slope", float("nan"), "slope must be a finite number"),
-            ("intercept", float("inf"), "intercept must be a finite number"),
-            ("slope_stderr", float("-inf"), "slope_stderr must be a finite number"),
-            ("slope", "0.1", "slope must be a finite number"),
+            ("slope", float("nan"), "expected a finite number or None, got nan"),
+            ("intercept", float("inf"), "expected a finite number or None, got inf"),
+            ("slope_stderr", float("-inf"), "expected a finite number or None, got -inf"),
+            ("slope", "0.1", "expected a number, got str"),
         ],
     )
     def test_non_finite_phi_fit_rejected(self, field, value, message):
         data = fitted_model_dict()
         assert data["balance"]["phi_fit"]["slope_stderr"] is not None
         data["balance"]["phi_fit"][field] = value
+        message = f"^model artifact: field 'balance\\.phi_fit\\.{field}': {message}$"
         with pytest.raises(ValueError, match=message):
             sd.estimate.model_from_dict(data)
 

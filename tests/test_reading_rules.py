@@ -97,10 +97,19 @@ class TestBoolsAreNotIntegers:
         with pytest.raises(ValueError, match="^league spec: field 'seed': 'bool' object"):
             sd.default_league(n_games=2, seed=True)
 
+    @pytest.mark.parametrize("key", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_point_values_refuse_a_bool(self, key):
+        message = f"point value {key!r} is not a positive integer$"
+        with pytest.raises(ValueError, match="^sport config: field 'point_values': " + message):
+            sd.SportConfig("custom", 100, (100,), {key: 1.0}, 10)
+        with pytest.raises(ValueError, match="^" + message):
+            sd.build_chain(np.full(3, 0.5), {key: 1.0})
+
     @pytest.mark.parametrize("name", ["slope", "intercept", "slope_stderr"])
     def test_linear_fit_refuses_a_bool(self, name):
         fields = dict(slope=None, intercept=None, slope_stderr=None, n_states=0) | {name: True}
-        with pytest.raises(ValueError, match=f"{name} must be a finite number or None, got True$"):
+        message = f"^linear fit: field '{name}': expected a number, got bool$"
+        with pytest.raises(ValueError, match=message):
             sd.LinearFit(**fields)
 
 
@@ -111,6 +120,11 @@ class TestColumns:
             sd.GameLog("g", "NFL", [1, 2], [1, bool_], [3, 3])
         with pytest.raises(ValueError, match="^gaps must be numbers, got a bool entry$"):
             sd.gap_correlation([bool_, 3, 2, 5], 2)
+
+    def test_a_ragged_list_is_refused(self):
+        message = "^profile must be 1-dimensional, got a ragged list$"
+        with pytest.raises(ValueError, match=message):
+            sd.TempoModel(0.01, 2, [0.0, 0.1, [0.2]], [1], [1.0])
 
     def test_a_nested_game_log_is_refused(self):
         with pytest.raises(ValueError, match=r"^times must be 1-dimensional, got shape \(1, 2\)$"):

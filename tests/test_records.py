@@ -64,13 +64,39 @@ def test_array_fields_are_read_only_after_construction_and_replace(record):
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_replace_reruns_the_converters(record):
     converters = type(record)._converters
-    assert converters or isinstance(record, ModelArtifact)
+    assert converters
     for name, convert, _ in converters:
         # a column refuses in its own words; any other field under the record's name
         own_words = getattr(convert, "func", None) is _column
         message = f"^{name} must be" if own_words else f"^[a-z ]+: field {name!r}: "
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(record, **{name: object()})
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_every_field_declares_a_converter(record):
+    declared = [name for name, _, _ in type(record)._converters]
+    assert declared == [field.name for field in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize(
+    "record, name, kind",
+    [(ModelArtifact, "config", "SportConfig"), (sd.BalanceModel, "scoring", "LeadScoring"),
+     (LeadScoring, "fit", "LinearFit"), (sd.ModelSpec, "tempo", "TempoModel")],
+)
+def test_a_nested_record_field_refuses_none(record, name, kind):
+    built = next(r for r in RECORDS if type(r) is record)
+    message = f"^[a-z ]+: field {name!r}: expected a {kind}, got NoneType$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(built, **{name: None})
+
+
+def test_a_corpus_report_is_read_only():
+    report = next(r for r in RECORDS if isinstance(r, sd.CorpusReport))
+    with pytest.raises(TypeError):
+        report.per_sport["X"] = 1
+    with pytest.raises(ValueError, match="^corpus report: field 'failures': expected a string"):
+        dataclasses.replace(report, failures=[1])
 
 
 def test_replace_reruns_the_cross_field_checks():
