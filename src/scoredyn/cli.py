@@ -39,7 +39,7 @@ from .estimate import (
     load_model,
     save_model,
 )
-from .ingest import IngestError, parse_event_file, validate_corpus, write_event_file
+from .ingest import FORMATS, IngestError, parse_event_file, validate_corpus, write_event_file
 from .predict import build_chain, evaluate_predictability, forecast
 from .rng import check_seed
 
@@ -276,9 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p):
+        p.add_argument("--format", choices=FORMATS, default=None)
+
     def add_io(p, needs_out=True):
         p.add_argument("--in", dest="infile", required=True, help="input event-log file")
-        p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+        add_format(p)
         source = p.add_mutually_exclusive_group()  # --config resolves the sport itself
         source.add_argument("--sport", default=None, help="built-in sport id (cfb/nfl/nhl/nba)")
         source.add_argument("--config", default=None, help="path to a sport config JSON")
@@ -287,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a corpus and report counts and failures")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    add_format(p)
     p.add_argument("--config", default=None, help="path to a sport config JSON")
     p.set_defaults(func=_cmd_validate)
 
@@ -303,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-games", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    add_format(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("predict", help="forecast win/tie/loss from a game state")
@@ -331,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="write ground-truth sidecar JSON here")
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    add_format(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("report", help="regenerate every fitted curve from a corpus")

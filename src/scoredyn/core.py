@@ -29,10 +29,11 @@ number, an integer, a position (`_index`), an id (`_string`, `_strings`)
 and an array of one shape (`_column`) are read, the team a lead's sign
 names (`_team`), a corpus's slices (`Corpus._slices`) and the sports
 (`BUILTIN_SPORTS`). Every field of a public record declares a converter
-(a nested record's is `_Record._instance`), and the artifact readers
-read each JSON path through its field's (`_Record._read`): a file takes
-what a record takes. `estimate.ModelArtifact` checks that models fit a
-config, and `ingest._infer_format` that a format exists.
+(a nested record's is `_Record._instance`). A saved record's JSON layout
+is its fields, each at its name or at its `_paths` entry; `_dump` writes
+it and `_load` reads each path through its field's converter, so a file
+takes what a record takes. `estimate.ModelArtifact` checks that models
+fit a config, and `ingest._infer_format` that a format exists.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import tempfile
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain
 from numbers import Real
 from types import MappingProxyType
@@ -59,22 +60,9 @@ TEAM_B = "b"
 #: Probability mass of a pmf may deviate from 1 by at most this much.
 PMF_TOLERANCE = 1e-9
 
-CONFIG_SCHEMA_VERSION = "1.0"
-
 _CHUNK_GAMES = 1024  # games per batch or slice: bounds working memory, amortises numpy calls
 _WORK_WORDS = 1 << 20  # the one working-memory bound (8 MB of words): draw buffer, tail table
 _EVENT_COLUMNS = (("times", np.int64), ("teams", np.int8), ("points", np.int64))
-
-
-def require_schema_major(version: str, expected: str, context: str) -> None:
-    """Reject serialized artifacts whose schema major version is unknown."""
-    major = str(version).split(".", 1)[0]
-    expected_major = expected.split(".", 1)[0]
-    if major != expected_major:
-        raise ValueError(
-            f"{context}: unsupported schema version {version!r} "
-            f"(supported major: {expected_major})"
-        )
 
 
 @contextmanager
@@ -166,9 +154,11 @@ def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1)
     integral = np.issubdtype(dtype, np.integer)
     kind = "integers" if integral else "numbers"
     if column.size and column.dtype != dtype:
-        if column.dtype.kind not in ("iu" if integral else "iuf"):
+        if column.dtype.kind not in ("iu" if integral else "iuf") and not (
+            integral and isinstance(values, (list, tuple)) and set(map(type, values)) == {int}
+        ):  # ints that numpy reads as float or object are past uint64: they do not fit
             raise ValueError(f"{name} must be {kind}, got values of dtype {column.dtype}")
-        if integral and (column.astype(dtype) != column).any():
+        if integral and (column.dtype.kind not in "iu" or (column.astype(dtype) != column).any()):
             raise ValueError(f"{name} must fit in {np.dtype(dtype)}")
     if isinstance(values, (list, tuple)) and {bool, np.bool_} & set(map(type, values)):
         raise ValueError(f"{name} must be {kind}, got a bool entry")
@@ -207,8 +197,11 @@ def _team(lead) -> str | None:
 class _Record:
     """Base of every record (see above); `eq=False` compares by identity."""
 
+    _paths: Mapping[str, str] = {}  # the JSON path of each field saved under another name
+    _schema: str | None = None  # the schema version of a record saved as an artifact of its own
+
     def __init_subclass__(cls, eq: bool = True) -> None:
-        context = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        cls._context = context = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
         converters = []
         for name in vars(cls).get("__annotations__", {}):
             convert = vars(cls).get(name)
@@ -239,13 +232,56 @@ class _Record:
             raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
         return value
 
+    def _dump(self) -> dict:
+        """The record's JSON object: every field at its path (see `_paths`)."""
+        data = {"schema_version": self._schema} if self._schema else {}
+        for name, _, _ in self._converters:
+            value, path = _json(getattr(self, name)), self._paths.get(name, name)
+            if path:
+                *keys, key = path.split(".")
+                reduce(lambda parent, k: parent.setdefault(k, {}), keys, data)[key] = value
+            else:  # a nested record saved flat beside the other fields
+                data.update(value)
+        return data
+
     @classmethod
-    def _read(cls, field: Callable, paths: Mapping[str, str], **values) -> _Record:
-        """The record of `values` and of the JSON values at `paths` (a dotted path
-        per field name), each read by `_field` through its field's converter."""
-        converters = {name: convert for name, convert, _ in cls._converters}
-        values.update((name, field(path, converters[name])) for name, path in paths.items())
+    def _load(cls, field: Callable, prefix: str = "") -> _Record:
+        """The record read by `field` (a `_field` reader): each field at its path under `prefix`."""
+        values = {}
+        for name, convert, _ in cls._converters:
+            path = ".".join(filter(None, (prefix, cls._paths.get(name, name))))
+            record = getattr(convert, "__self__", None)  # a nested record's `_instance`
+            if not isinstance(record, type):
+                values[name] = field(path, convert)
+            elif record._schema:  # an artifact of its own, refused in its own context
+                values[name] = record._from_json(field(path))
+            else:
+                values[name] = record._load(field, path)
         return cls(**values)
+
+    @classmethod
+    def _from_json(cls, data) -> _Record:
+        """The record saved as the JSON object `data`, of a known schema major."""
+        context, major = cls._context, cls._schema.split(".")[0]
+        if not isinstance(data, Mapping):
+            raise ValueError(f"{context}: expected a JSON object, got {type(data).__name__}")
+        if str(version := data.get("schema_version", "0")).split(".")[0] != major:
+            raise ValueError(
+                f"{context}: unsupported schema version {version!r} (supported major: {major})"
+            )
+        return cls._load(partial(_field, context, data))
+
+
+def _json(value):
+    """A field's value as JSON: a record as its `_dump`, an array or a tuple as
+    a list, a mapping with `str` keys."""
+    if isinstance(value, _Record):
+        return value._dump()
+    if isinstance(value, Mapping):
+        return {str(k): v for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 class SportConfig(_Record):
@@ -271,6 +307,9 @@ class SportConfig(_Record):
     period_ends: tuple[int, ...] = lambda values: tuple(map(_integer, values))
     point_values: Mapping[int, float] = _validated_point_values
     lead_truncation: int = _integer
+
+    _paths = {"regulation_length": "regulation_length_seconds"}
+    _schema = "1.0"
 
     def _check(self) -> None:
         if self.sport_id not in SPORT_IDS:
@@ -585,14 +624,7 @@ def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def config_to_dict(config: SportConfig) -> dict:
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "sport_id": config.sport_id,
-        "regulation_length_seconds": config.regulation_length,
-        "period_ends": list(config.period_ends),
-        "point_values": {str(v): p for v, p in config.point_values.items()},
-        "lead_truncation": config.lead_truncation,
-    }
+    return config._dump()
 
 
 def _point_values(value) -> dict:
@@ -626,14 +658,6 @@ def _field(context: str, data: Mapping, path: str, convert: Callable | None = No
         raise ValueError(f"{context}: field {path!r}: {exc}") from None
 
 
-def _artifact_fields(data, version: str, context: str) -> Callable:
-    """Check that `data` is an object of a known schema major; return its `_field` reader."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{context}: expected a JSON object, got {type(data).__name__}")
-    require_schema_major(data.get("schema_version", "0"), version, context)
-    return partial(_field, context, data)
-
-
 def _load_json(path: str | os.PathLike, context: str):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -645,10 +669,7 @@ def _load_json(path: str | os.PathLike, context: str):
 
 
 def config_from_dict(data: Mapping) -> SportConfig:
-    field = _artifact_fields(data, CONFIG_SCHEMA_VERSION, "sport config")
-    return SportConfig._read(field, dict(
-        sport_id="sport_id", regulation_length="regulation_length_seconds",
-        period_ends="period_ends", point_values="point_values", lead_truncation="lead_truncation"))
+    return SportConfig._from_json(data)
 
 
 def save_config(config: SportConfig, path: str | os.PathLike) -> None:

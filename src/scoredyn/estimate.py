@@ -33,7 +33,6 @@ from .core import (
     Corpus,
     GameLog,
     SportConfig,
-    _artifact_fields,
     _checked_corpus,
     _event_leads,
     _integer,
@@ -44,11 +43,7 @@ from .core import (
     _ints,
     _validated_point_values,
     atomic_write_text,
-    config_from_dict,
-    config_to_dict,
 )
-
-MODEL_SCHEMA_VERSION = "1.0"
 
 
 # --------------------------------------------------------------------------
@@ -87,6 +82,9 @@ class TempoModel(_Record, eq=False):
     profile: np.ndarray = _floats
     interarrival_gaps: np.ndarray = _ints
     interarrival_probs: np.ndarray = _floats
+
+    _paths = {"regulation_length": "regulation_length_seconds",
+              "interarrival_gaps": "interarrival.gaps", "interarrival_probs": "interarrival.probs"}
 
     def _check(self) -> None:
         if not (np.isfinite(self.lambda_hat) and self.lambda_hat > 0):
@@ -141,6 +139,8 @@ class LeadScoring(_Record, eq=False):
     counts: np.ndarray = _transition_counts
     fit: LinearFit = LinearFit._instance
 
+    _paths = {"counts": "phi_counts", "fit": "phi_fit"}
+
     def _check(self) -> None:
         if not len(self.phi) == len(self.counts) or len(self.phi) % 2 != 1:
             raise ValueError("phi and counts must share one odd length")
@@ -158,6 +158,8 @@ class BalanceModel(_Record, eq=False):
     c_hat_samples: np.ndarray = _floats
     scoring: LeadScoring = LeadScoring._instance
     point_values: Mapping[int, float] = _validated_point_values
+
+    _paths = {"scoring": ""}  # phi, its counts and its fit sit flat beside the fractions
 
     def _check(self) -> None:
         samples = self.c_hat_samples
@@ -607,6 +609,9 @@ class ModelArtifact(_Record):
     tempo: TempoModel = TempoModel._instance
     balance: BalanceModel = BalanceModel._instance
 
+    _paths = {"config": "sport"}
+    _schema = "1.0"
+
     def _check(self) -> None:
         if self.tempo.regulation_length != self.config.regulation_length:
             raise ValueError("tempo model and sport config disagree on regulation length")
@@ -615,50 +620,16 @@ class ModelArtifact(_Record):
 
 
 def model_to_dict(config: SportConfig, tempo: TempoModel, balance: BalanceModel) -> dict:
-    fit = balance.scoring.fit
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "sport": config_to_dict(config),
-        "tempo": {
-            "lambda_hat": tempo.lambda_hat,
-            "regulation_length_seconds": tempo.regulation_length,
-            "profile": tempo.profile.tolist(),
-            "interarrival": {
-                "gaps": tempo.interarrival_gaps.tolist(),
-                "probs": tempo.interarrival_probs.tolist(),
-            },
-        },
-        "balance": {
-            "c_hat_samples": balance.c_hat_samples.tolist(),
-            "phi": balance.phi.tolist(),
-            "phi_counts": balance.scoring.counts.tolist(),
-            "phi_fit": {"slope": fit.slope, "intercept": fit.intercept,
-                        "slope_stderr": fit.slope_stderr, "n_states": fit.n_states},
-            "point_values": {str(v): p for v, p in balance.point_values.items()},
-        },
-    }
+    return ModelArtifact(config, tempo, balance)._dump()  # refuses models that do not fit
 
 
 def model_from_dict(data: Mapping) -> ModelArtifact:
-    field = _artifact_fields(data, MODEL_SCHEMA_VERSION, "model artifact")
-    config = config_from_dict(field("sport"))
-    tempo = TempoModel._read(field, dict(
-        lambda_hat="tempo.lambda_hat", regulation_length="tempo.regulation_length_seconds",
-        profile="tempo.profile", interarrival_gaps="tempo.interarrival.gaps",
-        interarrival_probs="tempo.interarrival.probs"))
-    fit = LinearFit._read(field, {name: f"balance.phi_fit.{name}" for name in (
-        "slope", "intercept", "slope_stderr", "n_states")})
-    scoring = LeadScoring._read(field, dict(phi="balance.phi", counts="balance.phi_counts"),
-                                fit=fit)
-    balance = BalanceModel._read(field, dict(c_hat_samples="balance.c_hat_samples",
-                                             point_values="balance.point_values"), scoring=scoring)
-    return ModelArtifact(config=config, tempo=tempo, balance=balance)
+    return ModelArtifact._from_json(data)
 
 
 def save_model(
     path: str | os.PathLike, config: SportConfig, tempo: TempoModel, balance: BalanceModel
 ) -> None:
-    ModelArtifact(config, tempo, balance)  # refuses models that do not fit the config
     atomic_write_text(
         path, json.dumps(model_to_dict(config, tempo, balance), sort_keys=True) + "\n"
     )

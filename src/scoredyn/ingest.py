@@ -78,6 +78,7 @@ from .core import (
 )
 
 CSV_COLUMNS = ("sport", "game_id", "team", "t", "points")
+FORMATS = ("csv", "jsonl")  # the event-file formats
 
 _TEAM_SIGNS = {"r": 1, "b": -1, "home": 1, "away": -1}
 
@@ -371,7 +372,7 @@ def _row_records(
 def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
     """`fmt` if it is 'csv' or 'jsonl', else (when None) the one `path` names."""
     if fmt is not None:
-        if fmt not in ("csv", "jsonl"):
+        if fmt not in FORMATS:
             raise IngestError(f"unknown format {fmt!r}, expected 'csv' or 'jsonl'")
         return fmt
     suffix = os.path.splitext(os.fspath(path))[1].lower()

@@ -13,12 +13,14 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from numbers import Real
+from contextlib import suppress
 from typing import Mapping
 
 import numpy as np
 
-from .core import Corpus, SportConfig, _floats, _integer, _Record, _validated_point_values
+from .core import (
+    Corpus, SportConfig, _floats, _integer, _number, _Record, _validated_point_values,
+)
 from .rng import check_seed
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
 
@@ -26,10 +28,11 @@ PROB_CLAMP = 1e-6
 
 
 def _event_probability(rate) -> float:
-    """A number in [0, 1]: not a bool, an array or NaN."""
-    if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
-        raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
-    return float(rate)
+    """A number (`_number`) in [0, 1], so not NaN."""
+    with suppress(TypeError):
+        if 0.0 <= (probability := _number(rate)) <= 1.0:
+            return probability
+    raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
 
 
 class LeagueSpec(_Record, eq=False):
@@ -47,6 +50,8 @@ class LeagueSpec(_Record, eq=False):
     tempo: float = _event_probability
     point_values: Mapping[int, float] = _validated_point_values
     seed: int = check_seed
+
+    _paths = {"regulation_length": "regulation_length_seconds"}
 
     def _check(self) -> None:
         skills = self.skills
@@ -141,12 +146,4 @@ def league_config(spec: LeagueSpec, lead_cap: int = 100) -> SportConfig:
 
 def league_truth(spec: LeagueSpec) -> dict:
     """Ground-truth sidecar describing exactly what was generated."""
-    return {
-        "n_teams": spec.n_teams,
-        "skills": spec.skills.tolist(),
-        "schedule": [list(m) for m in spec.schedule],
-        "regulation_length_seconds": spec.regulation_length,
-        "tempo": spec.tempo,
-        "point_values": {str(v): float(p) for v, p in spec.point_values.items()},
-        "seed": spec.seed,
-    }
+    return {**spec._dump(), "n_teams": spec.n_teams}

@@ -148,8 +148,8 @@ def test_malformed_model_names_the_field(data, message):
         (("tempo", "profile"), None, "profile must be numbers, got values of dtype object"),
         (("tempo", "profile"), [0.5], "profile must be 1-dimensional, got a ragged list"),
         (("tempo", "profile"), 10**400, "profile must be numbers, got values of dtype object"),
-        (("tempo", "interarrival", "gaps"), 2**64,
-         "interarrival_gaps must be integers, got values of dtype object"),
+        (("tempo", "interarrival", "gaps"), 2**64, "interarrival_gaps must fit in int64"),
+        (("tempo", "interarrival", "gaps"), 2**63, "interarrival_gaps must fit in int64"),
         (("tempo", "interarrival", "gaps"), 2.5,
          "interarrival_gaps must be integers, got values of dtype float64"),
         (("tempo", "interarrival", "gaps"), False,

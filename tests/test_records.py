@@ -123,6 +123,11 @@ class TestNothingTruncatedOrParsed:
         with pytest.raises(ValueError, match=message):
             tempo(interarrival_gaps=gaps, interarrival_probs=probs)
 
+    @pytest.mark.parametrize("gaps", [[1, 2**63], (1, 2**64)])
+    def test_integer_gaps_past_int64_refused_as_out_of_range(self, gaps):
+        with pytest.raises(ValueError, match="^interarrival_gaps must fit in int64$"):
+            tempo(interarrival_gaps=gaps)
+
     def test_integral_regulation_length_is_an_int(self):
         model = tempo(regulation_length=600.0)
         assert model.regulation_length == 600 and type(model.regulation_length) is int
@@ -206,3 +211,19 @@ class TestOneRecordKind:
                 if "dataclasses" in names:
                     importers.append(module.__name__)
         assert importers == ["scoredyn.core"]
+
+
+class TestOneLayout:
+    """A saved record's JSON layout is its fields, each at its `_paths` entry or its name."""
+
+    @pytest.mark.parametrize(
+        "cls", [cls for cls in CLASSES if vars(cls).get("_paths")], ids=lambda cls: cls.__name__
+    )
+    def test_every_path_names_a_converted_field(self, cls):
+        # a misspelt key would save its field under the field's own name, silently
+        assert set(cls._paths) <= {name for name, _, _ in cls._converters}
+
+    @pytest.mark.parametrize("sport", sd.BUILTIN_SPORTS)
+    def test_a_sport_config_reads_back_its_own_dump(self, sport):
+        config = sd.builtin_config(sport)
+        assert sd.SportConfig._from_json(config._dump()) == config
