@@ -57,7 +57,7 @@ def __getattr__(name: str):
 
 def _write_csv(path: Path, **columns) -> None:
     """Write equal-length columns as CSV, headed by their keyword names in order."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True)
     lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

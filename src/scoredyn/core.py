@@ -14,15 +14,17 @@ corpus is a `GameLog` of read-only views on those columns, built only
 when it is asked for. `Corpus.of` lays a hand-built list of games out
 once, so every `(games, ...)` entry point takes either.
 
-Every record, here and in the other modules, is a frozen `_Record`
-dataclass, safe to share across workers, whose fields each declare one
-converter. `_number` refuses a non-number or bool, `_integer` also a
-fraction, `_string` a non-string, the read-only columns `_ints` and
-`_floats` values of another kind, the point-value pmf an invalid pmf, a
-seed one outside [0, 2**64), an enum an unknown value; none truncates or
-parses. Construction and `dataclasses.replace` convert the fields in
-order, then run the record's cross-field `_check`. A column refuses as
-"times must be integers, ...", any other field as "game log: field ...".
+Every record, here and in the other modules, is a frozen `_Record`, safe
+to share across workers, whose fields each declare one converter; its
+dataclass registry holds only the fields, and `_Record` writes the methods
+once, so an import compiles none. `_number` refuses a non-number or bool,
+`_integer` also a fraction, `_string` a non-string, the read-only columns
+`_ints` and `_floats` values of another kind, the point-value pmf an
+invalid pmf, a seed one outside [0, 2**64), an enum an unknown value;
+none truncates or parses. Construction and `dataclasses.replace` convert
+the fields in order, then run the record's cross-field `_check`. A column
+refuses as "times must be integers, ...", any other field as "game log:
+field ...".
 
 Each rule has one home, which records and public functions share: how a
 number, an integer, a position (`_index`), an id (`_string`, `_strings`)
@@ -45,7 +47,7 @@ import re
 import tempfile
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain
 from numbers import Real
@@ -195,7 +197,8 @@ def _team(lead) -> str | None:
 
 
 class _Record:
-    """Base of every record (see above); `eq=False` compares by identity."""
+    """Base of every record (see above): `__eq__` and `__hash__` go by the
+    fields, or by identity for `eq=False` unless the class writes its own."""
 
     _paths: Mapping[str, str] = {}  # the JSON path of each field saved under another name
     _schema: str | None = None  # the schema version of a record saved as an artifact of its own
@@ -210,8 +213,20 @@ class _Record:
                 named = getattr(convert, "func", None) is _column  # names the field in its refusals
                 refusal = "" if named else f"{context}: field {name!r}: "
                 converters.append((name, partial(convert, name) if named else convert, refusal))
-        cls._converters = tuple(converters)
-        dataclass(frozen=True, eq=eq)(cls)
+        cls._converters, cls._eq = tuple(converters), eq
+        fields = dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
+        cls._names = fields.keys()  # in declared order
+        cls._defaults = {name: f.default for name, f in fields.items() if f.default is not MISSING}
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Each field by position or keyword, or its default; then `__post_init__`."""
+        names, given = self._names, dict(zip(self._names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != names:
+            raise TypeError(f"{type(self).__name__}() takes the fields {tuple(names)}, got "
+                            f"{len(args)} positional arguments and the keywords {tuple(kwargs)}")
+        vars(self).update({name: values[name] for name in names})  # `vars` in declared order
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         values = vars(self)
@@ -222,8 +237,35 @@ class _Record:
                 raise ValueError(f"{refusal}{exc}") from None
         self._check()
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if self._eq and other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return True if self is other else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values()) if self._eq else object.__hash__(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def _check(self) -> None:
         """Raise ValueError unless the converted fields agree with each other."""
+
+    def _same_length(self, *names: str) -> None:
+        """Raise ValueError unless the columns `names` share one length."""
+        if len({len(getattr(self, name)) for name in names}) > 1:
+            got = ", ".join(f"{name} {len(getattr(self, name))}" for name in names)
+            raise ValueError(f"{self._context}: columns must share one length, got {got}")
 
     @classmethod
     def _instance(cls, value) -> _Record:
@@ -616,6 +658,9 @@ def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
     """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length."""
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    if sample_every > regulation_length:
+        raise ValueError(f"sample_every must be <= regulation_length ({regulation_length}), "
+                         f"got {sample_every}")
     return np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)
 
 

@@ -210,6 +210,9 @@ class EventCountDistribution(_Record, eq=False):
     reference_pmf: np.ndarray = _floats
     reference_mean: float = _number
 
+    def _check(self) -> None:
+        self._same_length("counts", "empirical_pmf", "reference_pmf")
+
 
 # Cephes `lgam` (the routine behind `scipy.special.gammaln`) at integer
 # arguments: its Stirling-series coefficients and log(sqrt(2 pi)).
@@ -305,6 +308,10 @@ class InterarrivalDistribution(_Record, eq=False):
     reference_pmf: np.ndarray = _floats
     reference_ccdf: np.ndarray = _floats
     reference_mean: float = _number
+
+    def _check(self) -> None:
+        columns = "gaps", "empirical_pmf", "empirical_ccdf", "reference_pmf", "reference_ccdf"
+        self._same_length(*columns)
 
     @property
     def empirical_mean(self) -> float:

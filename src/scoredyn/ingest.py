@@ -601,6 +601,8 @@ def write_event_file(
 
 
 class SportSummary(_Record):
+    """One sport's counts in a `CorpusReport`."""
+
     sport_id: str = _string
     n_games: int = _integer
     n_events: int = _integer

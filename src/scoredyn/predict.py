@@ -188,6 +188,9 @@ class PredictabilityCurve(_Record, eq=False):
     auc_leader: np.ndarray = _floats
     n_games_scored: np.ndarray = _ints
 
+    def _check(self) -> None:
+        self._same_length("event_index", "auc_chain", "auc_leader", "n_games_scored")
+
 
 def outcome_table(chain: LeadChain, max_steps: int) -> np.ndarray:
     """r's win probability for every step count and start lead.

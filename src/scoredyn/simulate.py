@@ -52,6 +52,7 @@ games.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -467,32 +468,43 @@ def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> np.ndarray:
 # exact_lead_sd drops the event counts n >= n_cut, n_cut the first n
 # with P(N(T) >= n) below this.
 _TAIL_MASS = 1e-15
-# Tail entries below this are dropped from the per-second count DP; over
-# T + 1 seconds they carry less than (T + 1) * 1e-30 probability in all.
+# Tail entries below this are dropped from each block's count pmf (at most
+# one per second) and from the top of the folded law.
 _NEGLIGIBLE = 1e-30
 
 
 def _bernoulli_count_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """P(N(s) = n) for s on `grid` (rows) and n < n_cut (columns), N(s) the
-    number of events in seconds 0..s: a DP over the seconds of `profile`."""
-    dist = np.zeros(len(profile) + 1)
-    dist[0] = 1.0
-    hi = 1  # dist[hi:] is zero
-    stops = set(grid.tolist())
-    rows = []
-    for t, p in enumerate(profile.tolist()):
-        if p:
-            step = np.convolve(dist[:hi], (1.0 - p, p))  # times (1 - p + p z)
-            if step[-1] < _NEGLIGIBLE:
-                step[-1] = 0.0
-            else:
-                hi += 1
-            dist[: len(step)] = step
-        if t in stops:
-            rows.append(dist[:hi].copy())
+    number of events in seconds 0..s. Every block's count pmf is built in
+    lockstep, one update per second of a block, then the pmfs are folded
+    in clock order, one `np.convolve` each. A block is second 0 or `width`
+    seconds, the largest divisor of the grid step up to sqrt(T), so one
+    ends at each grid time; a width of 1 is the per-second DP."""
+    T, every = len(profile) - 1, int(grid[1])
+    width = max(d for d in range(1, math.isqrt(T) + 1) if every % d == 0)
+    # column b: the seconds of block b, which ends at second b * width, zero-padded
+    p = np.pad(profile, (width - 1, -T % width)).reshape(-1, width).T.copy()
+    q, blocks = 1.0 - p, p.shape[1]
+    pmfs = np.zeros((width + 1, blocks))
+    pmfs[0] = 1.0
+    hi = np.ones(blocks, dtype=np.intp)  # pmfs[hi[b]:, b] is zero
+    cols = np.arange(blocks)
+    for k in range(width):
+        pmf = pmfs[: int(hi.max()) + 1]
+        pmf[1:] = pmf[1:] * q[k] + pmf[:-1] * p[k]  # times (1 - p + p z)
+        pmf[0] *= q[k]
+        small = pmfs[hi, cols] < _NEGLIGIBLE
+        pmfs[hi[small], cols[small]] = 0.0
+        hi += ~small
+    dist, dists = np.ones(1), []
+    for pmf, n in zip(pmfs.T.copy(), hi.tolist()):
+        dist = np.convolve(dist, pmf[:n])
+        while dist[-1] < _NEGLIGIBLE:
+            dist = dist[:-1]
+        dists.append(dist)
     at_least = np.append(np.cumsum(dist[::-1])[::-1], 0.0)  # P(N(T) >= n)
-    law = np.zeros((len(rows), int(np.argmax(at_least < _TAIL_MASS))))
-    for row, counts in zip(law, rows):
+    law = np.zeros((len(grid), int(np.argmax(at_least < _TAIL_MASS))))
+    for row, counts in zip(law, dists[:: every // width]):
         row[: len(counts)] = counts[: len(row)]
     return law
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scoredyn as sd
-from scoredyn.cli import main
+from scoredyn.cli import _write_csv, main
 
 
 @pytest.fixture()
@@ -442,6 +442,8 @@ class TestOutOfRangeArguments:
             (["--splits", "0"], "n_splits must be >= 1"),
             (["--balance-bins", "0"], "--balance-bins must be >= 1"),
             (["--correlation-lags", "0"], "--correlation-lags must be >= 1"),
+            (["--sample-every", "5000"],
+             "sample_every must be <= regulation_length (3600), got 5000"),
         ],
     )
     def test_report_rejects(self, nhl_corpus, tmp_path, capsys, flags, message):
@@ -451,7 +453,9 @@ class TestOutOfRangeArguments:
         assert f"error: {message}" in err
 
     @pytest.mark.parametrize(
-        "flags", [["--splits", "0"], ["--sample-every", "0"], ["--correlation-lags", "0"]]
+        "flags",
+        [["--splits", "0"], ["--sample-every", "0"], ["--correlation-lags", "0"],
+         ["--sample-every", "5000"]],
     )
     def test_rejected_report_writes_nothing(self, nhl_corpus, tmp_path, capsys, flags):
         outdir = tmp_path / "report"
@@ -550,6 +554,13 @@ class TestOutOfRangeArguments:
         assert code == 1 and " ok " not in text
         assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert sorted(os.listdir(tmp_path)) == ["games.csv", "model.json"]
+
+
+def test_csv_columns_of_unequal_length_are_refused(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+        _write_csv(path, a=[1, 2, 3], b=[1.0])
+    assert not path.exists()
 
 
 def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """The one record kind: every record converts, freezes and checks its fields
-through `core._Record`, when it is built and again through `dataclasses.replace`."""
+through `core._Record`, when it is built and again through `dataclasses.replace`,
+and takes its constructor, repr, equality and frozen assignment from it."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -45,6 +47,9 @@ def public_records() -> list:
 
 
 RECORDS = public_records()
+RECORD_CLASSES = [cls for cls in CLASSES if issubclass(cls, _Record) and cls is not _Record]
+# every record, the simulator's private law included
+EVERY_RECORD = RECORDS + [next(r for r in RECORDS if isinstance(r, sd.ModelSpec))._law]
 
 
 def test_every_public_record_is_covered():
@@ -227,3 +232,92 @@ class TestOneLayout:
     def test_a_sport_config_reads_back_its_own_dump(self, sport):
         config = sd.builtin_config(sport)
         assert sd.SportConfig._from_json(config._dump()) == config
+
+
+class TestSharedMethods:
+    """`dataclass` only registers a record's fields: the methods it used to
+    generate for each class are `_Record`'s, and behave as those did."""
+
+    def test_no_record_carries_a_generated_method(self):
+        assert len(RECORD_CLASSES) == 17
+        for cls in RECORD_CLASSES:
+            for name in ("__init__", "__repr__", "__eq__", "__setattr__", "__delattr__"):
+                method = getattr(cls, name)
+                # a generated method is compiled from a string, not read from the class's file
+                own = name in vars(cls) and method.__code__.co_filename == inspect.getfile(cls)
+                assert method is getattr(_Record, name) or own, (cls.__name__, name)
+
+    def test_every_record_class_has_an_instance_here(self):
+        assert {type(record) for record in EVERY_RECORD} == set(RECORD_CLASSES)
+
+    @pytest.mark.parametrize("record", EVERY_RECORD, ids=lambda r: type(r).__name__)
+    def test_fields_and_replace_keep_every_value(self, record):
+        copy = dataclasses.replace(record)
+        assert type(copy) is type(record) and copy is not record
+        names = [field.name for field in dataclasses.fields(record)]
+        assert names == list(type(record)._names)
+        for name in names:
+            np.testing.assert_equal(getattr(copy, name), getattr(record, name))
+
+    @pytest.mark.parametrize("record", EVERY_RECORD, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, record):
+        for name in (next(iter(type(record)._names)), "anything"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+                setattr(record, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field {name!r}$"):
+                delattr(record, name)
+
+    @pytest.mark.parametrize("record", EVERY_RECORD, ids=lambda r: type(r).__name__)
+    def test_repr_eq_and_hash_are_what_dataclass_generates(self, record):
+        cls = type(record)
+        own_eq = {"__eq__": vars(cls)["__eq__"]} if "__eq__" in vars(cls) else {}
+        twin_cls = dataclasses.make_dataclass(
+            cls.__qualname__, cls._names, frozen=True, eq=cls._eq, namespace=own_eq
+        )
+        twin = twin_cls(*(getattr(record, name) for name in cls._names))
+        assert repr(record) == repr(twin)
+        assert record == record
+        if not own_eq:  # an own __eq__ (GameLog's) takes only its own class
+            assert (dataclasses.replace(record) == record) is (dataclasses.replace(twin) == twin)
+        try:
+            twin_hash = hash(twin)
+        except TypeError:  # a mapping field, or an own __eq__ without a __hash__
+            with pytest.raises(TypeError):
+                hash(record)
+        else:  # by fields, or by identity
+            assert hash(record) == (twin_hash if cls._eq else object.__hash__(record))
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((None, None, None), {}), ((None, None, None, 0, 1), {}),
+         ((None, None), {"n_states": 0}), ((None, None, None, 0), {"slope": None}),
+         ((), {"slope": None, "intercept": None, "slope_stderr": None, "states": 0})],
+        ids=["missing", "too many", "missing with a keyword", "twice", "unknown keyword"],
+    )
+    def test_wrong_arguments_are_refused(self, args, kwargs):
+        with pytest.raises(TypeError, match="^LinearFit"):
+            LinearFit(*args, **kwargs)
+
+    def test_keywords_in_any_order_and_defaults(self):
+        fit = LinearFit(n_states=0, slope_stderr=None, intercept=0.5, slope=None)
+        assert fit == LinearFit(None, 0.5, None, 0)
+        law = next(r for r in EVERY_RECORD if type(r).__name__ == "_Law")
+        bare = type(law)(law.seed, law.tempo, law.points)
+        assert (bare.c_samples, bare.c_fixed, bare.phi) == (None, None, None)
+
+
+class TestParallelColumns:
+    @pytest.mark.parametrize("build, got", [
+        (lambda: sd.PredictabilityCurve([1, 2], [0.5], [0.5, 0.5], [3, 3]),
+         "predictability curve: columns must share one length, got event_index 2, auc_chain 1, "
+         "auc_leader 2, n_games_scored 2"),
+        (lambda: sd.EventCountDistribution([0, 1], [0.5], [0.5, 0.5], 1.0),
+         "event count distribution: columns must share one length, got counts 2, "
+         "empirical_pmf 1, reference_pmf 2"),
+        (lambda: sd.InterarrivalDistribution([1, 2], [0.5, 0.5], [0.5, 0.0], [1.0], [0.0], 1.0),
+         "interarrival distribution: columns must share one length, got gaps 2, empirical_pmf 2, "
+         "empirical_ccdf 2, reference_pmf 1, reference_ccdf 1"),
+    ], ids=["PredictabilityCurve", "EventCountDistribution", "InterarrivalDistribution"])
+    def test_columns_of_unequal_length_are_refused(self, build, got):
+        with pytest.raises(ValueError, match=f"^{got}$"):
+            build()

@@ -542,6 +542,19 @@ class TestBatchedGeneratorOracle:
         with pytest.raises(ValueError, match="sample_every must be >= 1"):
             sd.exact_lead_sd_grid(tempo, balance, config, sample_every)
 
+    def test_sample_every_past_the_clock_rejected(self, nfl_like):
+        # a grid of t = 0 alone reads as an all-zero curve
+        config, tempo, balance = nfl_like
+        message = r"^sample_every must be <= regulation_length \(3600\), got 5000$"
+        games = sd.simulate_corpus(cell_spec(nfl_like, "bernoulli", "bernoulli"), 5)
+        with pytest.raises(ValueError, match=message):
+            sd.lead_dispersion(games, 3600, 5000)
+        for tempo_kind, balance_kind in CELLS:
+            with pytest.raises(ValueError, match=message):
+                sd.exact_lead_sd(cell_spec(nfl_like, tempo_kind, balance_kind), 5000)
+        with pytest.raises(ValueError, match=message):
+            sd.exact_lead_sd_grid(tempo, balance, config, 5000)
+
     def test_lead_dispersion_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one game"):
             sd.lead_dispersion([], 600)
