@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import atomic_write_text, builtin_config, config_for_games, load_config
 from .estimate import (
-    balance_fractions,
+    balance_fractions,  # noqa: F401  (kept as a module attribute for tracing hooks)
     balance_null_distribution,
     correlation_function,
     events_per_game_distribution,
@@ -218,10 +218,9 @@ def _cmd_report(args) -> int:
     gaps = interarrival_distribution(games, config)
     corr = correlation_function(games, args.correlation_lags)
 
-    c_hat = balance_fractions(games)
     fractions, probs = balance_null_distribution(games)
     bins = np.linspace(0.0, 1.0, args.balance_bins + 1)
-    emp_hist, _ = np.histogram(c_hat, bins=bins, density=True)
+    emp_hist, _ = np.histogram(balance.c_hat_samples, bins=bins, density=True)
     null_hist, _ = np.histogram(fractions, bins=bins, weights=probs, density=True)
 
     times, curves = exact_lead_sd_grid(tempo, balance, config, args.sample_every)

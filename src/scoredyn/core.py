@@ -27,15 +27,21 @@ refuses as "times must be integers, ...", any other field as "game log:
 field ...".
 
 Each rule has one home, which records and public functions share: how a
-number, an integer, a position (`_index`), an id (`_string`, `_strings`)
-and an array of one shape (`_column`) are read, the team a lead's sign
-names (`_team`), a corpus's slices (`Corpus._slices`) and the sports
+number, an integer, a position (`_index`), an id (`_string`, `_strings`),
+an array of one shape (`_column`), a column of probabilities
+(`_probabilities`) and a clock length (`_seconds`) are read, the lead cap
+(`_check_cap`), phi's shape (`estimate.LeadScoring._shape`), the chain
+steps of an event count (`predict._steps`), the team a lead's sign names
+(`_team`), a corpus's slices (`Corpus._slices`) and the sports
 (`BUILTIN_SPORTS`). Every field of a public record declares a converter
 (a nested record's is `_Record._instance`). A saved record's JSON layout
 is its fields, each at its name or at its `_paths` entry; `_dump` writes
 it and `_load` reads each path through its field's converter, so a file
 takes what a record takes. `estimate.ModelArtifact` checks that models
-fit a config, and `ingest._infer_format` that a format exists.
+fit a config, and `ingest._infer_format` that a format exists. Every
+command refuses a model file alike for a probability outside [0, 1], a
+clock that is not a positive number of seconds, a phi that is not
+antisymmetric, a cap below the largest point value, or misfit models.
 """
 
 from __future__ import annotations
@@ -143,12 +149,14 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
     return MappingProxyType(dict(sorted(cleaned.items())))
 
 
-def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1) -> np.ndarray:
+def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1,
+            probabilities: bool = False) -> np.ndarray:
     """`values` as a read-only `dtype` column of `ndim` dimensions through
-    `array` (`np.array` copies). A non-empty column of bools, strings,
-    objects or (for an integer `dtype`) floats, a list or tuple with a bool
-    entry, integers `dtype` cannot hold, or another number of dimensions
-    raises ValueError, and so does a ragged list: no value is truncated or parsed."""
+    `array` (`np.array` copies); no value is truncated or parsed. A non-empty
+    column of bools, strings, objects or (for an integer `dtype`) floats, a
+    list or tuple with a bool entry, integers `dtype` cannot hold, another
+    number of dimensions, a ragged list or (of `probabilities`) an entry
+    outside [0, 1] raises ValueError."""
     try:
         column = np.asarray(values)
     except ValueError:  # numpy's refusal of a ragged list
@@ -167,11 +175,27 @@ def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1)
     if column.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {column.shape}")
     column = array(column, dtype)
+    if probabilities and (bad := column[~((column >= 0) & (column <= 1))]).size:
+        raise ValueError(f"{name} must be finite probabilities in [0, 1], got {bad[0]}")
     column.flags.writeable = False
     return column
 
 
 _ints, _floats = partial(_column, dtype=np.int64), partial(_column, dtype=np.float64)
+_probabilities = partial(_floats, probabilities=True)
+
+
+def _seconds(value) -> int:
+    """A clock length (`regulation_length`): a positive integer (`_integer`) number of seconds."""
+    if (seconds := _integer(value)) < 1:
+        raise ValueError(f"regulation_length must be a positive number of seconds, got {seconds}")
+    return seconds
+
+
+def _check_cap(cap: int, point_values: Mapping[int, float]) -> None:
+    """Raise ValueError unless the lead cap covers one event: cap >= the largest point value."""
+    if cap < (top := max(point_values)):
+        raise ValueError(f"lead cap {cap} (lead_truncation) is below the maximum point value {top}")
 
 
 def _string(value) -> str:
@@ -249,8 +273,9 @@ class _Record:
             return self._values() == other._values()
         return True if self is other else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values()) if self._eq else object.__hash__(self)
+    def __hash__(self) -> int:  # a mapping field by its items, as it compares
+        values = (frozenset(v.items()) if isinstance(v, Mapping) else v for v in self._values())
+        return hash(tuple(values)) if self._eq else object.__hash__(self)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -345,7 +370,7 @@ class SportConfig(_Record):
     """
 
     sport_id: str = _string
-    regulation_length: int = _integer
+    regulation_length: int = _seconds
     period_ends: tuple[int, ...] = lambda values: tuple(map(_integer, values))
     point_values: Mapping[int, float] = _validated_point_values
     lead_truncation: int = _integer
@@ -356,16 +381,12 @@ class SportConfig(_Record):
     def _check(self) -> None:
         if self.sport_id not in SPORT_IDS:
             raise ValueError(f"sport_id must be one of {SPORT_IDS}, got {self.sport_id!r}")
-        T, ends = self.regulation_length, self.period_ends
-        if T <= 0:
-            raise ValueError("regulation_length must be positive")
+        ends = self.period_ends
         if not ends or any(b <= a for a, b in zip((0,) + ends, ends)):
             raise ValueError("period_ends must be strictly ascending and positive")
-        if ends[-1] != T:
+        if ends[-1] != self.regulation_length:
             raise ValueError("last period end must equal regulation_length")
-        cap, top = self.lead_truncation, max(self.point_values)
-        if cap < top:
-            raise ValueError(f"lead_truncation {cap} is below the maximum point value {top}")
+        _check_cap(self.lead_truncation, self.point_values)
 
 
 def check_events(times, teams, points, offsets: np.ndarray | None = None) -> None:

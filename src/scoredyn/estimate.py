@@ -41,6 +41,8 @@ from .core import (
     _Record,
     _floats,
     _ints,
+    _probabilities,
+    _seconds,
     _validated_point_values,
     atomic_write_text,
 )
@@ -78,10 +80,10 @@ class TempoModel(_Record, eq=False):
     """
 
     lambda_hat: float = _number
-    regulation_length: int = _integer
-    profile: np.ndarray = _floats
+    regulation_length: int = _seconds
+    profile: np.ndarray = _probabilities
     interarrival_gaps: np.ndarray = _ints
-    interarrival_probs: np.ndarray = _floats
+    interarrival_probs: np.ndarray = _probabilities
 
     _paths = {"regulation_length": "regulation_length_seconds",
               "interarrival_gaps": "interarrival.gaps", "interarrival_probs": "interarrival.probs"}
@@ -91,15 +93,10 @@ class TempoModel(_Record, eq=False):
             raise ValueError("lambda_hat must be positive and finite (degenerate corpus?)")
         if len(self.profile) != self.regulation_length + 1:
             raise ValueError("profile must have regulation_length + 1 entries")
-        if not np.all((self.profile >= 0) & (self.profile <= 1)):
-            raise ValueError("profile entries must be probabilities")
+        self._same_length("interarrival_gaps", "interarrival_probs")
         gaps, probs = self.interarrival_gaps, self.interarrival_probs
-        if len(gaps) != len(probs):
-            raise ValueError("interarrival support and probabilities differ in length")
         if np.any(gaps < 1) or np.any(np.diff(gaps) <= 0):
             raise ValueError("interarrival gaps must be ascending positive integers")
-        if not np.all(probs >= 0):
-            raise ValueError("interarrival probabilities must be nonnegative")
         if len(probs) and abs(probs.sum() - 1.0) > PMF_TOLERANCE:  # an empty law is allowed
             raise ValueError("interarrival probabilities must sum to 1")
 
@@ -128,22 +125,30 @@ class LinearFit(_Record):
 class LeadScoring(_Record, eq=False):
     """Lead-size scoring function phi on the integer grid [-cap, cap].
 
-    `phi` has the odd length 2 * cap + 1, `phi[i]` at lead `leads[i]`.
-    `counts[i]` is the number of observed transitions informing
+    `phi` has the odd length 2 * cap + 1 (`_shape`), `phi[i]` at lead
+    `leads[i]`. `counts[i]` is the number of observed transitions informing
     `phi[i]` (mirror states pooled; the L = 0 state reports its own
     count). Unobserved interior leads are filled by linear
     interpolation between observed ones and the tails are clamped.
     """
 
-    phi: np.ndarray = _floats
+    phi: np.ndarray = _probabilities
     counts: np.ndarray = _transition_counts
     fit: LinearFit = LinearFit._instance
 
     _paths = {"counts": "phi_counts", "fit": "phi_fit"}
 
     def _check(self) -> None:
-        if not len(self.phi) == len(self.counts) or len(self.phi) % 2 != 1:
-            raise ValueError("phi and counts must share one odd length")
+        self._same_length("phi", "counts")
+        self._shape(self.phi)
+
+    @staticmethod
+    def _shape(phi: np.ndarray) -> np.ndarray:
+        """`phi` if it covers leads -cap..cap (odd length) with phi(L) + phi(-L) = 1 exactly,
+        which in binary floating point fixes phi(0) = 1/2 (x + x == 1.0 only at 0.5)."""
+        if len(phi) % 2 != 1 or not np.all(phi + phi[::-1] == 1.0):
+            raise ValueError("phi must be antisymmetric about L = 0 on the leads -cap..cap")
+        return phi
 
     @property
     def leads(self) -> np.ndarray:
@@ -155,21 +160,11 @@ class LeadScoring(_Record, eq=False):
 class BalanceModel(_Record, eq=False):
     """Fitted balance model: per-game biases, phi, and point values."""
 
-    c_hat_samples: np.ndarray = _floats
+    c_hat_samples: np.ndarray = _probabilities
     scoring: LeadScoring = LeadScoring._instance
     point_values: Mapping[int, float] = _validated_point_values
 
     _paths = {"scoring": ""}  # phi, its counts and its fit sit flat beside the fractions
-
-    def _check(self) -> None:
-        samples = self.c_hat_samples
-        if not np.all((samples >= 0) & (samples <= 1)):
-            raise ValueError("balance fractions must lie in [0, 1]")
-        phi = self.scoring.phi
-        if phi[len(phi) // 2] != 0.5:
-            raise ValueError("phi(0) must equal 1/2 exactly")
-        if not np.all(phi + phi[::-1] == 1.0):
-            raise ValueError("phi must be antisymmetric about L = 0")
 
     @property
     def phi(self) -> np.ndarray:
@@ -184,8 +179,7 @@ def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int
     """Rate estimate from corpus totals: (events per game) / T."""
     if n_games < 1:
         raise ValueError("need at least one game")
-    if regulation_length < 1:
-        raise ValueError("regulation_length must be positive")
+    regulation_length = _seconds(regulation_length)
     if n_events == 0:
         warnings.warn("corpus has zero events; rate estimate is degenerate", stacklevel=2)
     return (n_events / n_games) / regulation_length

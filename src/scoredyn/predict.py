@@ -36,20 +36,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    PMF_TOLERANCE,
-    GameLog,
-    SportConfig,
-    _checked_corpus,
-    _event_leads,
-    _floats,
-    _index,
-    _ints,
-    _number,
-    _Record,
-    _team,
-    _validated_point_values,
+    PMF_TOLERANCE, GameLog, SportConfig, _check_cap, _checked_corpus, _event_leads, _floats, _index,
+    _ints, _number, _probabilities, _Record, _team, _validated_point_values,
 )
-from .estimate import _phi, _profile, _value_pmf
+from .estimate import LeadScoring, _phi, _profile, _value_pmf
 from .estimate import (  # noqa: F401  (kept as module attributes for tracing hooks)
     lead_scoring_function,
     point_value_distribution,
@@ -108,21 +98,14 @@ def build_chain(
 ) -> LeadChain:
     """Build the lead-size transition matrix from phi and the value pmf.
 
-    `phi` covers the leads -cap..+cap, so its odd length 2 * cap + 1 fixes
-    the cap, and must be exactly antisymmetric, phi(-L) = 1 - phi(L). The
-    rows of leads 0..cap are built and the rest mirrored, which makes the
-    chain's mirror symmetry hold to the last bit.
+    `phi` is read as `LeadScoring.phi` is: probabilities over the leads
+    -cap..+cap (so its odd length fixes the cap), exactly antisymmetric.
+    The rows of leads 0..cap are built and the rest mirrored, which makes
+    the chain's mirror symmetry hold to the last bit.
     """
-    phi = _floats("phi", phi)
-    if not np.all((phi >= 0) & (phi <= 1)):
-        raise ValueError("phi entries must be finite probabilities")
-    if len(phi) % 2 != 1 or not np.all(phi + phi[::-1] == 1.0):
-        raise ValueError("phi must be antisymmetric about L = 0")
+    phi = LeadScoring._shape(_probabilities("phi", phi))
     cap = len(phi) // 2
-    pmf = _validated_point_values(point_values)
-    max_value = max(pmf)
-    if cap < max_value:
-        raise ValueError(f"cap {cap} is below the maximum point value {max_value}")
+    _check_cap(cap, pmf := _validated_point_values(point_values))
 
     P = np.zeros((len(phi), len(phi)))
     leads = np.arange(cap + 1)
@@ -138,29 +121,35 @@ def build_chain(
 
 def _remaining_events(profile: np.ndarray) -> np.ndarray:
     """Expected scoring events from each second t through T, t included."""
-    return np.cumsum(_floats("profile", profile)[::-1])[::-1]
+    return np.cumsum(_probabilities("profile", profile)[::-1])[::-1]
+
+
+def _steps(n_events):
+    """Chain steps for expected event counts (a number or an array): rounded half to even."""
+    return np.rint(n_events).astype(np.int64)
 
 
 def expected_remaining_events(profile: np.ndarray, t: int) -> float:
     """Expected number of scoring events from second t through T."""
-    t, T = _index(t), len(profile) - 1
+    remaining = _remaining_events(profile)
+    t, T = _index(t), len(remaining) - 1
     if not 0 <= t <= T:
         raise ValueError(f"time {t} outside [0, {T}]")
-    return float(_remaining_events(profile)[t])
+    return float(remaining[t])
 
 
 def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> OutcomeForecast:
-    """Win/tie/loss probabilities after round(n_events) chain steps.
+    """Win/tie/loss probabilities after `_steps(n_events)` chain steps.
 
     The number of transitions is real-valued (an expected event count)
-    and is rounded half to even to a whole number of steps. The answer
-    is the last row of `outcome_table(chain, steps)`, read at `lead` for r
-    and at `-lead` for b.
+    and is rounded half to even to a whole number of steps, as eval rounds.
+    The answer is the last row of `outcome_table(chain, steps)`, read at
+    `lead` for r and at `-lead` for b.
     """
     if not np.isfinite(_number(n_events)) or n_events < 0:
         raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
     idx = chain.state_index(lead)
-    win = outcome_table(chain, round(float(n_events)))[-1]
+    win = outcome_table(chain, int(_steps(n_events)))[-1]
     # rows of P can sum a few ulp over 1, so a win can read a few ulp over 1
     # and the tie's complement a few ulp below 0
     p_win_r, p_win_b = min(1.0, float(win[idx])), min(1.0, float(win[-1 - idx]))
@@ -278,8 +267,7 @@ def evaluate_predictability(
         phi = _phi(lead_before[train], signed[train], cap)[0]
         pmf = _value_pmf(corpus.points[train])
         profile = _profile(event_time[train], n_train, T)
-        # np.rint rounds half to even, as round() does in forecast_after_events.
-        steps_of_t = np.rint(_remaining_events(profile)).astype(np.int64)
+        steps_of_t = _steps(_remaining_events(profile))
         win = outcome_table(build_chain(phi, pmf), int(steps_of_t.max()))
 
         # The scored games' events, laid out game by game from `offsets`:

@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
-from .core import _clock_grid, _event_leads
+from .core import _clock_grid, _event_leads, _seconds
 from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
 from .rng import check_seed, rekeyer, substream
 
@@ -369,7 +369,7 @@ def flat_profile(regulation_length: int, rate: float) -> np.ndarray:
     can have resolved there and the profile's first entry is zero (as in
     any fitted profile).
     """
-    profile = np.full(regulation_length + 1, float(rate))
+    profile = np.full(_seconds(regulation_length) + 1, float(rate))
     profile[0] = 0.0
     return profile
 

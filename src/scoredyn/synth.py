@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    Corpus, SportConfig, _floats, _integer, _number, _Record, _validated_point_values,
+    Corpus, SportConfig, _floats, _integer, _number, _Record, _seconds, _validated_point_values,
 )
 from .rng import check_seed
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
@@ -46,7 +46,7 @@ class LeagueSpec(_Record, eq=False):
     skills: np.ndarray = _floats
     schedule: tuple[tuple[int, int], ...] = lambda pairs: tuple(
         (_integer(i), _integer(j)) for i, j in pairs)
-    regulation_length: int = _integer
+    regulation_length: int = _seconds
     tempo: float = _event_probability
     point_values: Mapping[int, float] = _validated_point_values
     seed: int = check_seed
@@ -63,8 +63,6 @@ class LeagueSpec(_Record, eq=False):
         for i, j in self.schedule:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid matchup ({i}, {j}) for {n} teams")
-        if self.regulation_length <= 0:
-            raise ValueError("regulation_length must be positive")
 
     @property
     def n_teams(self) -> int:

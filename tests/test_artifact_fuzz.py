@@ -130,9 +130,10 @@ def replaced(data, value, *path):
                   "balance", "phi_counts"),
          r"^model artifact: field 'balance\.phi_counts': phi transition counts must be "
          r"nonnegative integers$"),
-        (replaced(MODEL, [], "balance", "phi"), r"phi and counts must share one odd length"),
+        (replaced(MODEL, [], "balance", "phi"),
+         r"^lead scoring: columns must share one length, got phi 0, counts \d+$"),
         (replaced(MODEL, MODEL["balance"]["phi_counts"][:-1], "balance", "phi_counts"),
-         r"phi and counts must share one odd length"),
+         r"^lead scoring: columns must share one length, got phi \d+, counts \d+$"),
     ],
 )
 def test_malformed_model_names_the_field(data, message):

@@ -443,7 +443,8 @@ class TestLeadScoring:
     @pytest.mark.parametrize("length", [0, 4])
     def test_even_length_phi_refused(self, length):
         fit = sd.LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
-        with pytest.raises(ValueError, match="phi and counts must share one odd length"):
+        message = "^phi must be antisymmetric about L = 0 on the leads -cap..cap$"
+        with pytest.raises(ValueError, match=message):
             sd.LeadScoring(phi=np.full(length, 0.5), counts=np.zeros(length, np.int64), fit=fit)
 
     @pytest.mark.parametrize(
@@ -519,7 +520,8 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"interarrival_probs": [-0.5, 1.5]}, "nonnegative"),
+            ({"interarrival_probs": [-0.5, 1.5]},
+             "^interarrival_probs must be finite probabilities"),
             ({"lambda_hat": float("nan")}, "lambda_hat"),
             ({"profile": np.append(np.full(600, 0.01), np.nan)}, "profile"),
         ],
@@ -531,7 +533,7 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"c_hat_samples": [0.5, float("nan")]}, "balance fractions"),
+            ({"c_hat_samples": [0.5, float("nan")]}, "^c_hat_samples must be finite probabilities"),
             ({"point_values": {2.5: -1.0, 3: 2.0}}, "positive integer"),
             ({"point_values": {2: -1.0, 3: 2.0}}, "negative probability"),
         ],

@@ -1,14 +1,18 @@
-"""Each rule for reading a value has one home in `core`, and the public
-functions read their arguments through it as the records read their
+"""Each rule for reading a value has one home (most in `core`), and the
+public functions read their arguments through it as the records read their
 fields: no string is parsed, no bool counts as a number, an integer is
 taken as it is, and a column has its field's number of dimensions."""
+
+import json
 
 import numpy as np
 import pytest
 
 import scoredyn as sd
 from scoredyn import rng
+from scoredyn.cli import main
 from scoredyn.core import _integer
+from scoredyn.predict import _remaining_events, _steps, outcome_table
 
 PROFILE = np.full(11, 0.25)
 
@@ -149,3 +153,142 @@ def test_render_and_write_share_the_format_check(tmp_path, fmt):
         sd.render_event_file(games, fmt)
     with pytest.raises(sd.IngestError, match=message):
         sd.write_event_file(games, tmp_path / "games.csv", fmt)
+
+
+# ---------------------------------------------------------------------------
+# The model's rules, each read in one place: every reader of a rule refuses
+# the same bad value with the same message (a record's prefixed by its field).
+# ---------------------------------------------------------------------------
+
+NO_FIT = sd.LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=0)
+
+
+def tempo(**changes):
+    fields = dict(lambda_hat=0.25, regulation_length=2, profile=[0.0, 0.5, 0.5],
+                  interarrival_gaps=[1, 2], interarrival_probs=[0.5, 0.5])
+    return sd.TempoModel(**{**fields, **changes})
+
+
+def balance(**changes):
+    scoring = sd.LeadScoring(phi=np.full(3, 0.5), counts=np.zeros(3, np.int64), fit=NO_FIT)
+    fields = dict(c_hat_samples=[0.5], scoring=scoring, point_values={1: 1.0})
+    return sd.BalanceModel(**{**fields, **changes})
+
+
+PROBABILITY_READERS = {
+    "TempoModel.profile": ("profile", lambda v: tempo(profile=v)),
+    "TempoModel.interarrival_probs": ("interarrival_probs", lambda v: tempo(interarrival_probs=v)),
+    "BalanceModel.c_hat_samples": ("c_hat_samples", lambda v: balance(c_hat_samples=v)),
+    "LeadScoring.phi": ("phi", lambda v: sd.LeadScoring(v, np.zeros(3, np.int64), NO_FIT)),
+    "build_chain": ("phi", lambda v: sd.build_chain(v, {1: 1.0})),
+    "forecast": ("profile", lambda v: sd.forecast(fair_chain(), 1, 1, v)),
+    "expected_remaining_events": ("profile", lambda v: sd.expected_remaining_events(v, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PROBABILITY_READERS))
+@pytest.mark.parametrize("bad", [2.0, 1.5, -0.5, np.nan, np.inf])
+def test_a_column_of_probabilities_is_read_in_one_place(reader, bad):
+    name, read = PROBABILITY_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        read([0.5, bad, 0.5])
+    assert str(info.value) == f"{name} must be finite probabilities in [0, 1], got {bad}"
+
+
+@pytest.mark.parametrize("reader", ["forecast", "expected_remaining_events"])
+def test_a_profile_is_read_before_the_clock_second(reader):
+    with pytest.raises(ValueError, match=r"^profile must be 1-dimensional, got shape \(\)$"):
+        PROBABILITY_READERS[reader][1](0.5)
+
+
+CLOCK_READERS = {
+    "SportConfig": ("sport config: field 'regulation_length': ",
+                    lambda T: sd.SportConfig("custom", T, (10,), {1: 1.0}, 5)),
+    "LeagueSpec": ("league spec: field 'regulation_length': ",
+                   lambda T: sd.LeagueSpec([1.0, 2.0], ((0, 1),), T, 0.01, {1: 1.0}, 0)),
+    "TempoModel": ("tempo model: field 'regulation_length': ",
+                   lambda T: sd.TempoModel(0.1, T, [], [], [])),
+    "poisson_rate_from_counts": ("", lambda T: sd.poisson_rate_from_counts(10, 2, T)),
+    "flat_profile": ("", lambda T: sd.simulate.flat_profile(T, 0.1)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CLOCK_READERS))
+@pytest.mark.parametrize("T", [0, -1, -3600.0])
+def test_a_clock_length_is_read_in_one_place(reader, T):
+    prefix, read = CLOCK_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        read(T)
+    rule = f"regulation_length must be a positive number of seconds, got {int(T)}"
+    assert str(info.value) == prefix + rule
+
+
+PHI_SHAPE_READERS = {
+    "LeadScoring": lambda phi: sd.LeadScoring(phi, np.zeros(len(phi), np.int64), NO_FIT),
+    "build_chain": lambda phi: sd.build_chain(phi, {1: 1.0}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PHI_SHAPE_READERS))
+@pytest.mark.parametrize(
+    "phi",
+    [[], [0.5, 0.5], [0.4, 0.5, 0.4], [0.4, 0.6, 0.6], [0.25, 0.5, 0.75 + 2.0**-52]],
+    ids=["empty", "even", "not antisymmetric", "phi(0) not 1/2", "off by 2**-52"],
+)
+def test_the_shape_of_phi_is_read_in_one_place(reader, phi):
+    message = "phi must be antisymmetric about L = 0 on the leads -cap..cap"
+    with pytest.raises(ValueError) as info:
+        PHI_SHAPE_READERS[reader](np.array(phi, dtype=float))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [lambda: sd.SportConfig("custom", 10, (10,), {1: 0.5, 3: 0.5}, 2),
+     lambda: sd.build_chain(np.full(5, 0.5), {1: 0.5, 3: 0.5})],
+    ids=["SportConfig", "build_chain"],
+)
+def test_the_cap_covers_one_event_in_one_place(reader):
+    with pytest.raises(ValueError) as info:
+        reader()
+    assert str(info.value) == "lead cap 2 (lead_truncation) is below the maximum point value 3"
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_forecast_and_eval_round_a_half_event_count_alike(k):
+    """A profile whose remaining events at t = 0 are k + 1/2: eval's table reads
+    the step count that `forecast_after_events` takes, k or k + 1 (the even one)."""
+    upper = np.linspace(0.5, 0.8, 4)
+    chain = sd.build_chain(np.concatenate([1.0 - upper[:0:-1], upper]), {1: 1.0})
+    profile = np.array([0.5] + [1.0] * k)
+    eval_steps = int(_steps(_remaining_events(profile))[0])
+    assert eval_steps == k + k % 2
+    win = outcome_table(chain, 5)
+    for lead in range(-3, 4):
+        f = sd.forecast_after_events(chain, lead, k + 0.5)
+        assert f.p_win_r == win[eval_steps, lead + 3] and f.p_win_b == win[eval_steps, 3 - lead]
+        assert sd.forecast(chain, lead, 0, profile) == f
+
+
+def test_simulate_and_predict_refuse_one_model_alike(tmp_path, capsys):
+    config = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 6)
+    games = sd.ideal_corpus(config, 0.02, n_games=200, seed=4)
+    path = tmp_path / "model.json"
+    sd.save_model(path, config, sd.fit_tempo(games, config), sd.fit_balance(games, config, 10))
+    data = json.loads(path.read_text())
+    phi = data["balance"]["phi"]
+    phi[6 + 2], phi[6 - 2] = 1.5, -0.5  # still antisymmetric: 1.5 + -0.5 = 1
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sim.csv"
+    errors = []
+    for argv in (["simulate", "--model", str(path), "--out", str(out)],
+                 ["predict", "--model", str(path), "--lead", "0", "--t", "0"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        "error: model artifact: field 'balance.phi': "
+        "phi must be finite probabilities in [0, 1], got -0.5\n"
+    )
+    assert not out.exists()

@@ -7,7 +7,9 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -274,18 +276,36 @@ class TestSharedMethods:
         twin_cls = dataclasses.make_dataclass(
             cls.__qualname__, cls._names, frozen=True, eq=cls._eq, namespace=own_eq
         )
-        twin = twin_cls(*(getattr(record, name) for name in cls._names))
+        values = [getattr(record, name) for name in cls._names]
+        twin = twin_cls(*values)
         assert repr(record) == repr(twin)
         assert record == record
         if not own_eq:  # an own __eq__ (GameLog's) takes only its own class
             assert (dataclasses.replace(record) == record) is (dataclasses.replace(twin) == twin)
+        # a mapping field hashes as the frozenset of its items, which the twin cannot hash
+        twin = twin_cls(*(frozenset(v.items()) if isinstance(v, Mapping) else v for v in values))
         try:
             twin_hash = hash(twin)
-        except TypeError:  # a mapping field, or an own __eq__ without a __hash__
+        except TypeError:  # an own __eq__ without a __hash__
             with pytest.raises(TypeError):
                 hash(record)
         else:  # by fields, or by identity
             assert hash(record) == (twin_hash if cls._eq else object.__hash__(record))
+
+    def test_a_config_keys_a_dict_sits_in_a_set_and_passes_through_lru_cache(self):
+        config = sd.builtin_config("nba")
+        pmf = dict(reversed(config.point_values.items()))
+        reordered = dataclasses.replace(config, point_values=pmf)
+        assert reordered == config and hash(reordered) == hash(config)
+        assert {config: "NBA"}[reordered] == "NBA" and len({config, reordered}) == 1
+        calls = []
+
+        @lru_cache
+        def regulation(cfg):
+            calls.append(cfg)
+            return cfg.regulation_length
+
+        assert regulation(config) == regulation(reordered) == 2880 and calls == [config]
 
     @pytest.mark.parametrize(
         "args, kwargs",
@@ -317,7 +337,13 @@ class TestParallelColumns:
         (lambda: sd.InterarrivalDistribution([1, 2], [0.5, 0.5], [0.5, 0.0], [1.0], [0.0], 1.0),
          "interarrival distribution: columns must share one length, got gaps 2, empirical_pmf 2, "
          "empirical_ccdf 2, reference_pmf 1, reference_ccdf 1"),
-    ], ids=["PredictabilityCurve", "EventCountDistribution", "InterarrivalDistribution"])
+        (lambda: tempo(interarrival_gaps=[1, 2], interarrival_probs=[1.0]),
+         "tempo model: columns must share one length, got interarrival_gaps 2, "
+         "interarrival_probs 1"),
+        (lambda: LeadScoring(phi=[0.5, 0.5, 0.5], counts=[0], fit=NO_FIT),
+         "lead scoring: columns must share one length, got phi 3, counts 1"),
+    ], ids=["PredictabilityCurve", "EventCountDistribution", "InterarrivalDistribution",
+            "TempoModel", "LeadScoring"])
     def test_columns_of_unequal_length_are_refused(self, build, got):
         with pytest.raises(ValueError, match=f"^{got}$"):
             build()
