@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import atomic_write_text, builtin_config, config_for_games, load_config
+from .core import _count, atomic_write_text, builtin_config, config_for_games, load_config
 from .estimate import (
     balance_fractions,  # noqa: F401  (kept as a module attribute for tracing hooks)
     balance_null_distribution,
@@ -206,10 +206,8 @@ def _cmd_report(args) -> int:
 
     # Every table is computed before --out-dir is created, so a rejected
     # option leaves no partial report behind.
-    if args.balance_bins < 1:
-        raise ValueError("--balance-bins must be >= 1")
-    if args.correlation_lags < 1:
-        raise ValueError("--correlation-lags must be >= 1")
+    _count("--balance-bins", args.balance_bins, 1)
+    _count("--correlation-lags", args.correlation_lags, 1)
     games, config = _load_corpus(args)
     tempo = fit_tempo(games, config)
     balance = fit_balance(games, config, min_samples=args.min_samples)

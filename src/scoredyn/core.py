@@ -27,13 +27,14 @@ refuses as "times must be integers, ...", any other field as "game log:
 field ...".
 
 Each rule has one home, which records and public functions share: how a
-number, an integer, a position (`_index`), an id (`_string`, `_strings`),
-an array of one shape (`_column`), a column of probabilities
-(`_probabilities`) and a clock length (`_seconds`) are read, the lead cap
-(`_check_cap`), phi's shape (`estimate.LeadScoring._shape`), the chain
-steps of an event count (`predict._steps`), the team a lead's sign names
-(`_team`), a corpus's slices (`Corpus._slices`) and the sports
-(`BUILTIN_SPORTS`). Every field of a public record declares a converter
+number, an integer, a count (`_count`: an integer of at least some least),
+a position (`_index`), an id (`_string`, `_strings`), an array of one shape
+(`_column`), a probability or a column of them (`_probability`,
+`_probabilities`) and a clock length (`_seconds`) are read, a pmf's sum
+(`_sums_to_one`), the lead cap (`_check_cap`), phi's shape
+(`estimate.LeadScoring._shape`), the chain steps of an event count
+(`predict._steps`), the team a lead's sign names (`_team`), a corpus's
+slices (`Corpus._slices`) and the sports (`BUILTIN_SPORTS`). Every field of a public record declares a converter
 (a nested record's is `_Record._instance`). A saved record's JSON layout
 is its fields, each at its name or at its `_paths` entry; `_dump` writes
 it and `_load` reads each path through its field's converter, so a file
@@ -126,29 +127,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, float]:
-    if not isinstance(point_values, Mapping) or not point_values:
-        raise ValueError("point_values must be a non-empty mapping")
-    cleaned: dict[int, float] = {}
-    for value, prob in point_values.items():
-        try:
-            v = _integer(value)
-            if v < 1:
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"point value {value!r} is not a positive integer") from None
-        p = _number(prob)
-        if not np.isfinite(p):
-            raise ValueError(f"point value {v} has non-finite probability {p}")
-        if p < 0.0:
-            raise ValueError(f"point value {v} has negative probability {p}")
-        cleaned[v] = p
-    total = sum(cleaned.values())
-    if abs(total - 1.0) > PMF_TOLERANCE:
-        raise ValueError(f"point value probabilities sum to {total}, expected 1")
-    return MappingProxyType(dict(sorted(cleaned.items())))
-
-
 def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1,
             probabilities: bool = False) -> np.ndarray:
     """`values` as a read-only `dtype` column of `ndim` dimensions through
@@ -176,13 +154,53 @@ def _column(name: str, values, dtype, array: Callable = np.array, ndim: int = 1,
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {column.shape}")
     column = array(column, dtype)
     if probabilities and (bad := column[~((column >= 0) & (column <= 1))]).size:
-        raise ValueError(f"{name} must be finite probabilities in [0, 1], got {bad[0]}")
+        what = "finite probabilities" if ndim else "a finite probability"
+        raise ValueError(f"{name} must be {what} in [0, 1], got {bad[0]}")
     column.flags.writeable = False
     return column
 
 
 _ints, _floats = partial(_column, dtype=np.int64), partial(_column, dtype=np.float64)
 _probabilities = partial(_floats, probabilities=True)
+
+
+def _count(name: str, value, least: int) -> int:
+    """A count: an `_integer` (so no bool or fraction) that is at least `least`;
+    each refusal a ValueError that starts with `name`."""
+    try:
+        count = _integer(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _probability(name: str, value) -> float:
+    """One number (`_number`) read by the probability rule (`_probabilities`)."""
+    return float(_probabilities(name, _number(value), ndim=0))
+
+
+def _sums_to_one(name: str, probabilities) -> None:
+    """Raise ValueError unless `probabilities` sum to 1 within `PMF_TOLERANCE`."""
+    if abs((total := float(np.sum(probabilities))) - 1.0) > PMF_TOLERANCE:
+        raise ValueError(f"{name} sum to {total}, expected 1")
+
+
+def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, float]:
+    if not isinstance(point_values, Mapping) or not point_values:
+        raise ValueError("point_values must be a non-empty mapping")
+    cleaned: dict[int, float] = {}
+    for value, prob in point_values.items():
+        try:
+            v = _integer(value)
+            if v < 1:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"point value {value!r} is not a positive integer") from None
+        cleaned[v] = _probability(f"point value {v}", prob)
+    _sums_to_one("point value probabilities", list(cleaned.values()))
+    return MappingProxyType(dict(sorted(cleaned.items())))
 
 
 def _seconds(value) -> int:
@@ -677,9 +695,8 @@ def _checked_corpus(
 
 def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
     """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length."""
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    if sample_every > regulation_length:
+    regulation_length = _seconds(regulation_length)
+    if (sample_every := _count("sample_every", sample_every, 1)) > regulation_length:
         raise ValueError(f"sample_every must be <= regulation_length ({regulation_length}), "
                          f"got {sample_every}")
     return np.arange(0, regulation_length + 1, sample_every, dtype=np.int64)

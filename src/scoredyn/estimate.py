@@ -29,11 +29,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    PMF_TOLERANCE,
     Corpus,
     GameLog,
     SportConfig,
     _checked_corpus,
+    _count,
     _event_leads,
     _integer,
     _load_json,
@@ -43,6 +43,7 @@ from .core import (
     _ints,
     _probabilities,
     _seconds,
+    _sums_to_one,
     _validated_point_values,
     atomic_write_text,
 )
@@ -97,8 +98,8 @@ class TempoModel(_Record, eq=False):
         gaps, probs = self.interarrival_gaps, self.interarrival_probs
         if np.any(gaps < 1) or np.any(np.diff(gaps) <= 0):
             raise ValueError("interarrival gaps must be ascending positive integers")
-        if len(probs) and abs(probs.sum() - 1.0) > PMF_TOLERANCE:  # an empty law is allowed
-            raise ValueError("interarrival probabilities must sum to 1")
+        if len(probs):  # an empty law is allowed
+            _sums_to_one("interarrival probabilities", probs)
 
     @property
     def mean_gap(self) -> float:
@@ -177,8 +178,7 @@ class BalanceModel(_Record, eq=False):
 
 def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int) -> float:
     """Rate estimate from corpus totals: (events per game) / T."""
-    if n_games < 1:
-        raise ValueError("need at least one game")
+    n_events, n_games = _count("n_events", n_events, 0), _count("n_games", n_games, 1)
     regulation_length = _seconds(regulation_length)
     if n_events == 0:
         warnings.warn("corpus has zero events; rate estimate is degenerate", stacklevel=2)
@@ -355,8 +355,7 @@ def _correlation(group: np.ndarray, x: np.ndarray, n_max: int) -> tuple[np.ndarr
     """Pooled C(1..n_max) of the sequences laid end to end in x, x[k] in sequence
     group[k] (nondecreasing), as `correlation_function` pools games; returns
     (C, number of non-constant sequences)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _count("n_max", n_max, 1)
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     size = np.diff(np.append(starts, len(x)))
     d = x - np.repeat(np.add.reduceat(x, starts) / size, size)
@@ -383,6 +382,8 @@ def gap_correlation(gaps: Sequence[int] | np.ndarray, n_max: int) -> np.ndarray:
     NaN. A constant sequence has no defined correlation and raises.
     """
     x = _floats("gaps", gaps)
+    if not (finite := np.isfinite(x)).all():
+        raise ValueError(f"gaps must be finite, got {x[~finite][0]}")
     corr, used = _correlation(np.zeros(len(x), dtype=np.int64), x, n_max)
     if not used:
         raise ValueError("constant gap sequence: correlation undefined")
@@ -517,10 +518,7 @@ def lead_scoring_function(
     `min_samples` must be at least 1: a state without observations has no
     estimate to fit.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    cap, min_samples = _count("cap", cap, 1), _count("min_samples", min_samples, 1)
     corpus = Corpus.of(games)
     signed = corpus.signed
     phi, counts = _phi(_event_leads(corpus.offsets, signed) - signed, signed, cap)

@@ -36,8 +36,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    PMF_TOLERANCE, GameLog, SportConfig, _check_cap, _checked_corpus, _event_leads, _floats, _index,
-    _ints, _number, _probabilities, _Record, _team, _validated_point_values,
+    GameLog, SportConfig, _check_cap, _checked_corpus, _count, _event_leads, _floats, _index, _ints,
+    _number, _probabilities, _probability, _Record, _sums_to_one, _team, _validated_point_values,
 )
 from .estimate import LeadScoring, _phi, _profile, _value_pmf
 from .estimate import (  # noqa: F401  (kept as module attributes for tracing hooks)
@@ -81,16 +81,12 @@ class LeadChain(_Record, eq=False):
 class OutcomeForecast(_Record):
     """Probabilities that r wins, the game ties, and b wins."""
 
-    p_win_r: float = _number
-    p_tie: float = _number
-    p_win_b: float = _number
+    p_win_r: float = partial(_probability, "p_win_r")
+    p_tie: float = partial(_probability, "p_tie")
+    p_win_b: float = partial(_probability, "p_win_b")
 
     def _check(self) -> None:
-        total = self.p_win_r + self.p_tie + self.p_win_b
-        if min(self.p_win_r, self.p_tie, self.p_win_b) < -PMF_TOLERANCE:
-            raise ValueError("forecast probabilities must be nonnegative")
-        if abs(total - 1.0) > PMF_TOLERANCE:
-            raise ValueError(f"forecast probabilities sum to {total}, expected 1")
+        _sums_to_one("forecast probabilities", self._values())
 
 
 def build_chain(
@@ -125,8 +121,12 @@ def _remaining_events(profile: np.ndarray) -> np.ndarray:
 
 
 def _steps(n_events):
-    """Chain steps for expected event counts (a number or an array): rounded half to even."""
-    return np.rint(n_events).astype(np.int64)
+    """Chain steps for expected event counts (a number or an array), each finite,
+    nonnegative and below 2**63 (so its steps fit in int64): rounded half to even."""
+    x = np.asarray(n_events, dtype=float)
+    if not (ok := (0 <= x) & (x < 2.0**63)).all():
+        raise ValueError(f"n_events must be finite, nonnegative and below 2**63, got {x[~ok][0]}")
+    return np.rint(x).astype(np.int64)
 
 
 def expected_remaining_events(profile: np.ndarray, t: int) -> float:
@@ -146,10 +146,9 @@ def forecast_after_events(chain: LeadChain, lead: int, n_events: float) -> Outco
     The answer is the last row of `outcome_table(chain, steps)`, read at
     `lead` for r and at `-lead` for b.
     """
-    if not np.isfinite(_number(n_events)) or n_events < 0:
-        raise ValueError(f"n_events must be finite and nonnegative, got {n_events}")
+    steps = int(_steps(_number(n_events)))
     idx = chain.state_index(lead)
-    win = outcome_table(chain, int(_steps(n_events)))[-1]
+    win = outcome_table(chain, steps)[-1]
     # rows of P can sum a few ulp over 1, so a win can read a few ulp over 1
     # and the tie's complement a few ulp below 0
     p_win_r, p_win_b = min(1.0, float(win[idx])), min(1.0, float(win[-1 - idx]))
@@ -190,8 +189,7 @@ def outcome_table(chain: LeadChain, max_steps: int) -> np.ndarray:
     The chain is mirror-symmetric, so b's table is the exact mirror
     win[:, ::-1], equal to r's bit for bit at lead 0.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    max_steps = _count("max_steps", max_steps, 0)
     # a (2 * cap + 1, 1) column on the right of each product, not a 1-D vector:
     # a vector can run another BLAS kernel, whose last bits need not match
     table = np.empty((max_steps + 1, len(chain.transition), 1))
@@ -233,8 +231,7 @@ def evaluate_predictability(
     """
     if tie_mode not in ("exclude", "half"):
         raise ValueError("tie_mode must be 'exclude' or 'half'")
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
+    n_splits = _count("n_splits", n_splits, 1)
     corpus, cfg = _checked_corpus(games, config)
     if len(corpus) < 2:
         raise ValueError("need at least two games to split")

@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
-from .core import _clock_grid, _event_leads, _seconds
+from .core import _clock_grid, _count, _event_leads, _probability, _seconds
 from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
 from .rng import check_seed, rekeyer, substream
 
@@ -352,9 +352,7 @@ def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
 def simulate_batches(spec: ModelSpec, n_games: int) -> Iterator[Corpus]:
     """The games of `simulate_corpus(spec, n_games)`, one corpus per batch of
     at most 1,024 games, generated as they are asked for."""
-    if n_games < 0:
-        raise ValueError(f"n_games must be nonnegative, got {n_games}")
-    return _games(spec._law, 0, n_games, "sim", spec.config.sport_id)
+    return _games(spec._law, 0, _count("n_games", n_games, 0), "sim", spec.config.sport_id)
 
 
 def simulate_corpus(spec: ModelSpec, n_games: int) -> Corpus:
@@ -381,7 +379,7 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
     won by either team with probability 1/2, and values are iid from the
     sport's point distribution.
     """
-    if not 0.0 < rate <= 1.0:
+    if not (rate := _probability("rate", rate)):
         raise ValueError("rate must be in (0, 1]")
     T = config.regulation_length
     cap = config.lead_truncation
@@ -415,16 +413,16 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
 def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int = 0) -> GameLog:
     """One ideal-competition game; rate 0 yields an empty game."""
     game_index = check_seed(game_index, "game_index")
-    if rate == 0.0:
+    if not _probability("rate", rate):
         return GameLog(f"sim-{game_index:06d}", config.sport_id, [], [], [])
     return simulate_game(ideal_model(config, rate, seed), game_index)
 
 
 def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) -> Corpus:
-    if rate == 0.0:
-        return Corpus.of(ideal_game(config, 0.0, seed, i) for i in range(n_games))
-    spec = ideal_model(config, rate, seed)
-    return simulate_corpus(spec, n_games)
+    if not _probability("rate", rate):
+        games = range(_count("n_games", n_games, 0))
+        return Corpus.of(ideal_game(config, 0.0, seed, i) for i in games)
+    return simulate_corpus(ideal_model(config, rate, seed), n_games)
 
 
 def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
@@ -630,7 +628,6 @@ def lead_variance_curve(
     """(times, sd of lead) over `n_games` simulated games of `spec`: the Monte
     Carlo twin of `exact_lead_sd`, on the same grid. Sums one batch of
     `simulate_batches` at a time, so memory is bounded by one batch."""
-    if n_games < 1_000:
-        raise ValueError("n_games must be >= 1000 for a stable dispersion estimate")
+    n_games = _count("n_games", n_games, 1_000)  # fewer games give no stable dispersion estimate
     times = _clock_grid(spec.config.regulation_length, sample_every)
     return times, _dispersion(simulate_batches(spec, n_games), times)

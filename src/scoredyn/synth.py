@@ -13,26 +13,19 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from contextlib import suppress
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    Corpus, SportConfig, _floats, _integer, _number, _Record, _seconds, _validated_point_values,
+    Corpus, SportConfig, _count, _floats, _integer, _probability, _Record, _seconds,
+    _validated_point_values,
 )
 from .rng import check_seed
 from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
 
 PROB_CLAMP = 1e-6
-
-
-def _event_probability(rate) -> float:
-    """A number (`_number`) in [0, 1], so not NaN."""
-    with suppress(TypeError):
-        if 0.0 <= (probability := _number(rate)) <= 1.0:
-            return probability
-    raise ValueError(f"tempo must be a per-second event probability, got {rate!r}")
 
 
 class LeagueSpec(_Record, eq=False):
@@ -47,7 +40,7 @@ class LeagueSpec(_Record, eq=False):
     schedule: tuple[tuple[int, int], ...] = lambda pairs: tuple(
         (_integer(i), _integer(j)) for i, j in pairs)
     regulation_length: int = _seconds
-    tempo: float = _event_probability
+    tempo: float = partial(_probability, "tempo")
     point_values: Mapping[int, float] = _validated_point_values
     seed: int = check_seed
 
@@ -112,8 +105,7 @@ def default_league(
     seed: int = 0,
 ) -> LeagueSpec:
     """Desk-scale league: log-normal skills, uniform random schedule."""
-    if n_teams < 2:
-        raise ValueError(f"n_teams must be >= 2 for two distinct teams per game, got {n_teams}")
+    n_teams = _count("n_teams", n_teams, 2)  # two distinct teams per game
     if not 0 <= skill_sigma < np.inf:
         raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
     rng = np.random.default_rng(seed)

@@ -134,7 +134,7 @@ class TestFitPredictSimulate:
         code, out, err = run(capsys, "simulate", "--model", str(model), "--n-games", "-5",
                              "--out", str(out_path))
         assert code == 1 and "simulate ok" not in out
-        assert "error: n_games must be nonnegative, got -5" in err
+        assert "error: n_games must be >= 0, got -5" in err
         assert not out_path.exists()
 
     def test_simulate_names_the_format_flag_for_an_unknown_suffix(self, corpus, tmp_path,
@@ -243,7 +243,7 @@ class TestSynthAndEval:
         out = tmp_path / "league.csv"
         code, text, err = run(capsys, "synth", "--n-teams", "1", "--out", str(out))
         assert code == 1 and "synth ok" not in text
-        assert err == "error: n_teams must be >= 2 for two distinct teams per game, got 1\n"
+        assert err == "error: n_teams must be >= 2, got 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ class TestSportConfigValidation:
             sd.SportConfig("custom", 100, (100,), {0: 1.0}, 10)
 
     def test_non_finite_probability_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="must be a finite probability in .0, 1., got nan$"):
             sd.SportConfig("custom", 100, (100,), {1: float("nan")}, 5)
 
     def test_truncation_covers_max_value(self):

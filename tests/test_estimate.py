@@ -535,7 +535,7 @@ class TestModelValidation:
         [
             ({"c_hat_samples": [0.5, float("nan")]}, "^c_hat_samples must be finite probabilities"),
             ({"point_values": {2.5: -1.0, 3: 2.0}}, "positive integer"),
-            ({"point_values": {2: -1.0, 3: 2.0}}, "negative probability"),
+            ({"point_values": {2: -1.0, 3: 2.0}}, "probability in .0, 1., got -1.0"),
         ],
     )
     def test_balance_rejects(self, changes, message):

@@ -3,12 +3,13 @@
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import scoredyn as sd
-from scoredyn.predict import OutcomeForecast, outcome_table
+from scoredyn.predict import outcome_table
 from scoredyn.rng import split_permutation
 
 NBA_PMF = {1: 0.0941, 2: 0.7373, 3: 0.1647, 4: 0.0029, 5: 0.0009, 6: 0.0001}
@@ -39,13 +40,15 @@ def enumerate_unit_walk(start: int, n_steps: int, cap: int):
     return win, tie, loss
 
 
-def forward_forecast(chain, lead: int, n_events: float) -> OutcomeForecast:
+def forward_forecast(chain, lead: int, n_events: float) -> SimpleNamespace:
     """Forward propagation of an indicator vector at `lead` through P.
 
     Independent oracle for `forecast_after_events`, which reads the
     backward-induction `outcome_table` instead, and b's probability from
     its mirror: round(n_events) steps of v @ P, then each outcome summed
-    from the final distribution, with no symmetry applied.
+    from the final distribution, with no symmetry applied. The sums are
+    kept as they are (not an `OutcomeForecast`, which refuses a win
+    probability that rounding puts a few ulp over 1).
     """
     cap = chain.cap
     v = np.zeros(2 * cap + 1)
@@ -53,7 +56,7 @@ def forward_forecast(chain, lead: int, n_events: float) -> OutcomeForecast:
     for _ in range(int(round(float(n_events)))):
         v = v @ chain.transition
     p_tie = float(v[cap])
-    return OutcomeForecast(
+    return SimpleNamespace(
         p_win_r=float(v[cap + 1 :].sum()), p_tie=p_tie, p_win_b=float(v[:cap].sum())
     )
 
@@ -105,7 +108,7 @@ class TestBuildChain:
         [
             (np.full(11, 0.5), {2.5: 1.0}, "positive integer"),
             (np.full(11, 0.5), {math.inf: 1.0}, "positive integer"),
-            (np.full(11, 0.5), {1: float("nan")}, "non-finite"),
+            (np.full(11, 0.5), {1: float("nan")}, "a finite probability"),
             (np.where(np.arange(11) == 3, np.nan, 0.5), {1: 1.0}, "finite probabilities"),
         ],
     )

@@ -1,9 +1,16 @@
 """Each rule for reading a value has one home (most in `core`), and the
 public functions read their arguments through it as the records read their
 fields: no string is parsed, no bool counts as a number, an integer is
-taken as it is, and a column has its field's number of dimensions."""
+taken as it is, and a column has its field's number of dimensions.
+
+The tables below list every reader of a rule and check that each refuses
+the same bad value with the same message: a count (`core._count`), a
+probability or a column of them (`core._probability`,
+`core._probabilities`), "sums to 1" (`core._sums_to_one`), a clock length
+(`core._seconds`), phi's shape, the lead cap and the chain step count."""
 
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -175,30 +182,80 @@ def balance(**changes):
     return sd.BalanceModel(**{**fields, **changes})
 
 
+def column(name, read):
+    """A column reader of the probability rule: `read` takes the column [0.5, bad, 0.5]."""
+    return f"{name} must be finite probabilities", lambda bad: read([0.5, bad, 0.5])
+
+
+def one(name, read, field=""):
+    """A reader of one probability, prefixed by its record's `field` if it has one."""
+    return f"{field}{name} must be a finite probability", read
+
+
+POINT_VALUES = "sport config: field 'point_values': "
+
 PROBABILITY_READERS = {
-    "TempoModel.profile": ("profile", lambda v: tempo(profile=v)),
-    "TempoModel.interarrival_probs": ("interarrival_probs", lambda v: tempo(interarrival_probs=v)),
-    "BalanceModel.c_hat_samples": ("c_hat_samples", lambda v: balance(c_hat_samples=v)),
-    "LeadScoring.phi": ("phi", lambda v: sd.LeadScoring(v, np.zeros(3, np.int64), NO_FIT)),
-    "build_chain": ("phi", lambda v: sd.build_chain(v, {1: 1.0})),
-    "forecast": ("profile", lambda v: sd.forecast(fair_chain(), 1, 1, v)),
-    "expected_remaining_events": ("profile", lambda v: sd.expected_remaining_events(v, 1)),
+    "TempoModel.profile": column("profile", lambda v: tempo(profile=v)),
+    "TempoModel.interarrival_probs": column("interarrival_probs",
+                                            lambda v: tempo(interarrival_probs=v)),
+    "BalanceModel.c_hat_samples": column("c_hat_samples", lambda v: balance(c_hat_samples=v)),
+    "LeadScoring.phi": column("phi", lambda v: sd.LeadScoring(v, np.zeros(3, np.int64), NO_FIT)),
+    "build_chain": column("phi", lambda v: sd.build_chain(v, {1: 1.0})),
+    "forecast": column("profile", lambda v: sd.forecast(fair_chain(), 1, 1, v)),
+    "expected_remaining_events": column("profile", lambda v: sd.expected_remaining_events(v, 1)),
+    "SportConfig.point_values": one(
+        "point value 2", lambda v: sd.SportConfig("custom", 10, (10,), {1: 0.5, 2: v}, 5),
+        POINT_VALUES),
+    "build_chain.point_values": one(
+        "point value 2", lambda v: sd.build_chain(np.full(5, 0.5), {1: 0.5, 2: v})),
+    "LeagueSpec.tempo": one(
+        "tempo", lambda v: sd.LeagueSpec([1.0, 2.0], ((0, 1),), 10, v, {1: 1.0}, 0),
+        "league spec: field 'tempo': "),
+    "ideal_model": one("rate", lambda v: sd.ideal_model(sd.builtin_config("nhl"), v)),
+    "ideal_corpus": one("rate", lambda v: sd.ideal_corpus(sd.builtin_config("nhl"), v, 1)),
+    **{f"OutcomeForecast.{name}": one(
+        name, lambda v, i=i: sd.OutcomeForecast(*np.roll([v, 0.0, 0.0], i)),
+        f"outcome forecast: field {name!r}: ")
+       for i, name in enumerate(("p_win_r", "p_tie", "p_win_b"))},
 }
 
 
 @pytest.mark.parametrize("reader", sorted(PROBABILITY_READERS))
 @pytest.mark.parametrize("bad", [2.0, 1.5, -0.5, np.nan, np.inf])
-def test_a_column_of_probabilities_is_read_in_one_place(reader, bad):
-    name, read = PROBABILITY_READERS[reader]
+def test_a_probability_is_read_in_one_place(reader, bad):
+    head, read = PROBABILITY_READERS[reader]
     with pytest.raises(ValueError) as info:
-        read([0.5, bad, 0.5])
-    assert str(info.value) == f"{name} must be finite probabilities in [0, 1], got {bad}"
+        read(bad)
+    assert str(info.value) == f"{head} in [0, 1], got {bad}"
 
 
-@pytest.mark.parametrize("reader", ["forecast", "expected_remaining_events"])
-def test_a_profile_is_read_before_the_clock_second(reader):
+@pytest.mark.parametrize(
+    "read",
+    [lambda p: sd.forecast(fair_chain(), 1, 1, p), lambda p: sd.expected_remaining_events(p, 1)],
+    ids=["forecast", "expected_remaining_events"],
+)
+def test_a_profile_is_read_before_the_clock_second(read):
     with pytest.raises(ValueError, match=r"^profile must be 1-dimensional, got shape \(\)$"):
-        PROBABILITY_READERS[reader][1](0.5)
+        read(0.5)
+
+
+SUM_READERS = {
+    "SportConfig.point_values": (f"{POINT_VALUES}point value probabilities",
+                                 lambda: sd.SportConfig("custom", 10, (10,), {1: 0.5, 2: 0.25}, 5)),
+    "build_chain": ("point value probabilities",
+                    lambda: sd.build_chain(np.full(5, 0.5), {1: 0.5, 2: 0.25})),
+    "TempoModel.interarrival_probs": ("interarrival probabilities",
+                                      lambda: tempo(interarrival_probs=[0.5, 0.25])),
+    "OutcomeForecast": ("forecast probabilities", lambda: sd.OutcomeForecast(0.5, 0.25, 0.0)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SUM_READERS))
+def test_a_pmf_sums_to_one_in_one_place(reader):
+    head, read = SUM_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        read()
+    assert str(info.value) == f"{head} sum to 0.75, expected 1"
 
 
 CLOCK_READERS = {
@@ -210,6 +267,7 @@ CLOCK_READERS = {
                    lambda T: sd.TempoModel(0.1, T, [], [], [])),
     "poisson_rate_from_counts": ("", lambda T: sd.poisson_rate_from_counts(10, 2, T)),
     "flat_profile": ("", lambda T: sd.simulate.flat_profile(T, 0.1)),
+    "lead_dispersion": ("", lambda T: sd.lead_dispersion(games(), T, 1)),
 }
 
 
@@ -221,6 +279,103 @@ def test_a_clock_length_is_read_in_one_place(reader, T):
         read(T)
     rule = f"regulation_length must be a positive number of seconds, got {int(T)}"
     assert str(info.value) == prefix + rule
+
+
+@pytest.mark.parametrize("T, error, message", [(600.5, ValueError, "expected an integer, got 600.5"),
+                                               (True, TypeError, "expected a number, got bool")])
+def test_the_lead_dispersion_clock_is_a_whole_number_of_seconds(T, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        sd.lead_dispersion(games(), T, 60)
+
+
+CONFIG = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 6)
+
+
+@cache
+def games():
+    return sd.ideal_corpus(CONFIG, 0.05, 12, seed=1)
+
+
+@cache
+def spec():
+    return sd.ideal_model(CONFIG, 0.05, seed=1)
+
+
+COUNT_READERS = {  # reader: (argument, least, call)
+    "lead_dispersion": ("sample_every", 1, lambda v: sd.lead_dispersion(games(), 600, v)),
+    "exact_lead_sd": ("sample_every", 1, lambda v: sd.exact_lead_sd(spec(), v)),
+    "exact_lead_sd_grid": ("sample_every", 1, lambda v: sd.exact_lead_sd_grid(
+        sd.fit_tempo(games(), CONFIG), sd.fit_balance(games(), CONFIG, 1), CONFIG, v)),
+    "gap_correlation": ("n_max", 1, lambda v: sd.gap_correlation([1, 2, 4, 3], v)),
+    "correlation_function": ("n_max", 1, lambda v: sd.correlation_function(games(), v)),
+    "lead_scoring_function.cap": ("cap", 1, lambda v: sd.lead_scoring_function(games(), v)),
+    "lead_scoring_function.min_samples": (
+        "min_samples", 1, lambda v: sd.lead_scoring_function(games(), 6, v)),
+    "fit_balance": ("min_samples", 1, lambda v: sd.fit_balance(games(), CONFIG, v)),
+    "poisson_rate_from_counts.n_games": (
+        "n_games", 1, lambda v: sd.poisson_rate_from_counts(10, v, 600)),
+    "poisson_rate_from_counts.n_events": (
+        "n_events", 0, lambda v: sd.poisson_rate_from_counts(v, 10, 600)),
+    "evaluate_predictability": (
+        "n_splits", 1, lambda v: sd.evaluate_predictability(games(), CONFIG, n_splits=v)),
+    "outcome_table": ("max_steps", 0, lambda v: outcome_table(fair_chain(), v)),
+    "simulate_batches": ("n_games", 0, lambda v: sd.simulate_batches(spec(), v)),
+    "simulate_corpus": ("n_games", 0, lambda v: sd.simulate_corpus(spec(), v)),
+    "lead_variance_curve": ("n_games", 1000, lambda v: sd.lead_variance_curve(spec(), v)),
+    "ideal_corpus": ("n_games", 0, lambda v: sd.ideal_corpus(CONFIG, 0.0, v)),
+    "default_league": ("n_teams", 2, lambda v: sd.default_league(n_teams=v, n_games=2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COUNT_READERS))
+@pytest.mark.parametrize("kind", ["bool", "fraction", "below"])
+def test_a_count_is_read_in_one_place(reader, kind):
+    name, least, read = COUNT_READERS[reader]
+    value, message = {
+        "bool": (True, f"{name}: expected a number, got bool"),
+        "fraction": (least + 0.5, f"{name}: expected an integer, got {least + 0.5}"),
+        "below": (least - 1, f"{name} must be >= {least}, got {least - 1}"),
+    }[kind]
+    with pytest.raises(ValueError) as info:
+        read(value)
+    assert str(info.value) == message
+
+
+def test_an_event_count_is_a_number():
+    with pytest.raises(ValueError, match="^n_events: cannot convert float NaN to integer$"):
+        sd.poisson_rate_from_counts(np.nan, 10, 600)
+
+
+def test_a_whole_float_count_is_read_as_its_integer():
+    two, two_float = (sd.evaluate_predictability(games(), CONFIG, n_splits=n) for n in (2, 2.0))
+    assert all(np.array_equal(a, b) for a, b in zip(vars(two).values(), vars(two_float).values()))
+
+
+@pytest.mark.parametrize("flag", ["--balance-bins", "--correlation-lags"])
+def test_report_reads_its_counts_before_the_corpus(tmp_path, capsys, flag):
+    argv = ["report", "--in", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path), flag, "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_events, shown", [(1e300, "1e+300"), (2.0**63, "9.223372036854776e+18"),
+                                             (np.inf, "inf"), (np.nan, "nan"), (-0.25, "-0.25")])
+def test_an_event_count_whose_steps_int64_cannot_hold_is_refused_by_name(n_events, shown):
+    message = f"n_events must be finite, nonnegative and below 2**63, got {shown}"
+    for read in (lambda: _steps(np.array([1.0, n_events])),
+                 lambda: sd.forecast_after_events(fair_chain(), 0, n_events)):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_gap_is_finite(bad):
+    with pytest.raises(ValueError) as info:
+        sd.gap_correlation([1, bad, 3, 4], 2)
+    assert str(info.value) == f"gaps must be finite, got {bad}"
 
 
 PHI_SHAPE_READERS = {

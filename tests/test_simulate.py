@@ -152,7 +152,7 @@ class TestReproducibility:
         assert a != b
 
     def test_negative_game_count_rejected(self):
-        with pytest.raises(ValueError, match="n_games must be nonnegative, got -5"):
+        with pytest.raises(ValueError, match="n_games must be >= 0, got -5"):
             sd.simulate_corpus(flat_spec(0.01), -5)
         assert sd.simulate_corpus(flat_spec(0.01), 0) == []
 
