@@ -30,7 +30,7 @@ Each rule has one home, which records and public functions share: how a
 number, an integer, a count (`_count`: an integer of at least some least),
 a position (`_index`), an id (`_string`, `_strings`), an array of one shape
 (`_column`), a probability or a column of them (`_probability`,
-`_probabilities`) and a clock length (`_seconds`) are read, a pmf's sum
+`_probabilities`) and a clock length (`_seconds`) are read and named (`_named`), a pmf's sum
 (`_sums_to_one`), the lead cap (`_check_cap`), phi's shape
 (`estimate.LeadScoring._shape`), the chain steps of an event count
 (`predict._steps`), the team a lead's sign names (`_team`), a corpus's
@@ -164,14 +164,19 @@ _ints, _floats = partial(_column, dtype=np.int64), partial(_column, dtype=np.flo
 _probabilities = partial(_floats, probabilities=True)
 
 
+def _named(prefix: str, read: Callable, value):
+    """`read(value)`, its refusal raised again as a ValueError that starts with
+    `prefix`: how a record names a field, and a public function an argument."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
 def _count(name: str, value, least: int) -> int:
     """A count: an `_integer` (so no bool or fraction) that is at least `least`;
     each refusal a ValueError that starts with `name`."""
-    try:
-        count = _integer(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    if count < least:
+    if (count := _named(f"{name}: ", _integer, value)) < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
     return count
 
@@ -203,9 +208,10 @@ def _validated_point_values(point_values: Mapping[int, float]) -> Mapping[int, f
     return MappingProxyType(dict(sorted(cleaned.items())))
 
 
-def _seconds(value) -> int:
-    """A clock length (`regulation_length`): a positive integer (`_integer`) number of seconds."""
-    if (seconds := _integer(value)) < 1:
+def _seconds(value, prefix: str = "") -> int:
+    """A clock length (`regulation_length`): a positive `_integer` of seconds; a
+    public function names its argument in `prefix`, which starts each refusal but the range's."""
+    if (seconds := _named(prefix, _integer, value)) < 1:
         raise ValueError(f"regulation_length must be a positive number of seconds, got {seconds}")
     return seconds
 
@@ -273,11 +279,13 @@ class _Record:
     def __post_init__(self) -> None:
         values = vars(self)
         for name, convert, refusal in self._converters:
-            try:
-                values[name] = convert(values[name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{refusal}{exc}") from None
+            values[name] = _named(refusal, convert, values[name])
         self._check()
+
+    @classmethod
+    def _converted(cls, name: str, value):
+        """`value` converted as field `name` is, refused in the record's words."""
+        return next(_named(r, c, value) for n, c, r in cls._converters if n == name)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._names)
@@ -695,7 +703,7 @@ def _checked_corpus(
 
 def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
     """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length."""
-    regulation_length = _seconds(regulation_length)
+    regulation_length = _seconds(regulation_length, "regulation_length: ")
     if (sample_every := _count("sample_every", sample_every, 1)) > regulation_length:
         raise ValueError(f"sample_every must be <= regulation_length ({regulation_length}), "
                          f"got {sample_every}")

@@ -179,7 +179,7 @@ class BalanceModel(_Record, eq=False):
 def poisson_rate_from_counts(n_events: int, n_games: int, regulation_length: int) -> float:
     """Rate estimate from corpus totals: (events per game) / T."""
     n_events, n_games = _count("n_events", n_events, 0), _count("n_games", n_games, 1)
-    regulation_length = _seconds(regulation_length)
+    regulation_length = _seconds(regulation_length, "regulation_length: ")
     if n_events == 0:
         warnings.warn("corpus has zero events; rate estimate is degenerate", stacklevel=2)
     return (n_events / n_games) / regulation_length

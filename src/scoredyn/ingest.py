@@ -469,63 +469,70 @@ def _written_id(game_id: str, fmt: str) -> str:
 
 def _tails(fmt: str, signed: np.ndarray, times: np.ndarray) -> list[str]:
     """The record tails of the pairs (signed points, t), in the order given
-    (any order): one template per run of equal signed values, mapped over
-    the run's seconds."""
-    template = "{},{{}},{}" if fmt == "csv" else '{}","t":{{}},"points":{}}}}}'
+    (any order), each ending in its line feed: the text before and after t
+    is made once per run of equal signed values, and t put between."""
+    head, end = ("%s,", ",%d\n") if fmt == "csv" else ('%s","t":', ',"points":%d}\n')
     first = np.ones(len(signed), dtype=bool)  # first pair of its signed value
     first[1:] = signed[1:] != signed[:-1]
     starts = np.flatnonzero(first)
     tails: list[str] = []
     for v, seconds in zip(signed[starts].tolist(), np.split(times, starts[1:])):
-        tails += map(template.format(_team(v), abs(v)).format, seconds.tolist())
+        before, after = head % _team(v), end % abs(v)
+        tails += [f"{before}{t}{after}" for t in seconds.tolist()]
     return tails
 
 
 class _TailTable:
-    """The record tails of one file (the text after a record's game id,
-    which depends only on (signed points, t)), each formatted once: dense
-    over the key ranges of the slices served so far, grown with them while
-    it holds at most `_WORK_WORDS` keys (8 MB of references). A slice that
-    would grow it past that, which only huge t or points can give, has the
-    tail of each of its events formatted on its own."""
+    """The record tails of one file (a record's text after its game id, line
+    feed included, which depends only on (signed points, t)), each formatted
+    once: dense over the key ranges of the slices served so far, grown with
+    them while it holds at most `_WORK_WORDS` keys (8 MB of references). A
+    slice that would grow it past that, which only huge t or points can give,
+    has the tail of each of its events formatted on its own."""
 
     def __init__(self, fmt: str) -> None:
         self.fmt = fmt
-        self.table = np.empty((0, 0), dtype=object)  # None where no tail is formatted yet
+        self.table = np.empty((0, 0), dtype=object)  # a tail where `known` is set
+        self.known = np.zeros((0, 0), dtype=bool)  # the keys whose tail is formatted
         self.lo, self.hi = (np.inf, np.inf), (-np.inf, -np.inf)  # keys of its corners
 
-    def per_event(self, signed: np.ndarray, times: np.ndarray) -> list[str]:
-        """The tail of each event (signed points, t)."""
-        if not len(signed):
+    def per_event(self, teams: np.ndarray, points: np.ndarray, times: np.ndarray) -> list[str]:
+        """The tail of each event (teams * points, t)."""
+        if not len(times):
             return []
-        lo = (min(int(signed.min()), self.lo[0]), min(int(times.min()), self.lo[1]))
-        hi = (max(int(signed.max()), self.hi[0]), max(int(times.max()), self.hi[1]))
+        slot = teams * points  # the signed points, turned into each event's slot in place
+        lo = (min(int(slot.min()), self.lo[0]), min(int(times.min()), self.lo[1]))
+        hi = (max(int(slot.max()), self.hi[0]), max(int(times.max()), self.hi[1]))
         shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
         if shape[0] * shape[1] > _WORK_WORDS:
-            return _tails(self.fmt, signed, times)
+            return _tails(self.fmt, slot, times)
         if shape != self.table.shape:  # grow, keeping every tail formatted so far
-            table = np.empty(shape, dtype=object)
+            table, known = np.empty(shape, dtype=object), np.zeros(shape, dtype=bool)
             if self.table.size:
                 v, t = self.lo[0] - lo[0], self.lo[1] - lo[1]
-                table[v : v + self.table.shape[0], t : t + self.table.shape[1]] = self.table
-            self.table, self.lo, self.hi = table, lo, hi
-        slot = (signed - lo[0]) * shape[1] + (times - lo[1])
-        flat = self.table.reshape(-1)
+                old = np.s_[v : v + self.table.shape[0], t : t + self.table.shape[1]]
+                table[old], known[old] = self.table, self.known
+            self.table, self.known, self.lo, self.hi = table, known, lo, hi
+        slot -= lo[0]
+        slot *= shape[1]
+        slot += times
+        slot -= lo[1]
+        flat, known = self.table.reshape(-1), self.known.reshape(-1)
         present = np.zeros(len(flat), dtype=bool)
         present[slot] = True
-        new = np.flatnonzero(present)
-        new = new[np.equal(flat[new], None)]  # present, not yet formatted
+        new = np.flatnonzero(present > known)  # present, not yet formatted
         flat[new] = _tails(self.fmt, new // shape[1] + lo[0], new % shape[1] + lo[1])
-        return flat[slot].tolist()
+        known[new] = True
+        return flat.take(slot).tolist()
 
 
 def _records(corpus: Corpus, tails: _TailTable) -> Iterator[str]:
-    """The records of `corpus`'s games in the format of `tails`, each line
-    ending in a line feed, as one string per `_GAMES_PER_WRITE` games with
-    events: a per-game prefix, then each record's tail from the file's
-    table. A game with no events writes no line; the id of every other
-    game must read back as itself (see `_written_id`)."""
-    per_event = tails.per_event(corpus.signed, corpus.times)
+    """The records of `corpus`'s games in the format of `tails`, as one
+    string per `_GAMES_PER_WRITE` games with events: each record is a
+    per-game prefix, then its tail from the file's table, which ends the
+    line. A game with no events writes no line; the id of every other game
+    must read back as itself (see `_written_id`)."""
+    per_event = tails.per_event(corpus.teams, corpus.points, corpus.times)
     bounds = corpus.offsets.tolist()
     lines = []
     for game_id, sport, a, b in zip(corpus.game_ids, corpus.sport_ids, bounds[:-1], bounds[1:]):
@@ -536,7 +543,7 @@ def _records(corpus: Corpus, tails: _TailTable) -> Iterator[str]:
             prefix = f"{sport},{gid},"
         else:
             prefix = f'{{"sport":{json.dumps(sport)},"game_id":{gid},"team":"'
-        lines.append(prefix + ("\n" + prefix).join(per_event[a:b]) + "\n")
+        lines.append(prefix + prefix.join(per_event[a:b]))
         if len(lines) == _GAMES_PER_WRITE:
             yield "".join(lines)
             lines = []
@@ -569,7 +576,7 @@ def _slices(games: Iterable[GameLog] | Iterable[Corpus]) -> Iterator[Corpus]:
         items = iter(games)
         head = next(items, None)
         if isinstance(head, Corpus):
-            return chain([head], items)
+            return chain(iter([head]), items)  # a spent list iterator lets go of `head`
         games = [] if head is None else [head, *items]
     return Corpus.of(games)._slices()
 

@@ -35,12 +35,13 @@ values and winners of q events and the bias double. q is the tempo's
 `cover`, the event count a gap chunk is sized for (1.25 times the
 expected count, plus 8; for markov tempo one less than the first chunk).
 Times are cut from the buffer by one mask, and point values, winners and
-biases by one gather each (from the games' offsets in the flat buffer).
-A game with more than q events is re-keyed and replayed call by call in
-contract order; every game whose first gap chunk ends within regulation
-is one. Gaps and point values come from a CDF built once per model (the
-lookup `Generator.choice(p=...)` makes, read from a guide table), and
-lead-dependent winners decide event k of every game in lockstep.
+biases by one gather each, and the buffer is freed before the games are
+built. A game with more than q events is re-keyed and replayed call by
+call in contract order; every game whose first gap chunk ends within
+regulation is one. Gaps and point values come from a CDF built once per
+model (the lookup `Generator.choice(p=...)` makes), read from a guide
+table of values, and lead-dependent winners decide event k of every game
+in lockstep.
 
 Games come one batch (at most 1,024 games, and past one game at most
 `_WORK_WORDS` doubles of draws) at a time: `simulate_batches` yields a
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
-from .core import _clock_grid, _count, _event_leads, _probability, _seconds
+from .core import _clock_grid, _count, _event_leads, _named, _number, _probability, _seconds
 from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
 from .rng import check_seed, rekeyer, substream
 
@@ -77,22 +78,24 @@ class BalanceKind(str, Enum):
     MARKOV = "markov"
 
 
-def _guide(cdf: np.ndarray) -> np.ndarray:
-    """Per bucket [b, b + 1) / 2**_GUIDE_BITS of [0, 1): `cdf.searchsorted(u,
-    "right")` where it is the same for every u in the bucket, else -1."""
+def _guide(cdf: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Per bucket [b, b + 1) / 2**_GUIDE_BITS of [0, 1): `support[cdf.searchsorted(u,
+    "right")]` where the search is the same for every u in the bucket, else -1
+    (support values are >= 0)."""
     edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
     low = cdf.searchsorted(edges[:-1], "right")
     high = cdf.searchsorted(np.nextafter(edges[1:], 0.0), "right")
-    return np.where(low == high, low, -1)
+    return np.where(low == high, support[low], -1)
 
 
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`cdf.searchsorted(u, "right")` for u in [0, 1) (any shape), read from
-    `_guide(cdf)` and searched only where the bucket is ambiguous."""
-    index = guide[(u * (1 << _GUIDE_BITS)).astype(np.intp)]  # exact: a power-of-two scale
-    ambiguous = index < 0
-    index[ambiguous] = cdf.searchsorted(u[ambiguous], "right")
-    return index
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, support, u: np.ndarray) -> np.ndarray:
+    """`support[cdf.searchsorted(u, "right")]` for u in [0, 1) (any shape), read
+    from `_guide(cdf, support)` and searched only where the bucket is ambiguous."""
+    bucket = np.multiply(u, 1 << _GUIDE_BITS, out=np.empty(u.shape, np.intp), casting="unsafe")
+    values = guide.take(bucket)  # the bucket is exact: a power-of-two scale, truncated
+    ambiguous = values < 0
+    values[ambiguous] = support[cdf.searchsorted(u[ambiguous], "right")]
+    return values
 
 
 class _Pmf:
@@ -102,10 +105,10 @@ class _Pmf:
     def __init__(self, support, probs) -> None:
         self.support = np.asarray(support)
         self.cdf = _cdf(probs)
-        self.guide = _guide(self.cdf)
+        self.guide = _guide(self.cdf, self.support)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.support[_guided_search(self.cdf, self.guide, u)]
+        return _guided_search(self.cdf, self.guide, self.support, u)
 
 
 def _chunk_size(expected: float) -> int:
@@ -146,7 +149,7 @@ class _GapTempo:
 
     def first_times(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(time, whether it is within regulation) of each first-chunk gap, for rows of games."""
-        times = self.gaps(u).cumsum(axis=1)
+        times = np.cumsum(gaps := self.gaps(u), axis=1, out=gaps)  # in place: no second table
         return times, times <= self.horizon
 
     def replay(self, rng: np.random.Generator) -> np.ndarray:
@@ -250,17 +253,17 @@ def _lead_dependent_teams(phi, offsets, points, u) -> np.ndarray:
     that has one (lockstep): the loop is as long as the longest game."""
     counts = np.diff(offsets)
     order = np.argsort(-counts, kind="stable")
-    starts = offsets[:-1][order]
+    at = offsets[:-1][order]  # each game's next event, in place of its first
     # active[k] games have more than k events; they come first in `order`
     active = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)), side="left")
     teams = np.empty(len(u), dtype=np.int8)
-    row = np.full(len(starts), len(phi) // 2, dtype=np.int64)  # phi's row for the lead
-    for k, m in enumerate(active.tolist()):
-        idx = starts[:m] + k
-        rows = row[:m]
-        team = (u[idx] < phi[rows]).view(np.int8) * 2 - 1  # +1 or -1 from the comparison
+    row = np.full(len(at), len(phi) // 2, dtype=np.int64)  # phi's row for the lead
+    for m in active.tolist():
+        idx, rows = at[:m], row[:m]
+        team = (u.take(idx) < phi.take(rows)).view(np.int8) * 2 - 1  # +1 or -1 from the comparison
         teams[idx] = team
-        rows += team * points[idx]
+        rows += team * points.take(idx)
+        idx += 1
     return teams
 
 
@@ -305,10 +308,13 @@ def _batch_games(law: _Law, index: range, prefix: str, sport_id: str) -> Corpus:
     hit[replay] = False
     times = times[hit].astype(np.int64, copy=False)
     starts = np.arange(len(n)) * u.shape[1] + first  # each row's first draw after the times'
-    on = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)  # starts[g] + k, k < n[g]
+    on = np.repeat(starts - np.cumsum(n) + n, n)
+    on += np.arange(len(on))  # starts[g] + k, k < n[g]
     flat = u.reshape(-1)
-    u_points, u_winners, u_bias = flat[on], flat[on + np.repeat(n, n)], flat[starts + 2 * n]
-    del u, flat, hit, on  # only the cuts are kept: the buffer is freed before the games are built
+    u_points = flat.take(on)
+    on += np.repeat(n, n)
+    u_winners, u_bias = flat.take(on), flat.take(starts + 2 * n)
+    del u, flat, row, hit, on  # only the cuts are kept: the buffer (`row` too views it) is freed
     replayed = np.flatnonzero(replay)
     if len(replayed):
         draws = zip(*(_replay(law, rng, index[g]) for g in replayed.tolist()))
@@ -328,7 +334,7 @@ def _batch_games(law: _Law, index: range, prefix: str, sport_id: str) -> Corpus:
         teams = (u_winners < c.repeat(n)).view(np.int8) * 2 - 1
     else:
         teams = _lead_dependent_teams(law.phi, offsets, points, u_winners)
-    ids = [f"{prefix}-{g:06d}" for g in index]
+    ids = list(map(f"{prefix}-%06d".__mod__, index))
     return Corpus._owning(ids, [sport_id] * len(ids), offsets, times, teams, points)
 
 
@@ -367,9 +373,14 @@ def flat_profile(regulation_length: int, rate: float) -> np.ndarray:
     can have resolved there and the profile's first entry is zero (as in
     any fitted profile).
     """
-    profile = np.full(_seconds(regulation_length) + 1, float(rate))
+    profile = np.full(_seconds(regulation_length, "regulation_length: ") + 1, float(rate))
     profile[0] = 0.0
     return profile
+
+
+def _rate(rate) -> float:
+    """An ideal competition's per-second event rate: a probability, named `rate` in each refusal."""
+    return _probability("rate", _named("rate: ", _number, rate))
 
 
 def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
@@ -379,7 +390,7 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
     won by either team with probability 1/2, and values are iid from the
     sport's point distribution.
     """
-    if not (rate := _probability("rate", rate)):
+    if not (rate := _rate(rate)):
         raise ValueError("rate must be in (0, 1]")
     T = config.regulation_length
     cap = config.lead_truncation
@@ -413,13 +424,15 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
 def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int = 0) -> GameLog:
     """One ideal-competition game; rate 0 yields an empty game."""
     game_index = check_seed(game_index, "game_index")
-    if not _probability("rate", rate):
+    if not _rate(rate):
+        ModelSpec._converted("seed", seed)  # refused as at a positive rate
         return GameLog(f"sim-{game_index:06d}", config.sport_id, [], [], [])
     return simulate_game(ideal_model(config, rate, seed), game_index)
 
 
 def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) -> Corpus:
-    if not _probability("rate", rate):
+    if not _rate(rate):
+        ModelSpec._converted("seed", seed)  # refused as at a positive rate
         games = range(_count("n_games", n_games, 0))
         return Corpus.of(ideal_game(config, 0.0, seed, i) for i in games)
     return simulate_corpus(ideal_model(config, rate, seed), n_games)

@@ -281,11 +281,41 @@ def test_a_clock_length_is_read_in_one_place(reader, T):
     assert str(info.value) == prefix + rule
 
 
-@pytest.mark.parametrize("T, error, message", [(600.5, ValueError, "expected an integer, got 600.5"),
-                                               (True, TypeError, "expected a number, got bool")])
-def test_the_lead_dispersion_clock_is_a_whole_number_of_seconds(T, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
+@pytest.mark.parametrize("T, message", [(600.5, "expected an integer, got 600.5"),
+                                        (True, "expected a number, got bool")])
+def test_the_lead_dispersion_clock_is_a_whole_number_of_seconds(T, message):
+    with pytest.raises(ValueError, match=f"^regulation_length: {message}$"):
         sd.lead_dispersion(games(), T, 60)
+
+
+NAMED_READERS = {  # a public function's reader: (the argument it names, call)
+    **{name: ("regulation_length", read) for name, (prefix, read) in CLOCK_READERS.items()
+       if not prefix},
+    "ideal_model": ("rate", lambda v: sd.ideal_model(CONFIG, v)),
+    "ideal_game": ("rate", lambda v: sd.ideal_game(CONFIG, v)),
+    "ideal_corpus": ("rate", lambda v: sd.ideal_corpus(CONFIG, v, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NAMED_READERS))
+@pytest.mark.parametrize("value, kind", [(True, "bool"), ("1", "str"), (None, "NoneType")])
+def test_a_public_function_names_the_argument_that_is_not_a_number(reader, value, kind):
+    name, read = NAMED_READERS[reader]
+    with pytest.raises(ValueError, match=f"^{name}: expected a number, got {kind}$"):
+        read(value)
+
+
+@pytest.mark.parametrize("seed, refusal", [(-5, r"seed must be in \[0, 2\*\*64\), got -5"),
+                                           (True, "'bool' object cannot be interpreted"),
+                                           ("x", "'str' object cannot be interpreted")])
+@pytest.mark.parametrize("read", [lambda rate, seed: sd.ideal_corpus(CONFIG, rate, 3, seed=seed),
+                                  lambda rate, seed: sd.ideal_corpus(CONFIG, rate, 0, seed=seed),
+                                  lambda rate, seed: sd.ideal_game(CONFIG, rate, seed=seed)],
+                         ids=["ideal_corpus", "ideal_corpus-no-games", "ideal_game"])
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+def test_an_ideal_seed_is_read_at_every_rate(read, rate, seed, refusal):
+    with pytest.raises(ValueError, match=f"^model spec: field 'seed': {refusal}"):
+        read(rate, seed)
 
 
 CONFIG = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 6)

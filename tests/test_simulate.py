@@ -589,10 +589,11 @@ def test_guided_search_matches_searchsorted(cdf, extra):
             extra,
         ]
     )
-    guide = sd.simulate._guide(cdf)
-    expected = cdf.searchsorted(u, "right")
-    np.testing.assert_array_equal(sd.simulate._guided_search(cdf, guide, u), expected)
-    rows = sd.simulate._guided_search(cdf, guide, np.stack([u, u[::-1]]))  # rows of games
+    support = np.arange(len(cdf) + 1) * 3  # a value for every search result
+    guide = sd.simulate._guide(cdf, support)
+    expected = support[cdf.searchsorted(u, "right")]
+    np.testing.assert_array_equal(sd.simulate._guided_search(cdf, guide, support, u), expected)
+    rows = sd.simulate._guided_search(cdf, guide, support, np.stack([u, u[::-1]]))  # rows of games
     np.testing.assert_array_equal(rows, np.stack([expected, expected[::-1]]))
 
 

@@ -6,6 +6,7 @@ sums the same batches one at a time."""
 import hashlib
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ def test_simulate_outputs_are_pinned(nba_model, tmp_path, capsys, tempo_kind, ba
     assert code == 0, printed.err
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINNED_SIMULATE[tempo_kind, balance_kind, fmt]
+
+
+@pytest.mark.parametrize("games_per_batch", [7, 333])
+def test_simulate_outputs_do_not_depend_on_the_batch_size(nba_model, tmp_path, capsys,
+                                                          monkeypatch, games_per_batch):
+    """The pinned bytes again, with batch edges at many more games than the
+    1,024-game split: every cell and format, from batches of 7 and of 333."""
+    monkeypatch.setattr(simulate, "_CHUNK_GAMES", games_per_batch)
+    for tempo_kind, balance_kind, fmt in sorted(PINNED_SIMULATE):
+        out = tmp_path / f"sim.{fmt}"
+        code, printed = simulate_cli(capsys, nba_model, out, tempo_kind, balance_kind, 1100)
+        assert code == 0, printed.err
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_SIMULATE[tempo_kind, balance_kind, fmt], (tempo_kind, balance_kind, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -197,6 +212,22 @@ def test_memory_does_not_grow_with_the_game_count(nba_model, tmp_path, capsys):
 
     small, large = peak(1024), peak(4096)
     assert large <= 1.5 * small, (small / 2**20, large / 2**20)
+
+
+def test_each_batch_is_freed_once_it_is_written(nba_model, tmp_path):
+    """The writer holds one batch at a time, the first one included: by the
+    time a batch arrives, every batch before it is gone."""
+    spec = cli_spec(nba_model, "markov", "markov", seed=1)
+    written = []
+
+    def batches():
+        for batch in sd.simulate_batches(spec, 3000):
+            assert [ref() for ref in written] == [None] * len(written)
+            written.append(weakref.ref(batch))
+            yield batch
+
+    sd.write_event_file(batches(), tmp_path / "sim.csv")
+    assert len(written) == 3
 
 
 def test_lead_variance_curve_memory_does_not_grow_with_the_game_count(nba_model):
