@@ -26,22 +26,21 @@ the fields in order, then run the record's cross-field `_check`. A column
 refuses as "times must be integers, ...", any other field as "game log:
 field ...".
 
-Each rule has one home, which records and public functions share: how a
-number, an integer, a count (`_count`: an integer of at least some least),
-a position (`_index`), an id (`_string`, `_strings`), an array of one shape
-(`_column`), a probability or a column of them (`_probability`,
-`_probabilities`) and a clock length (`_seconds`) are read and named (`_named`), a pmf's sum
-(`_sums_to_one`), the lead cap (`_check_cap`), phi's shape
-(`estimate.LeadScoring._shape`), the chain steps of an event count
-(`predict._steps`), the team a lead's sign names (`_team`), a corpus's
-slices (`Corpus._slices`) and the sports (`BUILTIN_SPORTS`). Every field of a public record declares a converter
-(a nested record's is `_Record._instance`). A saved record's JSON layout
-is its fields, each at its name or at its `_paths` entry; `_dump` writes
-it and `_load` reads each path through its field's converter, so a file
-takes what a record takes. `estimate.ModelArtifact` checks that models
-fit a config, and `ingest._infer_format` that a format exists. Every
-command refuses a model file alike for a probability outside [0, 1], a
-clock that is not a positive number of seconds, a phi that is not
+Each rule has one home, which records and public functions share: how a number, an
+integer, a count (`_count`: an integer of at least some least), a position (`_index`), an id
+(`_string`, `_strings`), an array of one shape (`_column`), a probability or a column of them
+(`_probability`, `_probabilities`) and a clock length (`_seconds`) are read and named
+(`_named`; `_column` and `_probability` take the name, a record its field's), a pmf's sum
+(`_sums_to_one`), the lead cap (`_check_cap`), an event past the clock (`_check_clock`), phi's
+shape (`estimate.LeadScoring._shape`), the chain steps of an event count (`predict._steps`),
+the team a lead's sign names (`_team`), a corpus's slices (`Corpus._slices`) and the sports
+(`BUILTIN_SPORTS`). Every field of a public record declares a converter (a nested record's is
+`_Record._instance`). A saved record's JSON layout is its fields, each at its name or at its
+`_paths` entry; `_dump` writes it and `_load` reads each path through its field's converter
+(`_field`, which names the path through `_named`), so a file takes what a record takes.
+`estimate.ModelArtifact` checks that models fit a config, and `ingest._infer_format` that a
+format exists. Every command refuses a model file alike for a probability outside [0, 1] or
+not a number, a clock that is not a positive number of seconds, a phi that is not
 antisymmetric, a cap below the largest point value, or misfit models.
 """
 
@@ -182,8 +181,8 @@ def _count(name: str, value, least: int) -> int:
 
 
 def _probability(name: str, value) -> float:
-    """One number (`_number`) read by the probability rule (`_probabilities`)."""
-    return float(_probabilities(name, _number(value), ndim=0))
+    """One number (`_number`) read by the probability rule (`_probabilities`), named `name`."""
+    return float(_probabilities(name, _named(f"{name}: ", _number, value), ndim=0))
 
 
 def _sums_to_one(name: str, probabilities) -> None:
@@ -258,8 +257,9 @@ class _Record:
             convert = vars(cls).get(name)
             if callable(convert):  # a converter, not a default: the dataclass never sees it
                 delattr(cls, name)
-                named = getattr(convert, "func", None) is _column  # names the field in its refusals
-                refusal = "" if named else f"{context}: field {name!r}: "
+                column = getattr(convert, "func", None) is _column  # names the field in its refusals
+                refusal = "" if column else f"{context}: field {name!r}: "
+                named = column or convert is _probability  # a reader that takes the field's name
                 converters.append((name, partial(convert, name) if named else convert, refusal))
         cls._converters, cls._eq = tuple(converters), eq
         fields = dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
@@ -681,29 +681,30 @@ def config_for_games(games: Sequence[GameLog], config: SportConfig | None = None
 def _checked_corpus(
     games: Sequence[GameLog], config: SportConfig | None = None
 ) -> tuple[Corpus, SportConfig]:
-    """The corpus of `games` and its config (`config_for_games`), checked:
-    raise ValueError when an event is past the config's regulation length
-    (a config shorter than the corpus's clock), naming the first game with
-    the latest event and that second. Profiles, gap laws and forecast
-    tables stop at regulation, so such an event would be counted in some
-    estimates and silently dropped from others."""
+    """The corpus of `games` and its config (`config_for_games`), with no event
+    past the config's regulation length (`_check_clock`)."""
     corpus = Corpus.of(games)
     cfg = config_for_games(corpus, config)
-    if len(corpus.times):
-        k = int(np.argmax(corpus.times))  # the first latest event ends its game
-        latest = int(corpus.times[k])
-        if latest > cfg.regulation_length:
-            game_id = corpus.game_ids[int(np.searchsorted(corpus.offsets, k, "right")) - 1]
-            raise ValueError(
-                f"game {game_id!r} has an event at second {latest}, "
-                f"past the config's regulation length {cfg.regulation_length}"
-            )
+    _check_clock(corpus, cfg.regulation_length)
     return corpus, cfg
 
 
+def _check_clock(corpus: Corpus, regulation_length: int) -> None:
+    """Raise ValueError, naming the first game with the latest event and that second, when it
+    is past `regulation_length`: some estimates would count it and others silently drop it."""
+    if len(corpus.times):
+        k = int(np.argmax(corpus.times))  # the first latest event ends its game
+        latest = int(corpus.times[k])
+        if latest > regulation_length:
+            game_id = corpus.game_ids[int(np.searchsorted(corpus.offsets, k, "right")) - 1]
+            raise ValueError(
+                f"game {game_id!r} has an event at second {latest}, "
+                f"past the config's regulation length {regulation_length}"
+            )
+
+
 def _clock_grid(regulation_length: int, sample_every: int) -> np.ndarray:
-    """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length."""
-    regulation_length = _seconds(regulation_length, "regulation_length: ")
+    """Seconds 0, sample_every, 2 * sample_every, ... up to regulation_length (a `_seconds`)."""
     if (sample_every := _count("sample_every", sample_every, 1)) > regulation_length:
         raise ValueError(f"sample_every must be <= regulation_length ({regulation_length}), "
                          f"got {sample_every}")
@@ -734,19 +735,17 @@ def _point_values(value) -> dict:
 def _field(context: str, data: Mapping, path: str, convert: Callable | None = None):
     """data[k1][k2]... along the dotted `path`, passed through `convert`; a
     missing, mistyped or unconvertible field raises ValueError naming it."""
-    value = data
-    try:
+    def read(value):
         for key in path.split("."):
             if not isinstance(value, Mapping):
                 raise TypeError(f"expected an object, got {type(value).__name__}")
+            if key not in value:
+                raise ValueError(f"missing key {key!r}")
             value = value[key]
         if convert is _validated_point_values:  # JSON's keys are strings
             value = _point_values(value)
         return value if convert is None else convert(value)
-    except KeyError as exc:
-        raise ValueError(f"{context}: field {path!r}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{context}: field {path!r}: {exc}") from None
+    return _named(f"{context}: field {path!r}: ", read, data)
 
 
 def _load_json(path: str | os.PathLike, context: str):

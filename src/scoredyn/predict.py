@@ -81,9 +81,9 @@ class LeadChain(_Record, eq=False):
 class OutcomeForecast(_Record):
     """Probabilities that r wins, the game ties, and b wins."""
 
-    p_win_r: float = partial(_probability, "p_win_r")
-    p_tie: float = partial(_probability, "p_tie")
-    p_win_b: float = partial(_probability, "p_win_b")
+    p_win_r: float = _probability
+    p_tie: float = _probability
+    p_win_b: float = _probability
 
     def _check(self) -> None:
         _sums_to_one("forecast probabilities", self._values())

@@ -46,9 +46,11 @@ in lockstep.
 Games come one batch (at most 1,024 games, and past one game at most
 `_WORK_WORDS` doubles of draws) at a time: `simulate_batches` yields a
 corpus per batch and keeps nothing of it, and `simulate_corpus` joins
-those same batches. `scoredyn simulate` writes each batch as it is
-generated, so its memory is bounded by one batch, not by the number of
-games.
+those same batches. Every fair game (`ideal_game`, `ideal_corpus`, rate 0
+included) and every synthetic league game runs one flat-rate law
+(`_flat_law`) down the same path. `scoredyn simulate` writes each batch
+as it is generated, so its memory is bounded by one batch, not by the
+number of games.
 """
 
 from __future__ import annotations
@@ -56,12 +58,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
-from .core import _clock_grid, _count, _event_leads, _named, _number, _probability, _seconds
+from .core import _check_clock, _clock_grid, _count, _event_leads, _probability, _seconds
 from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
 from .rng import check_seed, rekeyer, substream
 
@@ -188,7 +192,12 @@ class ModelSpec(_Record, eq=False):
     seed: int = check_seed
 
     def _check(self) -> None:
-        _check_cells(self.tempo, self.balance, self.config, [self.tempo_kind], [self.balance_kind])
+        """The cell runs: its models fit the config, and it has gaps or fractions to draw."""
+        ModelArtifact(self.config, self.tempo, self.balance)
+        if self.tempo_kind is TempoKind.MARKOV and not len(self.tempo.interarrival_gaps):
+            raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
+        if self.balance_kind is BalanceKind.BERNOULLI and not len(self.balance.c_hat_samples):
+            raise ValueError("bernoulli balance needs at least one fitted balance fraction")
 
     @cached_property
     def _law(self) -> _Law:  # the cell's sampling tables, built on the first draw
@@ -204,17 +213,6 @@ class ModelSpec(_Record, eq=False):
             reach = _reach(tempo.regulation_length, balance.point_values)
             rule = {"phi": _phi_over(balance.phi, reach)}
         return _Law(self.seed, times, _point_pmf(balance.point_values), **rule)
-
-
-def _check_cells(tempo, balance, config, tempo_kinds, balance_kinds) -> None:
-    """Raise ValueError unless every cell of `tempo_kinds` x `balance_kinds`
-    can run: the models fit `config`, markov tempo has gaps to draw and
-    bernoulli balance has fitted fractions to draw from."""
-    ModelArtifact(config, tempo, balance)
-    if TempoKind.MARKOV in tempo_kinds and not len(tempo.interarrival_gaps):
-        raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
-    if BalanceKind.BERNOULLI in balance_kinds and not len(balance.c_hat_samples):
-        raise ValueError("bernoulli balance needs at least one fitted balance fraction")
 
 
 def _reach(regulation_length: int, point_values: Mapping[int, float]) -> int:
@@ -348,10 +346,13 @@ def _games(law: _Law, start: int, stop: int, prefix: str, sport_id: str) -> Iter
 
 
 def simulate_game(spec: ModelSpec, game_index: int = 0) -> GameLog:
-    """Generate one game on substream (spec.seed, game_index), for
-    0 <= game_index < 2**64."""
+    """Generate one game on substream (spec.seed, game_index), 0 <= game_index < 2**64."""
+    return _game(spec._law, game_index, spec.config.sport_id)
+
+
+def _game(law: _Law, game_index: int, sport_id: str) -> GameLog:
     game_index = check_seed(game_index, "game_index")
-    (batch,) = _games(spec._law, game_index, game_index + 1, "sim", spec.config.sport_id)
+    (batch,) = _games(law, game_index, game_index + 1, "sim", sport_id)
     return batch[0]
 
 
@@ -378,9 +379,17 @@ def flat_profile(regulation_length: int, rate: float) -> np.ndarray:
     return profile
 
 
-def _rate(rate) -> float:
-    """An ideal competition's per-second event rate: a probability, named `rate` in each refusal."""
-    return _probability("rate", _named("rate: ", _number, rate))
+def _flat_law(seed: int, regulation_length: int, rate: float, point_values, **balance) -> _Law:
+    """A law of constant event probability `rate` (`flat_profile`): fair games' and leagues'."""
+    tempo = _ProfileTempo(flat_profile(regulation_length, rate))
+    return _Law(seed, tempo, _point_pmf(point_values), **balance)
+
+
+def _ideal_law(config: SportConfig, rate, seed) -> _Law:
+    """`ideal_model(config, rate, seed)`'s law, at every rate in [0, 1]: fair games."""
+    rate, seed = _probability("rate", rate), ModelSpec._converted("seed", seed)
+    fair = {"c_samples": np.array([0.5])}
+    return _flat_law(seed, config.regulation_length, rate, config.point_values, **fair)
 
 
 def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
@@ -390,7 +399,7 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
     won by either team with probability 1/2, and values are iid from the
     sport's point distribution.
     """
-    if not (rate := _rate(rate)):
+    if not (rate := _probability("rate", rate)):
         raise ValueError("rate must be in (0, 1]")
     T = config.regulation_length
     cap = config.lead_truncation
@@ -422,20 +431,14 @@ def ideal_model(config: SportConfig, rate: float, seed: int = 0) -> ModelSpec:
 
 
 def ideal_game(config: SportConfig, rate: float, seed: int = 0, game_index: int = 0) -> GameLog:
-    """One ideal-competition game; rate 0 yields an empty game."""
-    game_index = check_seed(game_index, "game_index")
-    if not _rate(rate):
-        ModelSpec._converted("seed", seed)  # refused as at a positive rate
-        return GameLog(f"sim-{game_index:06d}", config.sport_id, [], [], [])
-    return simulate_game(ideal_model(config, rate, seed), game_index)
+    """Game `game_index` of `ideal_corpus`; rate 0 yields an empty game."""
+    return _game(_ideal_law(config, rate, seed), game_index, config.sport_id)
 
 
 def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) -> Corpus:
-    if not _rate(rate):
-        ModelSpec._converted("seed", seed)  # refused as at a positive rate
-        games = range(_count("n_games", n_games, 0))
-        return Corpus.of(ideal_game(config, 0.0, seed, i) for i in games)
-    return simulate_corpus(ideal_model(config, rate, seed), n_games)
+    """`simulate_corpus(ideal_model(config, rate, seed), n_games)`; rate 0 yields empty games."""
+    law = _ideal_law(config, rate, seed)
+    return Corpus.concat(_games(law, 0, _count("n_games", n_games, 0), "sim", config.sport_id))
 
 
 def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
@@ -457,11 +460,13 @@ def lead_dispersion(
     games: Sequence[GameLog], regulation_length: int, sample_every: int = 60
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, sd of lead) sampled on a regular grid; a game without events
-    counts, at lead 0 throughout."""
+    counts, at lead 0 throughout, and an event past the clock is refused."""
     corpus = Corpus.of(games)
     if not len(corpus):
         raise ValueError("lead dispersion needs at least one game")
+    regulation_length = _seconds(regulation_length, "regulation_length: ")
     grid = _clock_grid(regulation_length, sample_every)
+    _check_clock(corpus, regulation_length)
     return grid, _dispersion(corpus._slices(), grid)
 
 
@@ -547,14 +552,6 @@ def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
     return at_least[:, :-1] - at_least[:, 1:]
 
 
-def _count_law(kind: TempoKind, tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
-    """The count law of `tempo` read as `kind`: `_bernoulli_count_law` of its
-    profile, or `_renewal_count_law`."""
-    if kind is TempoKind.BERNOULLI:
-        return _bernoulli_count_law(tempo.profile, grid)
-    return _renewal_count_law(tempo, grid)
-
-
 def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """E[L | n events] and E[L^2 | n] for n < n_cut when one bias c per game
     is drawn from `c_samples`: each event adds +-v with mean (2c - 1) E v."""
@@ -595,12 +592,6 @@ def _lead_moments(
     return _markov_moments(_phi_over(balance.phi, reach), values, probs, n_cut)
 
 
-def _mixed_sd(law: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The sd of lead at each grid time: the lead moments mixed over the count law."""
-    mean = law @ m1
-    return np.sqrt(np.maximum(law @ m2 - mean * mean, 0.0))
-
-
 def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """(times, sd of lead) across games of `spec`, computed exactly on the
     grid of `lead_dispersion`: an event at second g counts at grid time g,
@@ -612,9 +603,8 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
     clamped beyond +-cap, as the simulator reads it, for markov balance).
     Event counts whose mass at T is below 1e-15 are dropped.
     """
-    grid = _clock_grid(spec.config.regulation_length, sample_every)
-    law = _count_law(spec.tempo_kind, spec.tempo, grid)
-    return grid, _mixed_sd(law, *_lead_moments(spec.balance_kind, spec.balance, law.shape[1]))
+    grid, sds = _exact_lead_sds([spec], sample_every)
+    return grid, sds[spec.tempo_kind.value, spec.balance_kind.value]
 
 
 def exact_lead_sd_grid(
@@ -622,16 +612,26 @@ def exact_lead_sd_grid(
 ) -> tuple[np.ndarray, dict[tuple[str, str], np.ndarray]]:
     """(times, {(tempo kind, balance kind): sd of lead}) for the four cells of
     the model grid, in the order bb, bm, mb, mm: `exact_lead_sd` of each
-    cell, with each tempo kind's count law computed once. Refuses what
-    `ModelSpec` refuses for any cell."""
-    _check_cells(tempo, balance, config, TempoKind, BalanceKind)
-    grid = _clock_grid(config.regulation_length, sample_every)
+    cell's `ModelSpec`, so it refuses what `ModelSpec` refuses for any cell."""
+    cells = [ModelSpec(t, b, tempo, balance, config, 0) for t in TempoKind for b in BalanceKind]
+    return _exact_lead_sds(cells, sample_every)
+
+
+def _exact_lead_sds(specs: list[ModelSpec], sample_every: int):
+    """(times, {(tempo kind, balance kind): sd of lead}) of `specs`, which share one config
+    and tempo: each tempo kind's count law, once per run of cells, mixed with their moments."""
+    grid, tempo = _clock_grid(specs[0].config.regulation_length, sample_every), specs[0].tempo
     sds = {}
-    for tempo_kind in TempoKind:
-        law = _count_law(tempo_kind, tempo, grid)
-        for balance_kind in BalanceKind:
-            moments = _lead_moments(balance_kind, balance, law.shape[1])
-            sds[tempo_kind.value, balance_kind.value] = _mixed_sd(law, *moments)
+    for tempo_kind, cells in groupby(specs, attrgetter("tempo_kind")):
+        if tempo_kind is TempoKind.BERNOULLI:
+            law = _bernoulli_count_law(tempo.profile, grid)
+        else:
+            law = _renewal_count_law(tempo, grid)
+        for spec in cells:
+            m1, m2 = _lead_moments(spec.balance_kind, spec.balance, law.shape[1])
+            mean = law @ m1
+            sds[tempo_kind.value, spec.balance_kind.value] = np.sqrt(
+                np.maximum(law @ m2 - mean * mean, 0.0))
     return grid, sds
 
 

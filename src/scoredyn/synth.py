@@ -13,17 +13,16 @@ index), so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    Corpus, SportConfig, _count, _floats, _integer, _probability, _Record, _seconds,
-    _validated_point_values,
+    Corpus, SportConfig, _count, _floats, _integer, _named, _number, _probability, _Record,
+    _seconds, _validated_point_values,
 )
 from .rng import check_seed
-from .simulate import _games, _Law, _point_pmf, _ProfileTempo, _reach, flat_profile
+from .simulate import _flat_law, _games, _reach, flat_profile
 
 PROB_CLAMP = 1e-6
 
@@ -40,7 +39,7 @@ class LeagueSpec(_Record, eq=False):
     schedule: tuple[tuple[int, int], ...] = lambda pairs: tuple(
         (_integer(i), _integer(j)) for i, j in pairs)
     regulation_length: int = _seconds
-    tempo: float = partial(_probability, "tempo")
+    tempo: float = _probability
     point_values: Mapping[int, float] = _validated_point_values
     seed: int = check_seed
 
@@ -66,8 +65,9 @@ class LeagueSpec(_Record, eq=False):
         return flat_profile(self.regulation_length, self.tempo)
 
 
-def _league_law(spec: LeagueSpec, **balance) -> _Law:
-    return _Law(spec.seed, _ProfileTempo(spec.profile), _point_pmf(spec.point_values), **balance)
+def _league_games(spec: LeagueSpec, prefix: str, **balance) -> Corpus:
+    law = _flat_law(spec.seed, spec.regulation_length, spec.tempo, spec.point_values, **balance)
+    return Corpus.concat(_games(law, 0, len(spec.schedule), prefix, "custom"))
 
 
 def generate_league(spec: LeagueSpec) -> Corpus:
@@ -75,7 +75,7 @@ def generate_league(spec: LeagueSpec) -> Corpus:
     is `league-{i:06d}`."""
     r, b = np.array(spec.schedule).T
     p_r = spec.skills[r] / (spec.skills[r] + spec.skills[b])
-    return Corpus.concat(_games(_league_law(spec, c_fixed=p_r), 0, len(p_r), "league", "custom"))
+    return _league_games(spec, "league", c_fixed=p_r)
 
 
 def generate_restoring_league(spec: LeagueSpec, restoring_slope: float) -> Corpus:
@@ -86,13 +86,12 @@ def generate_restoring_league(spec: LeagueSpec, restoring_slope: float) -> Corpu
     extreme leads. A |slope| >= 1/2 would leave the open interval at the
     first point of lead and is rejected.
     """
-    if not abs(restoring_slope) < 0.5:  # NaN fails too
-        raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")
+    if not abs(restoring_slope := _named("restoring_slope: ", _number, restoring_slope)) < 0.5:
+        raise ValueError("|slope| must be < 1/2 to keep probabilities in (0, 1)")  # NaN too
     reach = _reach(spec.regulation_length, spec.point_values)
     leads = np.arange(-reach, reach + 1)
     phi = np.clip(0.5 + restoring_slope * leads, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    law = _league_law(spec, phi=phi)
-    return Corpus.concat(_games(law, 0, len(spec.schedule), "restoring", "custom"))
+    return _league_games(spec, "restoring", phi=phi)
 
 
 def default_league(
@@ -106,9 +105,10 @@ def default_league(
 ) -> LeagueSpec:
     """Desk-scale league: log-normal skills, uniform random schedule."""
     n_teams = _count("n_teams", n_teams, 2)  # two distinct teams per game
-    if not 0 <= skill_sigma < np.inf:
+    n_games = _count("n_games", n_games, 1)  # a schedule is non-empty
+    if not 0 <= (skill_sigma := _named("skill_sigma: ", _number, skill_sigma)) < np.inf:
         raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LeagueSpec._converted("seed", seed))
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
     schedule = [rng.choice(n_teams, size=2, replace=False) for _ in range(n_games)]
     if point_values is None:

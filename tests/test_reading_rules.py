@@ -182,17 +182,26 @@ def balance(**changes):
     return sd.BalanceModel(**{**fields, **changes})
 
 
+NOT_NUMBERS = {"bool": True, "str": "x"}
+
+
 def column(name, read):
-    """A column reader of the probability rule: `read` takes the column [0.5, bad, 0.5]."""
-    return f"{name} must be finite probabilities", lambda bad: read([0.5, bad, 0.5])
+    """A column reader of the probability rule: `read` takes the column [0.5, bad, 0.5].
+    A column names itself, and a non-number entry, by kind."""
+    got = {"bool": "a bool entry", "str": "values of dtype <U32"}
+    return (f"{name} must be finite probabilities", lambda bad: read([0.5, bad, 0.5]),
+            {kind: f"{name} must be numbers, got {got[kind]}" for kind in NOT_NUMBERS})
 
 
 def one(name, read, field=""):
-    """A reader of one probability, prefixed by its record's `field` if it has one."""
-    return f"{field}{name} must be a finite probability", read
+    """A reader of one probability, prefixed by its record's `field` if it has one; a
+    non-number is named as well."""
+    return (f"{field}{name} must be a finite probability", read,
+            {kind: f"{field}{name}: expected a number, got {kind}" for kind in NOT_NUMBERS})
 
 
 POINT_VALUES = "sport config: field 'point_values': "
+FORECAST = ("p_win_r", "p_tie", "p_win_b")
 
 PROBABILITY_READERS = {
     "TempoModel.profile": column("profile", lambda v: tempo(profile=v)),
@@ -214,19 +223,28 @@ PROBABILITY_READERS = {
     "ideal_model": one("rate", lambda v: sd.ideal_model(sd.builtin_config("nhl"), v)),
     "ideal_corpus": one("rate", lambda v: sd.ideal_corpus(sd.builtin_config("nhl"), v, 1)),
     **{f"OutcomeForecast.{name}": one(
-        name, lambda v, i=i: sd.OutcomeForecast(*np.roll([v, 0.0, 0.0], i)),
+        name, lambda v, name=name: sd.OutcomeForecast(**dict.fromkeys(FORECAST, 0.0) | {name: v}),
         f"outcome forecast: field {name!r}: ")
-       for i, name in enumerate(("p_win_r", "p_tie", "p_win_b"))},
+       for name in FORECAST},
 }
 
 
 @pytest.mark.parametrize("reader", sorted(PROBABILITY_READERS))
 @pytest.mark.parametrize("bad", [2.0, 1.5, -0.5, np.nan, np.inf])
 def test_a_probability_is_read_in_one_place(reader, bad):
-    head, read = PROBABILITY_READERS[reader]
+    head, read, _ = PROBABILITY_READERS[reader]
     with pytest.raises(ValueError) as info:
         read(bad)
     assert str(info.value) == f"{head} in [0, 1], got {bad}"
+
+
+@pytest.mark.parametrize("reader", sorted(PROBABILITY_READERS))
+@pytest.mark.parametrize("kind", sorted(NOT_NUMBERS))
+def test_a_probability_that_is_not_a_number_is_named(reader, kind):
+    _, read, named = PROBABILITY_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        read(NOT_NUMBERS[kind])
+    assert str(info.value) == named[kind]
 
 
 @pytest.mark.parametrize(
@@ -294,6 +312,9 @@ NAMED_READERS = {  # a public function's reader: (the argument it names, call)
     "ideal_model": ("rate", lambda v: sd.ideal_model(CONFIG, v)),
     "ideal_game": ("rate", lambda v: sd.ideal_game(CONFIG, v)),
     "ideal_corpus": ("rate", lambda v: sd.ideal_corpus(CONFIG, v, 1)),
+    "default_league": ("skill_sigma", lambda v: sd.default_league(n_games=2, skill_sigma=v)),
+    "generate_restoring_league": ("restoring_slope",
+                                  lambda v: sd.generate_restoring_league(league(), v)),
 }
 
 
@@ -303,6 +324,12 @@ def test_a_public_function_names_the_argument_that_is_not_a_number(reader, value
     name, read = NAMED_READERS[reader]
     with pytest.raises(ValueError, match=f"^{name}: expected a number, got {kind}$"):
         read(value)
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64, 2.5])
+def test_a_league_seed_is_read_before_it_draws_the_skills(seed):
+    with pytest.raises(ValueError, match="^league spec: field 'seed': "):
+        sd.default_league(n_games=2, seed=seed)
 
 
 @pytest.mark.parametrize("seed, refusal", [(-5, r"seed must be in \[0, 2\*\*64\), got -5"),
@@ -331,6 +358,11 @@ def spec():
     return sd.ideal_model(CONFIG, 0.05, seed=1)
 
 
+@cache
+def league():
+    return sd.default_league(n_games=2, regulation_length=60)
+
+
 COUNT_READERS = {  # reader: (argument, least, call)
     "lead_dispersion": ("sample_every", 1, lambda v: sd.lead_dispersion(games(), 600, v)),
     "exact_lead_sd": ("sample_every", 1, lambda v: sd.exact_lead_sd(spec(), v)),
@@ -354,6 +386,7 @@ COUNT_READERS = {  # reader: (argument, least, call)
     "lead_variance_curve": ("n_games", 1000, lambda v: sd.lead_variance_curve(spec(), v)),
     "ideal_corpus": ("n_games", 0, lambda v: sd.ideal_corpus(CONFIG, 0.0, v)),
     "default_league": ("n_teams", 2, lambda v: sd.default_league(n_teams=v, n_games=2)),
+    "default_league.n_games": ("n_games", 1, lambda v: sd.default_league(n_games=v)),
 }
 
 

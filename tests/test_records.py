@@ -166,10 +166,11 @@ class TestNothingTruncatedOrParsed:
             LinearFit(slope=None, intercept=None, slope_stderr=None, n_states=2.5)
 
     def test_bool_probabilities_refused(self):
-        message = "field '{}': expected a number, got bool$"
-        with pytest.raises(ValueError, match="^outcome forecast: " + message.format("p_win_r")):
+        with pytest.raises(ValueError, match="^outcome forecast: field 'p_win_r': p_win_r: "
+                                             "expected a number, got bool$"):
             OutcomeForecast(True, False, False)
-        with pytest.raises(ValueError, match="^sport config: " + message.format("point_values")):
+        with pytest.raises(ValueError, match="^sport config: field 'point_values': point value 1: "
+                                             "expected a number, got bool$"):
             sd.SportConfig("custom", 100, (100,), {1: True}, 10)
 
 

@@ -213,6 +213,46 @@ class TestIdealGame:
         assert abs(leads.mean()) < 3 * math.sqrt(per_game_var / 5000)
 
 
+class TestIdealOracle:
+    """Every fair game runs one law: `ideal_corpus` holds the games of
+    `simulate_corpus(ideal_model(...))`, `ideal_game` each of them, and rate 0
+    draws its empty games the same way."""
+
+    @staticmethod
+    def corpus_and_batch_starts(monkeypatch, config, rate, n_games, seed):
+        starts = []
+
+        def spy(seed, index):
+            starts.append(index)
+            return sd.rng.substream(seed, index)
+
+        monkeypatch.setattr(sd.simulate, "substream", spy)
+        games = sd.ideal_corpus(config, rate, n_games, seed=seed)
+        monkeypatch.undo()
+        return games, starts
+
+    @pytest.mark.parametrize("sport, rate", [("nhl", 0.00106), ("nba", 0.0437), ("nfl", 0.00204)])
+    def test_ideal_corpus_is_the_ideal_models_corpus(self, monkeypatch, sport, rate):
+        config = sd.builtin_config(sport)
+        games, starts = self.corpus_and_batch_starts(monkeypatch, config, rate, 1100, 7)
+        assert_same_corpus(games, sd.simulate_corpus(sd.ideal_model(config, rate, 7), 1100))
+        assert len(starts) >= 3 and starts[0] == 0
+        for edge in starts[1:]:
+            for index in (edge - 1, edge):
+                assert_same_corpus([sd.ideal_game(config, rate, 7, index)], [games[index]])
+
+    def test_rate_zero_games_are_empty_and_keep_their_ids(self, monkeypatch):
+        games, starts = self.corpus_and_batch_starts(monkeypatch, TINY, 0.0, 2500, 3)
+        assert len(games) == 2500 and len(games.times) == 0
+        assert games.game_ids == tuple(f"sim-{i:06d}" for i in range(2500))
+        assert set(games.sport_ids) == {"custom"} and len(starts) >= 3
+        for edge in starts[1:]:
+            for index in (edge - 1, edge):
+                assert_same_corpus([sd.ideal_game(TINY, 0.0, 3, index)], [games[index]])
+        last = sd.ideal_game(TINY, 0.0, 3, 2**64 - 1)
+        assert last.game_id == f"sim-{2**64 - 1}" and last.n_events == 0
+
+
 class TestInterchange:
     def test_simulated_corpus_round_trips_through_ingest(self, tmp_path):
         cfg = sd.builtin_config("nhl")
@@ -558,6 +598,22 @@ class TestBatchedGeneratorOracle:
     def test_lead_dispersion_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one game"):
             sd.lead_dispersion([], 600)
+
+    def test_lead_dispersion_refuses_an_event_past_the_clock(self):
+        # the grid stops at the clock: the lead after second 700 would never be counted
+        games = [sd.GameLog("a", "NFL", [10, 700], [1, 1], [3, 7]),
+                 sd.GameLog("b", "NFL", [20], [-1], [3])]
+        message = "game 'a' has an event at second 700, past the config's regulation length 600"
+        for corpus in (games, sd.Corpus.of(games)):
+            with pytest.raises(ValueError) as info:
+                sd.lead_dispersion(corpus, 600, 300)
+            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            sd.fit_tempo(games, dataclasses.replace(sd.builtin_config("nfl"), regulation_length=600,
+                                                    period_ends=(600,)))
+        assert str(info.value) == message
+        times, _ = sd.lead_dispersion(games, 700, 350)  # at the clock: counted
+        assert times.tolist() == [0, 350, 700]
 
 
 GUIDE_BUCKETS = 1 << sd.simulate._GUIDE_BITS
