@@ -1,20 +1,22 @@
 """Outcome prediction via an explicit Markov chain on the lead size.
 
-The chain's states are the integer leads -cap..+cap (relative to team
-r). A scoring event worth k points moves lead L to L + k when r wins it
-and to L - k otherwise, so with winner and value independent,
+A chain is a pair (`LeadChain`): phi over the leads -cap..+cap relative to
+team r, whose odd length fixes the cap, and the point-value pmf. An event
+worth k points moves lead L to L + k when r wins it and to L - k otherwise,
+so with winner and value independent,
 
     P[L, L+k] = phi(L) * Pr(value = k)
-    P[L, L-k] = (1 - phi(L)) * Pr(value = k),
+    P[L, L-k] = (1 - phi(L)) * Pr(value = k).
 
-with transitions past the boundary depositing at +-cap. As r and b are
-interchangeable labels, phi(-L) = 1 - phi(L) and the chain is
-mirror-symmetric, P[-L, -L'] = P[L, L']. A forecast from clock second t
-runs the chain for the expected number of remaining events, the sum of
-the per-second tempo profile over [t, T] (`_remaining_events`), rounded
-half to even. Every forecast reads the n-step absorption probabilities
-from one outcome table built by backward induction, win[0] = 1{lead > 0}
-and win[n] = P @ win[n-1]; b's table is its exact mirror win[:, ::-1].
+That step is `_lead_step`, which has one edge rule (a move past the grid's
+edge lands on it) and builds both P and the simulator's exact lead moments.
+As r and b are interchangeable labels, phi(-L) = 1 - phi(L) and the chain
+is mirror-symmetric, P[-L, -L'] = P[L, L']. A forecast from clock second t
+runs the chain for the expected number of remaining events, the sum of the
+per-second tempo profile over [t, T] (`_remaining_events`), rounded half to
+even. Every forecast reads the n-step absorption probabilities from one
+outcome table built by backward induction, win[0] = 1{lead > 0} and
+win[n] = P @ win[n-1]; b's table is its exact mirror win[:, ::-1].
 
 Prediction quality is evaluated out of sample: on each random split the
 model is refitted on 3/4 of the games, and on the held-out quarter the
@@ -30,7 +32,7 @@ compared against the leader-wins heuristic.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,20 +54,29 @@ TRAIN_FRACTION = 0.75
 
 
 class LeadChain(_Record, eq=False):
-    """Row-stochastic matrix over the leads -cap..+cap, mirror-symmetric: P[-L, -L'] = P[L, L']."""
+    """The lead chain of phi over the leads -cap..cap, read as `LeadScoring.phi` is,
+    and of the point-value pmf, whose largest value the cap must cover."""
 
-    transition: np.ndarray = partial(_floats, ndim=2)
+    phi: np.ndarray = _probabilities
+    point_values: Mapping[int, float] = _validated_point_values
 
     def _check(self) -> None:
-        P = self.transition
-        if P.shape[0] != P.shape[1] or len(P) % 2 != 1:
-            raise ValueError(f"transition must be square of odd size, got shape {P.shape}")
-        if not np.array_equal(P, P[::-1, ::-1]):
-            raise ValueError("transition must be mirror-symmetric, P[-L, -L'] = P[L, L']")
+        LeadScoring._shape(self.phi)
+        _check_cap(self.cap, self.point_values)
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """P over the leads -cap..cap, built on first read: `_lead_step` of the
+        leads 0..cap, the rest their mirror, so P[-L, -L'] = P[L, L'] to the last bit."""
+        leads = np.eye(self.cap + 1, len(self.phi), self.cap)  # the leads 0..cap
+        upper = _lead_step(leads, self.phi, *zip(*self.point_values.items()))
+        P = np.concatenate((upper[:0:-1, ::-1], upper))  # the leads -cap..-1 mirror 1..cap
+        P.flags.writeable = False
+        return P
 
     @property
     def cap(self) -> int:
-        return len(self.transition) // 2
+        return len(self.phi) // 2
 
     @property
     def states(self) -> np.ndarray:
@@ -76,6 +87,22 @@ class LeadChain(_Record, eq=False):
         if abs(lead) > self.cap:
             raise ValueError(f"lead {lead} outside truncation +-{self.cap}")
         return lead + self.cap
+
+
+def _lead_step(dist: np.ndarray, phi: np.ndarray, values, probs) -> np.ndarray:
+    """`dist`, distributions over the leads of `phi`'s grid (its last axis), after one
+    event worth each of `values` with its chance in `probs`: r takes it with chance
+    phi(L) and moves L up by the value, else b moves L down. A move to or past the
+    grid's edge lands there, the edge's mass summed in the order of `values`."""
+    up, down = dist * phi, dist * (1.0 - phi)
+    out = np.zeros_like(dist)
+    for v, p in zip(values, probs):
+        out[..., v:-1] += p * up[..., : -v - 1]
+        out[..., 1:-v] += p * down[..., v + 1 :]
+    for edge, sources in ((-1, up[..., ::-1]), (0, down)):  # the sources nearest the edge first
+        reaching = np.cumsum(sources[..., : max(values) + 1], axis=-1)[..., values]
+        out[..., edge] = np.cumsum(reaching * probs, axis=-1)[..., -1]
+    return out
 
 
 class OutcomeForecast(_Record):
@@ -89,30 +116,9 @@ class OutcomeForecast(_Record):
         _sums_to_one("forecast probabilities", self._values())
 
 
-def build_chain(
-    phi: np.ndarray | Sequence[float], point_values: Mapping[int, float]
-) -> LeadChain:
-    """Build the lead-size transition matrix from phi and the value pmf.
-
-    `phi` is read as `LeadScoring.phi` is: probabilities over the leads
-    -cap..+cap (so its odd length fixes the cap), exactly antisymmetric.
-    The rows of leads 0..cap are built and the rest mirrored, which makes
-    the chain's mirror symmetry hold to the last bit.
-    """
-    phi = LeadScoring._shape(_probabilities("phi", phi))
-    cap = len(phi) // 2
-    _check_cap(cap, pmf := _validated_point_values(point_values))
-
-    P = np.zeros((len(phi), len(phi)))
-    leads = np.arange(cap + 1)
-    rows = leads + cap
-    up = phi[rows]
-    down = 1.0 - up
-    for value, q in pmf.items():
-        np.add.at(P, (rows, np.minimum(leads + value, cap) + cap), up * q)
-        np.add.at(P, (rows, np.maximum(leads - value, -cap) + cap), down * q)
-    P[:cap] = P[:cap:-1, ::-1]
-    return LeadChain(P)
+def build_chain(phi: np.ndarray | Sequence[float], point_values: Mapping[int, float]) -> LeadChain:
+    """`LeadChain(phi, point_values)`, refused in its words; its matrix is built when first read."""
+    return LeadChain(phi, point_values)
 
 
 def _remaining_events(profile: np.ndarray) -> np.ndarray:

@@ -67,6 +67,7 @@ import numpy as np
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
 from .core import _check_clock, _clock_grid, _count, _event_leads, _probability, _seconds
 from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
+from .predict import _lead_step
 from .rng import check_seed, rekeyer, substream
 
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
@@ -561,35 +562,26 @@ def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray
     return n * mu * b.mean(), n * v2 + n * (n - 1) * mu**2 * np.mean(b * b)
 
 
-def _markov_moments(phi, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[L | n events] and E[L^2 | n] for n < n_cut from the lead law pi_0 P^n,
-    `phi` laid out over leads -R..R with R = (n_cut - 1) max(values)."""
-    reach = len(phi) // 2
-    leads = np.arange(-reach, reach + 1, dtype=float)
-    pi = (leads == 0).astype(float)
-    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
-    for k in range(1, n_cut):
-        up, down = pi * phi, pi * (1.0 - phi)
-        pi = np.zeros_like(pi)
-        for v, p in zip(values.tolist(), probs.tolist()):
-            pi[v:] += p * up[:-v]
-            pi[:-v] += p * down[v:]
-        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
-    return m1, m2
-
-
 def _lead_moments(
     kind: BalanceKind, balance: BalanceModel, n_cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """E[L | n events] and E[L^2 | n] for n < n_cut under balance rule `kind`,
-    from the fitted model as the simulator reads it: the normalised point
-    pmf, the per-game fractions, and phi clamped beyond +-cap (`_phi_over`)."""
+    from the fitted model as the simulator reads it: the normalised point pmf,
+    the per-game fractions, or phi clamped beyond +-cap (`_phi_over`) stepped
+    by `_lead_step` over the leads -R..R, R = (n_cut - 1) max(values), which no lead passes."""
     values, probs = _point_law(balance.point_values)
     probs = np.diff(_cdf(probs), prepend=0.0)
     if kind is BalanceKind.BERNOULLI:
         return _bernoulli_moments(balance.c_hat_samples, values, probs, n_cut)
     reach = (n_cut - 1) * int(values.max())
-    return _markov_moments(_phi_over(balance.phi, reach), values, probs, n_cut)
+    phi = _phi_over(balance.phi, reach)
+    leads = np.arange(-reach, reach + 1, dtype=float)
+    pi = (leads == 0).astype(float)
+    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
+    for k in range(1, n_cut):
+        pi = _lead_step(pi, phi, values.tolist(), probs.tolist())
+        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
+    return m1, m2
 
 
 def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, np.ndarray]:
@@ -599,9 +591,9 @@ def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, 
 
     The event-count law P(N(s) = n) (a DP over the tempo profile, or the
     renewal law of the gap distribution) is mixed with the lead moments
-    after n events (closed form for bernoulli balance; pi_0 P^n with phi
-    clamped beyond +-cap, as the simulator reads it, for markov balance).
-    Event counts whose mass at T is below 1e-15 are dropped.
+    after n events (closed form for bernoulli balance; pi_0 P^n by the chain's
+    own step, phi clamped beyond +-cap as the simulator reads it, for markov
+    balance). Event counts whose mass at T is below 1e-15 are dropped.
     """
     grid, sds = _exact_lead_sds([spec], sample_every)
     return grid, sds[spec.tempo_kind.value, spec.balance_kind.value]

@@ -108,6 +108,7 @@ def default_league(
     n_games = _count("n_games", n_games, 1)  # a schedule is non-empty
     if not 0 <= (skill_sigma := _named("skill_sigma: ", _number, skill_sigma)) < np.inf:
         raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
+    rate = _probability("rate", rate)  # `LeagueSpec.tempo` by the caller's name
     rng = np.random.default_rng(LeagueSpec._converted("seed", seed))
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
     schedule = [rng.choice(n_teams, size=2, replace=False) for _ in range(n_games)]

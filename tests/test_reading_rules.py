@@ -113,7 +113,7 @@ class TestBoolsAreNotIntegers:
         message = f"point value {key!r} is not a positive integer$"
         with pytest.raises(ValueError, match="^sport config: field 'point_values': " + message):
             sd.SportConfig("custom", 100, (100,), {key: 1.0}, 10)
-        with pytest.raises(ValueError, match="^" + message):
+        with pytest.raises(ValueError, match="^lead chain: field 'point_values': " + message):
             sd.build_chain(np.full(3, 0.5), {key: 1.0})
 
     @pytest.mark.parametrize("name", ["slope", "intercept", "slope_stderr"])
@@ -146,10 +146,10 @@ class TestColumns:
         with pytest.raises(ValueError, match=message):
             sd.TempoModel(0.01, 600, np.full((601, 1), 0.01), [1], [1.0])
 
-    def test_a_transition_matrix_has_two_dimensions(self):
-        message = r"^transition must be 2-dimensional, got shape \(1, 3, 3\)$"
+    def test_a_chains_phi_has_one_dimension(self):
+        message = r"^phi must be 1-dimensional, got shape \(1, 3\)$"
         with pytest.raises(ValueError, match=message):
-            sd.LeadChain(np.eye(3)[None])
+            sd.LeadChain(np.full((1, 3), 0.5), {1: 1.0})
 
 
 @pytest.mark.parametrize("fmt", ["xml", "CSV"])
@@ -201,6 +201,7 @@ def one(name, read, field=""):
 
 
 POINT_VALUES = "sport config: field 'point_values': "
+CHAIN_POINT_VALUES = "lead chain: field 'point_values': "
 FORECAST = ("p_win_r", "p_tie", "p_win_b")
 
 PROBABILITY_READERS = {
@@ -210,13 +211,18 @@ PROBABILITY_READERS = {
     "BalanceModel.c_hat_samples": column("c_hat_samples", lambda v: balance(c_hat_samples=v)),
     "LeadScoring.phi": column("phi", lambda v: sd.LeadScoring(v, np.zeros(3, np.int64), NO_FIT)),
     "build_chain": column("phi", lambda v: sd.build_chain(v, {1: 1.0})),
+    "LeadChain.phi": column("phi", lambda v: sd.LeadChain(v, {1: 1.0})),
     "forecast": column("profile", lambda v: sd.forecast(fair_chain(), 1, 1, v)),
     "expected_remaining_events": column("profile", lambda v: sd.expected_remaining_events(v, 1)),
     "SportConfig.point_values": one(
         "point value 2", lambda v: sd.SportConfig("custom", 10, (10,), {1: 0.5, 2: v}, 5),
         POINT_VALUES),
     "build_chain.point_values": one(
-        "point value 2", lambda v: sd.build_chain(np.full(5, 0.5), {1: 0.5, 2: v})),
+        "point value 2", lambda v: sd.build_chain(np.full(5, 0.5), {1: 0.5, 2: v}),
+        CHAIN_POINT_VALUES),
+    "LeadChain.point_values": one(
+        "point value 2", lambda v: sd.LeadChain(np.full(5, 0.5), {1: 0.5, 2: v}),
+        CHAIN_POINT_VALUES),
     "LeagueSpec.tempo": one(
         "tempo", lambda v: sd.LeagueSpec([1.0, 2.0], ((0, 1),), 10, v, {1: 1.0}, 0),
         "league spec: field 'tempo': "),
@@ -260,8 +266,10 @@ def test_a_profile_is_read_before_the_clock_second(read):
 SUM_READERS = {
     "SportConfig.point_values": (f"{POINT_VALUES}point value probabilities",
                                  lambda: sd.SportConfig("custom", 10, (10,), {1: 0.5, 2: 0.25}, 5)),
-    "build_chain": ("point value probabilities",
+    "build_chain": (f"{CHAIN_POINT_VALUES}point value probabilities",
                     lambda: sd.build_chain(np.full(5, 0.5), {1: 0.5, 2: 0.25})),
+    "LeadChain": (f"{CHAIN_POINT_VALUES}point value probabilities",
+                  lambda: sd.LeadChain(np.full(5, 0.5), {1: 0.5, 2: 0.25})),
     "TempoModel.interarrival_probs": ("interarrival probabilities",
                                       lambda: tempo(interarrival_probs=[0.5, 0.25])),
     "OutcomeForecast": ("forecast probabilities", lambda: sd.OutcomeForecast(0.5, 0.25, 0.0)),
@@ -313,6 +321,7 @@ NAMED_READERS = {  # a public function's reader: (the argument it names, call)
     "ideal_game": ("rate", lambda v: sd.ideal_game(CONFIG, v)),
     "ideal_corpus": ("rate", lambda v: sd.ideal_corpus(CONFIG, v, 1)),
     "default_league": ("skill_sigma", lambda v: sd.default_league(n_games=2, skill_sigma=v)),
+    "default_league.rate": ("rate", lambda v: sd.default_league(n_games=2, rate=v)),
     "generate_restoring_league": ("restoring_slope",
                                   lambda v: sd.generate_restoring_league(league(), v)),
 }
@@ -444,6 +453,7 @@ def test_a_gap_is_finite(bad):
 PHI_SHAPE_READERS = {
     "LeadScoring": lambda phi: sd.LeadScoring(phi, np.zeros(len(phi), np.int64), NO_FIT),
     "build_chain": lambda phi: sd.build_chain(phi, {1: 1.0}),
+    "LeadChain": lambda phi: sd.LeadChain(phi, {1: 1.0}),
 }
 
 
@@ -463,8 +473,9 @@ def test_the_shape_of_phi_is_read_in_one_place(reader, phi):
 @pytest.mark.parametrize(
     "reader",
     [lambda: sd.SportConfig("custom", 10, (10,), {1: 0.5, 3: 0.5}, 2),
-     lambda: sd.build_chain(np.full(5, 0.5), {1: 0.5, 3: 0.5})],
-    ids=["SportConfig", "build_chain"],
+     lambda: sd.build_chain(np.full(5, 0.5), {1: 0.5, 3: 0.5}),
+     lambda: sd.LeadChain(np.full(5, 0.5), {1: 0.5, 3: 0.5})],
+    ids=["SportConfig", "build_chain", "LeadChain"],
 )
 def test_the_cap_covers_one_event_in_one_place(reader):
     with pytest.raises(ValueError) as info:

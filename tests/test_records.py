@@ -147,7 +147,7 @@ class TestNothingTruncatedOrParsed:
     @pytest.mark.parametrize("build, name", [
         (lambda v: tempo(profile=v * 301), "profile"),
         (lambda v: LeadScoring(phi=v[:1] * 3, counts=[0, 0, 0], fit=NO_FIT), "phi"),
-        (lambda v: LeadChain([v[:1]]), "transition"),
+        (lambda v: LeadChain(v[:1] * 3, {1: 1.0}), "phi"),
         (lambda v: sd.LeagueSpec(v, ((0, 1),), 100, 0.01, {1: 1.0}, 0), "skills"),
     ])
     @pytest.mark.parametrize("values, dtype", [(["0.5", "0.5"], "<U3"), ([True, True], "bool")])

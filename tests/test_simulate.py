@@ -849,6 +849,57 @@ class TestExactLeadSd:
             assert abs(z) < 3, f"t={t}: z={z:.2f}"
 
 
+def shifted_add_moments(phi, values, probs, n_cut):
+    """E[L | n events] and E[L^2 | n] for n < n_cut from the lead law pi_0 P^n,
+    `phi` laid out over leads -R..R with R = (n_cut - 1) max(values): one
+    shifted add per value and winner, a move past +-R dropped (none happens).
+    The markov moments were this loop before they ran `predict._lead_step`."""
+    reach = len(phi) // 2
+    leads = np.arange(-reach, reach + 1, dtype=float)
+    pi = (leads == 0).astype(float)
+    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
+    for k in range(1, n_cut):
+        up, down = pi * phi, pi * (1.0 - phi)
+        pi = np.zeros_like(pi)
+        for v, p in zip(values.tolist(), probs.tolist()):
+            pi[v:] += p * up[:-v]
+            pi[:-v] += p * down[v:]
+        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
+    return m1, m2
+
+
+@pytest.fixture(scope="module")
+def capped_custom():
+    """Fair games of about 30 events on a custom sport with lead cap 3: their
+    leads pass the cap, so the moments read phi clamped beyond it."""
+    config = sd.SportConfig("custom", 600, (600,), {1: 0.5, 2: 0.5}, 3)
+    games = sd.ideal_corpus(config, 0.05, 300, seed=36)
+    assert max(np.abs(np.cumsum(g.signed_points)).max(initial=0) for g in games) > 3
+    return config, sd.fit_tempo(games, config), sd.fit_balance(games, config, min_samples=20)
+
+
+class TestLeadMomentsOracle:
+    """The markov moments, one `_lead_step` per event, equal the shifted-add loop bit for bit."""
+
+    @pytest.mark.parametrize("fitted_name", ["nfl_like", "nba_like", "dense_nhl", "capped_custom"])
+    @pytest.mark.parametrize("tempo_kind", ["bernoulli", "markov"])
+    def test_markov_moments(self, request, fitted_name, tempo_kind):
+        config, tempo, balance = request.getfixturevalue(fitted_name)
+        grid = np.arange(0, config.regulation_length + 1, 60)
+        if tempo_kind == "bernoulli":
+            n_cut = sd.simulate._bernoulli_count_law(tempo.profile, grid).shape[1]
+        else:
+            n_cut = sd.simulate._renewal_count_law(tempo, grid).shape[1]
+        values, probs = sd.simulate._point_law(balance.point_values)
+        probs = np.diff(sd.simulate._cdf(probs), prepend=0.0)
+        reach = (n_cut - 1) * int(values.max())
+        assert reach > config.lead_truncation  # phi is read clamped beyond +-cap
+        want = shifted_add_moments(sd.simulate._phi_over(balance.phi, reach), values, probs, n_cut)
+        got = sd.simulate._lead_moments(sd.BalanceKind.MARKOV, balance, n_cut)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
 class TestExactLeadSdGrid:
     """The 2x2 grid in one pass is the four single-cell curves, bit for bit."""
 
