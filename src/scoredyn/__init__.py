@@ -9,7 +9,8 @@ lead size, evaluated out of sample against a leader-wins baseline.
 `import scoredyn` loads the modules that parse, fit and forecast. The
 simulator (`simulate`) and the synthetic leagues (`synth`) load on the
 first use of one of their names, so fitting and forecasting never pay
-for them.
+for them. The exact lead laws (`laws`) load on first use too, and
+without the simulator.
 """
 
 from .core import (
@@ -71,11 +72,12 @@ from .predict import (
 from .rng import substream
 
 # Public names of the modules that load on first use (PEP 562), each
-# mapped to its module; the two modules themselves are listed too.
+# mapped to its module; the three modules themselves are listed too.
 _LAZY = dict.fromkeys(
+    ("laws", "BalanceKind", "TempoKind", "exact_lead_sd_grid", "lead_dispersion"), "laws"
+) | dict.fromkeys(
     (
-        "simulate", "BalanceKind", "ModelSpec", "TempoKind", "exact_lead_sd",
-        "exact_lead_sd_grid", "ideal_corpus", "ideal_game", "ideal_model", "lead_dispersion",
+        "simulate", "ModelSpec", "exact_lead_sd", "ideal_corpus", "ideal_game", "ideal_model",
         "lead_variance_curve", "simulate_batches", "simulate_corpus", "simulate_game",
     ),
     "simulate",
@@ -93,7 +95,7 @@ __all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZ
 
 
 def __getattr__(name: str):
-    """Import `simulate` or `synth` on the first use of it or of one of its names."""
+    """Import `laws`, `simulate` or `synth` on the first use of it or of one of its names."""
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

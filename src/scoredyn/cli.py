@@ -6,10 +6,11 @@ stderr; usage errors exit 2. All randomness flows from --seed, so runs
 with identical flags produce byte-identical outputs.
 
 Each subcommand imports only the modules it runs. This module imports
-`core`, `estimate`, `ingest`, `predict` and `rng` when it loads;
-`simulate` and `synth` are imported inside the handlers of `simulate`,
-`report` and `synth`, so `validate`, `fit`, `eval` and `predict` never
-load the simulator.
+`core`, `estimate`, `ingest`, `predict` and `rng` when it loads. The
+handler of `report` imports the exact lead laws (`laws`), and those of
+`simulate` and `synth` the simulator, so only those two commands load it.
+Each `--seed` is read once, by the library call that takes it, and is
+refused in that call's words.
 
 `run()` is the process entry (`scoredyn` and `python -m scoredyn.cli`):
 it freezes the objects that the imports left tracked by the garbage
@@ -41,7 +42,6 @@ from .estimate import (
 )
 from .ingest import FORMATS, IngestError, parse_event_file, validate_corpus, write_event_file
 from .predict import build_chain, evaluate_predictability, forecast
-from .rng import check_seed
 
 
 def __getattr__(name: str):
@@ -57,8 +57,8 @@ def __getattr__(name: str):
 
 def _write_csv(path: Path, **columns) -> None:
     """Write equal-length columns as CSV, headed by their keyword names in order."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True)
-    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    cells = [list(map(repr, np.asarray(column).tolist())) for column in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -119,7 +119,6 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     from .simulate import ModelSpec, simulate_batches
 
-    check_seed(args.seed)
     artifact = load_model(args.model)
     spec = ModelSpec(
         tempo_kind=args.tempo,
@@ -173,7 +172,6 @@ def _cmd_synth(args) -> int:
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} does not apply to --kind {args.kind}", file=sys.stderr)
             return 2
-    check_seed(args.seed)
     spec = default_league(
         n_teams=2 if args.kind == "restoring" else 20 if args.n_teams is None else args.n_teams,
         n_games=args.n_games,
@@ -202,7 +200,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .simulate import exact_lead_sd_grid, lead_dispersion
+    from .laws import exact_lead_sd_grid, lead_dispersion
 
     # Every table is computed before --out-dir is created, so a rejected
     # option leaves no partial report behind.

@@ -32,8 +32,8 @@ _MIX2 = 0x94D049BB133111EB
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """`seed` (or another Philox key word, `name`) as an int, if it lies in
-    [0, 2**64); ValueError otherwise. The CLI takes seeds in this range
-    only, so no two seeds share a stream."""
+    [0, 2**64); ValueError otherwise. `substream` and the CLI take keys in
+    this range only, so no two seeds share a stream."""
     seed = _index(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
@@ -41,8 +41,9 @@ def check_seed(seed: int, name: str = "seed") -> int:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Return the Philox generator for substream `index` of master `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Return the Philox generator for substream `index` of master `seed`, each
+    read by `check_seed`."""
+    key = np.array([check_seed(seed), check_seed(index, "index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -51,36 +51,29 @@ included) and every synthetic league game runs one flat-rate law
 (`_flat_law`) down the same path. `scoredyn simulate` writes each batch
 as it is generated, so its memory is bounded by one batch, not by the
 number of games.
+
+The exact lead laws live in `laws`, which never loads this module; they
+are imported here too, and `exact_lead_sd` reads one cell's.
 """
 
 from __future__ import annotations
 
-import math
-from enum import Enum
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
-from .core import _check_clock, _clock_grid, _count, _event_leads, _probability, _seconds
-from .estimate import BalanceModel, LeadScoring, LinearFit, ModelArtifact, TempoModel
-from .predict import _lead_step
+from .core import _clock_grid, _count, _probability, _seconds
+from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
+from .laws import (  # noqa: F401  (the exact lead laws, read here and under their old names)
+    _NEGLIGIBLE, _TAIL_MASS, BalanceKind, TempoKind, _bernoulli_count_law, _bernoulli_moments,
+    _cdf, _check_cell, _dispersion, _exact_lead_sds, _lead_sums, _markov_moments, _phi_over,
+    _point_law, _renewal_count_law, exact_lead_sd_grid, lead_dispersion,
+)
 from .rng import check_seed, rekeyer, substream
 
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets
-
-
-class TempoKind(str, Enum):
-    BERNOULLI = "bernoulli"
-    MARKOV = "markov"
-
-
-class BalanceKind(str, Enum):
-    BERNOULLI = "bernoulli"
-    MARKOV = "markov"
 
 
 def _guide(cdf: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -193,12 +186,7 @@ class ModelSpec(_Record, eq=False):
     seed: int = check_seed
 
     def _check(self) -> None:
-        """The cell runs: its models fit the config, and it has gaps or fractions to draw."""
-        ModelArtifact(self.config, self.tempo, self.balance)
-        if self.tempo_kind is TempoKind.MARKOV and not len(self.tempo.interarrival_gaps):
-            raise ValueError("markov tempo needs a non-empty inter-arrival distribution")
-        if self.balance_kind is BalanceKind.BERNOULLI and not len(self.balance.c_hat_samples):
-            raise ValueError("bernoulli balance needs at least one fitted balance fraction")
+        _check_cell(self.tempo_kind, self.balance_kind, self.tempo, self.balance, self.config)
 
     @cached_property
     def _law(self) -> _Law:  # the cell's sampling tables, built on the first draw
@@ -220,26 +208,6 @@ def _reach(regulation_length: int, point_values: Mapping[int, float]) -> int:
     """The largest lead a game can reach: at most one event per second of
     [0, T], each worth at most the largest point value."""
     return (regulation_length + 1) * max(point_values)
-
-
-def _phi_over(phi: np.ndarray, reach: int) -> np.ndarray:
-    """`phi`, fitted on leads -cap..cap, laid out over leads -reach..reach:
-    clamped beyond +-cap."""
-    cap = len(phi) // 2
-    return phi[np.clip(np.arange(-reach, reach + 1), -cap, cap) + cap]
-
-
-def _cdf(probs: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The table `Generator.choice(p=probs)` searches with one uniform per draw."""
-    cdf = np.asarray(probs, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _point_law(point_values: Mapping[int, float]) -> tuple[np.ndarray, list[float]]:
-    """(point values in increasing order, their probabilities)."""
-    values = np.array(sorted(point_values), dtype=np.int64)
-    return values, [point_values[int(v)] for v in values]
 
 
 def _point_pmf(point_values: Mapping[int, float]) -> _Pmf:
@@ -442,189 +410,14 @@ def ideal_corpus(config: SportConfig, rate: float, n_games: int, seed: int = 0) 
     return Corpus.concat(_games(law, 0, _count("n_games", n_games, 0), "sim", config.sport_id))
 
 
-def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
-    """Sums over games of lead and lead^2 at each grid second (2 rows), from
-    a difference array over the grid slots each lead holds: O(events +
-    grid) memory. Leads are integers, so the float sums are exact."""
-    lead = _event_leads(offsets, signed)
-    counts = np.diff(offsets)
-    start = np.searchsorted(grid, times)
-    end = np.empty_like(start)
-    end[:-1] = start[1:]
-    end[offsets[1:][counts > 0] - 1] = len(grid)  # a game's last lead holds to the end
-    size = len(grid) + 1
-    diffs = [np.bincount(start, w, size) - np.bincount(end, w, size) for w in (lead, lead * lead)]
-    return np.cumsum(diffs, axis=1)[:, :-1]
-
-
-def lead_dispersion(
-    games: Sequence[GameLog], regulation_length: int, sample_every: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """(times, sd of lead) sampled on a regular grid; a game without events
-    counts, at lead 0 throughout, and an event past the clock is refused."""
-    corpus = Corpus.of(games)
-    if not len(corpus):
-        raise ValueError("lead dispersion needs at least one game")
-    regulation_length = _seconds(regulation_length, "regulation_length: ")
-    grid = _clock_grid(regulation_length, sample_every)
-    _check_clock(corpus, regulation_length)
-    return grid, _dispersion(corpus._slices(), grid)
-
-
-def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> np.ndarray:
-    """The sd of lead on `grid` over the games of `parts`, summed one part at a time."""
-    sums = np.zeros((2, len(grid)))
-    n = 0
-    for part in parts:
-        sums += _lead_sums(part.offsets, part.times, part.signed, grid)
-        n += len(part)
-    mean = sums[0] / n
-    return np.sqrt(np.maximum(sums[1] / n - mean**2, 0.0))
-
-
-# exact_lead_sd drops the event counts n >= n_cut, n_cut the first n
-# with P(N(T) >= n) below this.
-_TAIL_MASS = 1e-15
-# Tail entries below this are dropped from each block's count pmf (at most
-# one per second) and from the top of the folded law.
-_NEGLIGIBLE = 1e-30
-
-
-def _bernoulli_count_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P(N(s) = n) for s on `grid` (rows) and n < n_cut (columns), N(s) the
-    number of events in seconds 0..s. Every block's count pmf is built in
-    lockstep, one update per second of a block, then the pmfs are folded
-    in clock order, one `np.convolve` each. A block is second 0 or `width`
-    seconds, the largest divisor of the grid step up to sqrt(T), so one
-    ends at each grid time; a width of 1 is the per-second DP."""
-    T, every = len(profile) - 1, int(grid[1])
-    width = max(d for d in range(1, math.isqrt(T) + 1) if every % d == 0)
-    # column b: the seconds of block b, which ends at second b * width, zero-padded
-    p = np.pad(profile, (width - 1, -T % width)).reshape(-1, width).T.copy()
-    q, blocks = 1.0 - p, p.shape[1]
-    pmfs = np.zeros((width + 1, blocks))
-    pmfs[0] = 1.0
-    hi = np.ones(blocks, dtype=np.intp)  # pmfs[hi[b]:, b] is zero
-    cols = np.arange(blocks)
-    for k in range(width):
-        pmf = pmfs[: int(hi.max()) + 1]
-        pmf[1:] = pmf[1:] * q[k] + pmf[:-1] * p[k]  # times (1 - p + p z)
-        pmf[0] *= q[k]
-        small = pmfs[hi, cols] < _NEGLIGIBLE
-        pmfs[hi[small], cols[small]] = 0.0
-        hi += ~small
-    dist, dists = np.ones(1), []
-    for pmf, n in zip(pmfs.T.copy(), hi.tolist()):
-        dist = np.convolve(dist, pmf[:n])
-        while dist[-1] < _NEGLIGIBLE:
-            dist = dist[:-1]
-        dists.append(dist)
-    at_least = np.append(np.cumsum(dist[::-1])[::-1], 0.0)  # P(N(T) >= n)
-    law = np.zeros((len(grid), int(np.argmax(at_least < _TAIL_MASS))))
-    for row, counts in zip(law, dists[:: every // width]):
-        row[: len(counts)] = counts[: len(row)]
-    return law
-
-
-def _renewal_count_law(tempo: TempoModel, grid: np.ndarray) -> np.ndarray:
-    """P(N(s) = n) for s on `grid` and n < n_cut under iid gaps, the first
-    anchored at t = 0: P(N(s) >= n) = P(S_n <= s), with S_n's pmf the
-    n-fold convolution of the gap pmf (one FFT product per n)."""
-    T = tempo.regulation_length
-    size = 1 << (2 * T + 1).bit_length()  # >= 2 (T + 1): no wrap-around
-    gap_pmf = np.zeros(T + 1)
-    keep = tempo.interarrival_gaps <= T
-    gap_pmf[tempo.interarrival_gaps[keep]] = np.diff(
-        _cdf(tempo.interarrival_probs), prepend=0.0
-    )[keep]
-    spectrum = np.fft.rfft(gap_pmf, size)
-    at_least = [np.ones(len(grid))]  # P(N(s) >= 0)
-    pmf, n = gap_pmf, 1
-    while True:
-        cdf = np.cumsum(pmf)
-        at_least.append(cdf[grid])
-        if cdf[-1] < _TAIL_MASS:
-            break
-        pmf = np.fft.irfft(np.fft.rfft(pmf, size) * spectrum, size)[: T + 1]
-        n += 1
-        pmf[:n] = 0.0  # S_n >= n, as gaps are >= 1; the rest is FFT round-off
-        np.maximum(pmf, 0.0, out=pmf)
-    at_least = np.column_stack(at_least)
-    return at_least[:, :-1] - at_least[:, 1:]
-
-
-def _bernoulli_moments(c_samples, values, probs, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[L | n events] and E[L^2 | n] for n < n_cut when one bias c per game
-    is drawn from `c_samples`: each event adds +-v with mean (2c - 1) E v."""
-    b = 2.0 * np.asarray(c_samples) - 1.0
-    mu, v2 = float(values @ probs), float(values**2 @ probs)
-    n = np.arange(n_cut, dtype=float)
-    return n * mu * b.mean(), n * v2 + n * (n - 1) * mu**2 * np.mean(b * b)
-
-
-def _lead_moments(
-    kind: BalanceKind, balance: BalanceModel, n_cut: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """E[L | n events] and E[L^2 | n] for n < n_cut under balance rule `kind`,
-    from the fitted model as the simulator reads it: the normalised point pmf,
-    the per-game fractions, or phi clamped beyond +-cap (`_phi_over`) stepped
-    by `_lead_step` over the leads -R..R, R = (n_cut - 1) max(values), which no lead passes."""
-    values, probs = _point_law(balance.point_values)
-    probs = np.diff(_cdf(probs), prepend=0.0)
-    if kind is BalanceKind.BERNOULLI:
-        return _bernoulli_moments(balance.c_hat_samples, values, probs, n_cut)
-    reach = (n_cut - 1) * int(values.max())
-    phi = _phi_over(balance.phi, reach)
-    leads = np.arange(-reach, reach + 1, dtype=float)
-    pi = (leads == 0).astype(float)
-    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
-    for k in range(1, n_cut):
-        pi = _lead_step(pi, phi, values.tolist(), probs.tolist())
-        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
-    return m1, m2
-
-
 def exact_lead_sd(spec: ModelSpec, sample_every: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """(times, sd of lead) across games of `spec`, computed exactly on the
-    grid of `lead_dispersion`: an event at second g counts at grid time g,
-    and a game without events counts at lead 0.
-
-    The event-count law P(N(s) = n) (a DP over the tempo profile, or the
-    renewal law of the gap distribution) is mixed with the lead moments
-    after n events (closed form for bernoulli balance; pi_0 P^n by the chain's
-    own step, phi clamped beyond +-cap as the simulator reads it, for markov
-    balance). Event counts whose mass at T is below 1e-15 are dropped.
-    """
-    grid, sds = _exact_lead_sds([spec], sample_every)
+    grid of `lead_dispersion` (an event at second g counts at grid time g,
+    and a game without events counts at lead 0): the curve of this cell in
+    `exact_lead_sd_grid`. Event counts whose mass at T is below 1e-15 are dropped."""
+    cells = [(spec.tempo_kind, spec.balance_kind)]
+    grid, sds = _exact_lead_sds(spec.tempo, spec.balance, spec.config, cells, sample_every)
     return grid, sds[spec.tempo_kind.value, spec.balance_kind.value]
-
-
-def exact_lead_sd_grid(
-    tempo: TempoModel, balance: BalanceModel, config: SportConfig, sample_every: int = 60
-) -> tuple[np.ndarray, dict[tuple[str, str], np.ndarray]]:
-    """(times, {(tempo kind, balance kind): sd of lead}) for the four cells of
-    the model grid, in the order bb, bm, mb, mm: `exact_lead_sd` of each
-    cell's `ModelSpec`, so it refuses what `ModelSpec` refuses for any cell."""
-    cells = [ModelSpec(t, b, tempo, balance, config, 0) for t in TempoKind for b in BalanceKind]
-    return _exact_lead_sds(cells, sample_every)
-
-
-def _exact_lead_sds(specs: list[ModelSpec], sample_every: int):
-    """(times, {(tempo kind, balance kind): sd of lead}) of `specs`, which share one config
-    and tempo: each tempo kind's count law, once per run of cells, mixed with their moments."""
-    grid, tempo = _clock_grid(specs[0].config.regulation_length, sample_every), specs[0].tempo
-    sds = {}
-    for tempo_kind, cells in groupby(specs, attrgetter("tempo_kind")):
-        if tempo_kind is TempoKind.BERNOULLI:
-            law = _bernoulli_count_law(tempo.profile, grid)
-        else:
-            law = _renewal_count_law(tempo, grid)
-        for spec in cells:
-            m1, m2 = _lead_moments(spec.balance_kind, spec.balance, law.shape[1])
-            mean = law @ m1
-            sds[tempo_kind.value, spec.balance_kind.value] = np.sqrt(
-                np.maximum(law @ m2 - mean * mean, 0.0))
-    return grid, sds
 
 
 def lead_variance_curve(

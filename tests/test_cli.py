@@ -327,16 +327,16 @@ class TestSynthAndEval:
 class TestReport:
     def test_one_count_law_dp_for_both_bernoulli_tempo_cells(self, tmp_path, capsys,
                                                              monkeypatch):
-        from scoredyn import simulate
+        from scoredyn import laws
 
         runs = []
-        dp = simulate._bernoulli_count_law
+        dp = laws._bernoulli_count_law
 
         def spy(profile, grid):
             runs.append(len(grid))
             return dp(profile, grid)
 
-        monkeypatch.setattr(simulate, "_bernoulli_count_law", spy)
+        monkeypatch.setattr(laws, "_bernoulli_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
         sd.write_event_file(games, corpus)
@@ -350,16 +350,16 @@ class TestReport:
 
     def test_one_renewal_count_law_for_both_markov_tempo_cells(self, tmp_path, capsys,
                                                                monkeypatch):
-        from scoredyn import simulate
+        from scoredyn import laws
 
         runs = []
-        law = simulate._renewal_count_law
+        law = laws._renewal_count_law
 
         def spy(tempo, grid):
             runs.append(len(grid))
             return law(tempo, grid)
 
-        monkeypatch.setattr(simulate, "_renewal_count_law", spy)
+        monkeypatch.setattr(laws, "_renewal_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
         sd.write_event_file(games, corpus)
@@ -552,7 +552,19 @@ class TestOutOfRangeArguments:
         }[command]
         code, text, err = run(capsys, command, *flags, "--seed", seed)
         assert code == 1 and " ok " not in text
-        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        # the seed is read once, by the library call that takes it, in its words
+        artifact = sd.load_model(model)
+        library = {
+            "eval": lambda s: sd.evaluate_predictability(
+                sd.parse_event_file(nhl_corpus), artifact.config, n_splits=2, seed=s),
+            "simulate": lambda s: sd.ModelSpec("bernoulli", "markov", artifact.tempo,
+                                               artifact.balance, artifact.config, s),
+            "synth": lambda s: sd.default_league(n_games=5, seed=s),
+        }
+        with pytest.raises(ValueError) as refusal:
+            library.get(command, library["eval"])(int(seed))
+        assert err == f"error: {refusal.value}\n"
+        assert err.endswith(f"seed must be in [0, 2**64), got {seed}\n")
         assert sorted(os.listdir(tmp_path)) == ["games.csv", "model.json"]
 
 
@@ -561,6 +573,32 @@ def test_csv_columns_of_unequal_length_are_refused(tmp_path):
     with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
         _write_csv(path, a=[1, 2, 3], b=[1.0])
     assert not path.exists()
+
+
+def rowwise_csv(**columns) -> str:
+    """The text `_write_csv` wrote when it formatted the table row by row."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True)
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_csv_columns_are_written_as_rows_were(tmp_path, n):
+    floats = [0.5, 1e-310, 1e16, float("nan"), -0.0, 1 / 3]
+    columns = {
+        "t": range(n),
+        "count": np.array([0, 1, 2**40, -3, 7, 2**62], dtype=np.int64)[:n],
+        "x": np.array(floats)[:n],
+        "y": floats[::-1][:n],
+        "n": [7, -1, 0, 2**70, 3, 5][:n],
+    }
+    path = tmp_path / "out.csv"
+    _write_csv(path, **columns)
+    assert path.read_bytes() == rowwise_csv(**columns).encode()
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 6 is longer than arguments 1-5$"):
+        _write_csv(path, **columns, z=range(n + 1))
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+        _write_csv(path, a=range(n + 1), **columns)
 
 
 def test_commands_read_corpus_columns_only(tmp_path, capsys, monkeypatch):
@@ -663,10 +701,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 # The import contract: `import scoredyn` and every command load only the
-# modules they run; the simulator loads on first use.
+# modules they run; the exact lead laws and the simulator load on first use.
 
 SRC = os.path.dirname(os.path.dirname(sd.__file__))
-MODULES = ("core", "estimate", "ingest", "predict", "rng", "simulate", "synth")
+MODULES = ("core", "estimate", "ingest", "laws", "predict", "rng", "simulate", "synth")
 LOADED_BY_EVERY_COMMAND = {
     "scoredyn", "scoredyn.core", "scoredyn.estimate", "scoredyn.ingest", "scoredyn.predict",
     "scoredyn.rng",
@@ -691,7 +729,7 @@ def command_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, simulator",
+    "argv, lazy",
     [
         pytest.param("validate --in games.csv", set(), id="validate"),
         pytest.param("fit --in games.csv --sport nhl --out fit.json --min-samples 10", set(),
@@ -700,21 +738,21 @@ def command_inputs(tmp_path_factory):
                      id="eval"),
         pytest.param("predict --model model.json --lead 2 --t 1800", set(), id="predict"),
         pytest.param("report --in games.csv --sport nhl --out-dir report --min-samples 10",
-                     {"scoredyn.simulate"}, id="report"),
+                     {"scoredyn.laws"}, id="report"),
         pytest.param("simulate --model model.json --n-games 20 --out sim.csv",
-                     {"scoredyn.simulate"}, id="simulate"),
+                     {"scoredyn.laws", "scoredyn.simulate"}, id="simulate"),
         pytest.param("synth --n-teams 4 --n-games 10 --rate 0.005 --regulation 1200 --out l.csv",
-                     {"scoredyn.simulate", "scoredyn.synth"}, id="synth"),
+                     {"scoredyn.laws", "scoredyn.simulate", "scoredyn.synth"}, id="synth"),
     ],
 )
-def test_command_loads_only_the_modules_it_runs(command_inputs, argv, simulator):
+def test_command_loads_only_the_modules_it_runs(command_inputs, argv, lazy):
     result = run_python("-X", "importtime", "-m", "scoredyn.cli", *argv.split(),
                         cwd=command_inputs)
     assert result.returncode == 0, result.stderr
     assert " ok " in result.stdout
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
     loaded = {name for name in imported if name.split(".")[0] == "scoredyn"}
-    assert loaded == LOADED_BY_EVERY_COMMAND | simulator
+    assert loaded == LOADED_BY_EVERY_COMMAND | lazy
 
 
 PUBLIC_NAMES = """
@@ -726,7 +764,7 @@ config_for_games core correlation_function default_league estimate evaluate_pred
 events_per_game_distribution exact_lead_sd exact_lead_sd_grid expected_remaining_events
 fit_balance fit_poisson_rate fit_tempo forecast forecast_after_events gap_correlation
 generate_league generate_restoring_league ideal_corpus ideal_game ideal_model ingest
-interarrival_distribution lead_dispersion lead_scoring_function lead_variance_curve
+interarrival_distribution laws lead_dispersion lead_scoring_function lead_variance_curve
 leader_wins league_config league_truth load_config load_model parse_event_file
 point_value_distribution points_fraction_distribution poisson_rate_from_counts predict
 render_event_file rng save_config save_model simulate simulate_batches simulate_corpus
@@ -743,7 +781,7 @@ import sys
 import scoredyn as sd
 
 modules = {name: f"scoredyn.{name}" for name in sys.argv[2:]}
-assert "scoredyn.simulate" not in sys.modules and "scoredyn.synth" not in sys.modules
+assert not {"scoredyn.laws", "scoredyn.simulate", "scoredyn.synth"} & sys.modules.keys()
 assert {name for name in dir(sd) if not name.startswith("_")} == set(sd.__all__)
 resolved = {name: getattr(sd, name) for name in [sys.argv[1], *sd.__all__]}
 for name, value in resolved.items():
@@ -761,7 +799,8 @@ assert star.keys() - {"__builtins__"} == set(sd.__all__)
 """
 
 
-@pytest.mark.parametrize("first", ["simulate", "synth", "exact_lead_sd", "LeagueSpec"])
+@pytest.mark.parametrize("first", ["simulate", "synth", "exact_lead_sd", "LeagueSpec",
+                                   "lead_dispersion"])
 def test_package_resolves_every_name_on_first_use(first):
     # a fresh `import scoredyn` leaves the simulator unloaded, yet every
     # public name and submodule resolves, whichever is used first

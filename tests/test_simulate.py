@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import scoredyn as sd
+from test_golden import LEAGUES, league
 
 TINY = sd.SportConfig("custom", 600, (600,), {1: 1.0}, 15)
 
@@ -714,8 +715,8 @@ class TestRekeyedSubstreams:
         rng = sd.substream(9, 9)
         rng.random(3)
         rng.integers(0, 10, 5)  # leaves a buffered 32-bit half behind
-        sd.rng.rekeyer(rng, seed)(index)
-        fresh = sd.substream(seed, index)
+        sd.rng.rekeyer(rng, seed)(index)  # the re-key state masks its key words to 64 bits
+        fresh = sd.substream(seed % 2**64, index % 2**64)
         np.testing.assert_array_equal(rng.random(7), fresh.random(7))
         np.testing.assert_array_equal(rng.integers(0, 1000, 9), fresh.integers(0, 1000, 9))
         samples = np.array([0.1, 0.5, 0.9])
@@ -726,13 +727,27 @@ class TestRekeyedSubstreams:
         """One re-key state, moved from game to game as a batch moves it, puts
         each game at the start of `substream(seed, i)`, whatever the game
         before it drew."""
-        rng = sd.substream(seed, 0)
+        rng = sd.substream(seed % 2**64, 0)
         rekey = sd.rng.rekeyer(rng, seed)
         for index in (0, 1, 1023, 2**64 - 1, 7, 0):
             rekey(index)
-            fresh = sd.substream(seed, index)
+            fresh = sd.substream(seed % 2**64, index)
             np.testing.assert_array_equal(rng.random(5), fresh.random(5))
             np.testing.assert_array_equal(rng.integers(0, 10, 3), fresh.integers(0, 10, 3))
+
+    @pytest.mark.parametrize("seed, index, error, refusal", [
+        (-1, 0, ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
+        (2**64 + 5, 0, ValueError, r"seed must be in \[0, 2\*\*64\), got 18446744073709551621"),
+        (0, -1, ValueError, r"index must be in \[0, 2\*\*64\), got -1"),
+        (0, 2**64, ValueError, r"index must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        (True, 0, TypeError, "'bool' object cannot be interpreted as an integer"),
+        (0, False, TypeError, "'bool' object cannot be interpreted as an integer"),
+        (1.5, 0, TypeError, "'float' object cannot be interpreted as an integer"),
+    ])
+    def test_substream_refuses_a_key_outside_64_bits(self, seed, index, error, refusal):
+        # no key wraps onto another's stream: -1 is not 2**64 - 1, nor True 1
+        with pytest.raises(error, match=f"^{refusal}$"):
+            sd.substream(seed, index)
 
     @pytest.mark.parametrize("tempo_kind,balance_kind", CELLS)
     def test_extreme_keys_match_per_game_generators(self, nfl_like, tempo_kind, balance_kind):
@@ -890,14 +905,70 @@ class TestLeadMomentsOracle:
             n_cut = sd.simulate._bernoulli_count_law(tempo.profile, grid).shape[1]
         else:
             n_cut = sd.simulate._renewal_count_law(tempo, grid).shape[1]
-        values, probs = sd.simulate._point_law(balance.point_values)
-        probs = np.diff(sd.simulate._cdf(probs), prepend=0.0)
+        values, probs = point_pmf(balance)
         reach = (n_cut - 1) * int(values.max())
         assert reach > config.lead_truncation  # phi is read clamped beyond +-cap
         want = shifted_add_moments(sd.simulate._phi_over(balance.phi, reach), values, probs, n_cut)
-        got = sd.simulate._lead_moments(sd.BalanceKind.MARKOV, balance, n_cut)
+        got = sd.laws._markov_moments(balance.phi, values, probs, [n_cut])[n_cut]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def point_pmf(balance):
+    """(point values, their normalised pmf), as the exact lead laws read them."""
+    values, probs = sd.laws._point_law(balance.point_values)
+    return values, np.diff(sd.laws._cdf(probs), prepend=0.0)
+
+
+def per_cell_markov_moments(balance, n_cut):
+    """E[L | n events] and E[L^2 | n] for n < n_cut under markov balance, one
+    `_lead_step` pass of its own over every lead -R..R, R = (n_cut - 1) max(values):
+    each markov-balance cell's moments before both cells shared one banded pass."""
+    values, probs = point_pmf(balance)
+    reach = (n_cut - 1) * int(values.max())
+    phi = sd.laws._phi_over(balance.phi, reach)
+    leads = np.arange(-reach, reach + 1, dtype=float)
+    pi = (leads == 0).astype(float)
+    m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
+    for k in range(1, n_cut):
+        pi = sd.predict._lead_step(pi, phi, values.tolist(), probs.tolist())
+        m1[k], m2[k] = leads @ pi, (leads * leads) @ pi
+    return m1, m2
+
+
+@pytest.fixture(scope="module", params=sorted(LEAGUES))
+def golden_fit(request):
+    """(config, tempo, balance) fitted to the golden league of one sport."""
+    games, config = league(request.param), sd.builtin_config(request.param)
+    return config, sd.fit_tempo(games, config), sd.fit_balance(games, config)
+
+
+class TestSharedMarkovPass:
+    """One banded pass to the larger cut gives each cut the moments of a pass of its own, bit for bit."""
+
+    @staticmethod
+    def cut_pairs(config, tempo):
+        """Both count laws' cuts on the 60 s grid, and equal and unequal pairs around them."""
+        grid = np.arange(0, config.regulation_length + 1, 60)
+        b = sd.laws._bernoulli_count_law(tempo.profile, grid).shape[1]
+        m = sd.laws._renewal_count_law(tempo, grid).shape[1]
+        return [(b, m), (b, b), (m, m), (b, b + 7), (2, m), (1, b), (1, 1)]
+
+    def assert_shared_pass_is_per_cell(self, config, tempo, balance):
+        values, probs = point_pmf(balance)
+        for pair in self.cut_pairs(config, tempo):
+            shared = sd.laws._markov_moments(balance.phi, values, probs, pair)
+            assert sorted(shared) == sorted(set(pair))
+            for n_cut in pair:
+                for got, want in zip(shared[n_cut], per_cell_markov_moments(balance, n_cut)):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("fitted_name", ["nfl_like", "nba_like", "dense_nhl", "capped_custom"])
+    def test_fitted_leagues(self, request, fitted_name):
+        self.assert_shared_pass_is_per_cell(*request.getfixturevalue(fitted_name))
+
+    def test_golden_leagues(self, golden_fit):
+        self.assert_shared_pass_is_per_cell(*golden_fit)
 
 
 class TestExactLeadSdGrid:
