@@ -6,11 +6,11 @@ with the lead), simulates games under every combination of those
 models, and predicts game outcomes with an explicit Markov chain on the
 lead size, evaluated out of sample against a leader-wins baseline.
 
-`import scoredyn` loads the modules that parse, fit and forecast. The
-simulator (`simulate`) and the synthetic leagues (`synth`) load on the
-first use of one of their names, so fitting and forecasting never pay
-for them. The exact lead laws (`laws`) load on first use too, and
-without the simulator.
+`import scoredyn` loads the modules that parse, fit and forecast, the
+exact lead laws among them (`exact_lead_sd_grid` in `predict`,
+`lead_dispersion` in `estimate`). The simulator (`simulate`) and the
+synthetic leagues (`synth`) load on the first use of one of their names,
+so fitting, forecasting and the exact laws never pay for them.
 """
 
 from .core import (
@@ -42,6 +42,7 @@ from .estimate import (
     fit_tempo,
     gap_correlation,
     interarrival_distribution,
+    lead_dispersion,
     lead_scoring_function,
     load_model,
     point_value_distribution,
@@ -59,11 +60,14 @@ from .ingest import (
     write_event_file,
 )
 from .predict import (
+    BalanceKind,
     LeadChain,
     OutcomeForecast,
     PredictabilityCurve,
+    TempoKind,
     build_chain,
     evaluate_predictability,
+    exact_lead_sd_grid,
     expected_remaining_events,
     forecast,
     forecast_after_events,
@@ -72,10 +76,8 @@ from .predict import (
 from .rng import substream
 
 # Public names of the modules that load on first use (PEP 562), each
-# mapped to its module; the three modules themselves are listed too.
+# mapped to its module; the two modules themselves are listed too.
 _LAZY = dict.fromkeys(
-    ("laws", "BalanceKind", "TempoKind", "exact_lead_sd_grid", "lead_dispersion"), "laws"
-) | dict.fromkeys(
     (
         "simulate", "ModelSpec", "exact_lead_sd", "ideal_corpus", "ideal_game", "ideal_model",
         "lead_variance_curve", "simulate_batches", "simulate_corpus", "simulate_game",
@@ -95,7 +97,7 @@ __all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZ
 
 
 def __getattr__(name: str):
-    """Import `laws`, `simulate` or `synth` on the first use of it or of one of its names."""
+    """Import `simulate` or `synth` on the first use of it or of one of its names."""
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,10 @@ stderr; usage errors exit 2. All randomness flows from --seed, so runs
 with identical flags produce byte-identical outputs.
 
 Each subcommand imports only the modules it runs. This module imports
-`core`, `estimate`, `ingest`, `predict` and `rng` when it loads. The
-handler of `report` imports the exact lead laws (`laws`), and those of
-`simulate` and `synth` the simulator, so only those two commands load it.
+`core`, `estimate`, `ingest`, `predict` and `rng` when it loads, and with
+them everything `report` reads, the exact lead laws included. The handlers
+of `simulate` and `synth` import the simulator, so only those two commands
+load it.
 Each `--seed` is read once, by the library call that takes it, and is
 refused in that call's words.
 
@@ -37,11 +38,12 @@ from .estimate import (
     fit_balance,
     fit_tempo,
     interarrival_distribution,
+    lead_dispersion,
     load_model,
     save_model,
 )
 from .ingest import FORMATS, IngestError, parse_event_file, validate_corpus, write_event_file
-from .predict import build_chain, evaluate_predictability, forecast
+from .predict import build_chain, evaluate_predictability, exact_lead_sd_grid, forecast
 
 
 def __getattr__(name: str):
@@ -200,8 +202,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .laws import exact_lead_sd_grid, lead_dispersion
-
     # Every table is computed before --out-dir is created, so a rejected
     # option leaves no partial report behind.
     _count("--balance-bins", args.balance_bins, 1)

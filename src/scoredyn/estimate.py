@@ -15,6 +15,9 @@ scoring function phi(L) estimates the probability that team r wins the
 next event given it currently leads by L. phi is antisymmetric about
 L = 0 (phi(-L) = 1 - phi(L)) and is estimated by pooling each lead state
 with its mirror image, which pins phi(0) = 1/2 exactly.
+
+`lead_dispersion` measures the sd of lead across a corpus's games on a
+clock grid, the curve `predict.exact_lead_sd_grid` computes from the model.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import os
 import warnings
 from contextlib import suppress
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +35,9 @@ from .core import (
     Corpus,
     GameLog,
     SportConfig,
+    _check_clock,
     _checked_corpus,
+    _clock_grid,
     _count,
     _event_leads,
     _integer,
@@ -404,6 +409,46 @@ def correlation_function(games: Sequence[GameLog], n_max: int) -> np.ndarray:
     if not used:
         raise ValueError("no usable games: all gap sequences constant or too short")
     return corr
+
+
+def _lead_sums(offsets, times, signed, grid) -> np.ndarray:
+    """Sums over games of lead and lead^2 at each grid second (2 rows), from
+    a difference array over the grid slots each lead holds: O(events +
+    grid) memory. Leads are integers, so the float sums are exact."""
+    lead = _event_leads(offsets, signed)
+    counts = np.diff(offsets)
+    start = np.searchsorted(grid, times)
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[offsets[1:][counts > 0] - 1] = len(grid)  # a game's last lead holds to the end
+    size = len(grid) + 1
+    diffs = [np.bincount(start, w, size) - np.bincount(end, w, size) for w in (lead, lead * lead)]
+    return np.cumsum(diffs, axis=1)[:, :-1]
+
+
+def lead_dispersion(
+    games: Sequence[GameLog], regulation_length: int, sample_every: int = 60
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, sd of lead) sampled on a regular grid; a game without events
+    counts, at lead 0 throughout, and an event past the clock is refused."""
+    corpus = Corpus.of(games)
+    if not len(corpus):
+        raise ValueError("lead dispersion needs at least one game")
+    regulation_length = _seconds(regulation_length, "regulation_length: ")
+    grid = _clock_grid(regulation_length, sample_every)
+    _check_clock(corpus, regulation_length)
+    return grid, _dispersion(corpus._slices(), grid)
+
+
+def _dispersion(parts: Iterable[Corpus], grid: np.ndarray) -> np.ndarray:
+    """The sd of lead on `grid` over the games of `parts`, summed one part at a time."""
+    sums = np.zeros((2, len(grid)))
+    n = 0
+    for part in parts:
+        sums += _lead_sums(part.offsets, part.times, part.signed, grid)
+        n += len(part)
+    mean = sums[0] / n
+    return np.sqrt(np.maximum(sums[1] / n - mean**2, 0.0))
 
 
 def _profile(times: np.ndarray, n_games: int, T: int) -> np.ndarray:

@@ -52,8 +52,9 @@ included) and every synthetic league game runs one flat-rate law
 as it is generated, so its memory is bounded by one batch, not by the
 number of games.
 
-The exact lead laws live in `laws`, which never loads this module; they
-are imported here too, and `exact_lead_sd` reads one cell's.
+The exact lead laws live in `predict`, which never loads this module;
+`exact_lead_sd` reads one cell's, and `lead_variance_curve` is its Monte
+Carlo twin.
 """
 
 from __future__ import annotations
@@ -65,12 +66,10 @@ import numpy as np
 
 from .core import _CHUNK_GAMES, _WORK_WORDS, Corpus, GameLog, SportConfig, _Record
 from .core import _clock_grid, _count, _probability, _seconds
-from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel
-from .laws import (  # noqa: F401  (the exact lead laws, read here and under their old names)
-    _NEGLIGIBLE, _TAIL_MASS, BalanceKind, TempoKind, _bernoulli_count_law, _bernoulli_moments,
-    _cdf, _check_cell, _dispersion, _exact_lead_sds, _lead_sums, _markov_moments, _phi_over,
-    _point_law, _renewal_count_law, exact_lead_sd_grid, lead_dispersion,
-)
+from .estimate import BalanceModel, LeadScoring, LinearFit, TempoModel, _dispersion
+from .estimate import lead_dispersion  # noqa: F401  (kept as a module attribute for tracing hooks)
+from .predict import BalanceKind, TempoKind, _cdf, _check_cell, _phi_over, _point_law
+from .predict import _exact_lead_sds
 from .rng import check_seed, rekeyer, substream
 
 _GUIDE_BITS = 12  # a guide table splits [0, 1) into 2**12 buckets

@@ -109,17 +109,18 @@ def default_league(
     if not 0 <= (skill_sigma := _named("skill_sigma: ", _number, skill_sigma)) < np.inf:
         raise ValueError(f"skill_sigma must be finite and >= 0, got {skill_sigma}")
     rate = _probability("rate", rate)  # `LeagueSpec.tempo` by the caller's name
+    if point_values is None:
+        point_values = {1: 1.0}
+    point_values = _named("point_values: ", _validated_point_values, point_values)
     rng = np.random.default_rng(LeagueSpec._converted("seed", seed))
     skills = rng.lognormal(mean=0.0, sigma=skill_sigma, size=n_teams)
     schedule = [rng.choice(n_teams, size=2, replace=False) for _ in range(n_games)]
-    if point_values is None:
-        point_values = {1: 1.0}
     return LeagueSpec(
         skills=skills,
         schedule=schedule,
         regulation_length=regulation_length,
         tempo=rate,
-        point_values=dict(point_values),
+        point_values=point_values,
         seed=seed,
     )
 

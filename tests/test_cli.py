@@ -327,16 +327,16 @@ class TestSynthAndEval:
 class TestReport:
     def test_one_count_law_dp_for_both_bernoulli_tempo_cells(self, tmp_path, capsys,
                                                              monkeypatch):
-        from scoredyn import laws
+        from scoredyn import predict
 
         runs = []
-        dp = laws._bernoulli_count_law
+        dp = predict._bernoulli_count_law
 
         def spy(profile, grid):
             runs.append(len(grid))
             return dp(profile, grid)
 
-        monkeypatch.setattr(laws, "_bernoulli_count_law", spy)
+        monkeypatch.setattr(predict, "_bernoulli_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
         sd.write_event_file(games, corpus)
@@ -350,16 +350,16 @@ class TestReport:
 
     def test_one_renewal_count_law_for_both_markov_tempo_cells(self, tmp_path, capsys,
                                                                monkeypatch):
-        from scoredyn import laws
+        from scoredyn import predict
 
         runs = []
-        law = laws._renewal_count_law
+        law = predict._renewal_count_law
 
         def spy(tempo, grid):
             runs.append(len(grid))
             return law(tempo, grid)
 
-        monkeypatch.setattr(laws, "_renewal_count_law", spy)
+        monkeypatch.setattr(predict, "_renewal_count_law", spy)
         games = sd.ideal_corpus(sd.builtin_config("nhl"), 0.003, 100, seed=63)
         corpus = tmp_path / "games.csv"
         sd.write_event_file(games, corpus)
@@ -701,10 +701,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 # The import contract: `import scoredyn` and every command load only the
-# modules they run; the exact lead laws and the simulator load on first use.
+# modules they run; the simulator and the synthetic leagues load on first use.
 
 SRC = os.path.dirname(os.path.dirname(sd.__file__))
-MODULES = ("core", "estimate", "ingest", "laws", "predict", "rng", "simulate", "synth")
+MODULES = ("core", "estimate", "ingest", "predict", "rng", "simulate", "synth")
 LOADED_BY_EVERY_COMMAND = {
     "scoredyn", "scoredyn.core", "scoredyn.estimate", "scoredyn.ingest", "scoredyn.predict",
     "scoredyn.rng",
@@ -738,11 +738,11 @@ def command_inputs(tmp_path_factory):
                      id="eval"),
         pytest.param("predict --model model.json --lead 2 --t 1800", set(), id="predict"),
         pytest.param("report --in games.csv --sport nhl --out-dir report --min-samples 10",
-                     {"scoredyn.laws"}, id="report"),
+                     set(), id="report"),
         pytest.param("simulate --model model.json --n-games 20 --out sim.csv",
-                     {"scoredyn.laws", "scoredyn.simulate"}, id="simulate"),
+                     {"scoredyn.simulate"}, id="simulate"),
         pytest.param("synth --n-teams 4 --n-games 10 --rate 0.005 --regulation 1200 --out l.csv",
-                     {"scoredyn.laws", "scoredyn.simulate", "scoredyn.synth"}, id="synth"),
+                     {"scoredyn.simulate", "scoredyn.synth"}, id="synth"),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(command_inputs, argv, lazy):
@@ -764,7 +764,7 @@ config_for_games core correlation_function default_league estimate evaluate_pred
 events_per_game_distribution exact_lead_sd exact_lead_sd_grid expected_remaining_events
 fit_balance fit_poisson_rate fit_tempo forecast forecast_after_events gap_correlation
 generate_league generate_restoring_league ideal_corpus ideal_game ideal_model ingest
-interarrival_distribution laws lead_dispersion lead_scoring_function lead_variance_curve
+interarrival_distribution lead_dispersion lead_scoring_function lead_variance_curve
 leader_wins league_config league_truth load_config load_model parse_event_file
 point_value_distribution points_fraction_distribution poisson_rate_from_counts predict
 render_event_file rng save_config save_model simulate simulate_batches simulate_corpus
@@ -781,7 +781,7 @@ import sys
 import scoredyn as sd
 
 modules = {name: f"scoredyn.{name}" for name in sys.argv[2:]}
-assert not {"scoredyn.laws", "scoredyn.simulate", "scoredyn.synth"} & sys.modules.keys()
+assert not {"scoredyn.simulate", "scoredyn.synth"} & sys.modules.keys()
 assert {name for name in dir(sd) if not name.startswith("_")} == set(sd.__all__)
 resolved = {name: getattr(sd, name) for name in [sys.argv[1], *sd.__all__]}
 for name, value in resolved.items():

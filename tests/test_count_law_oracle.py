@@ -1,6 +1,6 @@
 """The bernoulli tempo's count law against the per-second DP it replaced.
 
-`per_second_law` is `simulate._bernoulli_count_law` as it was before the
+`per_second_law` is `predict._bernoulli_count_law` as it was before the
 law stepped blocks of seconds in lockstep: one `np.convolve` per second of
 the profile, every second in clock order. The new law folds one count pmf
 per block, so its sums round in another order. Where its blocks are single
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import scoredyn as sd
-from scoredyn import simulate
+from scoredyn import predict
 from test_golden import LEAGUES, league
 
 ABSOLUTE = 16 * np.finfo(float).eps
@@ -35,7 +35,7 @@ def per_second_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
     for t, p in enumerate(profile.tolist()):
         if p:
             step = np.convolve(dist[:hi], (1.0 - p, p))  # times (1 - p + p z)
-            if step[-1] < simulate._NEGLIGIBLE:
+            if step[-1] < predict._NEGLIGIBLE:
                 step[-1] = 0.0
             else:
                 hi += 1
@@ -43,7 +43,7 @@ def per_second_law(profile: np.ndarray, grid: np.ndarray) -> np.ndarray:
         if t in stops:
             rows.append(dist[:hi].copy())
     at_least = np.append(np.cumsum(dist[::-1])[::-1], 0.0)  # P(N(T) >= n)
-    law = np.zeros((len(rows), int(np.argmax(at_least < simulate._TAIL_MASS))))
+    law = np.zeros((len(rows), int(np.argmax(at_least < predict._TAIL_MASS))))
     for row, counts in zip(law, rows):
         row[: len(counts)] = counts[: len(row)]
     return law
@@ -63,7 +63,7 @@ def grid(T: int, sample_every: int) -> np.ndarray:
 def assert_same_law(profile: np.ndarray, sample_every: int) -> None:
     T = len(profile) - 1
     got, want = (law(profile, grid(T, sample_every)) for law in
-                 (simulate._bernoulli_count_law, per_second_law))
+                 (predict._bernoulli_count_law, per_second_law))
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=ABSOLUTE)
 
@@ -81,7 +81,7 @@ def test_single_second_blocks_are_the_per_second_dp(fitted, sample_every):
     _, tempo, _ = fitted
     T = len(tempo.profile) - 1
     np.testing.assert_array_equal(
-        simulate._bernoulli_count_law(tempo.profile, grid(T, sample_every)),
+        predict._bernoulli_count_law(tempo.profile, grid(T, sample_every)),
         per_second_law(tempo.profile, grid(T, sample_every)),
     )
 
@@ -97,8 +97,15 @@ def test_silent_seconds_and_a_certain_event(sample_every):
 def test_lead_sd_curves(fitted, monkeypatch):
     config, tempo, balance = fitted
     times, got = sd.exact_lead_sd_grid(tempo, balance, config)
-    monkeypatch.setattr(simulate, "_bernoulli_count_law", per_second_law)
+    calls = []
+
+    def counted(profile, grid):
+        calls.append(len(grid))
+        return per_second_law(profile, grid)
+
+    monkeypatch.setattr(predict, "_bernoulli_count_law", counted)
     want_times, want = sd.exact_lead_sd_grid(tempo, balance, config)
+    assert calls == [len(times)]  # the oracle ran, once for both bernoulli tempo cells
     np.testing.assert_array_equal(times, want_times)
     for cell in want:
         np.testing.assert_allclose(got[cell], want[cell], rtol=RELATIVE, atol=0)

@@ -273,6 +273,9 @@ SUM_READERS = {
     "TempoModel.interarrival_probs": ("interarrival probabilities",
                                       lambda: tempo(interarrival_probs=[0.5, 0.25])),
     "OutcomeForecast": ("forecast probabilities", lambda: sd.OutcomeForecast(0.5, 0.25, 0.0)),
+    "default_league.point_values": ("point_values: point value probabilities",
+                                    lambda: sd.default_league(n_games=2,
+                                                              point_values={1: 0.5, 2: 0.25})),
 }
 
 
@@ -322,6 +325,8 @@ NAMED_READERS = {  # a public function's reader: (the argument it names, call)
     "ideal_corpus": ("rate", lambda v: sd.ideal_corpus(CONFIG, v, 1)),
     "default_league": ("skill_sigma", lambda v: sd.default_league(n_games=2, skill_sigma=v)),
     "default_league.rate": ("rate", lambda v: sd.default_league(n_games=2, rate=v)),
+    "default_league.point_values": ("point_values: point value 1",
+                                    lambda v: sd.default_league(n_games=2, point_values={1: v})),
     "generate_restoring_league": ("restoring_slope",
                                   lambda v: sd.generate_restoring_league(league(), v)),
 }

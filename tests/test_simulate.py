@@ -902,22 +902,22 @@ class TestLeadMomentsOracle:
         config, tempo, balance = request.getfixturevalue(fitted_name)
         grid = np.arange(0, config.regulation_length + 1, 60)
         if tempo_kind == "bernoulli":
-            n_cut = sd.simulate._bernoulli_count_law(tempo.profile, grid).shape[1]
+            n_cut = sd.predict._bernoulli_count_law(tempo.profile, grid).shape[1]
         else:
-            n_cut = sd.simulate._renewal_count_law(tempo, grid).shape[1]
+            n_cut = sd.predict._renewal_count_law(tempo, grid).shape[1]
         values, probs = point_pmf(balance)
         reach = (n_cut - 1) * int(values.max())
         assert reach > config.lead_truncation  # phi is read clamped beyond +-cap
-        want = shifted_add_moments(sd.simulate._phi_over(balance.phi, reach), values, probs, n_cut)
-        got = sd.laws._markov_moments(balance.phi, values, probs, [n_cut])[n_cut]
+        want = shifted_add_moments(sd.predict._phi_over(balance.phi, reach), values, probs, n_cut)
+        got = sd.predict._markov_moments(balance.phi, values, probs, [n_cut])[n_cut]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
 
 def point_pmf(balance):
     """(point values, their normalised pmf), as the exact lead laws read them."""
-    values, probs = sd.laws._point_law(balance.point_values)
-    return values, np.diff(sd.laws._cdf(probs), prepend=0.0)
+    values, probs = sd.predict._point_law(balance.point_values)
+    return values, np.diff(sd.predict._cdf(probs), prepend=0.0)
 
 
 def per_cell_markov_moments(balance, n_cut):
@@ -926,7 +926,7 @@ def per_cell_markov_moments(balance, n_cut):
     each markov-balance cell's moments before both cells shared one banded pass."""
     values, probs = point_pmf(balance)
     reach = (n_cut - 1) * int(values.max())
-    phi = sd.laws._phi_over(balance.phi, reach)
+    phi = sd.predict._phi_over(balance.phi, reach)
     leads = np.arange(-reach, reach + 1, dtype=float)
     pi = (leads == 0).astype(float)
     m1, m2 = np.zeros(n_cut), np.zeros(n_cut)
@@ -950,14 +950,14 @@ class TestSharedMarkovPass:
     def cut_pairs(config, tempo):
         """Both count laws' cuts on the 60 s grid, and equal and unequal pairs around them."""
         grid = np.arange(0, config.regulation_length + 1, 60)
-        b = sd.laws._bernoulli_count_law(tempo.profile, grid).shape[1]
-        m = sd.laws._renewal_count_law(tempo, grid).shape[1]
+        b = sd.predict._bernoulli_count_law(tempo.profile, grid).shape[1]
+        m = sd.predict._renewal_count_law(tempo, grid).shape[1]
         return [(b, m), (b, b), (m, m), (b, b + 7), (2, m), (1, b), (1, 1)]
 
     def assert_shared_pass_is_per_cell(self, config, tempo, balance):
         values, probs = point_pmf(balance)
         for pair in self.cut_pairs(config, tempo):
-            shared = sd.laws._markov_moments(balance.phi, values, probs, pair)
+            shared = sd.predict._markov_moments(balance.phi, values, probs, pair)
             assert sorted(shared) == sorted(set(pair))
             for n_cut in pair:
                 for got, want in zip(shared[n_cut], per_cell_markov_moments(balance, n_cut)):
